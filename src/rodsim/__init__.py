@@ -21,7 +21,6 @@ from .grid_fields import (
     cumtrapz,
     find_root,
     integrate_ode_rk4,
-    solve_block_tridiag,
 )
 from .integrators import (
     ManifoldState,

@@ -8,10 +8,11 @@ geometry. Everything here is a pure function of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import solve_banded as _lapack_banded
+from scipy.linalg.lapack import dgttrf as _gttrf, dgttrs as _gttrs
 from scipy.optimize import brentq
 
 from .errors import (
@@ -28,7 +29,9 @@ __all__ = [
     "central_diff",
     "cumtrapz",
     "integrate_ode_rk4",
-    "solve_block_tridiag",
+    "TridiagFactors",
+    "factor_tridiag",
+    "solve_tridiag",
     "find_root",
 ]
 
@@ -121,83 +124,77 @@ def integrate_ode_rk4(rhs, y0, u_range, steps: int):
     return us, ys
 
 
-def _band_from_blocks(lower, diag, upper):
-    """Interleave 2x2 block-tridiagonal data into LAPACK band storage (l=u=3)."""
-    n = diag.shape[0]
-    m = 2 * n
-    ab = np.zeros((7, m))
-    for d, blocks in ((-1, lower), (0, diag), (1, upper)):
-        i0 = max(0, -d)
-        i1 = n - max(0, d)
-        for p in range(2):
-            for q in range(2):
-                rows = 2 * np.arange(i0, i1) + p
-                cols = rows + 2 * d + (q - p)
-                ab[3 + rows - cols, cols] = blocks[i0:i1, p, q]
-    return ab
+class TridiagFactors(NamedTuple):
+    """Bands of a scalar tridiagonal matrix, its largest entry and its LU
+    factors (LAPACK ``gttrf``), all read-only so solves can share them."""
+
+    lower: np.ndarray
+    diag: np.ndarray
+    upper: np.ndarray
+    scale: float
+    lu: tuple
 
 
-def _band_matvec(lower, diag, upper, x):
-    y = np.einsum("ipq,iq->ip", diag, x)
-    y[1:] += np.einsum("ipq,iq->ip", lower[1:], x[:-1])
-    y[:-1] += np.einsum("ipq,iq->ip", upper[:-1], x[1:])
-    return y
+def factor_tridiag(lower, diag, upper) -> TridiagFactors:
+    """LU-factor a scalar tridiagonal matrix with partial pivoting.
 
-
-def _locate_singular_row(lower, diag, upper, threshold=1e-13):
-    """Forward block elimination to find the first (near-)singular pivot row."""
-    n = diag.shape[0]
-    piv = diag[0].astype(float).copy()
-    for i in range(n):
-        if i > 0:
-            det = piv[0, 0] * piv[1, 1] - piv[0, 1] * piv[1, 0]
-            inv = np.array([[piv[1, 1], -piv[0, 1]], [-piv[1, 0], piv[0, 0]]]) / det
-            piv = diag[i] - lower[i] @ inv @ upper[i - 1]
-        scale = max(
-            np.abs(piv).max(),
-            np.abs(lower[i]).max() if i > 0 else 0.0,
-            np.abs(upper[i]).max() if i < n - 1 else 0.0,
-        )
-        det = abs(piv[0, 0] * piv[1, 1] - piv[0, 1] * piv[1, 0])
-        if det <= (threshold * max(scale, 1e-300)) ** 2:
-            return i
-    return None
-
-
-def solve_block_tridiag(lower, diag, upper, rhs) -> np.ndarray:
-    """Solve a block-tridiagonal system with 2x2 blocks.
-
-    ``lower[i]`` couples row i to i-1 (entry 0 unused), ``upper[i]`` to i+1
-    (last entry unused). ``rhs`` has shape (N, 2). Raises
-    ``SingularSystemError`` with the offending block-row index when a pivot
-    falls below 1e-13 times the local row scale.
+    ``diag`` has N entries; ``lower[i]`` couples row i+1 to row i and
+    ``upper[i]`` row i to row i+1 (N-1 entries each). Raises
+    ``SingularSystemError`` when a pivot falls below 1e-13 times the local row
+    scale; its row is where elimination without row interchanges first meets
+    such a pivot (interchanges would move a zero row to the end).
     """
-    lower = np.asarray(lower, dtype=float)
-    diag = np.asarray(diag, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    b = np.asarray(rhs, dtype=float)
-    n = diag.shape[0]
-    if b.shape != (n, 2):
-        raise SizeError(f"rhs shape {b.shape} does not match {n} block rows")
-
-    def _diagnose():
-        row = _locate_singular_row(lower, diag, upper)
+    lower, diag, upper = (np.array(a, dtype=float) for a in (lower, diag, upper))
+    n = diag.size
+    if diag.ndim != 1 or lower.shape != (n - 1,) or upper.shape != (n - 1,):
+        raise SizeError(f"bands {lower.shape}, {diag.shape}, {upper.shape} mismatch")
+    *lu, _ = _gttrf(lower, diag, upper)
+    tol = np.abs(diag)
+    tol[1:] = np.maximum(tol[1:], np.abs(lower))
+    tol[:-1] = np.maximum(tol[:-1], np.abs(upper))
+    tol *= 1e-13
+    # Step i of the pivoted factorization may use row i or row i+1.
+    if not np.all(np.abs(lu[1]) > np.maximum(tol, np.append(tol[1:], 0.0))):
+        pivot = diag[0]
+        for row in range(n):
+            if row:
+                pivot = diag[row] - lower[row - 1] * upper[row - 1] / pivot
+            if not abs(pivot) > tol[row]:
+                break
         raise SingularSystemError(
-            f"singular pivot in block-tridiagonal system at row {row}", row=row
+            f"singular pivot in tridiagonal system at row {row}", row=row
         )
+    for a in (lower, diag, upper, *lu):
+        a.flags.writeable = False
+    scale = max(np.abs(diag).max(), np.abs(lower).max(initial=0.0),
+                np.abs(upper).max(initial=0.0))
+    return TridiagFactors(lower, diag, upper, scale, tuple(lu))
 
-    ab = _band_from_blocks(lower, diag, upper)
-    try:
-        x = _lapack_banded((3, 3), ab, b.reshape(-1)).reshape(n, 2)
-    except np.linalg.LinAlgError:
-        _diagnose()
-    if not np.all(np.isfinite(x)):
-        _diagnose()
-    residual = np.abs(_band_matvec(lower, diag, upper, x) - b).max()
-    norm_a = max(np.abs(lower).max(), np.abs(diag).max(), np.abs(upper).max())
-    bound = 1e-10 * (6.0 * norm_a * np.abs(x).max() + np.abs(b).max())
-    if residual > max(bound, 1e-300):
-        _diagnose()
+
+def solve_tridiag(factors: TridiagFactors, rhs) -> np.ndarray:
+    """Solve A x = rhs for an (N, k) rhs with ``factor_tridiag``'s factors.
+
+    Raises ``SingularSystemError`` at the worst row if the residual exceeds
+    1e-10 times the scale of A x and rhs. A non-finite or overflowing
+    right-hand side gives a non-finite solution for the caller to handle.
+    """
+    b = np.asarray(rhs, dtype=float)
+    n = factors.diag.shape[0]
+    if b.ndim != 2 or b.shape[0] != n:
+        raise SizeError(f"rhs shape {b.shape} does not match {n} rows")
+    x, _ = _gttrs(*factors.lu, b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = factors.diag[:, None] * x - b
+        residual[1:] += factors.lower[:, None] * x[:-1]
+        residual[:-1] += factors.upper[:, None] * x[1:]
+        residual = np.abs(residual)
+        bound = 1e-10 * (3.0 * factors.scale * np.abs(x).max() + np.abs(b).max())
+    worst = residual.max()
+    if np.isfinite(worst) and np.isfinite(bound) and worst > max(bound, 1e-300):
+        row = int(residual.argmax()) // b.shape[1]
+        raise SingularSystemError(
+            f"residual {worst:.3e} above {bound:.3e} at row {row}", row=row
+        )
     return x
 
 

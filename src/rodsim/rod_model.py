@@ -9,13 +9,21 @@ from a linear boundary-value problem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigurationError, InputError, SingularSystemError
-from .grid_fields import Grid1D, central_diff, cumtrapz, solve_block_tridiag
+from .grid_fields import (
+    Grid1D,
+    TridiagFactors,
+    central_diff,
+    cumtrapz,
+    factor_tridiag,
+    solve_tridiag,
+)
 
 __all__ = [
     "MaterialParams",
@@ -29,9 +37,6 @@ __all__ = [
     "energy",
     "reconstruct_centerline",
 ]
-
-_I2 = np.eye(2)
-
 
 def adiag(v: np.ndarray) -> np.ndarray:
     """Apply the antidiagonal matrix [[0, 1], [-1, 0]] to 2-vectors (last axis)."""
@@ -162,6 +167,38 @@ def bending_couple(state: RodState, params: MaterialParams) -> np.ndarray:
     return params.EI * state.curvature
 
 
+@lru_cache(maxsize=16)
+def _contact_operator(
+    rho_A: float, rho_I: float, ds: float, nodes: int, base: str, tip: str
+) -> TridiagFactors:
+    """Factor the contact-force matrix, shared by both force components.
+
+    The matrix depends only on these scalars, so a run factors it once.
+    A singular matrix raises every time it is requested (nothing is cached).
+    """
+    a_off = 1.0 / (rho_A * ds**2)
+    lower = np.full(nodes - 1, a_off)
+    upper = np.full(nodes - 1, a_off)
+    diag = np.full(nodes, -2.0 * a_off + 1.0 / rho_I)
+    if base == "free":
+        diag[0], upper[0] = 1.0, 0.0
+    else:
+        diag[0], upper[0] = -1.0 / ds, 1.0 / ds
+    if tip == "free":
+        diag[-1], lower[-1] = 1.0, 0.0
+    else:
+        diag[-1], lower[-1] = 1.0 / ds, -1.0 / ds
+    try:
+        return factor_tridiag(lower, diag, upper)
+    except SingularSystemError as err:
+        if base == "free" and tip == "free":
+            raise ConfigurationError(
+                "contact-force system singular with both ends free "
+                f"(incompatible loads); pivot row {err.row}"
+            ) from err
+        raise
+
+
 def solve_contact_force(
     state: RodState,
     params: MaterialParams,
@@ -177,50 +214,33 @@ def solve_contact_force(
 
         (1/rho A) n'' + (1/rho I) n = (1/rho I) adiag(m' + l) - (1/rho A) f',
 
-    discretized with central differences and solved as a 2x2-block tridiagonal
-    system. Free ends impose n = 0; clamped ends impose
-    n' = -f + rho A * (d/dt prescribed linear velocity).
+    discretized with central differences. Both components share one scalar
+    tridiagonal matrix, factored once per parameter set and solved with two
+    right-hand-side columns. Free ends impose n = 0; clamped ends impose
+    n' = -f + rho A * (d/dt prescribed linear velocity). A non-finite
+    right-hand side (a blown-up state) gives a non-finite force.
     """
     grid = state.grid
-    n_nodes = grid.node_count
     ds = grid.spacing
     s = grid.nodes
+    factors = _contact_operator(
+        params.rho_A, params.rho_I, ds, grid.node_count, bc.base, bc.tip
+    )
     m = bending_couple(state, params)
     f = loads.force_at(s, t)
     l = loads.couple_at(s, t)
     dm = central_diff(m, ds)
     df = central_diff(f, ds)
     rhs = adiag(dm + l) / params.rho_I - df / params.rho_A
-
-    a_off = 1.0 / (params.rho_A * ds**2)
-    lower = np.tile(a_off * _I2, (n_nodes, 1, 1))
-    upper = np.tile(a_off * _I2, (n_nodes, 1, 1))
-    diag = np.tile((-2.0 * a_off + 1.0 / params.rho_I) * _I2, (n_nodes, 1, 1))
-
-    # Base row.
     if bc.base == "free":
-        diag[0], upper[0], rhs[0] = _I2, 0.0, 0.0
+        rhs[0] = 0.0
     else:
-        diag[0] = -_I2 / ds
-        upper[0] = _I2 / ds
         rhs[0] = -f[0] + params.rho_A * np.asarray(bc.base_lin_acc(t), float)
-    # Tip row.
     if bc.tip == "free":
-        diag[-1], lower[-1], rhs[-1] = _I2, 0.0, 0.0
+        rhs[-1] = 0.0
     else:
-        diag[-1] = _I2 / ds
-        lower[-1] = -_I2 / ds
         rhs[-1] = -f[-1] + params.rho_A * np.asarray(bc.tip_lin_acc(t), float)
-
-    try:
-        return solve_block_tridiag(lower, diag, upper, rhs)
-    except SingularSystemError as err:
-        if bc.base == "free" and bc.tip == "free":
-            raise ConfigurationError(
-                "contact-force system singular with both ends free "
-                f"(incompatible loads); pivot row {err.row}"
-            ) from err
-        raise
+    return solve_tridiag(factors, rhs)
 
 
 def energy(state: RodState, params: MaterialParams) -> float:
@@ -233,31 +253,32 @@ def energy(state: RodState, params: MaterialParams) -> float:
     return float(cumtrapz(density, state.grid.spacing)[-1])
 
 
-def _skew(kappa3: np.ndarray) -> np.ndarray:
-    k1, k2, k3 = kappa3
-    return np.array([[0.0, -k3, k2], [k3, 0.0, -k1], [-k2, k1, 0.0]])
+def _interval_operators(kappa: np.ndarray, ds: float):
+    """Rotation and tangent step of every constant-curvature interval.
 
-
-def _interval_update(kappa3: np.ndarray, ds: float):
-    """Rotation and tangent-displacement operators for one constant-curvature interval.
-
-    Returns (exp(ds*K), V) with V = integral_0^ds exp(sigma*K) dsigma, both in
-    closed form (Rodrigues), so constant-curvature segments are exact.
+    Interval i carries the midpoint curvature of nodes i and i+1, K its skew
+    matrix. Returns (exp(ds*K) (N-1, 3, 3), V e3 (N-1, 3)) with
+    V = integral_0^ds exp(sigma*K) dsigma, both in closed form (Rodrigues),
+    so constant-curvature segments are exact; intervals turning less than
+    1e-8 rad use the Taylor coefficients instead.
     """
-    k = _skew(kappa3)
-    theta = float(np.linalg.norm(kappa3))
+    mid = 0.5 * (kappa[:-1] + kappa[1:])
+    k = np.zeros((mid.shape[0], 3, 3))
+    k[:, 0, 2], k[:, 2, 0] = mid[:, 1], -mid[:, 1]
+    k[:, 2, 1], k[:, 1, 2] = mid[:, 0], -mid[:, 0]
+    k2 = k @ k
+    theta = np.linalg.norm(mid, axis=1)
     ang = theta * ds
-    if ang < 1e-8:
-        rot = np.eye(3) + ds * k + 0.5 * ds**2 * (k @ k)
-        v = ds * np.eye(3) + 0.5 * ds**2 * k + (ds**3 / 6.0) * (k @ k)
-        return rot, v
-    ku = k / theta
-    ku2 = ku @ ku
-    rot = np.eye(3) + np.sin(ang) * ku + (1.0 - np.cos(ang)) * ku2
-    v = ds * np.eye(3) + ((1.0 - np.cos(ang)) / theta) * ku + (
-        ds - np.sin(ang) / theta
-    ) * ku2
-    return rot, v
+    small = ang < 1e-8
+    theta = np.where(small, 1.0, theta)
+    sin_t = np.sin(ang) / theta
+    c1 = np.where(small, ds, sin_t)
+    c2 = np.where(small, 0.5 * ds**2, (1.0 - np.cos(ang)) / theta**2)
+    c3 = np.where(small, ds**3 / 6.0, (ds - sin_t) / theta**2)
+    rot = np.eye(3) + c1[:, None, None] * k + c2[:, None, None] * k2
+    step = c2[:, None] * k[:, :, 2] + c3[:, None] * k2[:, :, 2]
+    step[:, 2] += ds
+    return rot, step
 
 
 def reconstruct_centerline(
@@ -279,14 +300,13 @@ def reconstruct_centerline(
     frame0 = np.eye(3) if base_frame is None else np.asarray(base_frame, dtype=float)
     if frame0.shape != (3, 3) or np.abs(frame0.T @ frame0 - np.eye(3)).max() > 1e-8:
         raise InputError("base frame must be a 3x3 orthonormal matrix")
+    rot, step = _interval_operators(kappa, spacing)
     frames = np.empty((n, 3, 3))
-    positions = np.empty((n, 3))
     frames[0] = frame0
-    positions[0] = np.asarray(base_position, dtype=float)
-    e3 = np.array([0.0, 0.0, 1.0])
     for i in range(n - 1):
-        mid = 0.5 * (kappa[i] + kappa[i + 1])
-        rot, v = _interval_update(np.array([mid[0], mid[1], 0.0]), spacing)
-        positions[i + 1] = positions[i] + frames[i] @ (v @ e3)
-        frames[i + 1] = frames[i] @ rot
+        np.dot(frames[i], rot[i], out=frames[i + 1])
+    positions = np.empty((n, 3))
+    positions[0] = np.asarray(base_position, dtype=float)
+    positions[1:] = np.einsum("nij,nj->ni", frames[:-1], step)
+    np.cumsum(positions, axis=0, out=positions)
     return positions, frames

@@ -12,7 +12,7 @@ import json
 import os
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .integrators import (
     ManifoldState,
     lift,
     max_stable_dt,
+    project,
     step_pure_numeric,
     step_semi_analytic,
 )
@@ -29,6 +30,7 @@ from .rod_model import (
     Loads,
     MaterialParams,
     RodState,
+    energy,
     reconstruct_centerline,
 )
 
@@ -330,9 +332,7 @@ def simulate_rod(
     if semi:
         mstate = project_initial(state)
 
-    from .rod_model import energy as _energy
-
-    e0 = _energy(state, mat)
+    e0 = energy(state, mat)
     e_ref = _energy_reference(config, e0)
     frames = []
     zero_drift = (0.0, 0.0, 0.0)
@@ -368,8 +368,6 @@ def simulate_rod(
 
 def project_initial(state: RodState) -> ManifoldState:
     """Lift a raw initial state onto the manifold (zero previous angle)."""
-    from .integrators import project
-
     scale = np.abs(state.lin_vel).max()
     eps = max(1e-8 * scale, 1e-300)
     return project(state, np.zeros(state.grid.node_count), eps)
@@ -451,25 +449,16 @@ def run_scenario(config: ScenarioConfig) -> Trajectory:
 
 
 def _stability_probe(config: ScenarioConfig, scheme: str, horizon: float):
-    probe = ScenarioConfig(
-        material=config.material,
+    probe = replace(
+        config,
         scheme=scheme,
-        dt=config.dt,
         t_end=horizon,
-        base=config.base,
-        tip=config.tip,
-        drive=config.drive,
         carpet=CarpetConfig(rods=1),
         output=OutputConfig(stride=10**9),
-        seed=config.seed,
     )
 
     def is_stable(dt):
-        trial = ScenarioConfig(
-            material=probe.material, scheme=scheme, dt=dt, t_end=horizon,
-            base=probe.base, tip=probe.tip, drive=probe.drive,
-            carpet=probe.carpet, output=probe.output, seed=probe.seed,
-        )
+        trial = replace(probe, dt=dt)
         _, stable, _ = simulate_rod(trial, collect_frames=False)
         return stable
 
@@ -495,12 +484,9 @@ def benchmark_stability(
     report["dt_ratio"] = report["dt_semi"] / report["dt_pure"]
     t_end = timing_t_end if timing_t_end is not None else horizon
     for scheme in ("pure", "semi"):
-        trial = ScenarioConfig(
-            material=config.material, scheme=scheme,
-            dt=0.5 * report[f"dt_{scheme}"], t_end=t_end,
-            base=config.base, tip=config.tip, drive=config.drive,
+        trial = replace(
+            config, scheme=scheme, dt=0.5 * report[f"dt_{scheme}"], t_end=t_end,
             carpet=CarpetConfig(rods=1), output=OutputConfig(stride=10**9),
-            seed=config.seed,
         )
         start = _time.perf_counter()
         simulate_rod(trial, collect_frames=False)

@@ -9,9 +9,10 @@ from rodsim.grid_fields import (
     SampledFn,
     central_diff,
     cumtrapz,
+    factor_tridiag,
     find_root,
     integrate_ode_rk4,
-    solve_block_tridiag,
+    solve_tridiag,
 )
 
 
@@ -104,55 +105,60 @@ class TestRK4:
                 integrate_ode_rk4(lambda u, y: y**3, [1.0], (0.0, 10.0), 200)
 
 
-def _dense_from_blocks(lower, diag, upper):
-    n = diag.shape[0]
-    dense = np.zeros((2 * n, 2 * n))
-    for i in range(n):
-        dense[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = diag[i]
-        if i > 0:
-            dense[2 * i : 2 * i + 2, 2 * i - 2 : 2 * i] = lower[i]
-        if i < n - 1:
-            dense[2 * i : 2 * i + 2, 2 * i + 2 : 2 * i + 4] = upper[i]
-    return dense
+def _dense_from_bands(lower, diag, upper):
+    return np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
 
 
 def _random_dominant_system(rng, n):
-    lower = rng.standard_normal((n, 2, 2))
-    upper = rng.standard_normal((n, 2, 2))
-    diag = rng.standard_normal((n, 2, 2))
-    diag += 8.0 * np.eye(2)
+    lower = rng.standard_normal(n - 1)
+    upper = rng.standard_normal(n - 1)
+    diag = rng.standard_normal(n) + 8.0
     rhs = rng.standard_normal((n, 2))
     return lower, diag, upper, rhs
 
 
 class TestBlockTridiag:
+    """The scalar tridiagonal factor/solve pair that replaced the 2x2-block
+    solver: the contact-force blocks were scalar multiples of the identity,
+    so one scalar matrix with two right-hand-side columns does the same job.
+    """
+
     def test_identity_blocks(self):
         n = 6
-        eye = np.tile(np.eye(2), (n, 1, 1))
-        zero = np.zeros((n, 2, 2))
         rhs = np.arange(2.0 * n).reshape(n, 2)
-        x = solve_block_tridiag(zero, eye, zero, rhs)
-        np.testing.assert_array_equal(x, rhs)
+        factors = factor_tridiag(np.zeros(n - 1), np.ones(n), np.zeros(n - 1))
+        np.testing.assert_array_equal(solve_tridiag(factors, rhs), rhs)
 
     @pytest.mark.parametrize("n", [5, 20, 200])
     def test_matches_dense_oracle(self, n):
         rng = np.random.default_rng(42 + n)
         lower, diag, upper, rhs = _random_dominant_system(rng, n)
-        x = solve_block_tridiag(lower, diag, upper, rhs)
-        dense = _dense_from_blocks(lower, diag, upper)
-        x_dense = np.linalg.solve(dense, rhs.reshape(-1)).reshape(n, 2)
+        x = solve_tridiag(factor_tridiag(lower, diag, upper), rhs)
+        x_dense = np.linalg.solve(_dense_from_bands(lower, diag, upper), rhs)
         np.testing.assert_allclose(x, x_dense, rtol=1e-10, atol=1e-12)
 
     def test_zero_diagonal_block_row(self):
         n = 5
         rng = np.random.default_rng(3)
-        lower, diag, upper, rhs = _random_dominant_system(rng, n)
-        lower[2] = 0.0
+        lower, diag, upper, _ = _random_dominant_system(rng, n)
+        lower[1] = 0.0
         diag[2] = 0.0
         upper[2] = 0.0
         with pytest.raises(SingularSystemError) as err:
-            solve_block_tridiag(lower, diag, upper, rhs)
+            factor_tridiag(lower, diag, upper)
         assert err.value.row == 2
+
+    def test_factors_are_read_only(self):
+        factors = factor_tridiag(np.ones(3), np.full(4, 4.0), np.ones(3))
+        for array in (factors.lower, factors.diag, factors.upper, *factors.lu):
+            assert not array.flags.writeable
+
+    def test_band_shape_mismatch(self):
+        with pytest.raises(SizeError):
+            factor_tridiag(np.ones(4), np.ones(4), np.ones(3))
+        factors = factor_tridiag(np.ones(3), np.full(4, 4.0), np.ones(3))
+        with pytest.raises(SizeError):
+            solve_tridiag(factors, np.ones((5, 2)))
 
 
 class TestFindRoot:

@@ -15,6 +15,7 @@ from rodsim.integrators import (
     step_semi_analytic,
 )
 from rodsim.rod_model import BoundaryConditions, Loads, MaterialParams, RodState
+from rodsim.scenarios import default_config
 from rodsim.solution_family import random_family, sample_state
 
 
@@ -153,6 +154,24 @@ class TestPureStep:
                     break
         assert tripped
         assert np.all(np.isfinite(state.curvature))
+
+    @pytest.mark.parametrize(
+        "bc",
+        [BoundaryConditions.clamped_base(), BoundaryConditions.free_free()],
+        ids=["clamped_base", "free_free"],
+    )
+    def test_huge_finite_state_is_a_non_finite_step(self, bc):
+        # A state near overflow makes the force solve non-finite. That is a
+        # blown-up step, not a singular (or, with free ends, misconfigured)
+        # contact-force matrix.
+        params = default_config().material
+        grid = params.grid()
+        state = RodState.zero(grid)
+        state.curvature[:, 0] = 1e305 * np.sin(3.0 * grid.nodes)
+        with np.errstate(all="ignore"):
+            new, report = step_pure_numeric(state, params, Loads(), bc, 0.0, 1e-4)
+        assert report.finite is False
+        np.testing.assert_array_equal(new.curvature, state.curvature)
 
     def test_free_ends_are_moment_free(self):
         # A free end carries no bending moment, so the curvature at free end

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from rodsim.errors import InputError
+from rodsim import rod_model
+from rodsim.errors import ConfigurationError, InputError
 from rodsim.grid_fields import Grid1D, central_diff
 from rodsim.rod_model import (
     BoundaryConditions,
@@ -16,6 +17,7 @@ from rodsim.rod_model import (
     reconstruct_centerline,
     solve_contact_force,
 )
+from rodsim.scenarios import default_config, simulate_rod
 
 
 def make_params(**overrides):
@@ -164,6 +166,36 @@ class TestContactForce:
         without = drift(False)
         assert abs(with_force - base) < abs(without - base)
 
+    def test_free_free_resonance_raises_at_factor_time(self):
+        # rho_I / rho_A = ds^2 / 2 makes the interior pivot exactly zero. The
+        # error must come back on every call: a failed factorization is never
+        # cached.
+        params = MaterialParams(
+            rho=1.0, area=1.0, moment=0.125, EI=1.0, length=1.0, nodes=3
+        )
+        state = RodState.zero(params.grid())
+        for _ in range(2):
+            with pytest.raises(ConfigurationError, match="pivot row 1"):
+                solve_contact_force(
+                    state, params, Loads(), BoundaryConditions.free_free(), 0.0
+                )
+
+    def test_simulate_rod_factors_once(self, monkeypatch):
+        calls = []
+        factor = rod_model.factor_tridiag
+
+        def counting_factor(*args, **kwargs):
+            calls.append(1)
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(rod_model, "factor_tridiag", counting_factor)
+        rod_model._contact_operator.cache_clear()
+        for scheme in ("pure", "semi"):
+            config = default_config(scheme=scheme, dt=1e-4, t_end=1e-2)
+            _, stable, _ = simulate_rod(config)
+            assert stable
+        assert len(calls) == 1
+
 
 class TestEnergy:
     def test_zero_state(self, params, zero_state):
@@ -246,3 +278,51 @@ class TestCenterline:
     def test_rejects_bad_frame(self):
         with pytest.raises(InputError):
             reconstruct_centerline(np.zeros((5, 2)), 0.1, base_frame=2.0 * np.eye(3))
+
+    def test_matches_per_interval_loop(self):
+        rng = np.random.default_rng(17)
+        n = 400
+        kappa = 20.0 * rng.standard_normal((n, 2))
+        kind = rng.integers(0, 3, n)
+        kappa[kind == 0] = 0.0
+        kappa[kind == 1] *= 1e-9 / 20.0
+        base = (1.0, -2.0, 0.5)
+        frame0 = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        positions, frames = reconstruct_centerline(kappa, 1e-2, base, frame0)
+        ref_positions, ref_frames = _loop_centerline(kappa, 1e-2, base, frame0)
+        np.testing.assert_allclose(positions, ref_positions, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(frames, ref_frames, rtol=0, atol=1e-13)
+
+
+def _loop_centerline(kappa, ds, base_position, frame0):
+    """Per-interval reference: Rodrigues rotation and tangent integral."""
+
+    def interval_update(kappa3):
+        k1, k2, k3 = kappa3
+        k = np.array([[0.0, -k3, k2], [k3, 0.0, -k1], [-k2, k1, 0.0]])
+        theta = float(np.linalg.norm(kappa3))
+        ang = theta * ds
+        if ang < 1e-8:
+            rot = np.eye(3) + ds * k + 0.5 * ds**2 * (k @ k)
+            v = ds * np.eye(3) + 0.5 * ds**2 * k + (ds**3 / 6.0) * (k @ k)
+            return rot, v
+        ku = k / theta
+        ku2 = ku @ ku
+        rot = np.eye(3) + np.sin(ang) * ku + (1.0 - np.cos(ang)) * ku2
+        v = ds * np.eye(3) + ((1.0 - np.cos(ang)) / theta) * ku + (
+            ds - np.sin(ang) / theta
+        ) * ku2
+        return rot, v
+
+    n = kappa.shape[0]
+    frames = np.empty((n, 3, 3))
+    positions = np.empty((n, 3))
+    frames[0] = frame0
+    positions[0] = base_position
+    e3 = np.array([0.0, 0.0, 1.0])
+    for i in range(n - 1):
+        mid = 0.5 * (kappa[i] + kappa[i + 1])
+        rot, v = interval_update(np.array([mid[0], mid[1], 0.0]))
+        positions[i + 1] = positions[i] + frames[i] @ (v @ e3)
+        frames[i + 1] = frames[i] @ rot
+    return positions, frames
