@@ -24,10 +24,11 @@ from .grid_fields import (
 )
 from .integrators import (
     ManifoldState,
-    StepReport,
+    drift_norms,
     lift,
     max_stable_dt,
     project,
+    state_energy,
     step_pure_numeric,
     step_semi_analytic,
 )

@@ -12,8 +12,8 @@ import sys
 
 import numpy as np
 
-from .errors import InputError, NumericalError, RodSimError
-from .scenarios import ScenarioConfig, Trajectory, run_scenario
+from .errors import InputError, InstabilityError, NumericalError, RodSimError
+from .scenarios import ScenarioConfig, Trajectory, benchmark_stability, run_scenario
 from .solution_family import (
     CauchyTrace,
     family_to_json,
@@ -106,8 +106,6 @@ def _trace_fn(spec, name):
 def _cmd_simulate(args) -> int:
     config = ScenarioConfig.from_json(_read(args.config))
     out_path = args.out or config.output.path
-    from .errors import InstabilityError
-
     try:
         trajectory = run_scenario(config)
         failed = False
@@ -164,8 +162,6 @@ def _cmd_match_cauchy(args) -> int:
 
 def _cmd_benchmark(args) -> int:
     config = ScenarioConfig.from_json(_read(args.config))
-    from .scenarios import benchmark_stability
-
     report = benchmark_stability(
         config, horizon=args.horizon, dt_bounds=(args.dt_min, args.dt_max)
     )
@@ -179,6 +175,9 @@ def _cmd_export(args) -> int:
         trajectory = Trajectory.from_json(text)
     else:
         trajectory = Trajectory.from_csv(text)
+        if args.format == "json":
+            print("warning: CSV carries no energies or drift norms; "
+                  "they are written as zeros", file=sys.stderr)
     out = trajectory.to_csv() if args.format == "csv" else trajectory.to_json()
     _emit(out, args.out)
     return 0

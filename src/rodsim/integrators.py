@@ -2,15 +2,17 @@
 
 The baseline discretizes all six scalar equations with central differences in
 space and forward Euler in time; the compatibility relation and the two
-collinearity constraints are not enforced and their residuals are reported as
-drift. The semi-analytic scheme keeps the state on the collinear manifold of
-the closed-form solution family: the three vectors share one direction angle,
-so the collinearity constraints hold exactly by representation, and the
-spatial structure of the velocity compatibility relation is enforced by
-integrating the angle along the rod.
+collinearity constraints are not enforced, so they drift. The semi-analytic
+scheme keeps the state on the collinear manifold of the closed-form solution
+family: the three vectors share one direction angle, so the collinearity
+constraints hold exactly by representation, and the spatial structure of the
+velocity compatibility relation is enforced by integrating the angle along
+the rod.
 
 Both schemes impose the moment-free condition m = 0 (zero curvature) at free
-ends in addition to the clamped-end velocity signals.
+ends in addition to the clamped-end velocity signals. A step returns only the
+next state and raises DivergenceError when it produces non-finite values;
+``drift_norms`` and ``state_energy`` measure a state when the caller asks.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, DivergenceError, InputError
 from .grid_fields import Grid1D, central_diff, cumtrapz
 from .rod_model import (
     BoundaryConditions,
@@ -29,14 +31,15 @@ from .rod_model import (
     RodState,
     adiag,
     bending_couple,
+    contact_force,
     cross2,
     energy,
-    solve_contact_force,
 )
 
 __all__ = [
     "ManifoldState",
-    "StepReport",
+    "drift_norms",
+    "state_energy",
     "lift",
     "project",
     "step_pure_numeric",
@@ -69,19 +72,6 @@ class ManifoldState:
     def zero(cls, grid: Grid1D) -> "ManifoldState":
         n = grid.node_count
         return cls(grid, np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n))
-
-
-@dataclass
-class StepReport:
-    """Per-step diagnostics: drift norms, energy, and a finiteness flag."""
-
-    dt: float
-    drift_r4: float
-    drift_r5: float
-    drift_r6: float
-    energy: float
-    finite: bool
-    tangential_residual: float = 0.0
 
 
 def _direction(angle: np.ndarray) -> np.ndarray:
@@ -122,6 +112,50 @@ def project(r: RodState, prev_angle: np.ndarray, eps: float) -> ManifoldState:
     )
 
 
+def drift_norms(state) -> tuple[float, float, float]:
+    """Max-norms (R4, R5, R6) of a RodState or ManifoldState.
+
+    R4 is the velocity compatibility residual, R5 and R6 the collinearity of
+    the angular and linear velocity with the curvature. On the manifold the
+    three vectors share one direction, so R5 and R6 are zero by
+    representation; R4 is measured on the lifted vectors.
+    """
+    if isinstance(state, ManifoldState):
+        return _compatibility_norm(lift(state)), 0.0, 0.0
+    return (
+        _compatibility_norm(state),
+        float(np.abs(cross2(state.ang_vel, state.curvature)).max()),
+        float(np.abs(cross2(state.lin_vel, state.curvature)).max()),
+    )
+
+
+def _compatibility_norm(r: RodState) -> float:
+    r4 = central_diff(r.lin_vel, r.grid.spacing) - adiag(r.ang_vel)
+    return float(np.abs(r4).max())
+
+
+def state_energy(state, params: MaterialParams) -> float:
+    """Kinetic plus bending energy of a RodState or ManifoldState.
+
+    A collinear state's energy comes from its magnitudes: the unit direction
+    drops out of every squared norm, so no vectors are built. It agrees with
+    ``energy(lift(m))`` to rounding.
+    """
+    if not isinstance(state, ManifoldState):
+        return energy(state, params)
+    density = 0.5 * (
+        params.rho_A * state.vel_mag**2
+        + params.rho_I * state.ang_mag**2
+        + params.EI * state.curv_mag**2
+    )
+    return float(cumtrapz(density, state.grid.spacing)[-1])
+
+
+def _require_finite(*fields):
+    if not all(np.all(np.isfinite(f)) for f in fields):
+        raise DivergenceError("a time step produced non-finite values")
+
+
 def _apply_free_moment(curvature, bc: BoundaryConditions):
     """Zero the curvature at free ends (a free end carries no bending moment).
 
@@ -147,13 +181,13 @@ def _euler_velocities(state, params, loads, bc, t, dt):
     """One forward-Euler update of the two momentum balances."""
     ds = state.grid.spacing
     s = state.grid.nodes
-    m = bending_couple(state, params)
-    # A blown-up state gives a non-finite force, and so a non-finite step.
-    n = solve_contact_force(state, params, loads, bc, t)
+    dm = central_diff(bending_couple(state, params), ds)
     f = loads.force_at(s, t)
     l = loads.couple_at(s, t)
+    # A blown-up state gives a non-finite force, and so a non-finite step.
+    n = contact_force(dm, f, l, params, bc, t, state.grid)
     lin_vel = state.lin_vel + dt * (central_diff(n, ds) + f) / params.rho_A
-    ang_vel = state.ang_vel + dt * (central_diff(m, ds) + adiag(n) + l) / params.rho_I
+    ang_vel = state.ang_vel + dt * (dm + adiag(n) + l) / params.rho_I
     return lin_vel, ang_vel
 
 
@@ -164,11 +198,11 @@ def step_pure_numeric(
     bc: BoundaryConditions,
     t: float,
     dt: float,
-):
+) -> RodState:
     """Forward-Euler step of the raw scheme; constraints drift freely.
 
     All right-hand sides are evaluated at the pre-step state (simultaneous
-    update). Returns (new_state, report).
+    update). Raises DivergenceError if the step produces non-finite values.
     """
     if not dt > 0.0:
         raise InputError("dt must be positive")
@@ -177,26 +211,8 @@ def step_pure_numeric(
     curvature = state.curvature + dt * central_diff(state.ang_vel, ds)
     _apply_clamps(lin_vel, ang_vel, bc, t + dt)
     _apply_free_moment(curvature, bc)
-    finite = bool(
-        np.all(np.isfinite(lin_vel))
-        and np.all(np.isfinite(ang_vel))
-        and np.all(np.isfinite(curvature))
-    )
-    if not finite:
-        safe = state.copy()
-        report = StepReport(dt, math.inf, math.inf, math.inf, math.inf, False)
-        return safe, report
-    new = RodState(state.grid, curvature, ang_vel, lin_vel)
-    r4 = central_diff(lin_vel, ds) - adiag(ang_vel)
-    report = StepReport(
-        dt,
-        float(np.abs(r4).max()),
-        float(np.abs(cross2(ang_vel, curvature)).max()),
-        float(np.abs(cross2(lin_vel, curvature)).max()),
-        energy(new, params),
-        True,
-    )
-    return new, report
+    _require_finite(lin_vel, ang_vel, curvature)
+    return RodState(state.grid, curvature, ang_vel, lin_vel)
 
 
 def step_semi_analytic(
@@ -207,15 +223,15 @@ def step_semi_analytic(
     t: float,
     dt: float,
     eps: float = None,
-):
+) -> ManifoldState:
     """One step of the semi-analytic scheme on the collinear manifold.
 
     Stages: lift to vectors; forward-Euler update of the momentum balances;
     projection back to the manifold (direction from the updated velocity);
     exact spatial reconstruction of the angle by integrating
     d(angle)/ds = -ang_mag / vel_mag from the base; scalar advection of the
-    curvature magnitude. Collinearity holds exactly by representation; the
-    tangential compatibility residual is reported as a diagnostic.
+    curvature magnitude. Collinearity holds exactly by representation.
+    Raises DivergenceError if the step produces non-finite values.
     """
     if not dt > 0.0:
         raise InputError("dt must be positive")
@@ -224,8 +240,7 @@ def step_semi_analytic(
     state = lift(m)
     lin_vel, ang_vel = _euler_velocities(state, params, loads, bc, t, dt)
     _apply_clamps(lin_vel, ang_vel, bc, t + dt)
-    if not (np.all(np.isfinite(lin_vel)) and np.all(np.isfinite(ang_vel))):
-        return m, StepReport(dt, math.inf, 0.0, 0.0, math.inf, False)
+    _require_finite(lin_vel, ang_vel)
     if eps is None:
         eps = max(1e-8 * np.abs(lin_vel).max(), 1e-300)
     updated = RodState(grid, state.curvature, ang_vel, lin_vel)
@@ -245,31 +260,8 @@ def step_semi_analytic(
 
     curv_mag = m.curv_mag + dt * central_diff(proj.ang_mag, ds)
     _apply_free_moment(curv_mag, bc)
-    finite = bool(np.all(np.isfinite(angle)) and np.all(np.isfinite(curv_mag)))
-    if not finite:
-        return m, StepReport(dt, math.inf, 0.0, 0.0, math.inf, False)
-    new = ManifoldState(grid, angle, curv_mag, proj.ang_mag, proj.vel_mag)
-    lifted = lift(new)
-    r4 = central_diff(lifted.lin_vel, ds) - adiag(lifted.ang_vel)
-    # Collinearity residuals, evaluated in factored form: the shared direction
-    # cancels identically, so they are exactly zero on the manifold.
-    angle_dir = _direction(angle)
-    shared = angle_dir[:, 0] * angle_dir[:, 1] - angle_dir[:, 0] * angle_dir[:, 1]
-    r5 = new.ang_mag * new.curv_mag * shared
-    r6 = new.vel_mag * new.curv_mag * shared
-    d_angle_dt = (angle - m.angle) / dt
-    d_angle_ds = central_diff(angle, ds)
-    tangential = new.curv_mag * d_angle_dt - new.ang_mag * d_angle_ds
-    report = StepReport(
-        dt,
-        float(np.abs(r4).max()),
-        float(np.abs(r5).max()),
-        float(np.abs(r6).max()),
-        energy(lifted, params),
-        True,
-        tangential_residual=float(np.abs(tangential).max()),
-    )
-    return new, report
+    _require_finite(angle, curv_mag)
+    return ManifoldState(grid, angle, curv_mag, proj.ang_mag, proj.vel_mag)
 
 
 def max_stable_dt(

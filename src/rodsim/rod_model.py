@@ -34,6 +34,7 @@ __all__ = [
     "cross2",
     "bending_couple",
     "solve_contact_force",
+    "contact_force",
     "energy",
     "reconstruct_centerline",
 ]
@@ -220,16 +221,32 @@ def solve_contact_force(
     n' = -f + rho A * (d/dt prescribed linear velocity). A non-finite
     right-hand side (a blown-up state) gives a non-finite force.
     """
-    grid = state.grid
+    s = state.grid.nodes
+    dm = central_diff(bending_couple(state, params), state.grid.spacing)
+    return contact_force(
+        dm, loads.force_at(s, t), loads.couple_at(s, t), params, bc, t, state.grid
+    )
+
+
+def contact_force(
+    dm: np.ndarray,
+    f: np.ndarray,
+    l: np.ndarray,
+    params: MaterialParams,
+    bc: BoundaryConditions,
+    t: float,
+    grid: Grid1D,
+) -> np.ndarray:
+    """``solve_contact_force`` with its inputs already evaluated.
+
+    ``dm`` is the arclength derivative of the bending couple; ``f`` and ``l``
+    are the distributed force and couple at time t. A stepper that needs
+    them too evaluates them once and passes them here.
+    """
     ds = grid.spacing
-    s = grid.nodes
     factors = _contact_operator(
         params.rho_A, params.rho_I, ds, grid.node_count, bc.base, bc.tip
     )
-    m = bending_couple(state, params)
-    f = loads.force_at(s, t)
-    l = loads.couple_at(s, t)
-    dm = central_diff(m, ds)
     df = central_diff(f, ds)
     rhs = adiag(dm + l) / params.rho_I - df / params.rho_A
     if bc.base == "free":

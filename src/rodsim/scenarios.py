@@ -16,12 +16,13 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, InstabilityError
+from .errors import ConfigurationError, DivergenceError, InputError, InstabilityError
 from .integrators import (
     ManifoldState,
+    drift_norms,
     lift,
     max_stable_dt,
-    project,
+    state_energy,
     step_pure_numeric,
     step_semi_analytic,
 )
@@ -30,7 +31,6 @@ from .rod_model import (
     Loads,
     MaterialParams,
     RodState,
-    energy,
     reconstruct_centerline,
 )
 
@@ -304,73 +304,44 @@ def simulate_rod(
     config: ScenarioConfig,
     phase: float = 0.0,
     base_position=(0.0, 0.0, 0.0),
-    initial_state: RodState = None,
-    loads: Loads = None,
-    energy_bound_factor: float = 1e3,
-    collect_frames: bool = True,
 ):
-    """Run one rod to t_end; returns (frame list, stable flag, last report).
+    """Run one rod from rest to t_end; returns (frame list, stable flag).
 
     Frames are (time, positions, energy, (R4, R5, R6)) tuples captured every
     ``output.stride`` steps, including the initial and final states. A run is
-    declared unstable when the state becomes non-finite or the energy exceeds
-    ``energy_bound_factor`` times the reference scale.
+    declared unstable, keeping the frames captured so far, when a step
+    produces non-finite values or the energy, checked every step, exceeds
+    1e3 times the reference scale.
     """
     mat = config.material
     grid = mat.grid()
     bc = _boundary(config)
-    if loads is None:
-        loads = _drive_loads(config, phase)
+    loads = _drive_loads(config, phase)
     n_steps = max(1, int(round(config.t_end / config.dt)))
     dt = config.t_end / n_steps
-
-    if initial_state is None:
-        state = RodState.zero(grid)
-    else:
-        state = initial_state.copy()
     semi = config.scheme == "semi"
-    if semi:
-        mstate = project_initial(state)
+    state = ManifoldState.zero(grid) if semi else RodState.zero(grid)
+    step = step_semi_analytic if semi else step_pure_numeric
 
-    e0 = energy(state, mat)
-    e_ref = _energy_reference(config, e0)
-    frames = []
-    zero_drift = (0.0, 0.0, 0.0)
+    def frame(t, state, energy_val):
+        curvature = (lift(state) if semi else state).curvature
+        positions, _ = reconstruct_centerline(curvature, grid.spacing, base_position)
+        return t, positions, energy_val, drift_norms(state)
 
-    def capture(t, vec_state, energy_val, drift):
-        if not collect_frames:
-            return
-        positions, _ = reconstruct_centerline(
-            vec_state.curvature, grid.spacing, base_position
-        )
-        frames.append((t, positions, energy_val, drift))
-
-    capture(0.0, state, e0, zero_drift)
-    report = None
-    for step in range(n_steps):
-        t = step * dt
-        if semi:
-            mstate, report = step_semi_analytic(mstate, mat, loads, bc, t, dt)
-            state = lift(mstate)
-        else:
-            state, report = step_pure_numeric(state, mat, loads, bc, t, dt)
-        if not report.finite or report.energy > energy_bound_factor * e_ref:
-            return frames, False, report
-        if (step + 1) % config.output.stride == 0 or step == n_steps - 1:
-            capture(
-                (step + 1) * dt,
-                state,
-                report.energy,
-                (report.drift_r4, report.drift_r5, report.drift_r6),
-            )
-    return frames, True, report
-
-
-def project_initial(state: RodState) -> ManifoldState:
-    """Lift a raw initial state onto the manifold (zero previous angle)."""
-    scale = np.abs(state.lin_vel).max()
-    eps = max(1e-8 * scale, 1e-300)
-    return project(state, np.zeros(state.grid.node_count), eps)
+    e = state_energy(state, mat)
+    bound = 1e3 * _energy_reference(config, e)
+    frames = [frame(0.0, state, e)]
+    for k in range(n_steps):
+        try:
+            state = step(state, mat, loads, bc, k * dt, dt)
+        except DivergenceError:
+            return frames, False
+        e = state_energy(state, mat)
+        if e > bound:
+            return frames, False
+        if (k + 1) % config.output.stride == 0 or k == n_steps - 1:
+            frames.append(frame((k + 1) * dt, state, e))
+    return frames, True
 
 
 def _merge(frames_by_rod):
@@ -394,7 +365,7 @@ def _rod_job(args):
     config, k = args
     phase = config.drive.phase + k * config.carpet.phase_increment
     base = (k * config.carpet.spacing, 0.0, 0.0)
-    frames, stable, _ = simulate_rod(config, phase=phase, base_position=base)
+    frames, stable = simulate_rod(config, phase=phase, base_position=base)
     return k, frames, stable
 
 
@@ -459,8 +430,7 @@ def _stability_probe(config: ScenarioConfig, scheme: str, horizon: float):
 
     def is_stable(dt):
         trial = replace(probe, dt=dt)
-        _, stable, _ = simulate_rod(trial, collect_frames=False)
-        return stable
+        return simulate_rod(trial)[1]
 
     return is_stable
 
@@ -489,7 +459,7 @@ def benchmark_stability(
             carpet=CarpetConfig(rods=1), output=OutputConfig(stride=10**9),
         )
         start = _time.perf_counter()
-        simulate_rod(trial, collect_frames=False)
+        simulate_rod(trial)
         report[f"wall_{scheme}"] = _time.perf_counter() - start
     report["speedup"] = report["wall_pure"] / report["wall_semi"]
     return report

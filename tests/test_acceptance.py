@@ -21,6 +21,7 @@ import pytest
 from rodsim.grid_fields import Grid1D, SampledFn
 from rodsim.integrators import (
     ManifoldState,
+    drift_norms,
     lift,
     project,
     step_pure_numeric,
@@ -96,10 +97,10 @@ def test_criterion_2_bitwise_collinearity():
     n_steps = 10_000
     worst_r5 = worst_r6 = 0.0
     for k in range(n_steps):
-        m, rep = step_semi_analytic(m, mat, loads, bc, k * config.dt, config.dt)
-        assert rep.finite
-        worst_r5 = max(worst_r5, rep.drift_r5)
-        worst_r6 = max(worst_r6, rep.drift_r6)
+        m = step_semi_analytic(m, mat, loads, bc, k * config.dt, config.dt)
+        _, r5, r6 = drift_norms(m)
+        worst_r5 = max(worst_r5, r5)
+        worst_r6 = max(worst_r6, r6)
     ok = worst_r5 == 0.0 and worst_r6 == 0.0
     _report(2, ok, f"max R5 = {worst_r5!r}, max R6 = {worst_r6!r} "
                    f"over {n_steps} driven steps (bitwise zero)")
@@ -238,10 +239,9 @@ def _cross_validation_error(scheme, nodes, dt, t_end=0.5):
     n_steps = int(round(t_end / dt))
     for k in range(n_steps):
         if scheme == "semi":
-            m, rep = step_semi_analytic(m, params, Loads(), bc, k * dt, dt)
+            m = step_semi_analytic(m, params, Loads(), bc, k * dt, dt)
         else:
-            state, rep = step_pure_numeric(state, params, Loads(), bc, k * dt, dt)
-        assert rep.finite
+            state = step_pure_numeric(state, params, Loads(), bc, k * dt, dt)
     if scheme == "semi":
         state = lift(m)
     exact = sample_state(fam, grid, t_end)
@@ -357,9 +357,8 @@ def test_criterion_9_energy_drift_order():
             1.0 + 0.3 * np.sin(np.pi * s),
         )
         for k in range(int(round(t_end / dt))):
-            m, rep = step_semi_analytic(m, params, Loads(), bc, k * dt, dt)
-            assert rep.finite
-        return rep.energy
+            m = step_semi_analytic(m, params, Loads(), bc, k * dt, dt)
+        return energy(lift(m), params)
 
     e1, e2, e3 = final_energy(2e-4), final_energy(1e-4), final_energy(5e-5)
     ratio = (e1 - e2) / (e2 - e3)

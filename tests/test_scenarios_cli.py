@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from rodsim import scenarios
 from rodsim.cli import main
 from rodsim.errors import ConfigurationError, InputError, InstabilityError
 from rodsim.rod_model import MaterialParams
@@ -19,6 +20,7 @@ from rodsim.scenarios import (
     run_carpet,
     run_cilium,
     run_scenario,
+    simulate_rod,
 )
 
 
@@ -167,6 +169,21 @@ class TestRunCilium:
     def test_rejects_multi_rod(self):
         with pytest.raises(ConfigurationError):
             run_cilium(small_config(carpet=CarpetConfig(rods=2)))
+
+    def test_diverging_pure_run_is_unstable(self, monkeypatch):
+        # With the energy bound out of the way, the run goes on until a step
+        # overflows; that step's DivergenceError ends it as unstable, keeping
+        # the frames captured before it.
+        monkeypatch.setattr(scenarios, "state_energy", lambda state, params: 0.0)
+        config = small_config(
+            scheme="pure", dt=0.5, t_end=100.0, drive=DriveConfig(amplitude=1.0),
+            output=OutputConfig(stride=1),
+        )
+        with np.errstate(all="ignore"):
+            frames, stable = simulate_rod(config)
+        assert stable is False
+        assert 1 < len(frames) < 200
+        assert frames[-1][0] < config.t_end
 
 
 class TestRunCarpet:
@@ -362,6 +379,18 @@ class TestCli:
         ) == 0
         back = Trajectory.from_json(back_path.read_text())
         np.testing.assert_array_equal(back.positions, traj.positions)
+
+    def test_export_csv_to_json_warns(self, tmp_path, capsys):
+        traj = run_cilium(small_config())
+        csv_path = tmp_path / "traj.csv"
+        csv_path.write_text(traj.to_csv())
+        out = tmp_path / "back.json"
+        assert main(["export", str(csv_path), "--format", "json", "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert "warning" in err and "written as zeros" in err
+        back = Trajectory.from_json(out.read_text())
+        np.testing.assert_array_equal(back.energies, 0.0)
+        np.testing.assert_array_equal(back.drifts, 0.0)
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:
