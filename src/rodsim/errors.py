@@ -34,7 +34,12 @@ class SingularSystemError(NumericalError):
 
 
 class DivergenceError(NumericalError):
-    """An ODE march or time step produced non-finite values."""
+    """An ODE march or time step produced non-finite values; ``rods`` lists
+    the rods that did in a step of several rods, else it is None."""
+
+    def __init__(self, message, rods=None):
+        super().__init__(message)
+        self.rods = rods
 
 
 class DegeneracyError(NumericalError):

@@ -1,8 +1,9 @@
 """Uniform-grid numerics: stencils, quadrature, ODE marching, linear solves, roots.
 
 Fields are plain numpy arrays with node values along axis 0; a scalar field has
-shape (N,), a planar 2-vector field shape (N, 2). ``Grid1D`` carries the
-geometry. Everything here is a pure function of its inputs.
+shape (N,), a planar 2-vector field shape (N, 2), and fields of K rods carry a
+rod axis after the node axis. ``Grid1D`` carries the geometry. Everything here
+is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -174,9 +175,10 @@ def factor_tridiag(lower, diag, upper) -> TridiagFactors:
 def solve_tridiag(factors: TridiagFactors, rhs) -> np.ndarray:
     """Solve A x = rhs for an (N, k) rhs with ``factor_tridiag``'s factors.
 
-    Raises ``SingularSystemError`` at the worst row if the residual exceeds
-    1e-10 times the scale of A x and rhs. A non-finite or overflowing
-    right-hand side gives a non-finite solution for the caller to handle.
+    LAPACK solves each column on its own, so columns do not mix. Raises
+    ``SingularSystemError`` at the worst row if the residual exceeds 1e-10
+    times the scale of A x and rhs. A non-finite or overflowing right-hand
+    side gives a non-finite solution for the caller to handle.
     """
     b = np.asarray(rhs, dtype=float)
     n = factors.diag.shape[0]

@@ -13,6 +13,8 @@ Both schemes impose the moment-free condition m = 0 (zero curvature) at free
 ends in addition to the clamped-end velocity signals. A step returns only the
 next state and raises DivergenceError when it produces non-finite values;
 ``drift_norms`` and ``state_energy`` measure a state when the caller asks.
+A state with a rod axis steps K rods at once; the projection threshold, the
+finite check, the energy and the drift norms are then taken rod by rod.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ __all__ = [
 
 @dataclass
 class ManifoldState:
-    """Collinear state: a direction angle plus signed magnitudes per node."""
+    """Collinear state: a direction angle plus signed magnitudes, (N,) or (N, K)."""
 
     grid: Grid1D
     angle: np.ndarray
@@ -59,19 +61,19 @@ class ManifoldState:
     vel_mag: np.ndarray
 
     def __post_init__(self):
-        n = self.grid.node_count
+        shape = (self.grid.node_count, *np.shape(self.angle)[1:2])
         for name in ("angle", "curv_mag", "ang_mag", "vel_mag"):
             arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (n,):
-                raise InputError(f"{name} must have shape ({n},), got {arr.shape}")
+            if arr.shape != shape:
+                raise InputError(f"{name} must have shape {shape}, got {arr.shape}")
             if not np.all(np.isfinite(arr)):
                 raise InputError(f"{name} contains non-finite entries")
             setattr(self, name, arr)
 
     @classmethod
-    def zero(cls, grid: Grid1D) -> "ManifoldState":
-        n = grid.node_count
-        return cls(grid, np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n))
+    def zero(cls, grid: Grid1D, rods: int = None) -> "ManifoldState":
+        shape = (grid.node_count,) if rods is None else (grid.node_count, rods)
+        return cls(grid, *(np.zeros(shape) for _ in range(4)))
 
 
 def _direction(angle: np.ndarray) -> np.ndarray:
@@ -83,59 +85,62 @@ def lift(m: ManifoldState) -> RodState:
     e = _direction(m.angle)
     return RodState(
         m.grid,
-        m.curv_mag[:, None] * e,
-        m.ang_mag[:, None] * e,
-        m.vel_mag[:, None] * e,
+        m.curv_mag[..., None] * e,
+        m.ang_mag[..., None] * e,
+        m.vel_mag[..., None] * e,
     )
 
 
-def project(r: RodState, prev_angle: np.ndarray, eps: float) -> ManifoldState:
+def project(r: RodState, prev_angle: np.ndarray, eps) -> ManifoldState:
     """Project a raw state onto the collinear manifold.
 
     The direction angle follows the linear velocity where its magnitude
-    exceeds ``eps``; below that the previous angle is carried through. Normal
-    components of all three fields are discarded.
+    exceeds ``eps`` (a float, or one per rod); below that the previous angle
+    is carried through. Normal components of all three fields are discarded.
     """
-    if not eps > 0.0:
+    if not (np.asarray(eps) > 0.0).all():
         raise InputError("projection threshold must be positive")
-    speed = np.hypot(r.lin_vel[:, 0], r.lin_vel[:, 1])
+    speed = np.hypot(r.lin_vel[..., 0], r.lin_vel[..., 1])
     angle = np.where(
-        speed > eps, np.arctan2(r.lin_vel[:, 1], r.lin_vel[:, 0]), prev_angle
+        speed > eps, np.arctan2(r.lin_vel[..., 1], r.lin_vel[..., 0]), prev_angle
     )
     e = _direction(angle)
     return ManifoldState(
         r.grid,
         angle,
-        np.einsum("ij,ij->i", r.curvature, e),
-        np.einsum("ij,ij->i", r.ang_vel, e),
-        np.einsum("ij,ij->i", r.lin_vel, e),
+        np.einsum("...j,...j->...", r.curvature, e),
+        np.einsum("...j,...j->...", r.ang_vel, e),
+        np.einsum("...j,...j->...", r.lin_vel, e),
     )
 
 
-def drift_norms(state) -> tuple[float, float, float]:
+def drift_norms(state):
     """Max-norms (R4, R5, R6) of a RodState or ManifoldState.
 
     R4 is the velocity compatibility residual, R5 and R6 the collinearity of
     the angular and linear velocity with the curvature. On the manifold the
     three vectors share one direction, so R5 and R6 are zero by
-    representation; R4 is measured on the lifted vectors.
+    representation; R4 is measured on the lifted vectors. Each norm is a
+    float for one rod and an array of K norms for K rods.
     """
     if isinstance(state, ManifoldState):
-        return _compatibility_norm(lift(state)), 0.0, 0.0
+        r4 = _compatibility_norm(lift(state))
+        zero = np.zeros_like(r4)[()]  # [()] gives a scalar for one rod
+        return r4, zero, zero
     return (
         _compatibility_norm(state),
-        float(np.abs(cross2(state.ang_vel, state.curvature)).max()),
-        float(np.abs(cross2(state.lin_vel, state.curvature)).max()),
+        np.abs(cross2(state.ang_vel, state.curvature)).max(axis=0),
+        np.abs(cross2(state.lin_vel, state.curvature)).max(axis=0),
     )
 
 
-def _compatibility_norm(r: RodState) -> float:
+def _compatibility_norm(r: RodState):
     r4 = central_diff(r.lin_vel, r.grid.spacing) - adiag(r.ang_vel)
-    return float(np.abs(r4).max())
+    return np.abs(r4).max(axis=(0, -1))
 
 
-def state_energy(state, params: MaterialParams) -> float:
-    """Kinetic plus bending energy of a RodState or ManifoldState.
+def state_energy(state, params: MaterialParams):
+    """Kinetic plus bending energy of a RodState or ManifoldState, per rod.
 
     A collinear state's energy comes from its magnitudes: the unit direction
     drops out of every squared norm, so no vectors are built. It agrees with
@@ -148,12 +153,15 @@ def state_energy(state, params: MaterialParams) -> float:
         + params.rho_I * state.ang_mag**2
         + params.EI * state.curv_mag**2
     )
-    return float(cumtrapz(density, state.grid.spacing)[-1])
+    return cumtrapz(density, state.grid.spacing)[-1]
 
 
 def _require_finite(*fields):
-    if not all(np.all(np.isfinite(f)) for f in fields):
-        raise DivergenceError("a time step produced non-finite values")
+    """Raise DivergenceError naming the rods whose vector fields are not all finite."""
+    if not all(np.isfinite(f).all() for f in fields):
+        ok = np.logical_and.reduce([np.isfinite(f).all(axis=(0, -1)) for f in fields])
+        rods = None if ok.ndim == 0 else np.flatnonzero(~ok)
+        raise DivergenceError("a time step produced non-finite values", rods=rods)
 
 
 def _apply_free_moment(curvature, bc: BoundaryConditions):
@@ -184,6 +192,8 @@ def _euler_velocities(state, params, loads, bc, t, dt):
     dm = central_diff(bending_couple(state, params), ds)
     f = loads.force_at(s, t)
     l = loads.couple_at(s, t)
+    if state.lin_vel.ndim == 3:  # a load without a rod axis acts on every rod
+        f, l = (a if a.ndim == 3 else a[:, None] for a in (f, l))
     # A blown-up state gives a non-finite force, and so a non-finite step.
     n = contact_force(dm, f, l, params, bc, t, state.grid)
     lin_vel = state.lin_vel + dt * (central_diff(n, ds) + f) / params.rho_A
@@ -231,7 +241,8 @@ def step_semi_analytic(
     exact spatial reconstruction of the angle by integrating
     d(angle)/ds = -ang_mag / vel_mag from the base; scalar advection of the
     curvature magnitude. Collinearity holds exactly by representation.
-    Raises DivergenceError if the step produces non-finite values.
+    Raises DivergenceError if the step produces non-finite values. The
+    default ``eps`` is 1e-8 of each rod's largest velocity component.
     """
     if not dt > 0.0:
         raise InputError("dt must be positive")
@@ -242,7 +253,7 @@ def step_semi_analytic(
     _apply_clamps(lin_vel, ang_vel, bc, t + dt)
     _require_finite(lin_vel, ang_vel)
     if eps is None:
-        eps = max(1e-8 * np.abs(lin_vel).max(), 1e-300)
+        eps = np.maximum(1e-8 * np.abs(lin_vel).max(axis=(0, -1)), 1e-300)
     updated = RodState(grid, state.curvature, ang_vel, lin_vel)
     proj = project(updated, m.angle, eps)
 
@@ -256,11 +267,11 @@ def step_semi_analytic(
     usable = ok[1:] & ok[:-1]
     incr = np.where(usable, incr, prev_incr)
     base_angle = m.angle[0] + dt * proj.ang_mag[0]
-    angle = base_angle + np.concatenate([[0.0], np.cumsum(incr)])
+    angle = base_angle + np.concatenate([np.zeros_like(incr[:1]), np.cumsum(incr, axis=0)])
 
     curv_mag = m.curv_mag + dt * central_diff(proj.ang_mag, ds)
     _apply_free_moment(curv_mag, bc)
-    _require_finite(angle, curv_mag)
+    _require_finite(angle[..., None], curv_mag[..., None])
     return ManifoldState(grid, angle, curv_mag, proj.ang_mag, proj.vel_mag)
 
 

@@ -4,7 +4,8 @@ The planar Kirchhoff state consists of three 2-vector fields on a uniform
 arclength grid: curvature, angular velocity and linear velocity, all expressed
 in the director frame. The internal couple follows a linear isotropic bending
 law; the internal (contact) force is a constraint reaction recovered each step
-from a linear boundary-value problem.
+from a linear boundary-value problem. Rods of one material on one grid can
+share a state with a rod axis between the node and component axes.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ class MaterialParams:
 
 @dataclass
 class RodState:
-    """Per-node curvature, angular velocity and linear velocity 2-vector fields."""
+    """Curvature, angular and linear velocity 2-vector fields, (N, 2) or (N, K, 2)."""
 
     grid: Grid1D
     curvature: np.ndarray
@@ -89,19 +90,20 @@ class RodState:
     lin_vel: np.ndarray
 
     def __post_init__(self):
-        n = self.grid.node_count
+        rods = np.shape(self.curvature)[1:-1][:1]  # () or (K,)
+        shape = (self.grid.node_count, *rods, 2)
         for name in ("curvature", "ang_vel", "lin_vel"):
             arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (n, 2):
-                raise InputError(f"{name} must have shape ({n}, 2), got {arr.shape}")
+            if arr.shape != shape:
+                raise InputError(f"{name} must have shape {shape}, got {arr.shape}")
             if not np.all(np.isfinite(arr)):
                 raise InputError(f"{name} contains non-finite entries")
             setattr(self, name, arr)
 
     @classmethod
-    def zero(cls, grid: Grid1D) -> "RodState":
-        n = grid.node_count
-        return cls(grid, np.zeros((n, 2)), np.zeros((n, 2)), np.zeros((n, 2)))
+    def zero(cls, grid: Grid1D, rods: int = None) -> "RodState":
+        shape = (grid.node_count, 2) if rods is None else (grid.node_count, rods, 2)
+        return cls(grid, np.zeros(shape), np.zeros(shape), np.zeros(shape))
 
     def copy(self) -> "RodState":
         return RodState(
@@ -115,16 +117,24 @@ def _zero_load(s, t):
 
 @dataclass
 class Loads:
-    """Distributed force and couple per unit length, as callables (s_array, t)."""
+    """Distributed force and couple per unit length, as callables (s_array, t).
+
+    An (N, K, 2) value loads K rods one by one; anything else acts on all alike.
+    """
 
     force: Callable = _zero_load
     couple: Callable = _zero_load
 
     def force_at(self, s: np.ndarray, t: float) -> np.ndarray:
-        return np.broadcast_to(np.asarray(self.force(s, t), float), (s.shape[0], 2)).copy()
+        return _load_field(self.force(s, t), s.shape[0])
 
     def couple_at(self, s: np.ndarray, t: float) -> np.ndarray:
-        return np.broadcast_to(np.asarray(self.couple(s, t), float), (s.shape[0], 2)).copy()
+        return _load_field(self.couple(s, t), s.shape[0])
+
+
+def _load_field(value, n: int) -> np.ndarray:
+    value = np.asarray(value, float)
+    return value if value.ndim == 3 else np.broadcast_to(value, (n, 2))
 
 
 def _zero_signal(t):
@@ -217,8 +227,8 @@ def solve_contact_force(
 
     discretized with central differences. Both components share one scalar
     tridiagonal matrix, factored once per parameter set and solved with two
-    right-hand-side columns. Free ends impose n = 0; clamped ends impose
-    n' = -f + rho A * (d/dt prescribed linear velocity). A non-finite
+    right-hand-side columns per rod. Free ends impose n = 0; clamped ends
+    impose n' = -f + rho A * (d/dt prescribed linear velocity). A non-finite
     right-hand side (a blown-up state) gives a non-finite force.
     """
     s = state.grid.nodes
@@ -247,8 +257,9 @@ def contact_force(
     factors = _contact_operator(
         params.rho_A, params.rho_I, ds, grid.node_count, bc.base, bc.tip
     )
-    df = central_diff(f, ds)
-    rhs = adiag(dm + l) / params.rho_I - df / params.rho_A
+    rhs = adiag(dm + l) / params.rho_I
+    if f.any():  # skipped for the common zero force, whose derivative is +0.0
+        rhs -= central_diff(f, ds) / params.rho_A
     if bc.base == "free":
         rhs[0] = 0.0
     else:
@@ -257,17 +268,17 @@ def contact_force(
         rhs[-1] = 0.0
     else:
         rhs[-1] = -f[-1] + params.rho_A * np.asarray(bc.tip_lin_acc(t), float)
-    return solve_tridiag(factors, rhs)
+    return solve_tridiag(factors, rhs.reshape(rhs.shape[0], -1)).reshape(rhs.shape)
 
 
-def energy(state: RodState, params: MaterialParams) -> float:
-    """Kinetic plus bending energy, integrated with the trapezoid rule."""
+def energy(state: RodState, params: MaterialParams):
+    """Kinetic plus bending energy of each rod, integrated with the trapezoid rule."""
     density = 0.5 * (
-        params.rho_A * np.sum(state.lin_vel**2, axis=1)
-        + params.rho_I * np.sum(state.ang_vel**2, axis=1)
-        + params.EI * np.sum(state.curvature**2, axis=1)
+        params.rho_A * np.sum(state.lin_vel**2, axis=-1)
+        + params.rho_I * np.sum(state.ang_vel**2, axis=-1)
+        + params.EI * np.sum(state.curvature**2, axis=-1)
     )
-    return float(cumtrapz(density, state.grid.spacing)[-1])
+    return cumtrapz(density, state.grid.spacing)[-1]
 
 
 def _interval_operators(kappa: np.ndarray, ds: float):

@@ -1,17 +1,17 @@
 """Scenario definitions and run orchestration: single cilium, carpet, benchmarks.
 
 A scenario is a JSON-serializable configuration (versioned schema, unknown
-keys rejected). Rods in a carpet are independent subproblems with per-rod
-drive phases; they run on a worker pool and their frames are merged
-deterministically by (frame, rod).
+keys rejected). Rods in a carpet are independent subproblems that differ only
+in their drive phase; they share one material and one grid, so they step
+together in one process as one state with a rod axis, and every frame is
+captured for all rods at once.
 """
 
 from __future__ import annotations
 
 import json
-import os
+import math
 import time as _time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -81,6 +81,8 @@ class OutputConfig:
             raise ConfigurationError("output stride must be >= 1")
         if self.format not in ("json", "csv"):
             raise ConfigurationError("output format must be 'json' or 'csv'")
+        if self.path is not None and not isinstance(self.path, str):
+            raise ConfigurationError("output path must be a string or null")
 
 
 @dataclass(frozen=True)
@@ -139,10 +141,13 @@ class ScenarioConfig:
             "schema", "material", "scheme", "dt", "t_end", "boundary",
             "drive", "carpet", "output", "seed",
         }
-        _reject_unknown(doc, known, "config")
         try:
-            material = MaterialParams(**_checked(doc.get("material", {}), {
-                "rho", "area", "moment", "EI", "length", "nodes"}, "material"))
+            doc = _checked(doc, known, "config")
+            material = _checked(doc.get("material", {}), _MATERIAL_KEYS, "material")
+            missing = _MATERIAL_KEYS - set(material)
+            if missing:
+                raise InputError(f"material section is missing {sorted(missing)}")
+            material = MaterialParams(**material)
             boundary = _checked(doc.get("boundary", {}), {"base", "tip"}, "boundary")
             drive = DriveConfig(**_checked(doc.get("drive", {}), {
                 "amplitude", "frequency", "active_fraction", "phase"}, "drive"))
@@ -153,17 +158,25 @@ class ScenarioConfig:
             return cls(
                 material=material,
                 scheme=doc.get("scheme", "semi"),
-                dt=float(doc.get("dt", 1e-3)),
-                t_end=float(doc.get("t_end", 10.0)),
+                dt=doc.get("dt", 1e-3),
+                t_end=doc.get("t_end", 10.0),
                 base=boundary.get("base", "clamped"),
                 tip=boundary.get("tip", "free"),
                 drive=drive,
                 carpet=carpet,
                 output=output,
-                seed=int(doc.get("seed", 0)),
+                seed=doc.get("seed", 0),
             )
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise InputError(f"invalid config: {err}") from err
+
+
+_MATERIAL_KEYS = {"rho", "area", "moment", "EI", "length", "nodes"}
+_INTEGER_KEYS = {"nodes", "rods", "stride", "seed"}
+_NUMBER_KEYS = {
+    "rho", "area", "moment", "EI", "length", "amplitude", "frequency",
+    "active_fraction", "phase", "spacing", "phase_increment", "dt", "t_end",
+}
 
 
 def _reject_unknown(doc, known, where):
@@ -176,7 +189,19 @@ def _checked(doc, known, where):
     if not isinstance(doc, dict):
         raise InputError(f"{where} section must be a JSON object")
     _reject_unknown(doc, known, where)
-    return doc
+    return {key: _typed(key, value, where) for key, value in doc.items()}
+
+
+def _typed(key, value, where):
+    """An integer key must hold a JSON integer, a number key a finite number."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if key in _INTEGER_KEYS and not (number and isinstance(value, int)):
+        raise InputError(f"{where} key {key!r} must be an integer, got {value!r}")
+    if key in _NUMBER_KEYS:
+        if not (number and math.isfinite(value)):
+            raise InputError(f"{where} key {key!r} must be a finite number, got {value!r}")
+        return float(value)
+    return value
 
 
 def default_config(**overrides) -> ScenarioConfig:
@@ -223,7 +248,7 @@ class Trajectory:
     def from_json(cls, text: str) -> "Trajectory":
         try:
             doc = json.loads(text)
-            return cls(
+            traj = cls(
                 times=np.asarray(doc["times"], float),
                 positions=np.asarray(doc["positions"], float),
                 energies=np.asarray(doc["energies"], float),
@@ -231,6 +256,15 @@ class Trajectory:
             )
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as err:
             raise InputError(f"malformed trajectory document: {err}") from err
+        frames, rods = traj.positions.shape[:2] if traj.positions.ndim == 4 else (-1, -1)
+        shapes = (traj.times.shape, traj.positions.shape[-1:], traj.energies.shape,
+                  traj.drifts.shape)
+        if shapes != ((frames,), (3,), (frames, rods), (frames, rods, 3)):
+            raise InputError(
+                "inconsistent trajectory document: times, positions, energies and "
+                f"drifts have shapes {traj.times.shape}, {traj.positions.shape}, "
+                f"{traj.energies.shape} and {traj.drifts.shape}")
+        return traj
 
     def to_csv(self) -> str:
         lines = ["t,rod,node,x,y,z"]
@@ -250,20 +284,29 @@ class Trajectory:
             raise InputError("missing trajectory CSV header")
         rows = []
         for ln in lines[1:]:
-            parts = ln.split(",")
-            if len(parts) != 6:
+            try:
+                t, k, i, x, y, z = ln.split(",")
+                row = (float(t), int(k), int(i), float(x), float(y), float(z))
+            except ValueError:
+                row = None
+            if row is None or not math.isfinite(row[0]) or min(row[1:3]) < 0:
                 raise InputError(f"malformed CSV row: {ln!r}")
-            rows.append(
-                (float(parts[0]), int(parts[1]), int(parts[2]),
-                 float(parts[3]), float(parts[4]), float(parts[5]))
-            )
+            rows.append(row)
         times = sorted({r[0] for r in rows})
         rods = 1 + max(r[1] for r in rows)
         nodes = 1 + max(r[2] for r in rows)
         t_index = {t: i for i, t in enumerate(times)}
         positions = np.zeros((len(times), rods, nodes, 3))
+        seen = np.zeros((len(times), rods, nodes), bool)
         for t, k, i, x, y, z in rows:
+            if seen[t_index[t], k, i]:
+                raise InputError(f"duplicate CSV row for t={t!r}, rod {k}, node {i}")
+            seen[t_index[t], k, i] = True
             positions[t_index[t], k, i] = (x, y, z)
+        if not seen.all():
+            f, k, i = np.argwhere(~seen)[0]
+            raise InputError(f"CSV has no row for t={times[f]!r}, rod {k}, node {i} "
+                             f"({np.count_nonzero(~seen)} rows missing)")
         return cls(
             times=np.asarray(times),
             positions=positions,
@@ -272,18 +315,17 @@ class Trajectory:
         )
 
 
-def _drive_loads(config: ScenarioConfig, phase: float) -> Loads:
+def _drive_loads(config: ScenarioConfig, phase) -> Loads:
+    """The drive couple for one phase, or for a vector of K phases (one per rod)."""
     drive = config.drive
     cutoff = drive.active_fraction * config.material.length
     two_pi_nu = 2.0 * np.pi * drive.frequency
+    phase = np.asarray(phase, float)
 
     def couple(s, t):
-        out = np.zeros((s.shape[0], 2))
-        out[:, 0] = (
-            drive.amplitude
-            * np.sin(two_pi_nu * t + phase)
-            * (s <= cutoff + 1e-12)
-        )
+        out = np.zeros(s.shape + phase.shape + (2,))
+        out[..., 0] = np.multiply.outer(
+            s <= cutoff + 1e-12, drive.amplitude * np.sin(two_pi_nu * t + phase))
         return out
 
     return Loads(couple=couple)
@@ -293,99 +335,91 @@ def _boundary(config: ScenarioConfig) -> BoundaryConditions:
     return BoundaryConditions(base=config.base, tip=config.tip)
 
 
-def _energy_reference(config: ScenarioConfig, initial_energy: float) -> float:
-    drive = config.drive
-    mat = config.material
-    drive_scale = drive.amplitude**2 * mat.length**3 / (2.0 * mat.EI)
-    return max(initial_energy, drive_scale, 1e-12)
+def _take(state, keep):
+    """The rods ``keep`` (a mask over the rod axis) of a batched state."""
+    kept = {k: v if k == "grid" else v[:, keep] for k, v in vars(state).items()}
+    return type(state)(**kept)
 
 
-def simulate_rod(
-    config: ScenarioConfig,
-    phase: float = 0.0,
-    base_position=(0.0, 0.0, 0.0),
-):
-    """Run one rod from rest to t_end; returns (frame list, stable flag).
+def simulate_rod(config: ScenarioConfig):
+    """Run every rod of the scenario from rest to t_end as one batched state.
 
-    Frames are (time, positions, energy, (R4, R5, R6)) tuples captured every
-    ``output.stride`` steps, including the initial and final states. A run is
-    declared unstable, keeping the frames captured so far, when a step
-    produces non-finite values or the energy, checked every step, exceeds
-    1e3 times the reference scale.
+    Rod k has drive phase ``drive.phase + k * carpet.phase_increment`` and
+    its base at ``(k * carpet.spacing, 0, 0)``; a single cilium is one rod.
+    Returns (trajectory, stable, failed): ``failed`` lists the rods that did
+    not reach t_end, and ``stable`` is True when there are none.
+
+    Frames are captured every ``output.stride`` steps, including the initial
+    and final states. A rod fails when its step produces non-finite values or
+    its energy, checked every step, exceeds 1e3 times the reference scale.
+    The others step on without it, so each rod fails as it would alone; the
+    trajectory keeps the frames captured before the first failure.
     """
     mat = config.material
     grid = mat.grid()
     bc = _boundary(config)
-    loads = _drive_loads(config, phase)
+    n_rods = config.carpet.rods
+    rods = np.arange(n_rods)
+    phases = config.drive.phase + rods * config.carpet.phase_increment
+    bases = [(k * config.carpet.spacing, 0.0, 0.0) for k in range(n_rods)]
+    loads = _drive_loads(config, phases)
     n_steps = max(1, int(round(config.t_end / config.dt)))
     dt = config.t_end / n_steps
+    stride = config.output.stride
     semi = config.scheme == "semi"
-    state = ManifoldState.zero(grid) if semi else RodState.zero(grid)
+    state = (ManifoldState if semi else RodState).zero(grid, n_rods)
     step = step_semi_analytic if semi else step_pure_numeric
 
-    def frame(t, state, energy_val):
+    n_frames = 1 + n_steps // stride + (n_steps % stride != 0)
+    traj = Trajectory(
+        np.empty(n_frames), np.empty((n_frames, n_rods, grid.node_count, 3)),
+        np.empty((n_frames, n_rods)), np.empty((n_frames, n_rods, 3)),
+    )
+
+    def capture(frame, t, state, e):
         curvature = (lift(state) if semi else state).curvature
-        positions, _ = reconstruct_centerline(curvature, grid.spacing, base_position)
-        return t, positions, energy_val, drift_norms(state)
+        traj.times[frame] = t
+        for k in range(n_rods):
+            traj.positions[frame, k] = reconstruct_centerline(
+                curvature[:, k], grid.spacing, bases[k])[0]
+        traj.energies[frame] = e
+        traj.drifts[frame] = np.stack(np.broadcast_arrays(*drift_norms(state)), axis=-1)
 
     e = state_energy(state, mat)
-    bound = 1e3 * _energy_reference(config, e)
-    frames = [frame(0.0, state, e)]
-    for k in range(n_steps):
+    drive_scale = config.drive.amplitude**2 * mat.length**3 / (2.0 * mat.EI)
+    bound = 1e3 * np.maximum(e, np.full(n_rods, max(drive_scale, 1e-12)))
+    capture(0, 0.0, state, e)
+    frames, failed, done = 1, [], 0
+    while done < n_steps and rods.size:
         try:
-            state = step(state, mat, loads, bc, k * dt, dt)
-        except DivergenceError:
-            return frames, False
-        e = state_energy(state, mat)
-        if e > bound:
-            return frames, False
-        if (k + 1) % config.output.stride == 0 or k == n_steps - 1:
-            frames.append(frame((k + 1) * dt, state, e))
-    return frames, True
-
-
-def _merge(frames_by_rod):
-    n_rods = len(frames_by_rod)
-    n_frames = min(len(fr) for fr in frames_by_rod)
-    times = np.asarray([frames_by_rod[0][fi][0] for fi in range(n_frames)])
-    n_nodes = frames_by_rod[0][0][1].shape[0]
-    positions = np.empty((n_frames, n_rods, n_nodes, 3))
-    energies = np.empty((n_frames, n_rods))
-    drifts = np.empty((n_frames, n_rods, 3))
-    for k, fr in enumerate(frames_by_rod):
-        for fi in range(n_frames):
-            t, pos, en, dr = fr[fi]
-            positions[fi, k] = pos
-            energies[fi, k] = en
-            drifts[fi, k] = dr
-    return Trajectory(times, positions, energies, drifts)
-
-
-def _rod_job(args):
-    config, k = args
-    phase = config.drive.phase + k * config.carpet.phase_increment
-    base = (k * config.carpet.spacing, 0.0, 0.0)
-    frames, stable = simulate_rod(config, phase=phase, base_position=base)
-    return k, frames, stable
-
-
-def _worker_count(n_jobs: int) -> int:
-    env = os.environ.get("ROD_SIM_THREADS", "0")
-    try:
-        count = int(env)
-    except ValueError:
-        raise InputError(f"ROD_SIM_THREADS must be an integer, got {env!r}")
-    if count <= 0:
-        count = os.cpu_count() or 1
-    return max(1, min(count, n_jobs))
+            new = step(state, mat, loads, bc, done * dt, dt)
+            e = state_energy(new, mat)
+            lost = e > bound
+        except DivergenceError as err:
+            lost = np.isin(np.arange(rods.size), err.rods)
+        if lost.any():
+            # Step the other rods again without these: every rod has its own
+            # columns in the step, so the others keep their bits.
+            failed += rods[lost].tolist()
+            keep = ~lost
+            rods, bound, state = rods[keep], bound[keep], _take(state, keep)
+            loads = _drive_loads(config, phases[rods])
+            continue
+        state = new
+        done += 1
+        if not failed and (done % stride == 0 or done == n_steps):
+            capture(frames, done * dt, state, e)
+            frames += 1
+    traj = Trajectory(traj.times[:frames], traj.positions[:frames],
+                      traj.energies[:frames], traj.drifts[:frames])
+    return traj, not failed, sorted(failed)
 
 
 def run_cilium(config: ScenarioConfig) -> Trajectory:
     """Single driven rod (carpet.rods must be 1)."""
     if config.carpet.rods != 1:
         raise ConfigurationError("run_cilium requires exactly one rod")
-    k, frames, stable = _rod_job((config, 0))
-    trajectory = _merge([frames])
+    trajectory, stable, _ = simulate_rod(config)
     if not stable:
         raise InstabilityError("simulation became unstable", partial=trajectory)
     return trajectory
@@ -393,23 +427,11 @@ def run_cilium(config: ScenarioConfig) -> Trajectory:
 
 def run_carpet(config: ScenarioConfig) -> Trajectory:
     """K independent rods with phase offsets k * phase_increment."""
-    n_rods = config.carpet.rods
-    if n_rods < 2:
+    if config.carpet.rods < 2:
         raise ConfigurationError("run_carpet requires at least two rods")
-    jobs = [(config, k) for k in range(n_rods)]
-    workers = _worker_count(n_rods)
-    if workers == 1:
-        results = [_rod_job(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_rod_job, jobs))
-    results.sort(key=lambda item: item[0])
-    failed = [k for k, _, stable in results if not stable]
-    trajectory = _merge([frames for _, frames, _ in results])
-    if failed:
-        raise InstabilityError(
-            f"rod(s) {failed} became unstable", partial=trajectory
-        )
+    trajectory, stable, failed = simulate_rod(config)
+    if not stable:
+        raise InstabilityError(f"rod(s) {failed} became unstable", partial=trajectory)
     return trajectory
 
 
@@ -417,22 +439,6 @@ def run_scenario(config: ScenarioConfig) -> Trajectory:
     if config.carpet.rods == 1:
         return run_cilium(config)
     return run_carpet(config)
-
-
-def _stability_probe(config: ScenarioConfig, scheme: str, horizon: float):
-    probe = replace(
-        config,
-        scheme=scheme,
-        t_end=horizon,
-        carpet=CarpetConfig(rods=1),
-        output=OutputConfig(stride=10**9),
-    )
-
-    def is_stable(dt):
-        trial = replace(probe, dt=dt)
-        return simulate_rod(trial)[1]
-
-    return is_stable
 
 
 def benchmark_stability(
@@ -447,17 +453,16 @@ def benchmark_stability(
     scenario, then times both to the same end time at half their thresholds.
     Returns {dt_pure, dt_semi, dt_ratio, wall_pure, wall_semi, speedup}.
     """
+    single = replace(config, carpet=CarpetConfig(rods=1), output=OutputConfig(stride=10**9))
     report = {}
     for scheme in ("pure", "semi"):
-        is_stable = _stability_probe(config, scheme, horizon)
-        report[f"dt_{scheme}"] = max_stable_dt(is_stable, *dt_bounds)
+        probe = replace(single, scheme=scheme, t_end=horizon)
+        report[f"dt_{scheme}"] = max_stable_dt(
+            lambda dt: simulate_rod(replace(probe, dt=dt))[1], *dt_bounds)
     report["dt_ratio"] = report["dt_semi"] / report["dt_pure"]
     t_end = timing_t_end if timing_t_end is not None else horizon
     for scheme in ("pure", "semi"):
-        trial = replace(
-            config, scheme=scheme, dt=0.5 * report[f"dt_{scheme}"], t_end=t_end,
-            carpet=CarpetConfig(rods=1), output=OutputConfig(stride=10**9),
-        )
+        trial = replace(single, scheme=scheme, dt=0.5 * report[f"dt_{scheme}"], t_end=t_end)
         start = _time.perf_counter()
         simulate_rod(trial)
         report[f"wall_{scheme}"] = _time.perf_counter() - start

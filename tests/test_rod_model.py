@@ -192,8 +192,7 @@ class TestContactForce:
         rod_model._contact_operator.cache_clear()
         for scheme in ("pure", "semi"):
             config = default_config(scheme=scheme, dt=1e-4, t_end=1e-2)
-            _, stable = simulate_rod(config)
-            assert stable
+            assert simulate_rod(config)[1]
         assert len(calls) == 1
 
 
