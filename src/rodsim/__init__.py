@@ -1,7 +1,6 @@
 """Planar Kirchhoff rod dynamics with a semi-analytic integration scheme."""
 
 from .errors import (
-    BracketError,
     ConfigurationError,
     DegeneracyError,
     DivergenceError,
@@ -19,7 +18,6 @@ from .grid_fields import (
     SampledFn,
     central_diff,
     cumtrapz,
-    find_root,
     integrate_ode_rk4,
 )
 from .integrators import (
@@ -33,7 +31,6 @@ from .integrators import (
     step_semi_analytic,
 )
 from .reduction import (
-    SpaceTimeField,
     developable_residuals,
     extract_speed_profile,
     potential_system_residuals,

@@ -13,7 +13,13 @@ import sys
 import numpy as np
 
 from .errors import InputError, InstabilityError, NumericalError, RodSimError
-from .scenarios import ScenarioConfig, Trajectory, benchmark_stability, run_scenario
+from .scenarios import (
+    ScenarioConfig,
+    Trajectory,
+    _checked,
+    benchmark_stability,
+    run_scenario,
+)
 from .solution_family import (
     CauchyTrace,
     family_to_json,
@@ -85,21 +91,14 @@ def _emit(text: str, out_path):
 
 
 def _trace_fn(spec, name):
-    if not isinstance(spec, dict):
-        raise InputError(f"trace {name} must be an object")
-    unknown = set(spec) - {"const", "cos"}
-    if unknown:
-        raise InputError(f"unknown keys in trace {name}: {sorted(unknown)}")
-    const = float(spec.get("const", 0.0))
-    cos = spec.get("cos")
-    if cos is None:
+    spec = _checked(spec, {"const", "cos"}, f"trace {name}")
+    const = spec.get("const", 0.0)
+    if spec.get("cos") is None:
         return lambda t: const
-    unknown = set(cos) - {"amp", "freq", "phase"}
-    if unknown:
-        raise InputError(f"unknown keys in trace {name}.cos: {sorted(unknown)}")
-    amp = float(cos.get("amp", 1.0))
-    freq = float(cos.get("freq", 1.0))
-    phase = float(cos.get("phase", 0.0))
+    cos = _checked(spec["cos"], {"amp", "freq", "phase"}, f"trace {name}.cos")
+    amp = cos.get("amp", 1.0)
+    freq = cos.get("freq", 1.0)
+    phase = cos.get("phase", 0.0)
     return lambda t: const + amp * np.cos(freq * t + phase)
 
 
@@ -130,12 +129,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_match_cauchy(args) -> int:
-    doc = json.loads(_read(args.data_spec))
-    if not isinstance(doc, dict):
-        raise InputError("data spec must be a JSON object")
-    unknown = set(doc) - {"v1", "w1", "k1", "v2_origin", "u_max", "steps"}
-    if unknown:
-        raise InputError(f"unknown data-spec keys: {sorted(unknown)}")
+    doc = _checked(json.loads(_read(args.data_spec)),
+                   {"v1", "w1", "k1", "v2_origin", "u_max", "steps"}, "data spec")
     for key in ("v1", "w1", "k1", "v2_origin"):
         if key not in doc:
             raise InputError(f"data spec is missing {key!r}")
@@ -143,10 +138,10 @@ def _cmd_match_cauchy(args) -> int:
         v1_trace=_trace_fn(doc["v1"], "v1"),
         w1_trace=_trace_fn(doc["w1"], "w1"),
         k1_trace=_trace_fn(doc["k1"], "k1"),
-        v2_origin=float(doc["v2_origin"]),
+        v2_origin=doc["v2_origin"],
     )
-    u_max = float(doc.get("u_max", 0.5))
-    steps = int(doc.get("steps", 1000))
+    u_max = doc.get("u_max", 0.5)
+    steps = doc.get("steps", 1000)
     fam = match_boundary_trace(trace, u_max, steps)
     samples = np.linspace(0.0, u_max, 33)
     residual = verify_trace_match(fam, trace, samples)

@@ -13,10 +13,6 @@ class SizeError(InputError):
     """A field or grid is too small for the requested operation."""
 
 
-class BracketError(InputError):
-    """Root bracket does not enclose a sign change."""
-
-
 class DomainError(InputError):
     """Evaluation outside the domain of a sampled function."""
 

@@ -1,4 +1,4 @@
-"""Uniform-grid numerics: stencils, quadrature, ODE marching, linear solves, roots.
+"""Uniform-grid numerics: stencils, quadrature, ODE marching, linear solves.
 
 Fields are plain numpy arrays with node values along axis 0; a scalar field has
 shape (N,), a planar 2-vector field shape (N, 2), and fields of K rods carry a
@@ -14,15 +14,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg.lapack import dgttrf as _gttrf, dgttrs as _gttrs
-from scipy.optimize import brentq
 
-from .errors import (
-    BracketError,
-    DivergenceError,
-    DomainError,
-    SingularSystemError,
-    SizeError,
-)
+from .errors import DivergenceError, DomainError, SingularSystemError, SizeError
 
 __all__ = [
     "Grid1D",
@@ -33,7 +26,6 @@ __all__ = [
     "TridiagFactors",
     "factor_tridiag",
     "solve_tridiag",
-    "find_root",
 ]
 
 
@@ -198,19 +190,6 @@ def solve_tridiag(factors: TridiagFactors, rhs) -> np.ndarray:
             f"residual {worst:.3e} above {bound:.3e} at row {row}", row=row
         )
     return x
-
-
-def find_root(f, a: float, b: float) -> float:
-    """Bracketed root solve (Brent) to near machine precision."""
-    fa = f(a)
-    fb = f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if np.sign(fa) == np.sign(fb):
-        raise BracketError(f"no sign change on [{a}, {b}]: f(a)={fa}, f(b)={fb}")
-    return brentq(f, a, b, xtol=1e-14, rtol=4.0 * np.finfo(float).eps)
 
 
 class SampledFn:

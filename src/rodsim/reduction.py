@@ -9,38 +9,18 @@ potentials describe zero-Gaussian-curvature surfaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import InputError, NumericalError
+from .errors import NumericalError
 from .grid_fields import central_diff, cumtrapz
 
 __all__ = [
-    "SpaceTimeField",
     "reconstruct_potentials",
     "potential_system_residuals",
     "extract_speed_profile",
     "developable_residuals",
 ]
-
-
-@dataclass(frozen=True)
-class SpaceTimeField:
-    """Scalar samples on a rectangular uniform (s, t) grid; s along axis 0."""
-
-    ds: float
-    dt: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2:
-            raise InputError(f"expected a 2D value array, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise InputError("field contains non-finite entries")
-        object.__setattr__(self, "values", v)
 
 
 def _d_s(v, ds, order=1):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time as _time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -172,10 +173,12 @@ class ScenarioConfig:
 
 
 _MATERIAL_KEYS = {"rho", "area", "moment", "EI", "length", "nodes"}
-_INTEGER_KEYS = {"nodes", "rods", "stride", "seed"}
+# Typed keys of scenario configs and of ``match-cauchy`` data specs.
+_INTEGER_KEYS = {"nodes", "rods", "stride", "seed", "steps"}
 _NUMBER_KEYS = {
     "rho", "area", "moment", "EI", "length", "amplitude", "frequency",
     "active_fraction", "phase", "spacing", "phase_increment", "dt", "t_end",
+    "v2_origin", "u_max", "const", "amp", "freq",
 }
 
 
@@ -198,7 +201,8 @@ def _typed(key, value, where):
     if key in _INTEGER_KEYS and not (number and isinstance(value, int)):
         raise InputError(f"{where} key {key!r} must be an integer, got {value!r}")
     if key in _NUMBER_KEYS:
-        if not (number and math.isfinite(value)):
+        # False for NaN, infinities and integers too large for a float.
+        if not (number and abs(value) <= sys.float_info.max):
             raise InputError(f"{where} key {key!r} must be a finite number, got {value!r}")
         return float(value)
     return value
@@ -268,12 +272,13 @@ class Trajectory:
 
     def to_csv(self) -> str:
         lines = ["t,rod,node,x,y,z"]
-        n_frames, n_rods, n_nodes, _ = self.positions.shape
-        for fi in range(n_frames):
-            t = repr(float(self.times[fi]))
-            for k in range(n_rods):
-                for i in range(n_nodes):
-                    x, y, z = (float(v) for v in self.positions[fi, k, i])
+        positions = np.asarray(self.positions, dtype=float)
+        # Python floats from tolist() repr exactly as float(v) of each element;
+        # converting one frame at a time keeps the Python objects to a frame.
+        for t, frame in zip(np.asarray(self.times, dtype=float).tolist(), positions):
+            t = repr(t)
+            for k, rod in enumerate(frame.tolist()):
+                for i, (x, y, z) in enumerate(rod):
                     lines.append(f"{t},{k},{i},{x!r},{y!r},{z!r}")
         return "\n".join(lines) + "\n"
 

@@ -18,13 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegeneracyError, InputError, OutOfRangeError
-from .grid_fields import (
-    Grid1D,
-    SampledFn,
-    central_diff,
-    find_root,
-    integrate_ode_rk4,
-)
+from .grid_fields import Grid1D, SampledFn, central_diff, integrate_ode_rk4
 from .rod_model import RodState, adiag, cross2
 
 __all__ = [
@@ -65,10 +59,9 @@ class SolutionFamily:
             raise InputError(f"empty u range {self.u_range}")
 
 
-def _check_denominator(name, value, scale, where):
-    bad = np.abs(value) <= _DEGEN * scale
-    if np.any(bad):
-        raise DegeneracyError(f"{name} degenerate at {where}")
+def _check_denominator(name, value, scale, s, u):
+    if np.any(np.abs(value) <= _DEGEN * scale):
+        raise DegeneracyError(f"{name} degenerate at (s={s}, u={u})")
 
 
 def evaluate_family(fam: SolutionFamily, s, u):
@@ -86,8 +79,8 @@ def evaluate_family(fam: SolutionFamily, s, u):
     w = a * s + u
     den = da * s + 1.0
     fp = np.asarray(fam.time_map.derivative(w))
-    _check_denominator("A'(u)s + 1", den, np.maximum(1.0, np.abs(da * s)), f"(s={s}, u={u})")
-    _check_denominator("F'(A(u)s + u)", fp, 1.0, f"(s={s}, u={u})")
+    _check_denominator("A'(u)s + 1", den, np.maximum(1.0, np.abs(da * s)), s, u)
+    _check_denominator("F'(A(u)s + u)", fp, 1.0, s, u)
     direction = np.stack([np.cos(c), np.sin(c)], axis=-1)
     kappa = (-(a**2) * dc / den)[..., None] * direction
     omega = (a * dc / (fp * den))[..., None] * direction
@@ -96,48 +89,62 @@ def evaluate_family(fam: SolutionFamily, s, u):
     return kappa, omega, vel, t
 
 
-def _invert_monotone(fn, lo, hi, target, n_scan=64):
-    """Bracket-scan then root-polish fn(u) = target on [lo, hi]."""
-    us = np.linspace(lo, hi, n_scan + 1)
-    vals = np.asarray(fn(us), dtype=float) - target
-    if vals[0] == 0.0:
-        return float(us[0])
-    sign = np.sign(vals)
-    hits = np.nonzero(sign[:-1] * sign[1:] <= 0.0)[0]
-    if hits.size == 0:
-        raise OutOfRangeError(
-            f"target {target} not reachable on [{lo}, {hi}]"
-        )
-    i = hits[0]
-    return find_root(lambda x: fn(x) - target, us[i], us[i + 1])
+def _invert_monotone(fn, lo, hi, target):
+    """Solve fn(u) = target elementwise by bisection on the bracket [lo, hi].
+
+    ``fn`` is monotone on the bracket, maps arrays elementwise and may
+    broadcast (fn(lo) may already have the shape of the result); its direction
+    is taken from the end values. Stops at Brent's tolerance
+    1e-14 + 4 eps |u|.
+    """
+    target = np.asarray(target, dtype=float)
+    f_lo = np.asarray(fn(lo), dtype=float)
+    f_hi = np.asarray(fn(hi), dtype=float)
+    # NaN compares false, so a NaN target is out of range too.
+    inside = (np.minimum(f_lo, f_hi) <= target) & (target <= np.maximum(f_lo, f_hi))
+    if not np.all(inside):
+        bad = np.broadcast_to(target, inside.shape)[~inside][0]
+        raise OutOfRangeError(f"target {bad} not reachable on [{lo}, {hi}]")
+    shape = inside.shape
+    rising = np.broadcast_to(f_hi >= f_lo, shape)
+    a = np.full(shape, float(lo))
+    b = np.full(shape, float(hi))
+    rtol = 4.0 * np.finfo(float).eps
+    while True:
+        mid = 0.5 * (a + b)
+        if np.all(b - a <= 1e-14 + rtol * np.abs(mid)):
+            return mid
+        upper = (np.asarray(fn(mid)) >= target) == rising
+        b = np.where(upper, mid, b)
+        a = np.where(upper, a, mid)
 
 
 def invert_time(fam: SolutionFamily, s: float, t: float) -> float:
     """Find the family parameter u with time_map(amp(u)*s + u) = t."""
-    lo, hi = fam.u_range
 
     def g(u):
         return fam.time_map(fam.amp(u) * s + u)
 
-    return _invert_monotone(g, lo, hi, t)
+    return float(_invert_monotone(g, *fam.u_range, t))
 
 
-def sample_state(fam: SolutionFamily, grid: Grid1D, t: float) -> RodState:
-    """Evaluate the family on a grid at fixed physical time.
+def sample_state(fam: SolutionFamily, grid: Grid1D, t) -> RodState:
+    """Evaluate the family on a grid at one physical time or at T times.
 
-    At fixed t the time-map argument w is the same at every node, so w is
-    inverted once and only u is solved per node.
+    A float ``t`` gives (N, 2) fields; an array of T times gives (N, T, 2)
+    fields, column j at time t[j]. At fixed t the time-map argument w is the
+    same at every node, so w is inverted once per time and u is then solved
+    for every node and time in one array bisection.
     """
-    lo, hi = fam.u_range
+    times = np.asarray(t, dtype=float)
     # At s = 0 the time-map argument equals u, so the reachable span of the
-    # argument over the whole strip bounds the scan for the shared value.
-    w_star = _invert_monotone(fam.time_map, *_w_span(fam, grid), t)
-    s_nodes = grid.nodes
-    us = np.empty_like(s_nodes)
-    for i, s in enumerate(s_nodes):
-        us[i] = _invert_monotone(lambda u: fam.amp(u) * s + u, lo, hi, w_star)
-    kappa, omega, vel, _ = evaluate_family(fam, s_nodes, us)
-    return RodState(grid, kappa, omega, vel)
+    # argument over the whole strip brackets the shared value.
+    w_star = _invert_monotone(fam.time_map, *_w_span(fam, grid), times.reshape(1, -1))
+    s = grid.nodes[:, None]
+    us = _invert_monotone(lambda u: fam.amp(u) * s + u, *fam.u_range, w_star)
+    shape = (grid.node_count, *times.shape)
+    kappa, omega, vel, _ = evaluate_family(fam, s, us)
+    return RodState(grid, *(v.reshape(*shape, 2) for v in (kappa, omega, vel)))
 
 
 def _w_span(fam: SolutionFamily, grid: Grid1D):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InputError
 from .grid_fields import Grid1D
 from .reduction import (
     developable_residuals,
@@ -55,28 +56,17 @@ def family_residuals(fam: SolutionFamily, n_nodes: int, dt: float, t0: float = N
     return parameter_free_residuals(states[0], states[1], states[2], dt)
 
 
-def _sample_rectangle(fam: SolutionFamily, n_nodes: int, n_times: int, dt: float, t0):
-    grid = Grid1D(1.0, n_nodes)
-    kappa = np.empty((n_nodes, n_times, 2))
-    omega = np.empty((n_nodes, n_times, 2))
-    vel = np.empty((n_nodes, n_times, 2))
-    t_lo = t0 - 0.5 * (n_times - 1) * dt
-    for j in range(n_times):
-        state = sample_state(fam, grid, t_lo + j * dt)
-        kappa[:, j] = state.curvature
-        omega[:, j] = state.ang_vel
-        vel[:, j] = state.lin_vel
-    return kappa, omega, vel, grid.spacing
-
-
 def reduction_chain_residuals(
     fam: SolutionFamily, n_nodes: int, dt: float, t0: float = None
 ):
     """Run the whole reduction chain on a family-sampled rectangle."""
+    grid = Grid1D(1.0, n_nodes)
     if t0 is None:
         t0 = _center_time(fam)
-    kappa, omega, vel, ds = _sample_rectangle(fam, n_nodes, n_nodes, dt, t0)
-    _, _, f, g = reconstruct_potentials(kappa, omega, vel, ds, dt)
+    t_lo = t0 - 0.5 * (n_nodes - 1) * dt
+    rect = sample_state(fam, grid, t_lo + np.arange(n_nodes) * dt)
+    ds = grid.spacing
+    _, _, f, g = reconstruct_potentials(rect.curvature, rect.ang_vel, rect.lin_vel, ds, dt)
     out = potential_system_residuals(f, g, ds, dt)
     profile, uniformity = extract_speed_profile(f, g, dt)
     out["h_uniformity"] = uniformity
@@ -86,6 +76,8 @@ def reduction_chain_residuals(
 
 def build_report(seed: int = 0, n_nodes: int = 101, dt: float = 1e-2) -> dict:
     """Residuals plus one-refinement convergence orders for a random family."""
+    if not 0.0 < dt < np.inf:
+        raise InputError(f"dt must be positive and finite, got {dt}")
     rng = np.random.default_rng(seed)
     fam = random_family(rng)
     ds = 1.0 / (n_nodes - 1)

@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from rodsim.errors import BracketError, DivergenceError, SingularSystemError, SizeError
+from rodsim.errors import DivergenceError, SingularSystemError, SizeError
 from rodsim.grid_fields import (
     Grid1D,
     SampledFn,
     central_diff,
     cumtrapz,
     factor_tridiag,
-    find_root,
     integrate_ode_rk4,
     solve_tridiag,
 )
@@ -159,19 +158,6 @@ class TestBlockTridiag:
         factors = factor_tridiag(np.ones(3), np.full(4, 4.0), np.ones(3))
         with pytest.raises(SizeError):
             solve_tridiag(factors, np.ones((5, 2)))
-
-
-class TestFindRoot:
-    def test_linear(self):
-        assert find_root(lambda x: x - 2.0, 0.0, 5.0) == pytest.approx(2.0, abs=1e-13)
-
-    def test_cosine(self):
-        root = find_root(np.cos, 1.0, 2.0)
-        assert root == pytest.approx(np.pi / 2, abs=1e-12)
-
-    def test_no_sign_change(self):
-        with pytest.raises(BracketError):
-            find_root(lambda x: x**2 + 1.0, 0.0, 1.0)
 
 
 class TestSampledFn:

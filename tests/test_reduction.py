@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from rodsim.errors import InputError, NumericalError
+from rodsim.errors import NumericalError
 from rodsim.grid_fields import Grid1D, SampledFn
 from rodsim.reduction import (
-    SpaceTimeField,
     developable_residuals,
     extract_speed_profile,
     potential_system_residuals,
@@ -24,32 +23,9 @@ def st_grid(ns=21, nt=21, s_len=1.0, t_len=0.2):
 
 def sample_rectangle(fam, n_nodes, n_times, dt, t0):
     grid = Grid1D(1.0, n_nodes)
-    kappa = np.empty((n_nodes, n_times, 2))
-    omega = np.empty((n_nodes, n_times, 2))
-    vel = np.empty((n_nodes, n_times, 2))
     t_lo = t0 - 0.5 * (n_times - 1) * dt
-    for j in range(n_times):
-        state = sample_state(fam, grid, t_lo + j * dt)
-        kappa[:, j] = state.curvature
-        omega[:, j] = state.ang_vel
-        vel[:, j] = state.lin_vel
-    return kappa, omega, vel, grid.spacing
-
-
-class TestSpaceTimeField:
-    def test_accepts_rectangle(self):
-        fld = SpaceTimeField(0.1, 0.1, np.ones((4, 5)))
-        assert fld.values.shape == (4, 5)
-
-    def test_rejects_wrong_rank(self):
-        with pytest.raises(InputError):
-            SpaceTimeField(0.1, 0.1, np.ones(6))
-
-    def test_rejects_non_finite(self):
-        bad = np.ones((4, 4))
-        bad[1, 2] = np.nan
-        with pytest.raises(InputError):
-            SpaceTimeField(0.1, 0.1, bad)
+    rect = sample_state(fam, grid, t_lo + np.arange(n_times) * dt)
+    return rect.curvature, rect.ang_vel, rect.lin_vel, grid.spacing
 
 
 class TestReconstructPotentials:

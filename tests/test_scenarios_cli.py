@@ -297,6 +297,19 @@ def write_config(tmp_path, config, name="config.json"):
     return path
 
 
+def worked_spec():
+    """Boundary traces reproduced by unit amplitude, angle u + pi/4 and the
+    identity time map."""
+    return {
+        "v1": {"cos": {"amp": 1.0, "freq": 1.0, "phase": np.pi / 4}},
+        "w1": {"cos": {"amp": 1.0, "freq": 1.0, "phase": np.pi / 4}},
+        "k1": {"cos": {"amp": -1.0, "freq": 1.0, "phase": np.pi / 4}},
+        "v2_origin": np.sqrt(2.0) / 2.0,
+        "u_max": 0.5,
+        "steps": 1000,
+    }
+
+
 class TestCli:
     def test_simulate_json(self, tmp_path):
         cfg = write_config(tmp_path, small_config())
@@ -385,17 +398,40 @@ class TestCli:
             assert key in report["residuals"]
             assert report["residuals"][key] <= report["thresholds"][key]
 
+    @pytest.mark.parametrize(
+        "patch, flags, message",
+        [
+            ({"v2_origin": "abc"}, None, "'v2_origin' must be a finite number"),
+            ({"v1": {"const": [1]}}, None, "'const' must be a finite number"),
+            ({"v1": {"cos": 5}}, None, "trace v1.cos section must be a JSON object"),
+            ({"steps": 1.5}, None, "'steps' must be an integer"),
+            ({"steps": True}, None, "'steps' must be an integer"),
+            ({"u_max": "nan"}, None, "'u_max' must be a finite number"),
+            ({"v1": {"cos": {"freq": float("inf")}}}, None, "'freq' must be a finite"),
+            (None, ["--dt", "0"], "dt must be positive and finite"),
+            (None, ["--dt", "-0.05"], "dt must be positive and finite"),
+            (None, ["--dt", "nan"], "dt must be positive and finite"),
+        ],
+        ids=["v2_origin-string", "const-list", "cos-number", "steps-float",
+             "steps-bool", "u_max-string", "freq-inf", "dt-zero", "dt-negative",
+             "dt-nan"],
+    )
+    def test_rejects_mistyped_number(self, tmp_path, capsys, patch, flags, message):
+        # Counts must be JSON integers and numbers finite (and dt positive);
+        # anything else is bad input (exit 2), not a traceback, a truncation or
+        # a numerical failure.
+        if flags is None:
+            path = tmp_path / "trace.json"
+            path.write_text(json.dumps(dict(worked_spec(), **patch)))
+            argv = ["match-cauchy", str(path)]
+        else:
+            argv = ["verify-solution", "--grid", "11", *flags]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
     def test_match_cauchy_worked_example(self, tmp_path):
-        spec = {
-            "v1": {"cos": {"amp": 1.0, "freq": 1.0, "phase": np.pi / 4}},
-            "w1": {"cos": {"amp": 1.0, "freq": 1.0, "phase": np.pi / 4}},
-            "k1": {"cos": {"amp": -1.0, "freq": 1.0, "phase": np.pi / 4}},
-            "v2_origin": np.sqrt(2.0) / 2.0,
-            "u_max": 0.5,
-            "steps": 1000,
-        }
         path = tmp_path / "trace.json"
-        path.write_text(json.dumps(spec))
+        path.write_text(json.dumps(worked_spec()))
         out = tmp_path / "match.json"
         assert main(["match-cauchy", str(path), "--out", str(out)]) == 0
         report = json.loads(out.read_text())

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from rodsim.errors import DegeneracyError, InputError, OutOfRangeError
 from rodsim.grid_fields import Grid1D, SampledFn
@@ -102,6 +103,20 @@ class TestInvertTime:
         with pytest.raises(OutOfRangeError):
             invert_time(identity_family(), 0.0, 1e6)
 
+    def test_decreasing_time_map(self):
+        # F(w) = -w: the bracket ends give the direction, so t = -1 at s = 0.3
+        # means w = u + 0.3 = 1.
+        span = 3.0
+        fam = SolutionFamily(
+            amp=SampledFn.from_callable(lambda u: 1.0, -span, span, 65),
+            angle=SampledFn.from_callable(lambda u: u, -span, span, 65),
+            time_map=SampledFn.from_callable(lambda w: -w, -2 * span, 2 * span, 65),
+            u_range=(-span, span),
+        )
+        assert invert_time(fam, 0.3, -1.0) == pytest.approx(0.7, abs=1e-12)
+        with pytest.raises(OutOfRangeError):
+            invert_time(fam, 0.3, 5.0)
+
     def test_residual_tolerance(self):
         fam = random_family(np.random.default_rng(4))
         t = float(fam.time_map(0.3))
@@ -137,6 +152,31 @@ class TestSampleState:
         r6 = state.lin_vel[:, 0] * state.curvature[:, 1] - state.lin_vel[:, 1] * state.curvature[:, 0]
         assert np.abs(r5).max() < 1e-12
         assert np.abs(r6).max() < 1e-12
+
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_times_array_matches_single_times(self, seed):
+        fam = random_family(np.random.default_rng(seed))
+        grid = Grid1D(1.0, 21)
+        times = float(fam.time_map(0.5)) + np.linspace(-0.3, 0.3, 7)
+        block = sample_state(fam, grid, times)
+        assert block.curvature.shape == (21, 7, 2)
+        for j, t in enumerate(times):
+            single = sample_state(fam, grid, t)
+            # Reference: Brent's method on each node's scalar equation.
+            us = [brentq(lambda u: fam.time_map(fam.amp(u) * s + u) - t, *fam.u_range,
+                         xtol=1e-14, rtol=4.0 * np.finfo(float).eps) for s in grid.nodes]
+            oracle = evaluate_family(fam, grid.nodes, np.array(us))
+            for k, name in enumerate(("curvature", "ang_vel", "lin_vel")):
+                column = getattr(block, name)[:, j]
+                np.testing.assert_allclose(column, getattr(single, name), rtol=0, atol=1e-12)
+                np.testing.assert_allclose(column, oracle[k], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [1e6, np.nan])
+    def test_one_unreachable_time_raises(self, bad):
+        times = np.array([0.0, 0.5, bad, 1.0])
+        with pytest.raises(OutOfRangeError, match=f"target {bad} not reachable"):
+            sample_state(identity_family(), Grid1D(1.0, 11), times)
 
 
 class TestParameterFreeResiduals:
