@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg.lapack import dgttrf as _gttrf, dgttrs as _gttrs
 
 from .errors import DivergenceError, DomainError, SingularSystemError, SizeError
@@ -204,6 +203,10 @@ class SampledFn:
     """
 
     def __init__(self, knots, values, end_slopes=None):
+        # Imported here: a simulation samples no functions, and
+        # scipy.interpolate costs most of the package's import time.
+        from scipy.interpolate import CubicSpline
+
         knots = np.asarray(knots, dtype=float)
         values = np.asarray(values, dtype=float)
         if knots.ndim != 1 or knots.size < 4:
@@ -258,6 +261,11 @@ class SampledFn:
         on_knot = self._knots[idx] == clipped
         out = np.where(on_knot, self._values[idx], out)
         return float(out) if np.isscalar(u) else out
+
+    def _interior(self, u):
+        """The spline at points known to lie inside the knot range: no domain
+        check, and knot values only to the spline's rounding."""
+        return self._spline(u)
 
     def derivative(self, u):
         out = self._dspline(self._clip(u))

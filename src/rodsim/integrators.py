@@ -31,6 +31,7 @@ from .rod_model import (
     Loads,
     MaterialParams,
     RodState,
+    _trusted_state,
     adiag,
     bending_couple,
     contact_force,
@@ -83,7 +84,8 @@ def _direction(angle: np.ndarray) -> np.ndarray:
 def lift(m: ManifoldState) -> RodState:
     """Expand a collinear state into the raw vector representation."""
     e = _direction(m.angle)
-    return RodState(
+    return _trusted_state(
+        RodState,
         m.grid,
         m.curv_mag[..., None] * e,
         m.ang_mag[..., None] * e,
@@ -100,12 +102,15 @@ def project(r: RodState, prev_angle: np.ndarray, eps) -> ManifoldState:
     """
     if not (np.asarray(eps) > 0.0).all():
         raise InputError("projection threshold must be positive")
+    if not np.isfinite(prev_angle).all():
+        raise InputError("previous angle contains non-finite entries")
     speed = np.hypot(r.lin_vel[..., 0], r.lin_vel[..., 1])
     angle = np.where(
         speed > eps, np.arctan2(r.lin_vel[..., 1], r.lin_vel[..., 0]), prev_angle
     )
     e = _direction(angle)
-    return ManifoldState(
+    return _trusted_state(
+        ManifoldState,
         r.grid,
         angle,
         np.einsum("...j,...j->...", r.curvature, e),
@@ -222,7 +227,7 @@ def step_pure_numeric(
     _apply_clamps(lin_vel, ang_vel, bc, t + dt)
     _apply_free_moment(curvature, bc)
     _require_finite(lin_vel, ang_vel, curvature)
-    return RodState(state.grid, curvature, ang_vel, lin_vel)
+    return _trusted_state(RodState, state.grid, curvature, ang_vel, lin_vel)
 
 
 def step_semi_analytic(
@@ -254,7 +259,7 @@ def step_semi_analytic(
     _require_finite(lin_vel, ang_vel)
     if eps is None:
         eps = np.maximum(1e-8 * np.abs(lin_vel).max(axis=(0, -1)), 1e-300)
-    updated = RodState(grid, state.curvature, ang_vel, lin_vel)
+    updated = _trusted_state(RodState, grid, state.curvature, ang_vel, lin_vel)
     proj = project(updated, m.angle, eps)
 
     # Angle reconstruction: integrate the angle slope from the base node,
@@ -271,8 +276,9 @@ def step_semi_analytic(
 
     curv_mag = m.curv_mag + dt * central_diff(proj.ang_mag, ds)
     _apply_free_moment(curv_mag, bc)
-    _require_finite(angle[..., None], curv_mag[..., None])
-    return ManifoldState(grid, angle, curv_mag, proj.ang_mag, proj.vel_mag)
+    fields = (angle, curv_mag, proj.ang_mag, proj.vel_mag)
+    _require_finite(np.stack(fields, axis=-1))
+    return _trusted_state(ManifoldState, grid, *fields)
 
 
 def max_stable_dt(

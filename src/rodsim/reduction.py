@@ -10,7 +10,6 @@ potentials describe zero-Gaussian-curvature surfaces.
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import NumericalError
 from .grid_fields import central_diff, cumtrapz
@@ -138,6 +137,8 @@ def developable_residuals(f, g, profile, ds: float, dt: float):
     Returns {"R22", "R23", "R24"}: the two surface-curvature determinants and
     the unit-slope constraint.
     """
+    from scipy.interpolate import CubicSpline  # slow to import; needed only here
+
     f = np.asarray(f, float)
     g = np.asarray(g, float)
     profile = np.asarray(profile, float)

@@ -105,10 +105,18 @@ class RodState:
         shape = (grid.node_count, 2) if rods is None else (grid.node_count, rods, 2)
         return cls(grid, np.zeros(shape), np.zeros(shape), np.zeros(shape))
 
-    def copy(self) -> "RodState":
-        return RodState(
-            self.grid, self.curvature.copy(), self.ang_vel.copy(), self.lin_vel.copy()
-        )
+
+def _trusted_state(cls, grid: Grid1D, *fields):
+    """A ``cls`` state from float fields already known to have its shapes and
+    to be finite, built without ``__post_init__``.
+
+    States enter through their constructors, which check them; the steppers
+    and the projections build every later state from checked arrays and check
+    what they compute themselves, so they build states here.
+    """
+    state = object.__new__(cls)
+    vars(state).update(zip(cls.__dataclass_fields__, (grid, *fields)))
+    return state
 
 
 def _zero_load(s, t):
@@ -285,17 +293,17 @@ def _interval_operators(kappa: np.ndarray, ds: float):
     """Rotation and tangent step of every constant-curvature interval.
 
     Interval i carries the midpoint curvature of nodes i and i+1, K its skew
-    matrix. Returns (exp(ds*K) (N-1, 3, 3), V e3 (N-1, 3)) with
-    V = integral_0^ds exp(sigma*K) dsigma, both in closed form (Rodrigues),
-    so constant-curvature segments are exact; intervals turning less than
-    1e-8 rad use the Taylor coefficients instead.
+    matrix; ``kappa`` is (N, ..., 2). Returns (exp(ds*K) (N-1, ..., 3, 3),
+    V e3 (N-1, ..., 3)) with V = integral_0^ds exp(sigma*K) dsigma, both in
+    closed form (Rodrigues), so constant-curvature segments are exact;
+    intervals turning less than 1e-8 rad use the Taylor coefficients instead.
     """
     mid = 0.5 * (kappa[:-1] + kappa[1:])
-    k = np.zeros((mid.shape[0], 3, 3))
-    k[:, 0, 2], k[:, 2, 0] = mid[:, 1], -mid[:, 1]
-    k[:, 2, 1], k[:, 1, 2] = mid[:, 0], -mid[:, 0]
+    k = np.zeros(mid.shape[:-1] + (3, 3))
+    k[..., 0, 2], k[..., 2, 0] = mid[..., 1], -mid[..., 1]
+    k[..., 2, 1], k[..., 1, 2] = mid[..., 0], -mid[..., 0]
     k2 = k @ k
-    theta = np.linalg.norm(mid, axis=1)
+    theta = np.linalg.norm(mid, axis=-1)
     ang = theta * ds
     small = ang < 1e-8
     theta = np.where(small, 1.0, theta)
@@ -303,9 +311,9 @@ def _interval_operators(kappa: np.ndarray, ds: float):
     c1 = np.where(small, ds, sin_t)
     c2 = np.where(small, 0.5 * ds**2, (1.0 - np.cos(ang)) / theta**2)
     c3 = np.where(small, ds**3 / 6.0, (ds - sin_t) / theta**2)
-    rot = np.eye(3) + c1[:, None, None] * k + c2[:, None, None] * k2
-    step = c2[:, None] * k[:, :, 2] + c3[:, None] * k2[:, :, 2]
-    step[:, 2] += ds
+    rot = np.eye(3) + c1[..., None, None] * k + c2[..., None, None] * k2
+    step = c2[..., None] * k[..., :, 2] + c3[..., None] * k2[..., :, 2]
+    step[..., 2] += ds
     return rot, step
 
 
@@ -321,20 +329,31 @@ def reconstruct_centerline(
     matrix exponential of the midpoint curvature, and the position update uses
     the exact tangent integral of that constant-curvature rotation. Returns
     (positions (N, 3), frames (N, 3, 3)); frame columns are the directors, the
-    third column being the centerline tangent.
+    third column being the centerline tangent. An (N, K, 2) curvature gives K
+    rods at once, (N, K, 3) positions and (N, K, 3, 3) frames, each rod
+    starting from its row of a (K, 3) ``base_position`` (or from one shared
+    (3,) base) with the shared ``base_frame``.
     """
     kappa = np.asarray(curvature, dtype=float)
-    n = kappa.shape[0]
     frame0 = np.eye(3) if base_frame is None else np.asarray(base_frame, dtype=float)
     if frame0.shape != (3, 3) or np.abs(frame0.T @ frame0 - np.eye(3)).max() > 1e-8:
         raise InputError("base frame must be a 3x3 orthonormal matrix")
     rot, step = _interval_operators(kappa, spacing)
-    frames = np.empty((n, 3, 3))
+    n = kappa.shape[0]
+    frames = np.empty(kappa.shape[:-1] + (3, 3))
     frames[0] = frame0
-    for i in range(n - 1):
-        np.dot(frames[i], rot[i], out=frames[i + 1])
-    positions = np.empty((n, 3))
+    # Both products call the same BLAS routine; np.dot costs less per call
+    # for one rod's 3x3 frames, np.matmul steps all rods' frames at once.
+    by_rod, rot_by_rod = frames.reshape(n, -1, 3, 3), rot.reshape(n - 1, -1, 3, 3)
+    if by_rod.shape[1] == 1:
+        by_rod, rot_by_rod, product = by_rod[:, 0], rot_by_rod[:, 0], np.dot
+    else:
+        product = np.matmul
+    views = list(by_rod)
+    for prev, r, nxt in zip(views, rot_by_rod, views[1:]):
+        product(prev, r, out=nxt)
+    positions = np.empty(kappa.shape[:-1] + (3,))
     positions[0] = np.asarray(base_position, dtype=float)
-    positions[1:] = np.einsum("nij,nj->ni", frames[:-1], step)
+    positions[1:] = np.einsum("...ij,...j->...i", frames[:-1], step)
     np.cumsum(positions, axis=0, out=positions)
     return positions, frames

@@ -32,6 +32,7 @@ from .rod_model import (
     Loads,
     MaterialParams,
     RodState,
+    _trusted_state,
     reconstruct_centerline,
 )
 
@@ -342,8 +343,8 @@ def _boundary(config: ScenarioConfig) -> BoundaryConditions:
 
 def _take(state, keep):
     """The rods ``keep`` (a mask over the rod axis) of a batched state."""
-    kept = {k: v if k == "grid" else v[:, keep] for k, v in vars(state).items()}
-    return type(state)(**kept)
+    grid, *fields = vars(state).values()  # in field order, grid first
+    return _trusted_state(type(state), grid, *(v[:, keep] for v in fields))
 
 
 def simulate_rod(config: ScenarioConfig):
@@ -366,7 +367,8 @@ def simulate_rod(config: ScenarioConfig):
     n_rods = config.carpet.rods
     rods = np.arange(n_rods)
     phases = config.drive.phase + rods * config.carpet.phase_increment
-    bases = [(k * config.carpet.spacing, 0.0, 0.0) for k in range(n_rods)]
+    bases = np.zeros((n_rods, 3))
+    bases[:, 0] = rods * config.carpet.spacing
     loads = _drive_loads(config, phases)
     n_steps = max(1, int(round(config.t_end / config.dt)))
     dt = config.t_end / n_steps
@@ -384,9 +386,8 @@ def simulate_rod(config: ScenarioConfig):
     def capture(frame, t, state, e):
         curvature = (lift(state) if semi else state).curvature
         traj.times[frame] = t
-        for k in range(n_rods):
-            traj.positions[frame, k] = reconstruct_centerline(
-                curvature[:, k], grid.spacing, bases[k])[0]
+        positions = reconstruct_centerline(curvature, grid.spacing, bases)[0]
+        traj.positions[frame] = positions.swapaxes(0, 1)
         traj.energies[frame] = e
         traj.drifts[frame] = np.stack(np.broadcast_arrays(*drift_norms(state)), axis=-1)
 

@@ -89,14 +89,16 @@ def evaluate_family(fam: SolutionFamily, s, u):
     return kappa, omega, vel, t
 
 
-def _invert_monotone(fn, lo, hi, target):
+def _invert_monotone(fn, lo, hi, target, inner=None):
     """Solve fn(u) = target elementwise by bisection on the bracket [lo, hi].
 
     ``fn`` is monotone on the bracket, maps arrays elementwise and may
     broadcast (fn(lo) may already have the shape of the result); its direction
-    is taken from the end values. Stops at Brent's tolerance
-    1e-14 + 4 eps |u|.
+    is taken from the end values. ``inner`` (default ``fn``) evaluates fn at
+    the iterates, which stay inside the bracket, so it may skip fn's domain
+    checks. Stops at Brent's tolerance 1e-14 + 4 eps |u|.
     """
+    inner = fn if inner is None else inner
     target = np.asarray(target, dtype=float)
     f_lo = np.asarray(fn(lo), dtype=float)
     f_hi = np.asarray(fn(hi), dtype=float)
@@ -114,7 +116,7 @@ def _invert_monotone(fn, lo, hi, target):
         mid = 0.5 * (a + b)
         if np.all(b - a <= 1e-14 + rtol * np.abs(mid)):
             return mid
-        upper = (np.asarray(fn(mid)) >= target) == rising
+        upper = (np.asarray(inner(mid)) >= target) == rising
         b = np.where(upper, mid, b)
         a = np.where(upper, a, mid)
 
@@ -137,11 +139,14 @@ def sample_state(fam: SolutionFamily, grid: Grid1D, t) -> RodState:
     for every node and time in one array bisection.
     """
     times = np.asarray(t, dtype=float)
+    time_map, amp = (getattr(f, "_interior", f) for f in (fam.time_map, fam.amp))
     # At s = 0 the time-map argument equals u, so the reachable span of the
     # argument over the whole strip brackets the shared value.
-    w_star = _invert_monotone(fam.time_map, *_w_span(fam, grid), times.reshape(1, -1))
+    w_star = _invert_monotone(
+        fam.time_map, *_w_span(fam, grid), times.reshape(1, -1), time_map)
     s = grid.nodes[:, None]
-    us = _invert_monotone(lambda u: fam.amp(u) * s + u, *fam.u_range, w_star)
+    us = _invert_monotone(lambda u: fam.amp(u) * s + u, *fam.u_range, w_star,
+                          lambda u: amp(u) * s + u)
     shape = (grid.node_count, *times.shape)
     kappa, omega, vel, _ = evaluate_family(fam, s, us)
     return RodState(grid, *(v.reshape(*shape, 2) for v in (kappa, omega, vel)))

@@ -105,6 +105,14 @@ class TestLiftProject:
         with pytest.raises(InputError):
             project(RodState.zero(g), np.zeros(g.node_count), eps=0.0)
 
+    def test_rejects_non_finite_previous_angle(self):
+        # At rest every node carries the previous angle through.
+        g = Grid1D(1.0, 11)
+        prev = np.zeros(g.node_count)
+        prev[4] = np.nan
+        with pytest.raises(InputError):
+            project(RodState.zero(g), prev, eps=1e-12)
+
 
 class TestPureStep:
     def test_zero_state_is_fixed_point(self):
@@ -199,7 +207,7 @@ class TestPureStep:
         bc = BoundaryConditions.free_free()
 
         def single_step_r5(dt):
-            new = step_pure_numeric(init.copy(), params, Loads(), bc, t0, dt)
+            new = step_pure_numeric(init, params, Loads(), bc, t0, dt)
             return drift_norms(new)[1]
 
         ratio = single_step_r5(1e-6) / single_step_r5(5e-7)

@@ -6,6 +6,7 @@ import pytest
 from rodsim import rod_model
 from rodsim.errors import ConfigurationError, InputError
 from rodsim.grid_fields import Grid1D, central_diff
+from rodsim.integrators import ManifoldState
 from rodsim.rod_model import (
     BoundaryConditions,
     Loads,
@@ -148,12 +149,11 @@ class TestContactForce:
             if with_force:
                 new = step_pure_numeric(state, params, loads, bc, t0, dt)
                 return drift_norms(new)[0]
-            bad = state.copy()
             ds = grid.spacing
-            m = bending_couple(bad, params)
-            lin = bad.lin_vel + dt * 0.0
-            ang = bad.ang_vel + dt * central_diff(m, ds) / params.rho_I
-            new = RodState(grid, bad.curvature, ang, lin)
+            m = bending_couple(state, params)
+            lin = state.lin_vel + dt * 0.0
+            ang = state.ang_vel + dt * central_diff(m, ds) / params.rho_I
+            new = RodState(grid, state.curvature.copy(), ang, lin)
             r4 = central_diff(new.lin_vel, ds) - adiag(new.ang_vel)
             return float(np.abs(r4).max())
 
@@ -194,6 +194,27 @@ class TestContactForce:
             config = default_config(scheme=scheme, dt=1e-4, t_end=1e-2)
             assert simulate_rod(config)[1]
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("scheme", ["pure", "semi"])
+    def test_stepping_validates_only_the_start_state(self, monkeypatch, scheme):
+        # States are checked where they enter; the steps, projections and
+        # frame captures build theirs without checking them again.
+        checks = []
+        for cls in (RodState, ManifoldState):
+            check = cls.__post_init__
+
+            def counting_check(self, check=check):
+                checks.append(type(self).__name__)
+                check(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting_check)
+        counts = []
+        for steps in (10, 100):
+            checks.clear()
+            config = default_config(scheme=scheme, dt=1e-3, t_end=steps * 1e-3)
+            assert simulate_rod(config)[1]
+            counts.append(len(checks))
+        assert counts == [1, 1]  # the zero state each run starts from
 
 
 class TestEnergy:
@@ -291,6 +312,30 @@ class TestCenterline:
         ref_positions, ref_frames = _loop_centerline(kappa, 1e-2, base, frame0)
         np.testing.assert_allclose(positions, ref_positions, rtol=0, atol=1e-13)
         np.testing.assert_allclose(frames, ref_frames, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("rods", [1, 7])
+    def test_rod_axis_matches_per_rod_calls(self, rods):
+        # Zero, 1e-9 (Taylor branch) and O(20) intervals, mixed within and
+        # across rods; each rod starts from its own base.
+        rng = np.random.default_rng(23)
+        n = 101
+        kappa = 20.0 * rng.standard_normal((n, rods, 2))
+        kind = rng.integers(0, 3, (n, rods))
+        kappa[kind == 0] = 0.0
+        kappa[kind == 1] *= 1e-9 / 20.0
+        bases = rng.standard_normal((rods, 3))
+        frame0 = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        positions, frames = reconstruct_centerline(kappa, 1e-2, bases, frame0)
+        assert positions.shape == (n, rods, 3) and frames.shape == (n, rods, 3, 3)
+        for k in range(rods):
+            one = reconstruct_centerline(kappa[:, k], 1e-2, bases[k], frame0)
+            assert np.array_equal(positions[:, k], one[0])
+            assert np.array_equal(frames[:, k], one[1])
+
+    def test_rod_axis_shares_one_base(self):
+        kappa = np.zeros((5, 3, 2))
+        positions, _ = reconstruct_centerline(kappa, 0.25, (1.0, 2.0, 3.0))
+        np.testing.assert_allclose(positions[-1], np.tile([1.0, 2.0, 4.0], (3, 1)))
 
 
 def _loop_centerline(kappa, ds, base_position, frame0):

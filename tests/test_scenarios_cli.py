@@ -1,7 +1,11 @@
 """Tests for scenario configs, run orchestration, and the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -506,3 +510,24 @@ class TestCli:
         with pytest.raises(SystemExit) as err:
             main(["transmogrify"])
         assert err.value.code == 2
+
+    def test_simulate_does_not_import_interpolation(self):
+        # scipy.interpolate serves only the solution family's splines and the
+        # reduction chain, and is most of the import time, so the CLI and a
+        # simulation must not load it.
+        code = (
+            "import sys\n"
+            "import rodsim.cli\n"
+            "from rodsim.rod_model import MaterialParams\n"
+            "from rodsim.scenarios import ScenarioConfig, simulate_rod\n"
+            "material = MaterialParams(1.0, 1.0, 1e-2, 1e-1, 1.0, 3)\n"
+            "config = ScenarioConfig(material, scheme='pure', dt=1e-3, t_end=1e-2)\n"
+            "assert simulate_rod(config)[1]\n"
+            "print('scipy.interpolate' in sys.modules)\n"
+        )
+        src = str(Path(scenarios.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "False"
