@@ -277,7 +277,7 @@ def step_semi_analytic(
     curv_mag = m.curv_mag + dt * central_diff(proj.ang_mag, ds)
     _apply_free_moment(curv_mag, bc)
     fields = (angle, curv_mag, proj.ang_mag, proj.vel_mag)
-    _require_finite(np.stack(fields, axis=-1))
+    _require_finite(*(f[..., None] for f in fields))
     return _trusted_state(ManifoldState, grid, *fields)
 
 

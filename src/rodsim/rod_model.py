@@ -342,16 +342,9 @@ def reconstruct_centerline(
     n = kappa.shape[0]
     frames = np.empty(kappa.shape[:-1] + (3, 3))
     frames[0] = frame0
-    # Both products call the same BLAS routine; np.dot costs less per call
-    # for one rod's 3x3 frames, np.matmul steps all rods' frames at once.
-    by_rod, rot_by_rod = frames.reshape(n, -1, 3, 3), rot.reshape(n - 1, -1, 3, 3)
-    if by_rod.shape[1] == 1:
-        by_rod, rot_by_rod, product = by_rod[:, 0], rot_by_rod[:, 0], np.dot
-    else:
-        product = np.matmul
-    views = list(by_rod)
-    for prev, r, nxt in zip(views, rot_by_rod, views[1:]):
-        product(prev, r, out=nxt)
+    views = list(frames.reshape(n, -1, 3, 3))
+    for prev, r, nxt in zip(views, rot.reshape(n - 1, -1, 3, 3), views[1:]):
+        np.matmul(prev, r, out=nxt)
     positions = np.empty(kappa.shape[:-1] + (3,))
     positions[0] = np.asarray(base_position, dtype=float)
     positions[1:] = np.einsum("...ij,...j->...i", frames[:-1], step)

@@ -89,16 +89,15 @@ def evaluate_family(fam: SolutionFamily, s, u):
     return kappa, omega, vel, t
 
 
-def _invert_monotone(fn, lo, hi, target, inner=None):
+def _invert_monotone(fn, inner, lo, hi, target):
     """Solve fn(u) = target elementwise by bisection on the bracket [lo, hi].
 
     ``fn`` is monotone on the bracket, maps arrays elementwise and may
     broadcast (fn(lo) may already have the shape of the result); its direction
-    is taken from the end values. ``inner`` (default ``fn``) evaluates fn at
-    the iterates, which stay inside the bracket, so it may skip fn's domain
-    checks. Stops at Brent's tolerance 1e-14 + 4 eps |u|.
+    is taken from the end values. ``inner`` is the same function for the
+    iterates, which stay strictly inside the bracket, so it may skip fn's
+    domain checks. Stops at Brent's tolerance 1e-14 + 4 eps |u|.
     """
-    inner = fn if inner is None else inner
     target = np.asarray(target, dtype=float)
     f_lo = np.asarray(fn(lo), dtype=float)
     f_hi = np.asarray(fn(hi), dtype=float)
@@ -127,7 +126,7 @@ def invert_time(fam: SolutionFamily, s: float, t: float) -> float:
     def g(u):
         return fam.time_map(fam.amp(u) * s + u)
 
-    return float(_invert_monotone(g, *fam.u_range, t))
+    return float(_invert_monotone(g, g, *fam.u_range, t))
 
 
 def sample_state(fam: SolutionFamily, grid: Grid1D, t) -> RodState:
@@ -139,14 +138,19 @@ def sample_state(fam: SolutionFamily, grid: Grid1D, t) -> RodState:
     for every node and time in one array bisection.
     """
     times = np.asarray(t, dtype=float)
-    time_map, amp = (getattr(f, "_interior", f) for f in (fam.time_map, fam.amp))
+    # The iterates lie inside each bracket, so they are evaluated on the bare
+    # splines; the end values keep the checked, knot-exact calls.
     # At s = 0 the time-map argument equals u, so the reachable span of the
     # argument over the whole strip brackets the shared value.
-    w_star = _invert_monotone(
-        fam.time_map, *_w_span(fam, grid), times.reshape(1, -1), time_map)
+    w_star = _invert_monotone(fam.time_map, fam.time_map._interior,
+                              *_w_span(fam, grid), times.reshape(1, -1))
     s = grid.nodes[:, None]
-    us = _invert_monotone(lambda u: fam.amp(u) * s + u, *fam.u_range, w_star,
-                          lambda u: amp(u) * s + u)
+
+    def time_arg(amp):
+        return lambda u: amp(u) * s + u
+
+    us = _invert_monotone(time_arg(fam.amp), time_arg(fam.amp._interior),
+                          *fam.u_range, w_star)
     shape = (grid.node_count, *times.shape)
     kappa, omega, vel, _ = evaluate_family(fam, s, us)
     return RodState(grid, *(v.reshape(*shape, 2) for v in (kappa, omega, vel)))

@@ -327,10 +327,16 @@ class TestCenterline:
         frame0 = np.linalg.qr(rng.standard_normal((3, 3)))[0]
         positions, frames = reconstruct_centerline(kappa, 1e-2, bases, frame0)
         assert positions.shape == (n, rods, 3) and frames.shape == (n, rods, 3, 3)
+        rot, _ = rod_model._interval_operators(kappa, 1e-2)
         for k in range(rods):
             one = reconstruct_centerline(kappa[:, k], 1e-2, bases[k], frame0)
             assert np.array_equal(positions[:, k], one[0])
             assert np.array_equal(frames[:, k], one[1])
+            # The same frames as a one-rod np.dot recurrence.
+            ref = [frame0]
+            for r in rot[:, k]:
+                ref.append(np.dot(ref[-1], r))
+            assert np.array_equal(frames[:, k], np.array(ref))
 
     def test_rod_axis_shares_one_base(self):
         kappa = np.zeros((5, 3, 2))
