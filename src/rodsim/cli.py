@@ -14,6 +14,8 @@ import numpy as np
 
 from .errors import InputError, InstabilityError, NumericalError, RodSimError
 from .scenarios import (
+    STABILITY_DT_BOUNDS,
+    STABILITY_HORIZON,
     ScenarioConfig,
     Trajectory,
     _checked,
@@ -59,10 +61,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("benchmark", help="stability and speed comparison")
     p.add_argument("config", help="scenario config JSON file")
-    p.add_argument("--horizon", type=float, default=2.0,
+    p.add_argument("--horizon", type=float, default=STABILITY_HORIZON,
                    help="assessment horizon for the stability search")
-    p.add_argument("--dt-min", type=float, default=1e-7)
-    p.add_argument("--dt-max", type=float, default=1e-1)
+    p.add_argument("--dt-min", type=float, default=STABILITY_DT_BOUNDS[0])
+    p.add_argument("--dt-max", type=float, default=STABILITY_DT_BOUNDS[1])
     p.add_argument("--out", help="write the JSON report here instead of stdout")
 
     p = sub.add_parser("export", help="convert a trajectory file")
@@ -91,11 +93,12 @@ def _emit(text: str, out_path):
 
 
 def _trace_fn(spec, name):
-    spec = _checked(spec, {"const", "cos"}, f"trace {name}")
+    spec = _checked(spec, {"const": float, "cos": object}, f"trace {name}")
     const = spec.get("const", 0.0)
     if spec.get("cos") is None:
         return lambda t: const
-    cos = _checked(spec["cos"], {"amp", "freq", "phase"}, f"trace {name}.cos")
+    cos = _checked(spec["cos"], {"amp": float, "freq": float, "phase": float},
+                   f"trace {name}.cos")
     amp = cos.get("amp", 1.0)
     freq = cos.get("freq", 1.0)
     phase = cos.get("phase", 0.0)
@@ -130,7 +133,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_match_cauchy(args) -> int:
     doc = _checked(json.loads(_read(args.data_spec)),
-                   {"v1", "w1", "k1", "v2_origin", "u_max", "steps"}, "data spec")
+                   {"v1": object, "w1": object, "k1": object, "v2_origin": float,
+                    "u_max": float, "steps": int}, "data spec")
     for key in ("v1", "w1", "k1", "v2_origin"):
         if key not in doc:
             raise InputError(f"data spec is missing {key!r}")

@@ -25,12 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, InputError
-from .grid_fields import Grid1D, central_diff, cumtrapz
+from .grid_fields import Grid1D, central_diff
 from .rod_model import (
     BoundaryConditions,
     Loads,
     MaterialParams,
     RodState,
+    _energy_from_squares,
     _trusted_state,
     adiag,
     bending_couple,
@@ -153,12 +154,8 @@ def state_energy(state, params: MaterialParams):
     """
     if not isinstance(state, ManifoldState):
         return energy(state, params)
-    density = 0.5 * (
-        params.rho_A * state.vel_mag**2
-        + params.rho_I * state.ang_mag**2
-        + params.EI * state.curv_mag**2
-    )
-    return cumtrapz(density, state.grid.spacing)[-1]
+    return _energy_from_squares(state.vel_mag**2, state.ang_mag**2, state.curv_mag**2,
+                                params, state.grid.spacing)
 
 
 def _require_finite(*fields):

@@ -9,11 +9,13 @@ captured for all rods at once.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
 import time as _time
-from dataclasses import asdict, dataclass, field, replace
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -110,19 +112,7 @@ class ScenarioConfig:
                 raise ConfigurationError(f"{end} must be 'clamped' or 'free'")
 
     def to_json(self) -> str:
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "material": asdict(self.material),
-            "scheme": self.scheme,
-            "dt": self.dt,
-            "t_end": self.t_end,
-            "boundary": {"base": self.base, "tip": self.tip},
-            "drive": asdict(self.drive),
-            "carpet": asdict(self.carpet),
-            "output": asdict(self.output),
-            "seed": self.seed,
-        }
-        return json.dumps(doc, indent=2)
+        return json.dumps({"schema": SCHEMA_VERSION, **_grouped(asdict(self))}, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
@@ -139,69 +129,67 @@ class ScenarioConfig:
         version = doc.get("schema")
         if version != SCHEMA_VERSION:
             raise InputError(f"unsupported config schema {version!r}")
-        known = {
-            "schema", "material", "scheme", "dt", "t_end", "boundary",
-            "drive", "carpet", "output", "seed",
-        }
+        body = {key: value for key, value in doc.items() if key != "schema"}
         try:
-            doc = _checked(doc, known, "config")
-            material = _checked(doc.get("material", {}), _MATERIAL_KEYS, "material")
-            missing = _MATERIAL_KEYS - set(material)
-            if missing:
-                raise InputError(f"material section is missing {sorted(missing)}")
-            material = MaterialParams(**material)
-            boundary = _checked(doc.get("boundary", {}), {"base", "tip"}, "boundary")
-            drive = DriveConfig(**_checked(doc.get("drive", {}), {
-                "amplitude", "frequency", "active_fraction", "phase"}, "drive"))
-            carpet = CarpetConfig(**_checked(doc.get("carpet", {}), {
-                "rods", "spacing", "phase_increment"}, "carpet"))
-            output = OutputConfig(**_checked(doc.get("output", {}), {
-                "stride", "format", "path"}, "output"))
-            return cls(
-                material=material,
-                scheme=doc.get("scheme", "semi"),
-                dt=doc.get("dt", 1e-3),
-                t_end=doc.get("t_end", 10.0),
-                base=boundary.get("base", "clamped"),
-                tip=boundary.get("tip", "free"),
-                drive=drive,
-                carpet=carpet,
-                output=output,
-                seed=doc.get("seed", 0),
-            )
+            return _read(cls, body, "config", _grouped(_kinds(cls)))
         except (TypeError, ValueError, OverflowError) as err:
             raise InputError(f"invalid config: {err}") from err
 
 
-_MATERIAL_KEYS = {"rho", "area", "moment", "EI", "length", "nodes"}
-# Typed keys of scenario configs and of ``match-cauchy`` data specs.
-_INTEGER_KEYS = {"nodes", "rods", "stride", "seed", "steps"}
-_NUMBER_KEYS = {
-    "rho", "area", "moment", "EI", "length", "amplitude", "frequency",
-    "active_fraction", "phase", "spacing", "phase_increment", "dt", "t_end",
-    "v2_origin", "u_max", "const", "amp", "freq",
-}
+def _grouped(flat: dict) -> dict:
+    """ScenarioConfig's fields in its JSON layout: base and tip under "boundary"."""
+    doc = {}
+    for key, value in flat.items():
+        if key in ("base", "tip"):
+            doc.setdefault("boundary", {})[key] = value
+        else:
+            doc[key] = value
+    return doc
 
 
-def _reject_unknown(doc, known, where):
-    unknown = set(doc) - known
-    if unknown:
-        raise InputError(f"unknown {where} keys: {sorted(unknown)}")
+# {field name: annotated type} of a config dataclass, in field order.
+_kinds = functools.cache(typing.get_type_hints)
 
 
-def _checked(doc, known, where):
+def _read(cls, doc, where, kinds):
+    """The config dataclass ``cls`` read from the JSON object ``doc``.
+
+    ``kinds`` are ``doc``'s key kinds (see ``_checked``), where a config
+    dataclass is a nested section (empty when absent) and a dict a section of
+    ``cls``'s own fields. Fields without a default are required.
+    """
+    doc = _checked(doc, kinds, where)
+    values = {}
+    for key, kind in kinds.items():
+        if isinstance(kind, dict):
+            values.update(_checked(doc.get(key, {}), kind, key))
+        elif is_dataclass(kind):
+            values[key] = _read(kind, doc.get(key, {}), key, _kinds(kind))
+        elif key in doc:
+            values[key] = doc[key]
+    missing = [f.name for f in fields(cls) if f.name not in values
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise InputError(f"{where} section is missing {sorted(missing)}")
+    return cls(**values)
+
+
+def _checked(doc, kinds, where):
+    """``doc`` checked against ``{key: kind}``: no unknown keys, an int key
+    holds a JSON integer, a float key a finite number (made a float)."""
     if not isinstance(doc, dict):
         raise InputError(f"{where} section must be a JSON object")
-    _reject_unknown(doc, known, where)
-    return {key: _typed(key, value, where) for key, value in doc.items()}
+    unknown = set(doc) - set(kinds)
+    if unknown:
+        raise InputError(f"unknown {where} keys: {sorted(unknown)}")
+    return {key: _typed(key, value, kinds[key], where) for key, value in doc.items()}
 
 
-def _typed(key, value, where):
-    """An integer key must hold a JSON integer, a number key a finite number."""
+def _typed(key, value, kind, where):
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if key in _INTEGER_KEYS and not (number and isinstance(value, int)):
+    if kind is int and not (number and isinstance(value, int)):
         raise InputError(f"{where} key {key!r} must be an integer, got {value!r}")
-    if key in _NUMBER_KEYS:
+    if kind is float:
         # False for NaN, infinities and integers too large for a float.
         if not (number and abs(value) <= sys.float_info.max):
             raise InputError(f"{where} key {key!r} must be a finite number, got {value!r}")
@@ -221,9 +209,7 @@ def default_config(**overrides) -> ScenarioConfig:
     material = MaterialParams(
         rho=1.0, area=2e-2, moment=1e-2, EI=1e-1, length=1.0, nodes=101
     )
-    base = dict(material=material, scheme="semi", dt=1e-3, t_end=10.0)
-    base.update(overrides)
-    return ScenarioConfig(**base)
+    return ScenarioConfig(**{"material": material, **overrides})
 
 
 @dataclass
@@ -447,10 +433,15 @@ def run_scenario(config: ScenarioConfig) -> Trajectory:
     return run_carpet(config)
 
 
+# Defaults of benchmark_stability and ``rodsim benchmark``.
+STABILITY_HORIZON = 2.0
+STABILITY_DT_BOUNDS = (3e-5, 3e-2)
+
+
 def benchmark_stability(
     config: ScenarioConfig,
-    horizon: float = 2.0,
-    dt_bounds=(3e-5, 3e-2),
+    horizon: float = STABILITY_HORIZON,
+    dt_bounds=STABILITY_DT_BOUNDS,
     timing_t_end: float = None,
 ) -> dict:
     """Measure the stability thresholds and wall-clock speed of both schemes.

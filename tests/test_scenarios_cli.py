@@ -4,13 +4,13 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rodsim import scenarios
+from rodsim import cli, scenarios
 from rodsim.cli import main
 from rodsim.errors import ConfigurationError, InputError, InstabilityError
 from rodsim.rod_model import MaterialParams
@@ -54,6 +54,11 @@ class TestScenarioConfig:
         )
         clone = ScenarioConfig.from_json(config.to_json())
         assert clone == config
+
+    def test_absent_keys_take_the_dataclass_defaults(self):
+        material = small_config().material
+        doc = {"schema": 1, "material": asdict(material)}
+        assert ScenarioConfig.from_dict(doc) == ScenarioConfig(material=material)
 
     def test_unknown_top_level_key(self):
         doc = json.loads(small_config().to_json())
@@ -470,6 +475,21 @@ class TestCli:
         assert code == 0
         report = json.loads(out.read_text())
         assert report["dt_ratio"] > 0.0
+
+    def test_benchmark_default_search_interval(self, tmp_path, monkeypatch):
+        # Without flags the command searches the same dt interval and horizon
+        # as benchmark_stability's defaults.
+        calls = []
+
+        def recording_benchmark(config, **kwargs):
+            calls.append(kwargs)
+            return {}
+
+        monkeypatch.setattr(cli, "benchmark_stability", recording_benchmark)
+        cfg = write_config(tmp_path, small_config())
+        assert main(["benchmark", str(cfg), "--out", str(tmp_path / "bench.json")]) == 0
+        assert calls == [{"horizon": scenarios.STABILITY_HORIZON,
+                          "dt_bounds": scenarios.STABILITY_DT_BOUNDS}]
 
     def test_export_round_trip(self, tmp_path):
         traj = run_cilium(small_config())
