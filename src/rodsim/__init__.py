@@ -51,8 +51,6 @@ from .scenarios import (
     Trajectory,
     benchmark_stability,
     default_config,
-    run_carpet,
-    run_cilium,
     run_scenario,
 )
 from .solution_family import (

@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .errors import InputError, InstabilityError, NumericalError, RodSimError
+from .errors import InputError, InstabilityError, RodSimError
 from .scenarios import (
     STABILITY_DT_BOUNDS,
     STABILITY_HORIZON,
@@ -202,9 +202,6 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as err:
         print(f"error: malformed JSON: {err}", file=sys.stderr)
         return 2
-    except NumericalError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except RodSimError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -97,11 +97,14 @@ def integrate_ode_rk4(rhs, y0, u_range, steps: int):
     """
     if steps < 1:
         raise SizeError(f"steps must be >= 1, got {steps}")
+    y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
+    try:
+        ys = np.empty((steps + 1,) + y.shape)
+    except ValueError as err:  # more states than an array can index
+        raise SizeError(f"steps is too large for an array of states: {err}") from err
     u0, u1 = float(u_range[0]), float(u_range[1])
     h = (u1 - u0) / steps
-    y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
     us = u0 + h * np.arange(steps + 1)
-    ys = np.empty((steps + 1,) + y.shape)
     ys[0] = y
     for i in range(steps):
         u = us[i]

@@ -25,16 +25,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, InputError
-from .grid_fields import Grid1D, central_diff
+from .grid_fields import central_diff
 from .rod_model import (
     BoundaryConditions,
     Loads,
     MaterialParams,
     RodState,
+    _GridState,
+    _balance_terms,
     _energy_from_squares,
     _trusted_state,
     adiag,
-    bending_couple,
     contact_force,
     cross2,
     energy,
@@ -53,29 +54,13 @@ __all__ = [
 
 
 @dataclass
-class ManifoldState:
+class ManifoldState(_GridState):
     """Collinear state: a direction angle plus signed magnitudes, (N,) or (N, K)."""
 
-    grid: Grid1D
     angle: np.ndarray
     curv_mag: np.ndarray
     ang_mag: np.ndarray
     vel_mag: np.ndarray
-
-    def __post_init__(self):
-        shape = (self.grid.node_count, *np.shape(self.angle)[1:2])
-        for name in ("angle", "curv_mag", "ang_mag", "vel_mag"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != shape:
-                raise InputError(f"{name} must have shape {shape}, got {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise InputError(f"{name} contains non-finite entries")
-            setattr(self, name, arr)
-
-    @classmethod
-    def zero(cls, grid: Grid1D, rods: int = None) -> "ManifoldState":
-        shape = (grid.node_count,) if rods is None else (grid.node_count, rods)
-        return cls(grid, *(np.zeros(shape) for _ in range(4)))
 
 
 def _direction(angle: np.ndarray) -> np.ndarray:
@@ -190,12 +175,7 @@ def _apply_clamps(lin_vel, ang_vel, bc: BoundaryConditions, t_next: float):
 def _euler_velocities(state, params, loads, bc, t, dt):
     """One forward-Euler update of the two momentum balances."""
     ds = state.grid.spacing
-    s = state.grid.nodes
-    dm = central_diff(bending_couple(state, params), ds)
-    f = loads.force_at(s, t)
-    l = loads.couple_at(s, t)
-    if state.lin_vel.ndim == 3:  # a load without a rod axis acts on every rod
-        f, l = (a if a.ndim == 3 else a[:, None] for a in (f, l))
+    dm, f, l = _balance_terms(state, params, loads, t)
     # A blown-up state gives a non-finite force, and so a non-finite step.
     n = contact_force(dm, f, l, params, bc, t, state.grid)
     lin_vel = state.lin_vel + dt * (central_diff(n, ds) + f) / params.rho_A
@@ -278,17 +258,12 @@ def step_semi_analytic(
     return _trusted_state(ManifoldState, grid, *fields)
 
 
-def max_stable_dt(
-    is_stable,
-    dt_min: float,
-    dt_max: float,
-    log_tol: float = 0.05,
-) -> float:
+def max_stable_dt(is_stable, dt_min: float, dt_max: float) -> float:
     """Largest stable step size by bisection on log(dt).
 
     ``is_stable(dt)`` must run the candidate step size over the assessment
     horizon and report a boolean. The lower bound must itself be stable.
-    Terminates once the bracket is within ``log_tol`` in log space.
+    Terminates once the bracket is within 0.05 in log space.
     """
     if not (0.0 < dt_min < dt_max):
         raise InputError("need 0 < dt_min < dt_max")
@@ -297,7 +272,7 @@ def max_stable_dt(
     if is_stable(dt_max):
         return dt_max
     lo, hi = dt_min, dt_max
-    while math.log(hi / lo) > log_tol:
+    while math.log(hi / lo) > 0.05:
         mid = math.sqrt(lo * hi)
         if is_stable(mid):
             lo = mid

@@ -10,7 +10,7 @@ share a state with a rod axis between the node and component axes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Callable
 
@@ -81,18 +81,23 @@ class MaterialParams:
 
 
 @dataclass
-class RodState:
-    """Curvature, angular and linear velocity 2-vector fields, (N, 2) or (N, K, 2)."""
+class _GridState:
+    """Fields on a rod's grid, each (N, *component) for one rod or
+    (N, K, *component) for K rods; the first field's shape decides which.
+
+    Subclasses are dataclasses whose fields after ``grid`` are the arrays,
+    and set ``_component``, the trailing shape of each field.
+    """
 
     grid: Grid1D
-    curvature: np.ndarray
-    ang_vel: np.ndarray
-    lin_vel: np.ndarray
+    _component = ()
 
     def __post_init__(self):
-        rods = np.shape(self.curvature)[1:-1][:1]  # () or (K,)
-        shape = (self.grid.node_count, *rods, 2)
-        for name in ("curvature", "ang_vel", "lin_vel"):
+        names = [f.name for f in fields(self)][1:]
+        first = np.shape(getattr(self, names[0]))
+        rods = first[1:len(first) - len(self._component)][:1]  # () or (K,)
+        shape = (self.grid.node_count, *rods, *self._component)
+        for name in names:
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != shape:
                 raise InputError(f"{name} must have shape {shape}, got {arr.shape}")
@@ -101,12 +106,24 @@ class RodState:
             setattr(self, name, arr)
 
     @classmethod
-    def zero(cls, grid: Grid1D, rods: int = None) -> "RodState":
-        shape = (grid.node_count, 2) if rods is None else (grid.node_count, rods, 2)
-        return cls(grid, np.zeros(shape), np.zeros(shape), np.zeros(shape))
+    def zero(cls, grid: Grid1D, rods: int = None):
+        """The all-zero state, with a rod axis of ``rods`` rods when given."""
+        rod_axis = () if rods is None else (rods,)
+        shape = (grid.node_count, *rod_axis, *cls._component)
+        return cls(grid, *(np.zeros(shape) for _ in fields(cls)[1:]))
 
 
-def _trusted_state(cls, grid: Grid1D, *fields):
+@dataclass
+class RodState(_GridState):
+    """Curvature, angular and linear velocity 2-vector fields, (N, 2) or (N, K, 2)."""
+
+    curvature: np.ndarray
+    ang_vel: np.ndarray
+    lin_vel: np.ndarray
+    _component = (2,)
+
+
+def _trusted_state(cls, grid: Grid1D, *arrays):
     """A ``cls`` state from float fields already known to have its shapes and
     to be finite, built without ``__post_init__``.
 
@@ -115,7 +132,7 @@ def _trusted_state(cls, grid: Grid1D, *fields):
     what they compute themselves, so they build states here.
     """
     state = object.__new__(cls)
-    vars(state).update(zip(cls.__dataclass_fields__, (grid, *fields)))
+    vars(state).update(zip(cls.__dataclass_fields__, (grid, *arrays)))
     return state
 
 
@@ -132,17 +149,6 @@ class Loads:
 
     force: Callable = _zero_load
     couple: Callable = _zero_load
-
-    def force_at(self, s: np.ndarray, t: float) -> np.ndarray:
-        return _load_field(self.force(s, t), s.shape[0])
-
-    def couple_at(self, s: np.ndarray, t: float) -> np.ndarray:
-        return _load_field(self.couple(s, t), s.shape[0])
-
-
-def _load_field(value, n: int) -> np.ndarray:
-    value = np.asarray(value, float)
-    return value if value.ndim == 3 else np.broadcast_to(value, (n, 2))
 
 
 def _zero_signal(t):
@@ -239,11 +245,28 @@ def solve_contact_force(
     impose n' = -f + rho A * (d/dt prescribed linear velocity). A non-finite
     right-hand side (a blown-up state) gives a non-finite force.
     """
-    s = state.grid.nodes
-    dm = central_diff(bending_couple(state, params), state.grid.spacing)
-    return contact_force(
-        dm, loads.force_at(s, t), loads.couple_at(s, t), params, bc, t, state.grid
-    )
+    dm, f, l = _balance_terms(state, params, loads, t)
+    return contact_force(dm, f, l, params, bc, t, state.grid)
+
+
+def _balance_terms(state: RodState, params: MaterialParams, loads: Loads, t: float):
+    """m' (the arclength derivative of the bending couple), f and l at time t.
+
+    m' has the state's shape. A load value of shape (N, K, 2) acts rod by
+    rod; any other value is broadcast to (N, 2) and acts on every rod alike,
+    through a rod axis of length 1 on an (N, K, 2) state.
+    """
+    grid = state.grid
+    dm = central_diff(bending_couple(state, params), grid.spacing)
+
+    def shaped(load):
+        value = np.asarray(load(grid.nodes, t), float)
+        if value.ndim == 3:
+            return value
+        value = np.broadcast_to(value, (grid.node_count, 2))
+        return value[:, None] if dm.ndim == 3 else value
+
+    return dm, shaped(loads.force), shaped(loads.couple)
 
 
 def contact_force(

@@ -42,8 +42,6 @@ __all__ = [
     "ScenarioConfig",
     "Trajectory",
     "default_config",
-    "run_cilium",
-    "run_carpet",
     "run_scenario",
     "benchmark_stability",
 ]
@@ -407,30 +405,18 @@ def simulate_rod(config: ScenarioConfig):
     return traj, not failed, sorted(failed)
 
 
-def run_cilium(config: ScenarioConfig) -> Trajectory:
-    """Single driven rod (carpet.rods must be 1)."""
-    if config.carpet.rods != 1:
-        raise ConfigurationError("run_cilium requires exactly one rod")
-    trajectory, stable, _ = simulate_rod(config)
-    if not stable:
-        raise InstabilityError("simulation became unstable", partial=trajectory)
-    return trajectory
+def run_scenario(config: ScenarioConfig) -> Trajectory:
+    """Run the scenario's rods, one cilium or a carpet, to t_end.
 
-
-def run_carpet(config: ScenarioConfig) -> Trajectory:
-    """K independent rods with phase offsets k * phase_increment."""
-    if config.carpet.rods < 2:
-        raise ConfigurationError("run_carpet requires at least two rods")
+    Raises InstabilityError, carrying the frames captured before the first
+    failure as ``partial``, when any rod does not reach t_end.
+    """
     trajectory, stable, failed = simulate_rod(config)
     if not stable:
-        raise InstabilityError(f"rod(s) {failed} became unstable", partial=trajectory)
+        message = ("simulation became unstable" if config.carpet.rods == 1
+                   else f"rod(s) {failed} became unstable")
+        raise InstabilityError(message, partial=trajectory)
     return trajectory
-
-
-def run_scenario(config: ScenarioConfig) -> Trajectory:
-    if config.carpet.rods == 1:
-        return run_cilium(config)
-    return run_carpet(config)
 
 
 # Defaults of benchmark_stability and ``rodsim benchmark``.
@@ -442,12 +428,11 @@ def benchmark_stability(
     config: ScenarioConfig,
     horizon: float = STABILITY_HORIZON,
     dt_bounds=STABILITY_DT_BOUNDS,
-    timing_t_end: float = None,
 ) -> dict:
     """Measure the stability thresholds and wall-clock speed of both schemes.
 
     Finds the largest stable step of each scheme on the single-cilium
-    scenario, then times both to the same end time at half their thresholds.
+    scenario, then times both over the horizon at half their thresholds.
     Returns {dt_pure, dt_semi, dt_ratio, wall_pure, wall_semi, speedup}.
     """
     single = replace(config, carpet=CarpetConfig(rods=1), output=OutputConfig(stride=10**9))
@@ -457,9 +442,8 @@ def benchmark_stability(
         report[f"dt_{scheme}"] = max_stable_dt(
             lambda dt: simulate_rod(replace(probe, dt=dt))[1], *dt_bounds)
     report["dt_ratio"] = report["dt_semi"] / report["dt_pure"]
-    t_end = timing_t_end if timing_t_end is not None else horizon
     for scheme in ("pure", "semi"):
-        trial = replace(single, scheme=scheme, dt=0.5 * report[f"dt_{scheme}"], t_end=t_end)
+        trial = replace(single, scheme=scheme, dt=0.5 * report[f"dt_{scheme}"], t_end=horizon)
         start = _time.perf_counter()
         simulate_rod(trial)
         report[f"wall_{scheme}"] = _time.perf_counter() - start

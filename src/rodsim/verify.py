@@ -47,23 +47,20 @@ def _center_time(fam: SolutionFamily) -> float:
     return float(fam.time_map(0.5))
 
 
-def family_residuals(fam: SolutionFamily, n_nodes: int, dt: float, t0: float = None):
-    """Compatibility residuals on three family-sampled states around t0."""
+def family_residuals(fam: SolutionFamily, n_nodes: int, dt: float):
+    """Compatibility residuals on three family-sampled states around the
+    family's center time."""
     grid = Grid1D(1.0, n_nodes)
-    if t0 is None:
-        t0 = _center_time(fam)
+    t0 = _center_time(fam)
     states = [sample_state(fam, grid, t0 + k * dt) for k in (-1, 0, 1)]
     return parameter_free_residuals(states[0], states[1], states[2], dt)
 
 
-def reduction_chain_residuals(
-    fam: SolutionFamily, n_nodes: int, dt: float, t0: float = None
-):
-    """Run the whole reduction chain on a family-sampled rectangle."""
+def reduction_chain_residuals(fam: SolutionFamily, n_nodes: int, dt: float):
+    """Run the whole reduction chain on a family-sampled rectangle centered
+    on the family's center time."""
     grid = Grid1D(1.0, n_nodes)
-    if t0 is None:
-        t0 = _center_time(fam)
-    t_lo = t0 - 0.5 * (n_nodes - 1) * dt
+    t_lo = _center_time(fam) - 0.5 * (n_nodes - 1) * dt
     rect = sample_state(fam, grid, t_lo + np.arange(n_nodes) * dt)
     ds = grid.spacing
     _, _, f, g = reconstruct_potentials(rect.curvature, rect.ang_vel, rect.lin_vel, ds, dt)

@@ -38,7 +38,7 @@ from rodsim.scenarios import (
     CarpetConfig,
     benchmark_stability,
     default_config,
-    run_carpet,
+    run_scenario,
     simulate_rod,
     _drive_loads,
     _boundary,
@@ -292,7 +292,7 @@ def test_criterion_8_metachronal_wave():
     config = ScenarioConfig_replace(
         config, carpet=CarpetConfig(rods=k_rods, spacing=0.5, phase_increment=dphi)
     )
-    traj = run_carpet(config)
+    traj = run_scenario(config)
     dt_frame = float(traj.times[1] - traj.times[0])
     keep = traj.times >= 2.0  # discard the startup transient
     tips = traj.tips[keep]
@@ -310,7 +310,7 @@ def test_criterion_8_metachronal_wave():
     control = ScenarioConfig_replace(
         control, carpet=CarpetConfig(rods=3, spacing=0.5, phase_increment=0.0)
     )
-    ctraj = run_carpet(control)
+    ctraj = run_scenario(control)
     base = ctraj.positions[:, 0]
     control_dev = max(
         np.abs(ctraj.positions[:, k] - np.array([k * 0.5, 0.0, 0.0]) - base).max()

@@ -65,8 +65,8 @@ def _dense_contact_oracle(state, params, loads, bc, t):
     ds = grid.spacing
     s = grid.nodes
     m = bending_couple(state, params)
-    f = loads.force_at(s, t)
-    l = loads.couple_at(s, t)
+    f = np.broadcast_to(loads.force(s, t), (n, 2))
+    l = np.broadcast_to(loads.couple(s, t), (n, 2))
     rhs = adiag(central_diff(m, ds) + l) / params.rho_I - central_diff(f, ds) / params.rho_A
     a_off = 1.0 / (params.rho_A * ds**2)
     dense = np.zeros((2 * n, 2 * n))
@@ -165,6 +165,22 @@ class TestContactForce:
         with_force = drift(True)
         without = drift(False)
         assert abs(with_force - base) < abs(without - base)
+
+    @pytest.mark.parametrize("rods", [3, 41])
+    def test_shared_load_on_rod_axis_matches_single_rod(self, params, rods):
+        # An (N, 2) load acts on every rod alike, also when K equals N and
+        # the node axis could pass for the rod axis.
+        rng = np.random.default_rng(rods)
+        grid = params.grid()
+        fields = [rng.standard_normal((params.nodes, rods, 2)) for _ in range(3)]
+        loads = Loads(force=lambda s, t: np.outer(np.sin(s + 1.0), [0.3, -1.0]),
+                      couple=lambda s, t: np.outer(np.cos(s), [1.0, 0.5]))
+        bc = BoundaryConditions.clamped_base()
+        n = solve_contact_force(RodState(grid, *fields), params, loads, bc, 0.0)
+        for k in range(rods):
+            alone = RodState(grid, *(f[:, k] for f in fields))
+            one = solve_contact_force(alone, params, loads, bc, 0.0)
+            assert np.array_equal(n[:, k], one)
 
     def test_free_free_resonance_raises_at_factor_time(self):
         # rho_I / rho_A = ds^2 / 2 makes the interior pivot exactly zero. The
