@@ -90,13 +90,21 @@ def evaluate_family(fam: SolutionFamily, s, u):
 
 
 def _invert_monotone(fn, inner, lo, hi, target):
-    """Solve fn(u) = target elementwise by bisection on the bracket [lo, hi].
+    """Solve fn(u) = target elementwise on the bracket [lo, hi] by
+    Chandrupatla's method.
 
     ``fn`` is monotone on the bracket, maps arrays elementwise and may
     broadcast (fn(lo) may already have the shape of the result); its direction
-    is taken from the end values. ``inner`` is the same function for the
-    iterates, which stay strictly inside the bracket, so it may skip fn's
-    domain checks. Stops at Brent's tolerance 1e-14 + 4 eps |u|.
+    is taken from the end values, through the signs of the end residuals.
+    ``inner`` is the same function for the iterates, which stay strictly
+    inside the bracket, so it may skip fn's domain checks. Each step is
+    inverse quadratic interpolation through the two bracket ends and the end
+    dropped last where that interpolant is monotone on the bracket, else
+    bisection (T. R. Chandrupatla, Adv. Eng. Software 28, 1997). An element
+    stops at Brent's tolerance: its result u, the bracket end with the smaller
+    residual, is an exact root or lies in a bracket no wider than
+    1e-14 + 4 eps |u|. A stopped element is not updated again, so it gets the
+    same bits whether it is solved alone or in a block.
     """
     target = np.asarray(target, dtype=float)
     f_lo = np.asarray(fn(lo), dtype=float)
@@ -107,17 +115,48 @@ def _invert_monotone(fn, inner, lo, hi, target):
         bad = np.broadcast_to(target, inside.shape)[~inside][0]
         raise OutOfRangeError(f"target {bad} not reachable on [{lo}, {hi}]")
     shape = inside.shape
-    rising = np.broadcast_to(f_hi >= f_lo, shape)
-    a = np.full(shape, float(lo))
-    b = np.full(shape, float(hi))
-    rtol = 4.0 * np.finfo(float).eps
-    while True:
-        mid = 0.5 * (a + b)
-        if np.all(b - a <= 1e-14 + rtol * np.abs(mid)):
-            return mid
-        upper = (np.asarray(inner(mid)) >= target) == rising
-        b = np.where(upper, mid, b)
-        a = np.where(upper, a, mid)
+    # x1 is the newest bracket end, x2 the other one and x3 the end dropped
+    # last; f1, f2, f3 are their residuals fn - target.
+    x1, f1 = np.full(shape, float(lo)), np.broadcast_to(f_lo - target, shape).copy()
+    x2, f2 = np.full(shape, float(hi)), np.broadcast_to(f_hi - target, shape).copy()
+    x3, f3 = x2.copy(), f2.copy()
+    t = np.full(shape, 0.5)
+    rtol = 2.0 * np.finfo(float).eps
+    # Stopped and bisecting lanes may divide by zero in interpolation terms
+    # that are then discarded.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            u = np.where(np.abs(f1) < np.abs(f2), x1, x2)
+            half_tol = 0.5e-14 + rtol * np.abs(u)
+            width = np.abs(x2 - x1)
+            active = (width > 2.0 * half_tol) & (f1 != 0.0) & (f2 != 0.0)
+            if not active.any():
+                return u
+            # Each iterate keeps half_tol from both ends; stopped lanes bisect
+            # their bracket, so every iterate stays strictly inside it.
+            edge = half_tol / width
+            t = np.where(active, np.minimum(np.maximum(t, edge), 1.0 - edge), 0.5)
+            x = x1 + t * (x2 - x1)
+            f = np.asarray(inner(x)) - target
+            # The root stays between x and x2 where f has the sign of f1, else
+            # between x and x1.
+            same = (f < 0.0) == (f1 < 0.0)
+            keep, swap = active & same, active & ~same
+            np.copyto(x3, x1, where=keep)
+            np.copyto(f3, f1, where=keep)
+            np.copyto(x3, x2, where=swap)
+            np.copyto(f3, f2, where=swap)
+            np.copyto(x2, x1, where=swap)
+            np.copyto(f2, f1, where=swap)
+            np.copyto(x1, x, where=active)
+            np.copyto(f1, f, where=active)
+            # Interpolate inversely through the three points only where that
+            # quadratic is monotone on the bracket (Chandrupatla's test).
+            xi = (x1 - x2) / (x3 - x2)
+            phi = (f1 - f2) / (f3 - f2)
+            iqi = (phi**2 < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
+            t = np.where(iqi, f1 / (f2 - f1) * f3 / (f2 - f3)
+                         + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2), 0.5)
 
 
 def invert_time(fam: SolutionFamily, s: float, t: float) -> float:
@@ -135,11 +174,14 @@ def sample_state(fam: SolutionFamily, grid: Grid1D, t) -> RodState:
     A float ``t`` gives (N, 2) fields; an array of T times gives (N, T, 2)
     fields, column j at time t[j]. At fixed t the time-map argument w is the
     same at every node, so w is inverted once per time and u is then solved
-    for every node and time in one array bisection.
+    for every node and time in one array solve by Chandrupatla's method, to
+    Brent's tolerance 1e-14 + 4 eps |u| (see ``_invert_monotone``).
     """
     times = np.asarray(t, dtype=float)
-    # The iterates lie inside each bracket, so they are evaluated on the bare
-    # splines; the end values keep the checked, knot-exact calls.
+    # Both solves are Chandrupatla iterations that stop each element at
+    # Brent's tolerance 1e-14 + 4 eps |u|. Their iterates lie inside each
+    # bracket, so they are evaluated on the bare splines; the end values keep
+    # the checked, knot-exact calls.
     # At s = 0 the time-map argument equals u, so the reachable span of the
     # argument over the whole strip brackets the shared value.
     w_star = _invert_monotone(fam.time_map, fam.time_map._interior,

@@ -75,9 +75,10 @@ def build_report(seed: int = 0, n_nodes: int = 101, dt: float = 1e-2) -> dict:
     """Residuals plus one-refinement convergence orders for a random family."""
     if not 0.0 < dt < np.inf:
         raise InputError(f"dt must be positive and finite, got {dt}")
+    # The grid checks the node count before its spacing is used.
+    ds = Grid1D(1.0, n_nodes).spacing
     rng = np.random.default_rng(seed)
     fam = random_family(rng)
-    ds = 1.0 / (n_nodes - 1)
     h = max(ds, dt)
 
     residuals = {}

@@ -429,6 +429,13 @@ class TestCli:
         assert main(argv) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", ["1", "2", "0", "-5"])
+    def test_verify_rejects_grid_below_three_nodes(self, capsys, grid):
+        # The node count is checked before the grid spacing 1/(n - 1) is
+        # formed, so one node is bad input (exit 2), not a division by zero.
+        assert main(["verify-solution", "--grid", grid, "--dt", "6e-2"]) == 2
+        assert f"need at least 3 nodes, got {grid}" in capsys.readouterr().err
+
     def test_match_cauchy_worked_example(self, tmp_path):
         path = tmp_path / "trace.json"
         path.write_text(json.dumps(worked_spec()))

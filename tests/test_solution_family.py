@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from rodsim import solution_family
 from rodsim.errors import DegeneracyError, InputError, OutOfRangeError
 from rodsim.grid_fields import Grid1D, SampledFn
 from rodsim.solution_family import (
@@ -30,6 +31,11 @@ def identity_family(span=3.0):
         time_map=SampledFn.from_callable(lambda w: w, -2 * span, 2 * span, 65),
         u_range=(-span, span),
     )
+
+
+def stop_tol(u):
+    """Brent's tolerance of the root solves: 1e-14 + 4 eps |u|."""
+    return 1e-14 + 4.0 * np.finfo(float).eps * np.abs(u)
 
 
 class TestEvaluateFamily:
@@ -126,6 +132,96 @@ class TestInvertTime:
             assert abs(fam.time_map(w) - t) <= 1e-10 * max(1.0, abs(t))
 
 
+class TestInvertMonotone:
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_increasing_and_decreasing(self, sign):
+        def fn(u):
+            return sign * (2.0 * u + 1.0)
+
+        roots = np.linspace(-1.9, 0.9, 29)
+        u = solution_family._invert_monotone(fn, fn, -2.0, 1.0, fn(roots))
+        assert np.all(np.abs(u - roots) <= stop_tol(u))
+
+    def test_broadcasting_fn(self):
+        # fn(lo) already has the (5, 1) node shape; targets add a (1, 4) axis.
+        s = np.linspace(0.0, 1.0, 5)[:, None]
+
+        def fn(u):
+            return 2.0 * u + s
+
+        targets = np.array([[-0.5, 0.0, 0.25, 1.5]])
+        u = solution_family._invert_monotone(fn, fn, -1.0, 1.0, targets)
+        assert u.shape == (5, 4)
+        assert np.all(np.abs(u - (targets - s) / 2.0) <= stop_tol(u))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_target_at_bracket_end(self, sign):
+        def fn(u):
+            return sign * u**3
+
+        u = solution_family._invert_monotone(fn, fn, -1.0, 2.0,
+                                             np.array([fn(-1.0), fn(2.0)]))
+        np.testing.assert_array_equal(u, [-1.0, 2.0])
+
+    def test_steep_function_closed_form(self):
+        def fn(u):
+            return np.exp(40.0 * u)
+
+        targets = np.geomspace(fn(-1.0), fn(1.0), 41)[1:-1]
+        u = solution_family._invert_monotone(fn, fn, -1.0, 1.0, targets)
+        assert np.all(np.abs(u - np.log(targets) / 40.0) <= stop_tol(u))
+
+    def test_flat_slope_brentq_oracle(self):
+        # Slope between 5e-9 and 1.5e-8: residuals are tiny, roots are not.
+        def fn(u):
+            return 1e-8 * (u + 0.5 * np.sin(u))
+
+        targets = fn(np.linspace(-2.9, 2.9, 23))
+        u = solution_family._invert_monotone(fn, fn, -3.0, 3.0, targets)
+        oracle = [brentq(lambda x: fn(x) - t, -3.0, 3.0, xtol=1e-15,
+                         rtol=4.0 * np.finfo(float).eps) for t in targets]
+        assert np.all(np.abs(u - oracle) <= stop_tol(u))
+
+    @pytest.mark.parametrize("name", ["exp", "arctan", "time_map"])
+    def test_block_matches_one_at_a_time(self, name):
+        # Elements converge after different numbers of steps; each stops
+        # updating when it converges, so the block gives every element the
+        # bits of its own solve.
+        fn = {"exp": lambda u: np.exp(40.0 * u),
+              "arctan": lambda u: np.arctan(100.0 * u),
+              "time_map": random_family(np.random.default_rng(0)).time_map}[name]
+        targets = fn(np.linspace(-0.99, 0.99, 57))
+        block = solution_family._invert_monotone(fn, fn, -1.0, 1.0, targets)
+        alone = [solution_family._invert_monotone(fn, fn, -1.0, 1.0, targets[j:j + 1])
+                 for j in range(targets.size)]
+        np.testing.assert_array_equal(block, np.concatenate(alone))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_superlinear_evaluation_count(self, seed, monkeypatch):
+        # Bisection to the stop rule takes about 50 evaluations per solve;
+        # the interpolation steps take about 6.
+        counts = []
+        invert = solution_family._invert_monotone
+
+        def counted(fn, inner, lo, hi, target):
+            calls = []
+
+            def counting_inner(x):
+                calls.append(1)
+                return inner(x)
+
+            out = invert(fn, counting_inner, lo, hi, target)
+            counts.append(len(calls))
+            return out
+
+        monkeypatch.setattr(solution_family, "_invert_monotone", counted)
+        fam = random_family(np.random.default_rng(seed))
+        times = float(fam.time_map(0.0)) + np.linspace(-1.0, 1.0, 31)
+        sample_state(fam, Grid1D(1.0, 31), times)
+        assert len(counts) == 2
+        assert max(counts) <= 12
+
+
 class TestSampleState:
     def test_identity_family_at_t0(self):
         fam = identity_family()
@@ -169,7 +265,9 @@ class TestSampleState:
             oracle = evaluate_family(fam, grid.nodes, np.array(us))
             for k, name in enumerate(("curvature", "ang_vel", "lin_vel")):
                 column = getattr(block, name)[:, j]
-                np.testing.assert_allclose(column, getattr(single, name), rtol=0, atol=1e-12)
+                # A converged element is not updated again, so solving it in a
+                # block gives the bits of solving it alone.
+                np.testing.assert_array_equal(column, getattr(single, name))
                 np.testing.assert_allclose(column, oracle[k], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("bad", [1e6, np.nan])
