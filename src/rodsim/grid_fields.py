@@ -198,11 +198,14 @@ class SampledFn:
     """Smooth function given by samples on strictly increasing knots.
 
     Natural cubic interpolation (C^2 on the knot range) with first-derivative
-    access. Knot values are reproduced exactly. Evaluation outside the knot
-    range raises ``DomainError``. When the endpoint slopes are known exactly,
-    pass them as ``end_slopes`` to clamp the spline there instead of using the
-    natural boundary condition (which perturbs the boundary derivative at
-    first order in the knot spacing).
+    access. Knot values are reproduced exactly: the spline's constant
+    coefficients are the knot values, so evaluation is exact at every knot
+    but the last, which ends an interval and is set to its value. Evaluation
+    outside the knot range raises ``DomainError``; NaN passes through. When
+    the endpoint slopes are known exactly, pass them as ``end_slopes`` to
+    clamp the spline there instead of using the natural boundary condition
+    (which perturbs the boundary derivative at first order in the knot
+    spacing).
     """
 
     def __init__(self, knots, values, end_slopes=None):
@@ -248,27 +251,16 @@ class SampledFn:
     def _clip(self, u):
         u = np.asarray(u, dtype=float)
         lo, hi = self._knots[0], self._knots[-1]
-        if np.any(u < lo - self._slack) or np.any(u > hi + self._slack):
+        if (u < lo - self._slack).any() or (u > hi + self._slack).any():
             raise DomainError(
                 f"evaluation outside knot range [{lo}, {hi}]"
             )
-        return np.clip(u, lo, hi)
+        return np.minimum(np.maximum(u, lo), hi)
 
     def __call__(self, u):
         clipped = self._clip(u)
-        out = np.asarray(self._spline(clipped), dtype=float)
-        # Knot values are reproduced exactly (spline evaluation can be off by
-        # an ulp at a knot).
-        idx = np.searchsorted(self._knots, clipped)
-        idx = np.clip(idx, 0, self._knots.size - 1)
-        on_knot = self._knots[idx] == clipped
-        out = np.where(on_knot, self._values[idx], out)
+        out = np.where(clipped == self._knots[-1], self._values[-1], self._spline(clipped))
         return float(out) if np.isscalar(u) else out
-
-    def _interior(self, u):
-        """The spline at points known to lie inside the knot range: no domain
-        check, and knot values only to the spline's rounding."""
-        return self._spline(u)
 
     def derivative(self, u):
         out = self._dspline(self._clip(u))

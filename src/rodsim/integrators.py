@@ -36,8 +36,8 @@ from .rod_model import (
     _energy_from_squares,
     _trusted_state,
     adiag,
+    constraint_norms,
     contact_force,
-    cross2,
     energy,
 )
 
@@ -106,28 +106,18 @@ def project(r: RodState, prev_angle: np.ndarray, eps) -> ManifoldState:
 
 
 def drift_norms(state):
-    """Max-norms (R4, R5, R6) of a RodState or ManifoldState.
+    """Max-norms (R4, R5, R6) of a RodState or ManifoldState
+    (``rod_model.constraint_norms``).
 
-    R4 is the velocity compatibility residual, R5 and R6 the collinearity of
-    the angular and linear velocity with the curvature. On the manifold the
-    three vectors share one direction, so R5 and R6 are zero by
-    representation; R4 is measured on the lifted vectors. Each norm is a
-    float for one rod and an array of K norms for K rods.
+    On the manifold the three vectors share one direction, so R5 and R6 are
+    zero by representation; R4 is measured on the lifted vectors. Each norm
+    is a float for one rod and an array of K norms for K rods.
     """
     if isinstance(state, ManifoldState):
-        r4 = _compatibility_norm(lift(state))
+        r4 = constraint_norms(lift(state))[0]
         zero = np.zeros_like(r4)[()]  # [()] gives a scalar for one rod
         return r4, zero, zero
-    return (
-        _compatibility_norm(state),
-        np.abs(cross2(state.ang_vel, state.curvature)).max(axis=0),
-        np.abs(cross2(state.lin_vel, state.curvature)).max(axis=0),
-    )
-
-
-def _compatibility_norm(r: RodState):
-    r4 = central_diff(r.lin_vel, r.grid.spacing) - adiag(r.ang_vel)
-    return np.abs(r4).max(axis=(0, -1))
+    return constraint_norms(state)
 
 
 def state_energy(state, params: MaterialParams):
@@ -214,7 +204,6 @@ def step_semi_analytic(
     bc: BoundaryConditions,
     t: float,
     dt: float,
-    eps: float = None,
 ) -> ManifoldState:
     """One step of the semi-analytic scheme on the collinear manifold.
 
@@ -224,7 +213,8 @@ def step_semi_analytic(
     d(angle)/ds = -ang_mag / vel_mag from the base; scalar advection of the
     curvature magnitude. Collinearity holds exactly by representation.
     Raises DivergenceError if the step produces non-finite values. The
-    default ``eps`` is 1e-8 of each rod's largest velocity component.
+    projection threshold ``eps`` is 1e-8 of each rod's largest velocity
+    component.
     """
     if not dt > 0.0:
         raise InputError("dt must be positive")
@@ -234,8 +224,7 @@ def step_semi_analytic(
     lin_vel, ang_vel = _euler_velocities(state, params, loads, bc, t, dt)
     _apply_clamps(lin_vel, ang_vel, bc, t + dt)
     _require_finite(lin_vel, ang_vel)
-    if eps is None:
-        eps = np.maximum(1e-8 * np.abs(lin_vel).max(axis=(0, -1)), 1e-300)
+    eps = np.maximum(1e-8 * np.abs(lin_vel).max(axis=(0, -1)), 1e-300)
     updated = _trusted_state(RodState, grid, state.curvature, ang_vel, lin_vel)
     proj = project(updated, m.angle, eps)
 

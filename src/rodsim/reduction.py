@@ -22,10 +22,6 @@ __all__ = [
 ]
 
 
-def _d_s(v, ds, order=1):
-    return central_diff(v, ds, order)
-
-
 def _d_t(v, dt, order=1):
     return central_diff(v.T, dt, order).T
 
@@ -50,7 +46,7 @@ def _path_error_estimate(ds_field, dt_field, ds, dt):
     ns, nt = ds_field.shape
     len_s = ds * (ns - 1)
     len_t = dt * (nt - 1)
-    curv_s = np.abs(_d_s(ds_field, ds, 2)).max()
+    curv_s = np.abs(central_diff(ds_field, ds, 2)).max()
     curv_t = np.abs(_d_t(dt_field, dt, 2)).max()
     return (ds**2 / 12.0) * curv_s * len_s + (dt**2 / 12.0) * curv_t * len_t
 
@@ -96,12 +92,12 @@ def potential_system_residuals(f, g, ds: float, dt: float):
     """
     f = np.asarray(f, float)
     g = np.asarray(g, float)
-    f_ss = _d_s(f, ds, 2)
-    g_ss = _d_s(g, ds, 2)
+    f_ss = central_diff(f, ds, 2)
+    g_ss = central_diff(g, ds, 2)
     f_t = _d_t(f, dt)
     g_t = _d_t(g, dt)
-    f_st = _d_t(_d_s(f, ds), dt)
-    g_st = _d_t(_d_s(g, ds), dt)
+    f_st = _d_t(central_diff(f, ds), dt)
+    g_st = _d_t(central_diff(g, ds), dt)
     return {
         "R9": float(np.abs(f_st * g_ss - g_st * f_ss).max()),
         "R10": float(np.abs(g_ss * g_t + f_ss * f_t).max()),
@@ -157,9 +153,9 @@ def developable_residuals(f, g, profile, ds: float, dt: float):
     g_res = CubicSpline(y_knots, g, axis=1)(y_lin)
     out = {}
     for name, field in (("R22", f_res), ("R23", g_res)):
-        xx = _d_s(field, ds, 2)
+        xx = central_diff(field, ds, 2)
         yy = _d_t(field, dy, 2)
-        xy = _d_t(_d_s(field, ds), dy)
+        xy = _d_t(central_diff(field, ds), dy)
         out[name] = float(np.abs(xx * yy - xy**2).max())
     f_y = _d_t(f_res, dy)
     g_y = _d_t(g_res, dy)

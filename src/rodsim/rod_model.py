@@ -33,6 +33,7 @@ __all__ = [
     "BoundaryConditions",
     "adiag",
     "cross2",
+    "constraint_norms",
     "bending_couple",
     "solve_contact_force",
     "contact_force",
@@ -48,6 +49,22 @@ def adiag(v: np.ndarray) -> np.ndarray:
 def cross2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Planar cross product a1*b2 - a2*b1 (last axis)."""
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
+def constraint_norms(state: "RodState"):
+    """Max-norms (R4, R5, R6) over the nodes of a state's constraint residuals.
+
+    R4 is the velocity compatibility residual lin_vel' - adiag(ang_vel), R5
+    and R6 the collinearity of the angular and linear velocity with the
+    curvature. Each norm is a float for (N, 2) fields and an array over the
+    middle axis for (N, K, 2) fields.
+    """
+    r4 = central_diff(state.lin_vel, state.grid.spacing) - adiag(state.ang_vel)
+    return (
+        np.abs(r4).max(axis=(0, -1)),
+        np.abs(cross2(state.ang_vel, state.curvature)).max(axis=0),
+        np.abs(cross2(state.lin_vel, state.curvature)).max(axis=0),
+    )
 
 
 @dataclass(frozen=True)
@@ -344,31 +361,24 @@ def _interval_operators(kappa: np.ndarray, ds: float):
     return rot, step
 
 
-def reconstruct_centerline(
-    curvature: np.ndarray,
-    spacing: float,
-    base_position=(0.0, 0.0, 0.0),
-    base_frame=None,
-):
+def reconstruct_centerline(curvature: np.ndarray, spacing: float,
+                           base_position=(0.0, 0.0, 0.0)):
     """Integrate the director frame and centerline from the curvature field.
 
     The frame satisfies dR/ds = R * skew(k1, k2, 0); each interval uses the
     matrix exponential of the midpoint curvature, and the position update uses
     the exact tangent integral of that constant-curvature rotation. Returns
     (positions (N, 3), frames (N, 3, 3)); frame columns are the directors, the
-    third column being the centerline tangent. An (N, K, 2) curvature gives K
-    rods at once, (N, K, 3) positions and (N, K, 3, 3) frames, each rod
-    starting from its row of a (K, 3) ``base_position`` (or from one shared
-    (3,) base) with the shared ``base_frame``.
+    third column being the centerline tangent, and the base frame is the
+    identity. An (N, K, 2) curvature gives K rods at once, (N, K, 3)
+    positions and (N, K, 3, 3) frames, each rod starting from its row of a
+    (K, 3) ``base_position`` (or from one shared (3,) base).
     """
     kappa = np.asarray(curvature, dtype=float)
-    frame0 = np.eye(3) if base_frame is None else np.asarray(base_frame, dtype=float)
-    if frame0.shape != (3, 3) or np.abs(frame0.T @ frame0 - np.eye(3)).max() > 1e-8:
-        raise InputError("base frame must be a 3x3 orthonormal matrix")
     rot, step = _interval_operators(kappa, spacing)
     n = kappa.shape[0]
     frames = np.empty(kappa.shape[:-1] + (3, 3))
-    frames[0] = frame0
+    frames[0] = np.eye(3)
     views = list(frames.reshape(n, -1, 3, 3))
     for prev, r, nxt in zip(views, rot.reshape(n - 1, -1, 3, 3), views[1:]):
         np.matmul(prev, r, out=nxt)

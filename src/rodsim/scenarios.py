@@ -19,7 +19,13 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass,
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError, InputError, InstabilityError
+from .errors import (
+    ConfigurationError,
+    DivergenceError,
+    InputError,
+    InstabilityError,
+    SizeError,
+)
 from .integrators import (
     ManifoldState,
     drift_norms,
@@ -285,18 +291,25 @@ class Trajectory:
         times = sorted({r[0] for r in rows})
         rods = 1 + max(r[1] for r in rows)
         nodes = 1 + max(r[2] for r in rows)
+        seen = set()
+        for t, k, i, *_ in rows:
+            if (t, k, i) in seen:
+                raise InputError(f"duplicate CSV row for t={t!r}, rod {k}, node {i}")
+            seen.add((t, k, i))
+        # Every (t, rod, node) needs its own row, so the dense arrays are
+        # allocated only once the rows are known to fill them.
+        missing = len(times) * rods * nodes - len(seen)
+        if missing:
+            # At most len(seen) triples are present, so the first absent one
+            # in order is among the first len(seen) + 1.
+            f, k, i = next((f, k, i) for f in range(len(times)) for k in range(rods)
+                           for i in range(nodes) if (times[f], k, i) not in seen)
+            raise InputError(f"CSV has no row for t={times[f]!r}, rod {k}, node {i} "
+                             f"({missing} rows missing)")
         t_index = {t: i for i, t in enumerate(times)}
         positions = np.zeros((len(times), rods, nodes, 3))
-        seen = np.zeros((len(times), rods, nodes), bool)
         for t, k, i, x, y, z in rows:
-            if seen[t_index[t], k, i]:
-                raise InputError(f"duplicate CSV row for t={t!r}, rod {k}, node {i}")
-            seen[t_index[t], k, i] = True
             positions[t_index[t], k, i] = (x, y, z)
-        if not seen.all():
-            f, k, i = np.argwhere(~seen)[0]
-            raise InputError(f"CSV has no row for t={times[f]!r}, rod {k}, node {i} "
-                             f"({np.count_nonzero(~seen)} rows missing)")
         return cls(
             times=np.asarray(times),
             positions=positions,
@@ -349,23 +362,28 @@ def simulate_rod(config: ScenarioConfig):
     grid = mat.grid()
     bc = _boundary(config)
     n_rods = config.carpet.rods
-    rods = np.arange(n_rods)
+    stride = config.output.stride
+    semi = config.scheme == "semi"
+    try:
+        n_steps = max(1, int(round(config.t_end / config.dt)))
+        n_frames = 1 + n_steps // stride + (n_steps % stride != 0)
+        rods = np.arange(n_rods)
+        state = (ManifoldState if semi else RodState).zero(grid, n_rods)
+        traj = Trajectory(
+            np.empty(n_frames), np.empty((n_frames, n_rods, grid.node_count, 3)),
+            np.empty((n_frames, n_rods)), np.empty((n_frames, n_rods, 3)),
+        )
+    except (ValueError, OverflowError, MemoryError) as err:
+        raise SizeError(
+            f"run too large to allocate (material.nodes={mat.nodes}, "
+            f"carpet.rods={n_rods}, dt={config.dt}, t_end={config.t_end}, "
+            f"output.stride={stride}): {err}") from err
+    dt = config.t_end / n_steps
     phases = config.drive.phase + rods * config.carpet.phase_increment
     bases = np.zeros((n_rods, 3))
     bases[:, 0] = rods * config.carpet.spacing
     loads = _drive_loads(config, phases)
-    n_steps = max(1, int(round(config.t_end / config.dt)))
-    dt = config.t_end / n_steps
-    stride = config.output.stride
-    semi = config.scheme == "semi"
-    state = (ManifoldState if semi else RodState).zero(grid, n_rods)
     step = step_semi_analytic if semi else step_pure_numeric
-
-    n_frames = 1 + n_steps // stride + (n_steps % stride != 0)
-    traj = Trajectory(
-        np.empty(n_frames), np.empty((n_frames, n_rods, grid.node_count, 3)),
-        np.empty((n_frames, n_rods)), np.empty((n_frames, n_rods, 3)),
-    )
 
     def capture(frame, t, state, e):
         curvature = (lift(state) if semi else state).curvature

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegeneracyError, InputError, OutOfRangeError
 from .grid_fields import Grid1D, SampledFn, central_diff, integrate_ode_rk4
-from .rod_model import RodState, adiag, cross2
+from .rod_model import RodState, constraint_norms
 
 __all__ = [
     "SolutionFamily",
@@ -89,22 +89,22 @@ def evaluate_family(fam: SolutionFamily, s, u):
     return kappa, omega, vel, t
 
 
-def _invert_monotone(fn, inner, lo, hi, target):
+def _invert_monotone(fn, lo, hi, target):
     """Solve fn(u) = target elementwise on the bracket [lo, hi] by
     Chandrupatla's method.
 
     ``fn`` is monotone on the bracket, maps arrays elementwise and may
     broadcast (fn(lo) may already have the shape of the result); its direction
     is taken from the end values, through the signs of the end residuals.
-    ``inner`` is the same function for the iterates, which stay strictly
-    inside the bracket, so it may skip fn's domain checks. Each step is
-    inverse quadratic interpolation through the two bracket ends and the end
-    dropped last where that interpolant is monotone on the bracket, else
-    bisection (T. R. Chandrupatla, Adv. Eng. Software 28, 1997). An element
-    stops at Brent's tolerance: its result u, the bracket end with the smaller
-    residual, is an exact root or lies in a bracket no wider than
-    1e-14 + 4 eps |u|. A stopped element is not updated again, so it gets the
-    same bits whether it is solved alone or in a block.
+    It gives both the end values and the iterates, which stay strictly inside
+    the bracket, so a domain check in ``fn`` that passes at the ends passes
+    on them. Each step is inverse quadratic interpolation through the two
+    bracket ends and the end dropped last where that interpolant is monotone
+    on the bracket, else bisection (T. R. Chandrupatla, Adv. Eng. Software
+    28, 1997). An element stops at Brent's tolerance: its result u, the
+    bracket end with the smaller residual, is an exact root or lies in a
+    bracket no wider than 1e-14 + 4 eps |u|. A stopped element is not updated
+    again, so it gets the same bits whether it is solved alone or in a block.
     """
     target = np.asarray(target, dtype=float)
     f_lo = np.asarray(fn(lo), dtype=float)
@@ -137,7 +137,7 @@ def _invert_monotone(fn, inner, lo, hi, target):
             edge = half_tol / width
             t = np.where(active, np.minimum(np.maximum(t, edge), 1.0 - edge), 0.5)
             x = x1 + t * (x2 - x1)
-            f = np.asarray(inner(x)) - target
+            f = np.asarray(fn(x)) - target
             # The root stays between x and x2 where f has the sign of f1, else
             # between x and x1.
             same = (f < 0.0) == (f1 < 0.0)
@@ -165,7 +165,7 @@ def invert_time(fam: SolutionFamily, s: float, t: float) -> float:
     def g(u):
         return fam.time_map(fam.amp(u) * s + u)
 
-    return float(_invert_monotone(g, g, *fam.u_range, t))
+    return float(_invert_monotone(g, *fam.u_range, t))
 
 
 def sample_state(fam: SolutionFamily, grid: Grid1D, t) -> RodState:
@@ -174,25 +174,16 @@ def sample_state(fam: SolutionFamily, grid: Grid1D, t) -> RodState:
     A float ``t`` gives (N, 2) fields; an array of T times gives (N, T, 2)
     fields, column j at time t[j]. At fixed t the time-map argument w is the
     same at every node, so w is inverted once per time and u is then solved
-    for every node and time in one array solve by Chandrupatla's method, to
-    Brent's tolerance 1e-14 + 4 eps |u| (see ``_invert_monotone``).
+    for every node and time in one array solve. Both solves evaluate the
+    family's checked splines and stop each element at Brent's tolerance
+    1e-14 + 4 eps |u| (see ``_invert_monotone``).
     """
     times = np.asarray(t, dtype=float)
-    # Both solves are Chandrupatla iterations that stop each element at
-    # Brent's tolerance 1e-14 + 4 eps |u|. Their iterates lie inside each
-    # bracket, so they are evaluated on the bare splines; the end values keep
-    # the checked, knot-exact calls.
     # At s = 0 the time-map argument equals u, so the reachable span of the
     # argument over the whole strip brackets the shared value.
-    w_star = _invert_monotone(fam.time_map, fam.time_map._interior,
-                              *_w_span(fam, grid), times.reshape(1, -1))
+    w_star = _invert_monotone(fam.time_map, *_w_span(fam, grid), times.reshape(1, -1))
     s = grid.nodes[:, None]
-
-    def time_arg(amp):
-        return lambda u: amp(u) * s + u
-
-    us = _invert_monotone(time_arg(fam.amp), time_arg(fam.amp._interior),
-                          *fam.u_range, w_star)
+    us = _invert_monotone(lambda u: fam.amp(u) * s + u, *fam.u_range, w_star)
     shape = (grid.node_count, *times.shape)
     kappa, omega, vel, _ = evaluate_family(fam, s, us)
     return RodState(grid, *(v.reshape(*shape, 2) for v in (kappa, omega, vel)))
@@ -217,15 +208,8 @@ def parameter_free_residuals(prev: RodState, mid: RodState, nxt: RodState, dt: f
         raise InputError("states must share one grid")
     ds = mid.grid.spacing
     r3 = (nxt.curvature - prev.curvature) / (2.0 * dt) - central_diff(mid.ang_vel, ds)
-    r4 = central_diff(mid.lin_vel, ds) - adiag(mid.ang_vel)
-    r5 = cross2(mid.ang_vel, mid.curvature)
-    r6 = cross2(mid.lin_vel, mid.curvature)
-    return {
-        "R3": float(np.abs(r3).max()),
-        "R4": float(np.abs(r4).max()),
-        "R5": float(np.abs(r5).max()),
-        "R6": float(np.abs(r6).max()),
-    }
+    r4, r5, r6 = (float(np.max(r)) for r in constraint_norms(mid))
+    return {"R3": float(np.abs(r3).max()), "R4": r4, "R5": r5, "R6": r6}
 
 
 @dataclass(frozen=True)
@@ -346,8 +330,9 @@ def family_from_json(text: str) -> SolutionFamily:
     return fam
 
 
-def random_family(rng: np.random.Generator, u_range=(-3.0, 3.0)) -> SolutionFamily:
-    """Draw a family from smooth trigonometric/polynomial coefficient pools.
+def random_family(rng: np.random.Generator) -> SolutionFamily:
+    """Draw a family on u in [-3, 3] from smooth trigonometric/polynomial
+    coefficient pools.
 
     Coefficient ranges keep the invariants valid on the standard test strip
     s in [0, 1]: the time map is strictly increasing, the amplitude slope is
@@ -362,7 +347,7 @@ def random_family(rng: np.random.Generator, u_range=(-3.0, 3.0)) -> SolutionFami
     g = rng.uniform(1.0, 1.5)
     h = rng.uniform(0.05, 0.3) * g
     k = rng.uniform(0.5, 1.2)
-    lo, hi = u_range
+    lo, hi = -3.0, 3.0
     u_knots = np.linspace(lo, hi, 1201)
     w_lo, w_hi = lo - 1.6, hi + 1.6
     w_knots = np.linspace(w_lo, w_hi, 1601)
@@ -370,7 +355,7 @@ def random_family(rng: np.random.Generator, u_range=(-3.0, 3.0)) -> SolutionFami
         amp=SampledFn(u_knots, a + b * np.sin(c * u_knots)),
         angle=SampledFn(u_knots, d + e * u_knots),
         time_map=SampledFn(w_knots, g * w_knots + (h / k) * np.sin(k * w_knots)),
-        u_range=u_range,
+        u_range=(lo, hi),
     )
 
 

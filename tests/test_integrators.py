@@ -253,14 +253,15 @@ class TestSemiStep:
 
     def test_dead_zone_carries_previous_increments(self):
         # Where the velocity magnitude sits below threshold, the per-interval
-        # angle increments from the previous step are reused verbatim.
+        # angle increments from the previous step are reused verbatim. The
+        # velocity is zero everywhere, so every node is below threshold.
         params = make_params(nodes=21)
         g = params.grid()
         n = g.node_count
         angle = np.linspace(0.0, 1.0, n)
         m = ManifoldState(g, angle, np.zeros(n), np.zeros(n), np.zeros(n))
         new = step_semi_analytic(
-            m, params, Loads(), BoundaryConditions.free_free(), 0.0, 1e-3, eps=1.0
+            m, params, Loads(), BoundaryConditions.free_free(), 0.0, 1e-3
         )
         np.testing.assert_allclose(np.diff(new.angle), np.diff(angle), atol=1e-15)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rodsim import rod_model
-from rodsim.errors import ConfigurationError, InputError
+from rodsim.errors import ConfigurationError
 from rodsim.grid_fields import Grid1D, central_diff
 from rodsim.integrators import ManifoldState
 from rodsim.rod_model import (
@@ -311,10 +311,6 @@ class TestCenterline:
         total = np.linalg.norm(np.diff(positions, axis=0), axis=1).sum()
         assert total == pytest.approx(1.0, abs=1e-6)
 
-    def test_rejects_bad_frame(self):
-        with pytest.raises(InputError):
-            reconstruct_centerline(np.zeros((5, 2)), 0.1, base_frame=2.0 * np.eye(3))
-
     def test_matches_per_interval_loop(self):
         rng = np.random.default_rng(17)
         n = 400
@@ -323,9 +319,8 @@ class TestCenterline:
         kappa[kind == 0] = 0.0
         kappa[kind == 1] *= 1e-9 / 20.0
         base = (1.0, -2.0, 0.5)
-        frame0 = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-        positions, frames = reconstruct_centerline(kappa, 1e-2, base, frame0)
-        ref_positions, ref_frames = _loop_centerline(kappa, 1e-2, base, frame0)
+        positions, frames = reconstruct_centerline(kappa, 1e-2, base)
+        ref_positions, ref_frames = _loop_centerline(kappa, 1e-2, base)
         np.testing.assert_allclose(positions, ref_positions, rtol=0, atol=1e-13)
         np.testing.assert_allclose(frames, ref_frames, rtol=0, atol=1e-13)
 
@@ -340,16 +335,15 @@ class TestCenterline:
         kappa[kind == 0] = 0.0
         kappa[kind == 1] *= 1e-9 / 20.0
         bases = rng.standard_normal((rods, 3))
-        frame0 = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-        positions, frames = reconstruct_centerline(kappa, 1e-2, bases, frame0)
+        positions, frames = reconstruct_centerline(kappa, 1e-2, bases)
         assert positions.shape == (n, rods, 3) and frames.shape == (n, rods, 3, 3)
         rot, _ = rod_model._interval_operators(kappa, 1e-2)
         for k in range(rods):
-            one = reconstruct_centerline(kappa[:, k], 1e-2, bases[k], frame0)
+            one = reconstruct_centerline(kappa[:, k], 1e-2, bases[k])
             assert np.array_equal(positions[:, k], one[0])
             assert np.array_equal(frames[:, k], one[1])
             # The same frames as a one-rod np.dot recurrence.
-            ref = [frame0]
+            ref = [np.eye(3)]
             for r in rot[:, k]:
                 ref.append(np.dot(ref[-1], r))
             assert np.array_equal(frames[:, k], np.array(ref))
@@ -360,7 +354,7 @@ class TestCenterline:
         np.testing.assert_allclose(positions[-1], np.tile([1.0, 2.0, 4.0], (3, 1)))
 
 
-def _loop_centerline(kappa, ds, base_position, frame0):
+def _loop_centerline(kappa, ds, base_position):
     """Per-interval reference: Rodrigues rotation and tangent integral."""
 
     def interval_update(kappa3):
@@ -383,7 +377,7 @@ def _loop_centerline(kappa, ds, base_position, frame0):
     n = kappa.shape[0]
     frames = np.empty((n, 3, 3))
     positions = np.empty((n, 3))
-    frames[0] = frame0
+    frames[0] = np.eye(3)
     positions[0] = base_position
     e3 = np.array([0.0, 0.0, 1.0])
     for i in range(n - 1):

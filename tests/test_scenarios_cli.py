@@ -144,6 +144,11 @@ class TestTrajectory:
         del lines[5]
         with pytest.raises(InputError, match="no row for"):
             Trajectory.from_csv("\n".join(lines))
+        # A sparse rod index is rejected before any array is sized by it.
+        sparse = "t,rod,node,x,y,z\n0.0,0,0,0.0,0.0,0.0\n0.0,1000000000000,0,0.0,0.0,0.0\n"
+        with pytest.raises(InputError, match=r"no row for t=0\.0, rod 1, node 0 "
+                                             r"\(999999999999 rows missing\)"):
+            Trajectory.from_csv(sparse)
 
     def test_csv_duplicate_row(self):
         text = self.make().to_csv()
@@ -353,13 +358,26 @@ class TestCli:
             ("output", "stride", 1.5),
             (None, "seed", 1.7),
             ("drive", "amplitude", float("nan")),
+            ("carpet", "rods", 0),
+            (None, "dt", 0),
+            (None, "t_end", -1),
+            ("boundary", "base", "pinned"),
+            (None, "dt", 1e-300),
+            ("material", "nodes", 10**18),
+            ("carpet", "rods", 10**18),
+            pytest.param(None, None, [], id="config-array"),
         ],
     )
     def test_simulate_rejects_mistyped_number(self, tmp_path, section, key, value):
-        # Counts must be JSON integers and physical numbers finite; anything
-        # else is bad input (exit 2), not a traceback or a silent rounding.
+        # Counts must be JSON integers and physical numbers finite, each value
+        # in its range, the config a JSON object and the run small enough to
+        # allocate; anything else is bad input (exit 2), not a traceback or a
+        # silent rounding. A ``key`` of None replaces the whole document.
         doc = json.loads(small_config().to_json())
-        (doc[section] if section else doc)[key] = value
+        if key is None:
+            doc = value
+        else:
+            (doc[section] if section else doc)[key] = value
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc))
         out = tmp_path / "run.json"
@@ -435,6 +453,12 @@ class TestCli:
         # formed, so one node is bad input (exit 2), not a division by zero.
         assert main(["verify-solution", "--grid", grid, "--dt", "6e-2"]) == 2
         assert f"need at least 3 nodes, got {grid}" in capsys.readouterr().err
+
+    def test_match_cauchy_numerical_failure_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(dict(worked_spec(), v1={"const": 1e-12})))
+        assert main(["match-cauchy", str(path)]) == 1
+        assert "initial angle too close to pi/2" in capsys.readouterr().err
 
     def test_match_cauchy_worked_example(self, tmp_path):
         path = tmp_path / "trace.json"
