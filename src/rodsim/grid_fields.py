@@ -8,7 +8,9 @@ is a pure function of its inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -45,9 +47,12 @@ class Grid1D:
     def spacing(self) -> float:
         return self.length / (self.node_count - 1)
 
-    @property
+    @cached_property
     def nodes(self) -> np.ndarray:
-        return np.arange(self.node_count) * self.spacing
+        """The node abscissae, built once per grid and read-only."""
+        nodes = np.arange(self.node_count) * self.spacing
+        nodes.flags.writeable = False
+        return nodes
 
 
 def central_diff(values: np.ndarray, spacing: float, order: int = 1) -> np.ndarray:
@@ -63,7 +68,9 @@ def central_diff(values: np.ndarray, spacing: float, order: int = 1) -> np.ndarr
     out = np.empty_like(f)
     h = spacing
     if order == 1:
-        out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
+        inner = out[1:-1]  # the interior stencil is evaluated in place
+        np.subtract(f[2:], f[:-2], out=inner)
+        inner /= 2.0 * h
         out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
         out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
         return out
@@ -179,14 +186,21 @@ def solve_tridiag(factors: TridiagFactors, rhs) -> np.ndarray:
     if b.ndim != 2 or b.shape[0] != n:
         raise SizeError(f"rhs shape {b.shape} does not match {n} rows")
     x, _ = _gttrs(*factors.lu, b)
+    # |A x - b|, |x| and |b| side by side, so that one reduction finds all
+    # three maxima.
+    table = np.empty((3,) + x.shape)
+    residual = table[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = factors.diag[:, None] * x - b
-        residual[1:] += factors.lower[:, None] * x[:-1]
-        residual[:-1] += factors.upper[:, None] * x[1:]
-        residual = np.abs(residual)
-        bound = 1e-10 * (3.0 * factors.scale * np.abs(x).max() + np.abs(b).max())
-    worst = residual.max()
-    if np.isfinite(worst) and np.isfinite(bound) and worst > max(bound, 1e-300):
+        np.multiply(factors.diag[:, None], x, out=residual)
+        residual -= b
+        below, above = residual[1:], residual[:-1]
+        below += factors.lower[:, None] * x[:-1]
+        above += factors.upper[:, None] * x[1:]
+        table[1], table[2] = x, b
+        np.abs(table, out=table)
+        worst, x_max, b_max = table.max(axis=(1, 2)).tolist()
+    bound = 1e-10 * (3.0 * factors.scale * x_max + b_max)
+    if math.isfinite(worst) and math.isfinite(bound) and worst > max(bound, 1e-300):
         row = int(residual.argmax()) // b.shape[1]
         raise SingularSystemError(
             f"residual {worst:.3e} above {bound:.3e} at row {row}", row=row

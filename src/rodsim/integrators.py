@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError, InputError
+from .errors import DivergenceError, InputError, InstabilityError
 from .grid_fields import central_diff
 from .rod_model import (
     BoundaryConditions,
@@ -32,10 +32,11 @@ from .rod_model import (
     MaterialParams,
     RodState,
     _GridState,
-    _balance_terms,
     _energy_from_squares,
+    _loads_at,
     _trusted_state,
     adiag,
+    bending_couple,
     constraint_norms,
     contact_force,
     energy,
@@ -64,7 +65,10 @@ class ManifoldState(_GridState):
 
 
 def _direction(angle: np.ndarray) -> np.ndarray:
-    return np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+    e = np.empty(np.shape(angle) + (2,))
+    np.cos(angle, out=e[..., 0])
+    np.sin(angle, out=e[..., 1])
+    return e
 
 
 def lift(m: ManifoldState) -> RodState:
@@ -94,15 +98,12 @@ def project(r: RodState, prev_angle: np.ndarray, eps) -> ManifoldState:
     angle = np.where(
         speed > eps, np.arctan2(r.lin_vel[..., 1], r.lin_vel[..., 0]), prev_angle
     )
-    e = _direction(angle)
-    return _trusted_state(
-        ManifoldState,
-        r.grid,
-        angle,
-        np.einsum("...j,...j->...", r.curvature, e),
-        np.einsum("...j,...j->...", r.ang_vel, e),
-        np.einsum("...j,...j->...", r.lin_vel, e),
-    )
+    # The three fields side by side, so one einsum takes all their components
+    # along the direction.
+    vectors = np.empty((3,) + r.lin_vel.shape)
+    vectors[0], vectors[1], vectors[2] = r.curvature, r.ang_vel, r.lin_vel
+    magnitudes = np.einsum("...j,...j->...", vectors, _direction(angle))
+    return _trusted_state(ManifoldState, r.grid, angle, *magnitudes)
 
 
 def drift_norms(state):
@@ -162,10 +163,11 @@ def _apply_clamps(lin_vel, ang_vel, bc: BoundaryConditions, t_next: float):
         ang_vel[-1] = np.asarray(bc.tip_ang_vel(t_next), float)
 
 
-def _euler_velocities(state, params, loads, bc, t, dt):
-    """One forward-Euler update of the two momentum balances."""
+def _euler_velocities(state, dm, params, loads, bc, t, dt):
+    """One forward-Euler update of the two momentum balances; ``dm`` is the
+    arclength derivative of the state's bending couple."""
     ds = state.grid.spacing
-    dm, f, l = _balance_terms(state, params, loads, t)
+    f, l = _loads_at(loads, t, dm, state.grid)
     # A blown-up state gives a non-finite force, and so a non-finite step.
     n = contact_force(dm, f, l, params, bc, t, state.grid)
     lin_vel = state.lin_vel + dt * (central_diff(n, ds) + f) / params.rho_A
@@ -188,9 +190,13 @@ def step_pure_numeric(
     """
     if not dt > 0.0:
         raise InputError("dt must be positive")
-    ds = state.grid.spacing
-    lin_vel, ang_vel = _euler_velocities(state, params, loads, bc, t, dt)
-    curvature = state.curvature + dt * central_diff(state.ang_vel, ds)
+    # One stencil call differentiates the bending couple and the angular
+    # velocity, side by side along the component axis.
+    both = np.concatenate((bending_couple(state, params), state.ang_vel), axis=-1)
+    derivatives = central_diff(both, state.grid.spacing)
+    lin_vel, ang_vel = _euler_velocities(
+        state, derivatives[..., :2], params, loads, bc, t, dt)
+    curvature = state.curvature + dt * derivatives[..., 2:]
     _apply_clamps(lin_vel, ang_vel, bc, t + dt)
     _apply_free_moment(curvature, bc)
     _require_finite(lin_vel, ang_vel, curvature)
@@ -221,7 +227,8 @@ def step_semi_analytic(
     grid = m.grid
     ds = grid.spacing
     state = lift(m)
-    lin_vel, ang_vel = _euler_velocities(state, params, loads, bc, t, dt)
+    dm = central_diff(bending_couple(state, params), ds)
+    lin_vel, ang_vel = _euler_velocities(state, dm, params, loads, bc, t, dt)
     _apply_clamps(lin_vel, ang_vel, bc, t + dt)
     _require_finite(lin_vel, ang_vel)
     eps = np.maximum(1e-8 * np.abs(lin_vel).max(axis=(0, -1)), 1e-300)
@@ -230,15 +237,16 @@ def step_semi_analytic(
 
     # Angle reconstruction: integrate the angle slope from the base node,
     # carrying the previous local increment across near-zero-velocity nodes.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope = np.where(np.abs(proj.vel_mag) > eps, -proj.ang_mag / proj.vel_mag, 0.0)
     ok = np.abs(proj.vel_mag) > eps
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = np.where(ok, -proj.ang_mag / proj.vel_mag, 0.0)
     incr = 0.5 * ds * (slope[1:] + slope[:-1])
     prev_incr = m.angle[1:] - m.angle[:-1]
     usable = ok[1:] & ok[:-1]
     incr = np.where(usable, incr, prev_incr)
-    base_angle = m.angle[0] + dt * proj.ang_mag[0]
-    angle = base_angle + np.concatenate([np.zeros_like(incr[:1]), np.cumsum(incr, axis=0)])
+    angle = np.zeros_like(m.angle)
+    np.cumsum(incr, axis=0, out=angle[1:])
+    angle += m.angle[0] + dt * proj.ang_mag[0]  # the base node's angle
 
     curv_mag = m.curv_mag + dt * central_diff(proj.ang_mag, ds)
     _apply_free_moment(curv_mag, bc)
@@ -251,13 +259,15 @@ def max_stable_dt(is_stable, dt_min: float, dt_max: float) -> float:
     """Largest stable step size by bisection on log(dt).
 
     ``is_stable(dt)`` must run the candidate step size over the assessment
-    horizon and report a boolean. The lower bound must itself be stable.
-    Terminates once the bracket is within 0.05 in log space.
+    horizon and report a boolean. The lower bound must itself be stable:
+    if it is not, that is a finding about the scheme, not about the input,
+    and ``InstabilityError`` is raised. Terminates once the bracket is within
+    0.05 in log space.
     """
     if not (0.0 < dt_min < dt_max):
         raise InputError("need 0 < dt_min < dt_max")
     if not is_stable(dt_min):
-        raise ConfigurationError(f"lower bound dt = {dt_min} is already unstable")
+        raise InstabilityError(f"lower bound dt = {dt_min} is already unstable")
     if is_stable(dt_max):
         return dt_max
     lo, hi = dt_min, dt_max

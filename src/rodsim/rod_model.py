@@ -21,7 +21,6 @@ from .grid_fields import (
     Grid1D,
     TridiagFactors,
     central_diff,
-    cumtrapz,
     factor_tridiag,
     solve_tridiag,
 )
@@ -41,9 +40,12 @@ __all__ = [
     "reconstruct_centerline",
 ]
 
+_ADIAG_SIGNS = np.array([1.0, -1.0])
+
+
 def adiag(v: np.ndarray) -> np.ndarray:
     """Apply the antidiagonal matrix [[0, 1], [-1, 0]] to 2-vectors (last axis)."""
-    return np.stack([v[..., 1], -v[..., 0]], axis=-1)
+    return v[..., ::-1] * _ADIAG_SIGNS
 
 
 def cross2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -262,28 +264,29 @@ def solve_contact_force(
     impose n' = -f + rho A * (d/dt prescribed linear velocity). A non-finite
     right-hand side (a blown-up state) gives a non-finite force.
     """
-    dm, f, l = _balance_terms(state, params, loads, t)
+    dm = central_diff(bending_couple(state, params), state.grid.spacing)
+    f, l = _loads_at(loads, t, dm, state.grid)
     return contact_force(dm, f, l, params, bc, t, state.grid)
 
 
-def _balance_terms(state: RodState, params: MaterialParams, loads: Loads, t: float):
-    """m' (the arclength derivative of the bending couple), f and l at time t.
+def _loads_at(loads: Loads, t: float, dm: np.ndarray, grid: Grid1D):
+    """The distributed force f and couple l at time t, shaped to act with m'.
 
-    m' has the state's shape. A load value of shape (N, K, 2) acts rod by
-    rod; any other value is broadcast to (N, 2) and acts on every rod alike,
-    through a rod axis of length 1 on an (N, K, 2) state.
+    ``dm`` is m', the arclength derivative of the bending couple, and has the
+    state's shape. A load value of shape (N, K, 2) acts rod by rod; any
+    other value is broadcast to (N, 2) and acts on every rod alike, through a
+    rod axis of length 1 on an (N, K, 2) state.
     """
-    grid = state.grid
-    dm = central_diff(bending_couple(state, params), grid.spacing)
 
     def shaped(load):
         value = np.asarray(load(grid.nodes, t), float)
         if value.ndim == 3:
             return value
-        value = np.broadcast_to(value, (grid.node_count, 2))
+        if value.shape != (grid.node_count, 2):
+            value = np.broadcast_to(value, (grid.node_count, 2))
         return value[:, None] if dm.ndim == 3 else value
 
-    return dm, shaped(loads.force), shaped(loads.couple)
+    return shaped(loads.force), shaped(loads.couple)
 
 
 def contact_force(
@@ -321,16 +324,21 @@ def contact_force(
 
 def energy(state: RodState, params: MaterialParams):
     """Kinetic plus bending energy of each rod, integrated with the trapezoid rule."""
-    # The bits of np.sum(x**2, axis=-1), without the cost of a reduction.
     vectors = (state.lin_vel, state.ang_vel, state.curvature)
-    squares = (x[..., 0]**2 + x[..., 1]**2 for x in vectors)
-    return _energy_from_squares(*squares, params, state.grid.spacing)
+    return _energy_from_squares(*map(_squared_norm, vectors), params, state.grid.spacing)
+
+
+def _squared_norm(v: np.ndarray) -> np.ndarray:
+    """The bits of np.sum(v**2, axis=-1) for 2-vectors, without a reduction."""
+    squares = np.square(v)
+    return squares[..., 0] + squares[..., 1]
 
 
 def _energy_from_squares(vel2, ang2, curv2, params: MaterialParams, spacing: float):
     """Per-rod energy from the squared field magnitudes at each node."""
     density = 0.5 * (params.rho_A * vel2 + params.rho_I * ang2 + params.EI * curv2)
-    return cumtrapz(density, spacing)[-1]
+    # The last entry of cumtrapz(density, spacing), summed in the same order.
+    return np.cumsum(0.5 * spacing * (density[1:] + density[:-1]), axis=0)[-1]
 
 
 def _interval_operators(kappa: np.ndarray, ds: float):

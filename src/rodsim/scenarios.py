@@ -288,6 +288,8 @@ class Trajectory:
             if row is None or not math.isfinite(row[0]) or min(row[1:3]) < 0:
                 raise InputError(f"malformed CSV row: {ln!r}")
             rows.append(row)
+        if not rows:
+            raise InputError("trajectory CSV has a header but no rows")
         times = sorted({r[0] for r in rows})
         rods = 1 + max(r[1] for r in rows)
         nodes = 1 + max(r[2] for r in rows)
@@ -344,6 +346,12 @@ def _take(state, keep):
     return _trusted_state(type(state), grid, *(v[:, keep] for v in fields))
 
 
+# Rod-frames whose centerlines one reconstruct_centerline call builds in a
+# run: a call's fixed cost is paid once per block, and the cap bounds the
+# memory of the pending curvatures and of the call's temporaries.
+CENTERLINE_BLOCK = 64
+
+
 def simulate_rod(config: ScenarioConfig):
     """Run every rod of the scenario from rest to t_end as one batched state.
 
@@ -356,7 +364,9 @@ def simulate_rod(config: ScenarioConfig):
     and final states. A rod fails when its step produces non-finite values or
     its energy, checked every step, exceeds 1e3 times the reference scale.
     The others step on without it, so each rod fails as it would alone; the
-    trajectory keeps the frames captured before the first failure.
+    trajectory keeps the frames captured before the first failure. Frame
+    centerlines are reconstructed in blocks of ``CENTERLINE_BLOCK`` rod-frames
+    and once more at the end of the run.
     """
     mat = config.material
     grid = mat.grid()
@@ -385,19 +395,34 @@ def simulate_rod(config: ScenarioConfig):
     loads = _drive_loads(config, phases)
     step = step_semi_analytic if semi else step_pure_numeric
 
-    def capture(frame, t, state, e):
-        curvature = (lift(state) if semi else state).curvature
-        traj.times[frame] = t
-        positions = reconstruct_centerline(curvature, grid.spacing, bases)[0]
-        traj.positions[frame] = positions.swapaxes(0, 1)
-        traj.energies[frame] = e
-        traj.drifts[frame] = np.stack(np.broadcast_arrays(*drift_norms(state)), axis=-1)
+    frames = 0
+    pending = []  # curvatures of captured frames whose centerlines are not built
+
+    def build_centerlines():
+        # One call for all pending frames, their rods laid along the rod axis
+        # frame after frame.
+        count = len(pending)
+        positions = reconstruct_centerline(np.concatenate(pending, axis=1), grid.spacing,
+                                           np.tile(bases, (count, 1)))[0]
+        traj.positions[frames - count:frames] = positions.reshape(
+            grid.node_count, count, n_rods, 3).transpose(1, 2, 0, 3)
+        pending.clear()
+
+    def capture(t, state, e):
+        nonlocal frames
+        traj.times[frames] = t
+        traj.energies[frames] = e
+        traj.drifts[frames] = np.stack(np.broadcast_arrays(*drift_norms(state)), axis=-1)
+        pending.append((lift(state) if semi else state).curvature)
+        frames += 1
+        if len(pending) * n_rods >= CENTERLINE_BLOCK:
+            build_centerlines()
 
     e = state_energy(state, mat)
     drive_scale = config.drive.amplitude**2 * mat.length**3 / (2.0 * mat.EI)
     bound = 1e3 * np.maximum(e, np.full(n_rods, max(drive_scale, 1e-12)))
-    capture(0, 0.0, state, e)
-    frames, failed, done = 1, [], 0
+    capture(0.0, state, e)
+    failed, done = [], 0
     while done < n_steps and rods.size:
         try:
             new = step(state, mat, loads, bc, done * dt, dt)
@@ -416,8 +441,9 @@ def simulate_rod(config: ScenarioConfig):
         state = new
         done += 1
         if not failed and (done % stride == 0 or done == n_steps):
-            capture(frames, done * dt, state, e)
-            frames += 1
+            capture(done * dt, state, e)
+    if pending:
+        build_centerlines()
     traj = Trajectory(traj.times[:frames], traj.positions[:frames],
                       traj.energies[:frames], traj.drifts[:frames])
     return traj, not failed, sorted(failed)

@@ -26,6 +26,29 @@ class TestGrid1D:
         with pytest.raises(SizeError):
             Grid1D(1.0, n)
 
+    def test_nodes_are_built_once_and_read_only(self):
+        g = Grid1D(2.0, 5)
+        assert g.nodes is g.nodes
+        with pytest.raises(ValueError):
+            g.nodes[0] = 1.0
+
+
+def plain_central_diff(f, h, order):
+    """central_diff's stencils written out plainly: the reference for its bits."""
+    out = np.empty_like(f)
+    if order == 1:
+        out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
+        out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
+        out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
+        return out
+    out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / h**2
+    if f.shape[0] >= 4:
+        out[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / h**2
+        out[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / h**2
+    else:
+        out[0] = out[-1] = out[1]
+    return out
+
 
 class TestCentralDiff:
     def test_constant_field(self):
@@ -63,6 +86,18 @@ class TestCentralDiff:
     def test_size_error(self):
         with pytest.raises(SizeError):
             central_diff(np.array([1.0, 2.0]), 0.1)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("shape", [(3,), (4,), (3, 2), (4, 2), (3, 5, 2), (4, 5, 2)])
+    def test_bits_match_plain_stencils(self, order, shape):
+        # Signed zeros included: the bytes, not only the values, must agree.
+        rng = np.random.default_rng(len(shape) + 10 * shape[0])
+        f = rng.standard_normal(shape)
+        f[rng.random(shape) < 0.2] = 0.0
+        f[rng.random(shape) < 0.2] = -0.0
+        got = central_diff(f, 0.1, order)
+        want = plain_central_diff(f, 0.1, order)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestCumtrapz:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rodsim import scenarios
-from rodsim.errors import ConfigurationError, DivergenceError, InputError
+from rodsim.errors import DivergenceError, InputError, InstabilityError
 from rodsim.grid_fields import Grid1D, central_diff
 from rodsim.integrators import (
     ManifoldState,
@@ -319,7 +319,8 @@ class TestMaxStableDt:
         assert calls == [1e-3, 0.5]
 
     def test_unstable_lower_bound_rejected(self):
-        with pytest.raises(ConfigurationError):
+        # An unstable lower bound is a numerical finding, not an input error.
+        with pytest.raises(InstabilityError, match="lower bound dt = 0.001 is already unstable"):
             max_stable_dt(lambda dt: False, 1e-3, 1.0)
 
     def test_bad_bracket(self):

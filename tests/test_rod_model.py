@@ -37,6 +37,18 @@ def zero_state(params):
     return RodState.zero(params.grid())
 
 
+class TestAdiag:
+    @pytest.mark.parametrize("shape", [(2,), (7, 2), (7, 3, 2)])
+    def test_bits_match_stacked_components(self, shape):
+        rng = np.random.default_rng(len(shape))
+        v = rng.standard_normal(shape)
+        v[rng.random(shape) < 0.3] = 0.0
+        v[rng.random(shape) < 0.3] = -0.0
+        want = np.stack([v[..., 1], -v[..., 0]], axis=-1)
+        got = adiag(v)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 class TestBendingCouple:
     def test_zero_curvature(self, params, zero_state):
         np.testing.assert_array_equal(

@@ -13,7 +13,8 @@ import pytest
 from rodsim import cli, scenarios
 from rodsim.cli import main
 from rodsim.errors import ConfigurationError, InputError, InstabilityError
-from rodsim.rod_model import MaterialParams
+from rodsim.integrators import ManifoldState, lift
+from rodsim.rod_model import MaterialParams, reconstruct_centerline
 from rodsim.scenarios import (
     CarpetConfig,
     DriveConfig,
@@ -149,6 +150,9 @@ class TestTrajectory:
         with pytest.raises(InputError, match=r"no row for t=0\.0, rod 1, node 0 "
                                              r"\(999999999999 rows missing\)"):
             Trajectory.from_csv(sparse)
+        # A header alone has no rows at all.
+        with pytest.raises(InputError, match="header but no rows"):
+            Trajectory.from_csv("t,rod,node,x,y,z\n")
 
     def test_csv_duplicate_row(self):
         text = self.make().to_csv()
@@ -272,6 +276,65 @@ class TestRunCarpet:
         assert 0 < len(unstable) < 5
         assert str(err.value) == f"rod(s) {unstable} became unstable"
         assert err.value.partial.times.size == min(frames)
+
+    @staticmethod
+    def simulate_with_frame_centerlines(config, monkeypatch):
+        """simulate_rod's result, each captured frame's centerlines built by a
+        reconstruct_centerline call of its own, and the rod-frame count of
+        every call that simulate_rod made."""
+        curvatures, calls = [], []
+        drift_norms = scenarios.drift_norms
+        reconstruct = scenarios.reconstruct_centerline
+
+        def recording_drift_norms(state):  # called once per captured frame
+            vectors = lift(state) if isinstance(state, ManifoldState) else state
+            curvatures.append(vectors.curvature)
+            return drift_norms(state)
+
+        def counting_reconstruct(curvature, *args):
+            calls.append(curvature.shape[1])
+            return reconstruct(curvature, *args)
+
+        monkeypatch.setattr(scenarios, "drift_norms", recording_drift_norms)
+        monkeypatch.setattr(scenarios, "reconstruct_centerline", counting_reconstruct)
+        result = simulate_rod(config)
+        bases = np.zeros((config.carpet.rods, 3))
+        bases[:, 0] = np.arange(config.carpet.rods) * config.carpet.spacing
+        spacing = config.material.grid().spacing
+        per_frame = np.array([reconstruct_centerline(k, spacing, bases)[0].swapaxes(0, 1)
+                              for k in curvatures])
+        return result, per_frame, calls
+
+    def test_frame_blocks_match_per_frame_centerlines(self, monkeypatch):
+        # 51 frames of 3 rods: blocks of 22 frames (66 rod-frames), and a
+        # last block of 7 at the end of the run.
+        config = small_config(scheme="pure", dt=1e-4, t_end=5e-3,
+                              output=OutputConfig(stride=1),
+                              carpet=CarpetConfig(rods=3, spacing=0.5, phase_increment=2.1))
+        (traj, stable, _), per_frame, calls = self.simulate_with_frame_centerlines(
+            config, monkeypatch)
+        assert stable and traj.times.size == 51
+        assert calls == [66, 66, 21]
+        assert np.array_equal(traj.positions, per_frame)
+
+    def test_failed_run_builds_its_last_block(self, monkeypatch):
+        # Rods 1 and 3 of this semi carpet go unstable; the frames captured
+        # before the first failure (37) fill blocks of 16 frames and part of
+        # one more, which the end of the run builds.
+        material = replace(default_config().material, nodes=21)
+        config = default_config(
+            material=material, dt=3e-3, t_end=1.0, output=OutputConfig(stride=5),
+            drive=DriveConfig(phase=-1.57),
+            carpet=CarpetConfig(rods=4, spacing=0.5, phase_increment=1.57),
+        )
+        with np.errstate(all="ignore"):
+            (traj, stable, failed), per_frame, calls = self.simulate_with_frame_centerlines(
+                config, monkeypatch)
+        assert not stable and failed == [1, 3]
+        rod_frames = traj.times.size * 4
+        assert rod_frames > 64 and rod_frames % 64  # the last block is partial
+        assert calls == [64] * (rod_frames // 64) + [rod_frames % 64]
+        assert np.array_equal(traj.positions, per_frame)
 
     def test_run_scenario_dispatch(self):
         single = run_scenario(small_config())
@@ -497,6 +560,14 @@ class TestCli:
         assert code == 0
         report = json.loads(out.read_text())
         assert report["dt_ratio"] > 0.0
+
+    def test_benchmark_unstable_lower_bound_exits_1(self, tmp_path, monkeypatch, capsys):
+        # A scheme already unstable at the lower bound is a numerical finding
+        # about a valid config (exit 1), not an input error (exit 2).
+        monkeypatch.setattr(scenarios, "simulate_rod", lambda config: (None, False, [0]))
+        cfg = write_config(tmp_path, small_config())
+        assert main(["benchmark", str(cfg), "--out", str(tmp_path / "bench.json")]) == 1
+        assert "lower bound dt = 3e-05 is already unstable" in capsys.readouterr().err
 
     def test_benchmark_default_search_interval(self, tmp_path, monkeypatch):
         # Without flags the command searches the same dt interval and horizon
