@@ -1,4 +1,5 @@
-"""Uniform-grid numerics: stencils, quadrature, ODE marching, linear solves.
+"""Uniform-grid numerics: stencils, quadrature, ODE marching, linear solves
+and cubic splines.
 
 Fields are plain numpy arrays with node values along axis 0; a scalar field has
 shape (N,), a planar 2-vector field shape (N, 2), and fields of K rods carry a
@@ -16,11 +17,19 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg.lapack import dgttrf as _gttrf, dgttrs as _gttrs
 
-from .errors import DivergenceError, DomainError, SingularSystemError, SizeError
+from .errors import (
+    DivergenceError,
+    DomainError,
+    InputError,
+    SingularSystemError,
+    SizeError,
+)
 
 __all__ = [
     "Grid1D",
     "SampledFn",
+    "cubic_spline",
+    "eval_spline",
     "central_diff",
     "cumtrapz",
     "integrate_ode_rk4",
@@ -208,42 +217,128 @@ def solve_tridiag(factors: TridiagFactors, rhs) -> np.ndarray:
     return x
 
 
+def cubic_spline(knots, values, ends="natural") -> np.ndarray:
+    """Horner table of the C^2 cubic spline through ``values`` at ``knots``.
+
+    ``knots`` are N >= 3 strictly increasing finite abscissae; ``values`` has
+    the knots along axis 0 and any trailing axes, each spline on its own.
+    ``ends`` is "natural" (zero second derivative), "not-a-knot" (continuous
+    third derivative at the second and second-to-last knots; with 3 knots the
+    parabola through them) or a pair of end slopes (clamped). The knot slopes
+    come from one ``factor_tridiag``/``solve_tridiag`` solve with de Boor's
+    rows (A Practical Guide to Splines, 1978), whose pivot and residual checks
+    apply. Returns shape (N, 4, *values.shape[1:]): row i < N-1 holds the
+    coefficients of the cubic on [knots[i], knots[i+1]] in powers 3, 2, 1, 0
+    of u - knots[i]; row N-1 holds the line through the last knot with its
+    slope, so that every knot evaluates to its value exactly.
+    """
+    x = np.asarray(knots, dtype=float)
+    y = np.asarray(values, dtype=float)
+    n = x.shape[0] if x.ndim == 1 else 0
+    if n < 3 or y.shape[:1] != (n,):
+        raise SizeError(f"need at least 3 knots with one value each, got "
+                        f"{x.shape} knots and {y.shape} values")
+    h = np.diff(x)
+    if not np.all(h > 0.0):
+        raise SizeError("knot abscissae must be strictly increasing")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise InputError("knots and values must be finite")
+    tail = y.shape[1:]
+    y = y.reshape(n, -1)
+    hc = h[:, None]
+    secant = np.diff(y, axis=0) / hc
+    # Row i relates the knot slopes i-1, i and i+1; lower[i] couples row i+1
+    # to slope i and upper[i] row i to slope i+1.
+    lower, diag, upper = np.empty(n - 1), np.empty(n), np.empty(n - 1)
+    rhs = np.empty_like(y)
+    diag[1:-1] = 2.0 * (h[:-1] + h[1:])
+    lower[:-1], upper[1:] = h[1:], h[:-1]
+    rhs[1:-1] = 3.0 * (hc[1:] * secant[:-1] + hc[:-1] * secant[1:])
+    if not isinstance(ends, str):
+        diag[0], upper[0], rhs[0] = 1.0, 0.0, ends[0]
+        diag[-1], lower[-1], rhs[-1] = 1.0, 0.0, ends[1]
+    elif ends == "natural":
+        diag[0], upper[0], rhs[0] = 2.0 * h[0], h[0], 3.0 * (y[1] - y[0])
+        diag[-1], lower[-1], rhs[-1] = 2.0 * h[-1], h[-1], 3.0 * (y[-1] - y[-2])
+    elif ends == "not-a-knot" and n == 3:
+        # Both end rows would state the one interior knot's condition; the
+        # parabola's end rows take their place.
+        diag[0], upper[0], rhs[0] = 1.0, 1.0, 2.0 * secant[0]
+        diag[-1], lower[-1], rhs[-1] = 1.0, 1.0, 2.0 * secant[-1]
+    elif ends == "not-a-knot":
+        span = x[2] - x[0]
+        diag[0], upper[0] = h[1], span
+        rhs[0] = ((h[0] + 2.0 * span) * h[1] * secant[0] + h[0] ** 2 * secant[1]) / span
+        span = x[-1] - x[-3]
+        diag[-1], lower[-1] = h[-2], span
+        rhs[-1] = (h[-1] ** 2 * secant[-2] + (2.0 * span + h[-1]) * h[-2] * secant[-1]) / span
+    else:
+        raise ValueError(f"ends must be 'natural', 'not-a-knot' or two slopes, got {ends!r}")
+    slopes = solve_tridiag(factor_tridiag(lower, diag, upper), rhs)
+    excess = (slopes[:-1] + slopes[1:] - 2.0 * secant) / hc
+    table = np.zeros((n, 4, y.shape[1]))
+    table[:-1, 0] = excess / hc
+    table[:-1, 1] = (secant - slopes[:-1]) / hc - excess
+    table[:, 2] = slopes
+    table[:, 3] = y
+    return table.reshape(n, 4, *tail)
+
+
+def eval_spline(knots, table, u) -> np.ndarray:
+    """A ``cubic_spline`` table at the points of the 1-D array ``u``.
+
+    Each u must lie in [knots[0], knots[-1]] or be NaN, which passes through.
+    One ``searchsorted`` finds the rows, one gather takes their coefficients
+    and Horner's rule sums them. Returns shape (u.size, *table.shape[2:]).
+    """
+    # u's row is the count of knots after the first that are <= u, so the
+    # last knot and NaN get the last row.
+    row = np.searchsorted(knots[1:], u, side="right")
+    coef = table[row]
+    d = (u - knots[row]).reshape(-1, *(1,) * (table.ndim - 2))
+    out = coef[:, 0] * d
+    out += coef[:, 1]
+    out *= d
+    out += coef[:, 2]
+    out *= d
+    out += coef[:, 3]
+    return out
+
+
 class SampledFn:
     """Smooth function given by samples on strictly increasing knots.
 
-    Natural cubic interpolation (C^2 on the knot range) with first-derivative
-    access. Knot values are reproduced exactly: the spline's constant
-    coefficients are the knot values, so evaluation is exact at every knot
-    but the last, which ends an interval and is set to its value. Evaluation
-    outside the knot range raises ``DomainError``; NaN passes through. When
-    the endpoint slopes are known exactly, pass them as ``end_slopes`` to
-    clamp the spline there instead of using the natural boundary condition
-    (which perturbs the boundary derivative at first order in the knot
-    spacing).
+    A ``cubic_spline`` (C^2 on the knot range) with natural ends, or clamped
+    ones when the endpoint slopes are known exactly: pass them as
+    ``end_slopes`` (the natural end perturbs the boundary derivative at first
+    order in the knot spacing). Knot values are reproduced exactly, the last
+    one included. Evaluation outside the knot range by more than a slack of
+    1e-12 times max(width, 1) raises ``DomainError``; inside the slack the
+    spline is taken at the end knot. NaN passes through, and a scalar
+    argument gives a float.
     """
 
     def __init__(self, knots, values, end_slopes=None):
-        # Imported here: a simulation samples no functions, and
-        # scipy.interpolate costs most of the package's import time.
-        from scipy.interpolate import CubicSpline
-
         knots = np.asarray(knots, dtype=float)
         values = np.asarray(values, dtype=float)
         if knots.ndim != 1 or knots.size < 4:
             raise SizeError(f"need at least 4 knots, got {knots.size}")
         if values.shape != knots.shape:
             raise SizeError("knot and value counts differ")
-        if not np.all(np.diff(knots) > 0.0):
-            raise SizeError("knot abscissae must be strictly increasing")
+        if end_slopes is None:
+            ends = "natural"
+        else:
+            ends = (float(end_slopes[0]), float(end_slopes[1]))
+        coef = cubic_spline(knots, values, ends)
+        # Value and slope coefficients side by side, so that one row lookup
+        # serves both.
+        slope = np.zeros_like(coef)
+        slope[:, 1:] = coef[:, :3] * (3.0, 2.0, 1.0)
+        self._table = np.stack([coef, slope], axis=-1)
         self._knots = knots
         self._values = values
-        if end_slopes is None:
-            bc = "natural"
-        else:
-            bc = ((1, float(end_slopes[0])), (1, float(end_slopes[1])))
-        self._spline = CubicSpline(knots, values, bc_type=bc)
-        self._dspline = self._spline.derivative()
-        self._slack = 1e-12 * max(knots[-1] - knots[0], 1.0)
+        slack = 1e-12 * max(knots[-1] - knots[0], 1.0)
+        self._limits = (float(knots[0] - slack), float(knots[-1] + slack))
 
     @classmethod
     def from_callable(cls, fn, lo: float, hi: float, n: int = 256) -> "SampledFn":
@@ -262,20 +357,30 @@ class SampledFn:
     def domain(self):
         return float(self._knots[0]), float(self._knots[-1])
 
-    def _clip(self, u):
+    def _evaluate(self, u, part):
+        """Table columns ``part`` (0 value, 1 slope) at u, u's axes first."""
         u = np.asarray(u, dtype=float)
-        lo, hi = self._knots[0], self._knots[-1]
-        if (u < lo - self._slack).any() or (u > hi + self._slack).any():
+        lo, hi = self._limits
+        # min and max propagate NaN, which compares false.
+        if u.min(initial=np.inf) < lo or u.max(initial=-np.inf) > hi:
             raise DomainError(
-                f"evaluation outside knot range [{lo}, {hi}]"
+                f"evaluation outside knot range [{self._knots[0]}, {self._knots[-1]}]"
             )
-        return np.minimum(np.maximum(u, lo), hi)
+        clipped = np.minimum(np.maximum(u.ravel(), self._knots[0]), self._knots[-1])
+        out = eval_spline(self._knots, self._table[..., part], clipped)
+        return out.reshape(u.shape + out.shape[1:])
 
     def __call__(self, u):
-        clipped = self._clip(u)
-        out = np.where(clipped == self._knots[-1], self._values[-1], self._spline(clipped))
+        out = self._evaluate(u, 0)
         return float(out) if np.isscalar(u) else out
 
     def derivative(self, u):
-        out = self._dspline(self._clip(u))
+        out = self._evaluate(u, 1)
         return float(out) if np.isscalar(u) else out
+
+    def value_and_slope(self, u):
+        """``(self(u), self.derivative(u))`` from one row lookup."""
+        out = self._evaluate(u, slice(None))
+        if np.isscalar(u):
+            return float(out[0]), float(out[1])
+        return out[..., 0], out[..., 1]

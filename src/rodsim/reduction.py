@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericalError
-from .grid_fields import central_diff, cumtrapz
+from .grid_fields import central_diff, cubic_spline, cumtrapz, eval_spline
 
 __all__ = [
     "reconstruct_potentials",
@@ -127,14 +127,13 @@ def developable_residuals(f, g, profile, ds: float, dt: float):
 
     Time is remapped by the antiderivative of the square root of the speed
     profile; the fields are resampled onto a uniform grid in the new time
-    coordinate by cubic interpolation (the space coordinate is untouched).
+    coordinate by not-a-knot cubic splines (the space coordinate is
+    untouched).
     The uniform grid sits two knots inside the flattened-time range so the
     one-sided boundary stencils never act on near-extrapolated spline values.
     Returns {"R22", "R23", "R24"}: the two surface-curvature determinants and
     the unit-slope constraint.
     """
-    from scipy.interpolate import CubicSpline  # slow to import; needed only here
-
     f = np.asarray(f, float)
     g = np.asarray(g, float)
     profile = np.asarray(profile, float)
@@ -149,8 +148,9 @@ def developable_residuals(f, g, profile, ds: float, dt: float):
     n_lin = nt - 2 * margin
     y_lin = np.linspace(y_lo, y_hi, n_lin)
     dy = (y_hi - y_lo) / (n_lin - 1)
-    f_res = CubicSpline(y_knots, f, axis=1)(y_lin)
-    g_res = CubicSpline(y_knots, g, axis=1)(y_lin)
+    # Both fields along flattened time, as not-a-knot splines from one solve.
+    table = cubic_spline(y_knots, np.stack((f, g)).T, ends="not-a-knot")
+    f_res, g_res = eval_spline(y_knots, table, y_lin).T
     out = {}
     for name, field in (("R22", f_res), ("R23", g_res)):
         xx = central_diff(field, ds, 2)

@@ -136,6 +136,9 @@ class ScenarioConfig:
         body = {key: value for key, value in doc.items() if key != "schema"}
         try:
             return _read(cls, body, "config", _grouped(_kinds(cls)))
+        except InputError as err:
+            # rodsim's own errors keep their class (ConfigurationError, ...).
+            raise type(err)(f"invalid config: {err}") from err
         except (TypeError, ValueError, OverflowError) as err:
             raise InputError(f"invalid config: {err}") from err
 

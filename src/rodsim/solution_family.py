@@ -45,7 +45,7 @@ class SolutionFamily:
 
     ``amp`` and ``angle`` are functions of the family parameter u; ``time_map``
     maps w = amp(u)*s + u to physical time. Each must be callable and provide
-    a ``derivative`` method (``SampledFn`` qualifies).
+    ``derivative`` and ``value_and_slope`` methods (``SampledFn`` qualifies).
     """
 
     amp: SampledFn
@@ -72,20 +72,17 @@ def evaluate_family(fam: SolutionFamily, s, u):
     """
     s = np.asarray(s, dtype=float)
     u = np.asarray(u, dtype=float)
-    a = np.asarray(fam.amp(u))
-    da = np.asarray(fam.amp.derivative(u))
-    c = np.asarray(fam.angle(u))
-    dc = np.asarray(fam.angle.derivative(u))
-    w = a * s + u
+    a, da = fam.amp.value_and_slope(u)
+    c, dc = fam.angle.value_and_slope(u)
+    w = np.asarray(a * s + u)  # 0-d operands give a NumPy scalar, not an array
     den = da * s + 1.0
-    fp = np.asarray(fam.time_map.derivative(w))
+    t, fp = fam.time_map.value_and_slope(w)
     _check_denominator("A'(u)s + 1", den, np.maximum(1.0, np.abs(da * s)), s, u)
     _check_denominator("F'(A(u)s + u)", fp, 1.0, s, u)
     direction = np.stack([np.cos(c), np.sin(c)], axis=-1)
     kappa = (-(a**2) * dc / den)[..., None] * direction
     omega = (a * dc / (fp * den))[..., None] * direction
     vel = (1.0 / fp)[..., None] * direction
-    t = np.asarray(fam.time_map(w))
     return kappa, omega, vel, t
 
 
@@ -283,11 +280,9 @@ def match_boundary_trace(
 def verify_trace_match(fam: SolutionFamily, data: CauchyTrace, u_samples) -> float:
     """Worst absolute residual of the five trace-matching relations."""
     u = np.asarray(u_samples, dtype=float)
-    c = np.asarray(fam.angle(u))
-    dc = np.asarray(fam.angle.derivative(u))
+    c, dc = fam.angle.value_and_slope(u)
     a = np.asarray(fam.amp(u))
-    f = np.asarray(fam.time_map(u))
-    df = np.asarray(fam.time_map.derivative(u))
+    f, df = fam.time_map.value_and_slope(u)
     cos_c = np.cos(c)
     v1 = np.asarray([data.v1_trace(x) for x in np.atleast_1d(f)])
     w1 = np.asarray([data.w1_trace(x) for x in np.atleast_1d(f)])

@@ -2,13 +2,22 @@
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline  # test oracle only
 
-from rodsim.errors import DivergenceError, SingularSystemError, SizeError
+from rodsim.errors import (
+    DivergenceError,
+    DomainError,
+    InputError,
+    SingularSystemError,
+    SizeError,
+)
 from rodsim.grid_fields import (
     Grid1D,
     SampledFn,
     central_diff,
+    cubic_spline,
     cumtrapz,
+    eval_spline,
     factor_tridiag,
     integrate_ode_rk4,
     solve_tridiag,
@@ -195,6 +204,110 @@ class TestBlockTridiag:
             solve_tridiag(factors, np.ones((5, 2)))
 
 
+SPLINE_ENDS = ["natural", "not-a-knot", (0.4, -1.3)]
+SPLINE_ENDS_IDS = ["natural", "not-a-knot", "clamped"]
+
+
+def spline_knots(n, uniform):
+    if uniform:
+        return np.linspace(-1.0, 2.0, n)
+    steps = np.random.default_rng(n).uniform(0.2, 1.8, n - 1)
+    return np.concatenate([[-1.0], -1.0 + 3.0 * np.cumsum(steps) / steps.sum()])
+
+
+def spline_values(knots):
+    return 3.0 * np.sin(2.0 * knots) + knots**2
+
+
+def oracle(knots, values, ends):
+    """SciPy's cubic spline with the same end conditions."""
+    bc = ends if isinstance(ends, str) else ((1, ends[0]), (1, ends[1]))
+    return CubicSpline(knots, values, bc_type=bc)
+
+
+def slope_table(table):
+    """The derivative's table: coefficients (0, 3a, 2b, c) of each row."""
+    slope = np.zeros_like(table)
+    slope[:, 1], slope[:, 2], slope[:, 3] = 3.0 * table[:, 0], 2.0 * table[:, 1], table[:, 2]
+    return slope
+
+
+def probe_points(knots):
+    """Every knot (the last included), interval midpoints and random points."""
+    inner = np.random.default_rng(knots.size).uniform(knots[0], knots[-1], 50)
+    return np.concatenate([knots, 0.5 * (knots[1:] + knots[:-1]), inner])
+
+
+class TestCubicSpline:
+    @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "nonuniform"])
+    @pytest.mark.parametrize("ends", SPLINE_ENDS, ids=SPLINE_ENDS_IDS)
+    @pytest.mark.parametrize("n", [3, 4, 5, 65, 257])
+    def test_matches_scipy(self, n, ends, uniform):
+        knots = spline_knots(n, uniform)
+        values = spline_values(knots)
+        table = cubic_spline(knots, values, ends)
+        assert table.shape == (n, 4)
+        spline = oracle(knots, values, ends)
+        u = probe_points(knots)
+        scale = np.abs(values).max()
+        np.testing.assert_allclose(eval_spline(knots, table, u), spline(u),
+                                   rtol=0.0, atol=1e-13 * scale)
+        slopes = spline(u, 1)
+        np.testing.assert_allclose(eval_spline(knots, slope_table(table), u), slopes,
+                                   rtol=0.0, atol=1e-13 * np.abs(slopes).max())
+        np.testing.assert_array_equal(eval_spline(knots, table, knots), values)
+
+    def test_trailing_axes_match_scipy(self):
+        # The reduction's layout: knots along axis 0, the space nodes and the
+        # two fields after it, each column a spline of its own.
+        knots = spline_knots(31, uniform=False)
+        values = spline_values(knots)[:, None, None] * np.arange(1.0, 15.0).reshape(1, 7, 2)
+        table = cubic_spline(knots, values, "not-a-knot")
+        assert table.shape == (31, 4, 7, 2)
+        u = np.linspace(knots[2], knots[-3], 27)
+        out = eval_spline(knots, table, u)
+        assert out.shape == (27, 7, 2)
+        np.testing.assert_allclose(out, oracle(knots, values, "not-a-knot")(u),
+                                   rtol=0.0, atol=1e-13 * np.abs(values).max())
+
+    def test_three_knot_not_a_knot_is_the_parabola(self):
+        knots = np.array([0.0, 0.3, 1.0])
+        table = cubic_spline(knots, 2.0 * knots**2 - knots + 0.5, "not-a-knot")
+        u = np.linspace(0.0, 1.0, 11)
+        np.testing.assert_allclose(eval_spline(knots, table, u), 2.0 * u**2 - u + 0.5,
+                                   rtol=0.0, atol=1e-15)
+
+    def test_nan_passes_through(self):
+        knots = spline_knots(9, uniform=True)
+        table = cubic_spline(knots, spline_values(knots))
+        out = eval_spline(knots, table, np.array([np.nan, knots[3]]))
+        assert np.isnan(out[0]) and np.isfinite(out[1])
+
+    @pytest.mark.parametrize(
+        "knots, values",
+        [([0.0, 1.0], [0.0, 1.0]),
+         ([0.0, 1.0, 2.0], [0.0, 1.0]),
+         ([0.0, 2.0, 1.0, 3.0], [0.0, 1.0, 2.0, 3.0]),
+         ([[0.0, 1.0, 2.0]], [[0.0, 1.0, 2.0]])],
+        ids=["two-knots", "count-mismatch", "not-increasing", "2-D-knots"],
+    )
+    def test_size_errors(self, knots, values):
+        with pytest.raises(SizeError):
+            cubic_spline(knots, values)
+
+    def test_non_finite_samples(self):
+        with pytest.raises(InputError, match="finite"):
+            cubic_spline([0.0, 1.0, 2.0, 3.0], [0.0, np.nan, 1.0, 2.0])
+        with pytest.raises(InputError, match="finite"):
+            cubic_spline([0.0, 1.0, np.inf], [0.0, 1.0, 2.0])
+        with pytest.raises(InputError, match="finite"):
+            cubic_spline([-np.inf, 1.0, 2.0], [0.0, 1.0, 2.0])
+
+    def test_unknown_ends(self):
+        with pytest.raises(ValueError, match="ends"):
+            cubic_spline([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 0.0, 1.0], "periodic")
+
+
 class TestSampledFn:
     def test_reproduces_knots_exactly(self):
         knots = np.linspace(0.0, 1.0, 9)
@@ -209,13 +322,64 @@ class TestSampledFn:
         fd = (fn(xs + h) - fn(xs - h)) / (2.0 * h)
         np.testing.assert_allclose(fn.derivative(xs), fd, atol=1e-8)
 
+    @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "nonuniform"])
+    @pytest.mark.parametrize("end_slopes", [None, (0.4, -1.3)], ids=["natural", "clamped"])
+    @pytest.mark.parametrize("n", [4, 5, 65, 257])
+    def test_matches_scipy(self, n, end_slopes, uniform):
+        knots = spline_knots(n, uniform)
+        values = spline_values(knots)
+        fn = SampledFn(knots, values, end_slopes=end_slopes)
+        spline = oracle(knots, values, "natural" if end_slopes is None else end_slopes)
+        slack = 1e-12 * max(knots[-1] - knots[0], 1.0)
+        inside = np.array([knots[0] - 0.5 * slack, knots[-1] + 0.5 * slack])
+        u = np.concatenate([probe_points(knots), inside])
+        clipped = np.clip(u, knots[0], knots[-1])
+        np.testing.assert_allclose(fn(u), spline(clipped), rtol=0.0,
+                                   atol=1e-13 * np.abs(values).max())
+        slopes = spline(clipped, 1)
+        np.testing.assert_allclose(fn.derivative(u), slopes, rtol=0.0,
+                                   atol=1e-13 * np.abs(slopes).max())
+        value, slope = fn.value_and_slope(u)
+        np.testing.assert_array_equal(value, fn(u))
+        np.testing.assert_array_equal(slope, fn.derivative(u))
+        np.testing.assert_array_equal(fn(knots), values)
+
+    def test_argument_shapes(self):
+        fn = SampledFn.from_callable(np.sin, 0.0, 1.0, 17)
+        for out in (fn(0.3), fn.derivative(0.3), *fn.value_and_slope(0.3)):
+            assert type(out) is float
+        for out in (fn(np.array(0.3)), fn.derivative(np.array(0.3)),
+                    *fn.value_and_slope(np.array(0.3))):
+            assert isinstance(out, np.ndarray) and out.shape == ()
+        grid = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+        value, slope = fn.value_and_slope(grid)
+        assert value.shape == slope.shape == fn(grid).shape == (3, 4)
+        np.testing.assert_array_equal(value, fn(grid))
+        np.testing.assert_array_equal(slope, fn.derivative(grid))
+        assert fn(np.array([], dtype=float)).shape == (0,)
+
+    def test_nan_passes_through(self):
+        fn = SampledFn.from_callable(np.sin, 0.0, 1.0, 17)
+        u = np.array([0.25, np.nan])
+        for out in (fn(u), fn.derivative(u), *fn.value_and_slope(u)):
+            assert np.isfinite(out[0]) and np.isnan(out[1])
+        assert np.isnan(fn(float("nan")))
+
     def test_needs_four_knots(self):
         with pytest.raises(SizeError):
             SampledFn([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
 
+    def test_size_errors(self):
+        with pytest.raises(SizeError, match="counts differ"):
+            SampledFn([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0])
+        with pytest.raises(SizeError, match="strictly increasing"):
+            SampledFn([0.0, 1.0, 1.0, 3.0], [0.0, 1.0, 2.0, 3.0])
+
     def test_domain_enforced(self):
         fn = SampledFn.from_callable(np.sin, 0.0, 1.0, 8)
-        from rodsim.errors import DomainError
-
         with pytest.raises(DomainError):
             fn(1.5)
+        for u in (-1e-9, 1.0 + 1e-9, np.array([0.5, 1.0 + 1e-9])):
+            for method in (fn, fn.derivative, fn.value_and_slope):
+                with pytest.raises(DomainError, match="outside knot range"):
+                    method(u)

@@ -91,6 +91,29 @@ class TestScenarioConfig:
         with pytest.raises(ConfigurationError):
             OutputConfig(format="xml")
 
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            (None, "scheme", "bogus", "invalid config: scheme must be 'pure' or 'semi'"),
+            ("output", "stride", 0, "invalid config: output stride must be >= 1"),
+        ],
+        ids=["scheme-bogus", "stride-zero"],
+    )
+    def test_config_errors_keep_their_class(self, tmp_path, capsys, section, key,
+                                            value, message):
+        # A document with a bad value raises the value's own error class, with
+        # the same message, and the command line still exits 2 on it.
+        doc = json.loads(small_config().to_json())
+        (doc[section] if section else doc)[key] = value
+        with pytest.raises(ConfigurationError) as err:
+            ScenarioConfig.from_dict(doc)
+        assert str(err.value) == message
+        assert isinstance(err.value.__cause__, ConfigurationError)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestTrajectory:
     def make(self, frames=3, rods=2, nodes=4):
@@ -624,10 +647,22 @@ class TestCli:
             main(["transmogrify"])
         assert err.value.code == 2
 
-    def test_simulate_does_not_import_interpolation(self):
-        # scipy.interpolate serves only the solution family's splines and the
-        # reduction chain, and is most of the import time, so the CLI and a
-        # simulation must not load it.
+    @pytest.mark.parametrize("grid", ["3", "4", "5"])
+    def test_verify_solution_smallest_grids(self, tmp_path, grid):
+        # Three knots in flattened time make the not-a-knot spline the
+        # parabola through them; four and five use the general end rows.
+        out = tmp_path / "report.json"
+        assert main(["verify-solution", "--grid", grid, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["pass"] is True
+        assert report["grid"]["Ns"] == int(grid)
+
+    def test_simulate_does_not_import_interpolation(self, tmp_path):
+        # rodsim's splines are its own and SciPy serves only LAPACK's
+        # tridiagonal solves, so neither a simulation nor the verification
+        # commands load scipy.interpolate and its import time and memory.
+        trace = tmp_path / "trace.json"
+        trace.write_text(json.dumps(worked_spec()))
         code = (
             "import sys\n"
             "import rodsim.cli\n"
@@ -636,11 +671,15 @@ class TestCli:
             "material = MaterialParams(1.0, 1.0, 1e-2, 1e-1, 1.0, 3)\n"
             "config = ScenarioConfig(material, scheme='pure', dt=1e-3, t_end=1e-2)\n"
             "assert simulate_rod(config)[1]\n"
+            "argv = ['verify-solution', '--grid', '11', '--dt', '6e-2', '--out', sys.argv[1]]\n"
+            "assert rodsim.cli.main(argv) == 0\n"
+            "assert rodsim.cli.main(['match-cauchy', sys.argv[2], '--out', sys.argv[1]]) == 0\n"
             "print('scipy.interpolate' in sys.modules)\n"
         )
         src = str(Path(scenarios.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        result = subprocess.run([sys.executable, "-c", code], env=env,
-                                capture_output=True, text=True, check=True)
+        result = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "out.json"), str(trace)],
+            env=env, capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "False"
