@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, OutOfRangeError, SizeError
 from .grid_fields import Grid1D
 from .reduction import (
     developable_residuals,
@@ -17,6 +17,7 @@ from .reduction import (
     potential_system_residuals,
     reconstruct_potentials,
 )
+from .rod_model import RodState
 from .solution_family import (
     SolutionFamily,
     parameter_free_residuals,
@@ -47,28 +48,72 @@ def _center_time(fam: SolutionFamily) -> float:
     return float(fam.time_map(0.5))
 
 
-def family_residuals(fam: SolutionFamily, n_nodes: int, dt: float):
-    """Compatibility residuals on three family-sampled states around the
-    family's center time."""
-    grid = Grid1D(1.0, n_nodes)
-    t0 = _center_time(fam)
-    states = [sample_state(fam, grid, t0 + k * dt) for k in (-1, 0, 1)]
-    return parameter_free_residuals(states[0], states[1], states[2], dt)
+def _family_times(fam: SolutionFamily, dt: float):
+    """The three family times t0 - dt, t0, t0 + dt around the center time t0."""
+    return _center_time(fam) + np.array([-1.0, 0.0, 1.0]) * dt
 
 
-def reduction_chain_residuals(fam: SolutionFamily, n_nodes: int, dt: float):
-    """Run the whole reduction chain on a family-sampled rectangle centered
-    on the family's center time."""
-    grid = Grid1D(1.0, n_nodes)
+def _chain_times(fam: SolutionFamily, n_nodes: int, dt: float):
+    """The chain rectangle's n_nodes times, centered on the center time."""
     t_lo = _center_time(fam) - 0.5 * (n_nodes - 1) * dt
-    rect = sample_state(fam, grid, t_lo + np.arange(n_nodes) * dt)
-    ds = grid.spacing
+    return t_lo + np.arange(n_nodes) * dt
+
+
+def _columns(block: RodState, cols) -> RodState:
+    """The state made of the columns ``cols`` of an (N, T, 2) block."""
+    return RodState(block.grid, *(f[:, cols] for f in
+                                  (block.curvature, block.ang_vel, block.lin_vel)))
+
+
+def _family_from(block: RodState, dt: float):
+    """Compatibility residuals of a block sampled at the three family times."""
+    return parameter_free_residuals(*(_columns(block, j) for j in range(3)), dt)
+
+
+def _chain_from(rect: RodState, dt: float):
+    """The whole reduction chain on a block sampled at the chain times."""
+    ds = rect.grid.spacing
     _, _, f, g = reconstruct_potentials(rect.curvature, rect.ang_vel, rect.lin_vel, ds, dt)
     out = potential_system_residuals(f, g, ds, dt)
     profile, uniformity = extract_speed_profile(f, g, dt)
     out["h_uniformity"] = uniformity
     out.update(developable_residuals(f, g, profile, ds, dt))
     return out
+
+
+def family_residuals(fam: SolutionFamily, n_nodes: int, dt: float):
+    """Compatibility residuals on three family-sampled states around the
+    family's center time."""
+    block = sample_state(fam, Grid1D(1.0, n_nodes), _family_times(fam, dt))
+    return _family_from(block, dt)
+
+
+def reduction_chain_residuals(fam: SolutionFamily, n_nodes: int, dt: float):
+    """Run the whole reduction chain on a family-sampled rectangle centered
+    on the family's center time."""
+    rect = sample_state(fam, Grid1D(1.0, n_nodes), _chain_times(fam, n_nodes, dt))
+    return _chain_from(rect, dt)
+
+
+def _grid_residuals(fam: SolutionFamily, n_nodes: int, dt: float, flags: str):
+    """Family and chain residuals on one grid from one family solve.
+
+    The block's columns are the chain rectangle's times followed by the three
+    family times; each element gets the bits of sampling it alone. ``flags``
+    names the command-line options a sampling failure is reported against.
+    """
+    grid = Grid1D(1.0, n_nodes)
+    try:
+        times = np.concatenate([_chain_times(fam, n_nodes, dt), _family_times(fam, dt)])
+        block = sample_state(fam, grid, times)
+    except OutOfRangeError as err:
+        raise OutOfRangeError(
+            f"sampled window [{times.min()}, {times.max()}] ({flags}) leaves the "
+            f"family's time range: {err}") from err
+    except (ValueError, OverflowError, MemoryError) as err:
+        raise SizeError(f"verification grid too large to sample ({flags}): {err}") from err
+    return {**_family_from(_columns(block, slice(n_nodes, None)), dt),
+            **_chain_from(_columns(block, slice(None, n_nodes)), dt)}
 
 
 def build_report(seed: int = 0, n_nodes: int = 101, dt: float = 1e-2) -> dict:
@@ -81,14 +126,9 @@ def build_report(seed: int = 0, n_nodes: int = 101, dt: float = 1e-2) -> dict:
     fam = random_family(rng)
     h = max(ds, dt)
 
-    residuals = {}
-    residuals.update(family_residuals(fam, n_nodes, dt))
-    residuals.update(reduction_chain_residuals(fam, n_nodes, dt))
-
-    fine_nodes = 2 * (n_nodes - 1) + 1
-    fine = {}
-    fine.update(family_residuals(fam, fine_nodes, dt / 2.0))
-    fine.update(reduction_chain_residuals(fam, fine_nodes, dt / 2.0))
+    flags = f"--grid {n_nodes} --dt {dt}"
+    residuals = _grid_residuals(fam, n_nodes, dt, flags)
+    fine = _grid_residuals(fam, 2 * (n_nodes - 1) + 1, dt / 2.0, flags)
 
     orders = {}
     for key, coarse_val in residuals.items():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from dataclasses import asdict, replace
@@ -539,6 +540,33 @@ class TestCli:
         # formed, so one node is bad input (exit 2), not a division by zero.
         assert main(["verify-solution", "--grid", grid, "--dt", "6e-2"]) == 2
         assert f"need at least 3 nodes, got {grid}" in capsys.readouterr().err
+
+    def test_verify_window_outside_family_exits_1(self, capsys):
+        # A time window the family cannot reach is a numerical finding (exit
+        # 1) whose message names the window and the flags that set it.
+        assert main(["verify-solution", "--grid", "31", "--dt", "5"]) == 1
+        err = capsys.readouterr().err
+        assert "sampled window [" in err and "(--grid 31 --dt 5.0)" in err
+        assert "not reachable on [" in err
+
+    def test_verify_oversized_grid_is_a_size_error(self):
+        # Under a 3 GiB address-space cap the grid's (N, N) sampling blocks
+        # cannot be allocated: a one-line input error (exit 2), not a
+        # traceback. The cap keeps the attempt from taking the machine's memory.
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+        src = str(Path(scenarios.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        result = subprocess.run(
+            [sys.executable, "-m", "rodsim.cli", "verify-solution",
+             "--grid", "200000", "--dt", "1e-7"],
+            env=env, preexec_fn=cap_address_space, capture_output=True, text=True)
+        assert result.returncode == 2, result.stderr
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1, result.stderr
+        assert "--grid 200000 --dt 1e-07" in lines[0]
 
     def test_match_cauchy_numerical_failure_exits_1(self, tmp_path, capsys):
         path = tmp_path / "trace.json"
