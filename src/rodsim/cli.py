@@ -84,8 +84,11 @@ def _read(path: str) -> str:
 
 def _emit(text: str, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise InputError(f"cannot write {out_path}: {err}") from err
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):

@@ -21,6 +21,7 @@ from .grid_fields import (
     Grid1D,
     TridiagFactors,
     central_diff,
+    cumtrapz,
     factor_tridiag,
     solve_tridiag,
 )
@@ -337,8 +338,7 @@ def _squared_norm(v: np.ndarray) -> np.ndarray:
 def _energy_from_squares(vel2, ang2, curv2, params: MaterialParams, spacing: float):
     """Per-rod energy from the squared field magnitudes at each node."""
     density = 0.5 * (params.rho_A * vel2 + params.rho_I * ang2 + params.EI * curv2)
-    # The last entry of cumtrapz(density, spacing), summed in the same order.
-    return np.cumsum(0.5 * spacing * (density[1:] + density[:-1]), axis=0)[-1]
+    return cumtrapz(density, spacing)[-1]
 
 
 def _interval_operators(kappa: np.ndarray, ds: float):

@@ -56,6 +56,17 @@ SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
+class BoundaryConfig:
+    base: str = "clamped"
+    tip: str = "free"
+
+    def __post_init__(self):
+        for end, kind in (("base", self.base), ("tip", self.tip)):
+            if kind not in ("clamped", "free"):
+                raise ConfigurationError(f"{end} must be 'clamped' or 'free'")
+
+
+@dataclass(frozen=True)
 class DriveConfig:
     amplitude: float = 0.5       # couple per unit length
     frequency: float = 1.0
@@ -99,8 +110,7 @@ class ScenarioConfig:
     scheme: str = "semi"
     dt: float = 1e-3
     t_end: float = 10.0
-    base: str = "clamped"
-    tip: str = "free"
+    boundary: BoundaryConfig = field(default_factory=BoundaryConfig)
     drive: DriveConfig = field(default_factory=DriveConfig)
     carpet: CarpetConfig = field(default_factory=CarpetConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
@@ -111,12 +121,9 @@ class ScenarioConfig:
             raise ConfigurationError("scheme must be 'pure' or 'semi'")
         if not self.dt > 0.0 or not self.t_end > 0.0:
             raise ConfigurationError("dt and t_end must be positive")
-        for end, kind in (("base", self.base), ("tip", self.tip)):
-            if kind not in ("clamped", "free"):
-                raise ConfigurationError(f"{end} must be 'clamped' or 'free'")
 
     def to_json(self) -> str:
-        return json.dumps({"schema": SCHEMA_VERSION, **_grouped(asdict(self))}, indent=2)
+        return json.dumps({"schema": SCHEMA_VERSION, **asdict(self)}, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
@@ -135,7 +142,7 @@ class ScenarioConfig:
             raise InputError(f"unsupported config schema {version!r}")
         body = {key: value for key, value in doc.items() if key != "schema"}
         try:
-            return _read(cls, body, "config", _grouped(_kinds(cls)))
+            return _read(cls, body, "config")
         except InputError as err:
             # rodsim's own errors keep their class (ConfigurationError, ...).
             raise type(err)(f"invalid config: {err}") from err
@@ -143,35 +150,23 @@ class ScenarioConfig:
             raise InputError(f"invalid config: {err}") from err
 
 
-def _grouped(flat: dict) -> dict:
-    """ScenarioConfig's fields in its JSON layout: base and tip under "boundary"."""
-    doc = {}
-    for key, value in flat.items():
-        if key in ("base", "tip"):
-            doc.setdefault("boundary", {})[key] = value
-        else:
-            doc[key] = value
-    return doc
-
-
 # {field name: annotated type} of a config dataclass, in field order.
 _kinds = functools.cache(typing.get_type_hints)
 
 
-def _read(cls, doc, where, kinds):
+def _read(cls, doc, where):
     """The config dataclass ``cls`` read from the JSON object ``doc``.
 
-    ``kinds`` are ``doc``'s key kinds (see ``_checked``), where a config
-    dataclass is a nested section (empty when absent) and a dict a section of
-    ``cls``'s own fields. Fields without a default are required.
+    A field whose kind is a config dataclass is a nested section (empty when
+    absent); the other key kinds are checked by ``_checked``. Fields without
+    a default are required.
     """
+    kinds = _kinds(cls)
     doc = _checked(doc, kinds, where)
     values = {}
     for key, kind in kinds.items():
-        if isinstance(kind, dict):
-            values.update(_checked(doc.get(key, {}), kind, key))
-        elif is_dataclass(kind):
-            values[key] = _read(kind, doc.get(key, {}), key, _kinds(kind))
+        if is_dataclass(kind):
+            values[key] = _read(kind, doc.get(key, {}), key)
         elif key in doc:
             values[key] = doc[key]
     missing = [f.name for f in fields(cls) if f.name not in values
@@ -262,6 +257,9 @@ class Trajectory:
                 "inconsistent trajectory document: times, positions, energies and "
                 f"drifts have shapes {traj.times.shape}, {traj.positions.shape}, "
                 f"{traj.energies.shape} and {traj.drifts.shape}")
+        for name, values in vars(traj).items():
+            if not np.isfinite(values).all():
+                raise InputError(f"trajectory document has non-finite {name}")
         return traj
 
     def to_csv(self) -> str:
@@ -288,7 +286,8 @@ class Trajectory:
                 row = (float(t), int(k), int(i), float(x), float(y), float(z))
             except ValueError:
                 row = None
-            if row is None or not math.isfinite(row[0]) or min(row[1:3]) < 0:
+            if (row is None or not all(map(math.isfinite, (row[0], *row[3:])))
+                    or min(row[1:3]) < 0):
                 raise InputError(f"malformed CSV row: {ln!r}")
             rows.append(row)
         if not rows:
@@ -340,7 +339,7 @@ def _drive_loads(config: ScenarioConfig, phase) -> Loads:
 
 
 def _boundary(config: ScenarioConfig) -> BoundaryConditions:
-    return BoundaryConditions(base=config.base, tip=config.tip)
+    return BoundaryConditions(base=config.boundary.base, tip=config.boundary.tip)
 
 
 def _take(state, keep):
@@ -351,7 +350,7 @@ def _take(state, keep):
 
 # Rod-frames whose centerlines one reconstruct_centerline call builds in a
 # run: a call's fixed cost is paid once per block, and the cap bounds the
-# memory of the pending curvatures and of the call's temporaries.
+# memory of the call's temporaries.
 CENTERLINE_BLOCK = 64
 
 
@@ -367,9 +366,10 @@ def simulate_rod(config: ScenarioConfig):
     and final states. A rod fails when its step produces non-finite values or
     its energy, checked every step, exceeds 1e3 times the reference scale.
     The others step on without it, so each rod fails as it would alone; the
-    trajectory keeps the frames captured before the first failure. Frame
-    centerlines are reconstructed in blocks of ``CENTERLINE_BLOCK`` rod-frames
-    and once more at the end of the run.
+    trajectory keeps the frames captured before the first failure. Each
+    frame records its curvatures; the centerlines of the captured frames are
+    reconstructed after the run, in blocks of whole frames that hold at most
+    ``CENTERLINE_BLOCK`` rod-frames (one frame when the rods alone exceed it).
     """
     mat = config.material
     grid = mat.grid()
@@ -386,6 +386,7 @@ def simulate_rod(config: ScenarioConfig):
             np.empty(n_frames), np.empty((n_frames, n_rods, grid.node_count, 3)),
             np.empty((n_frames, n_rods)), np.empty((n_frames, n_rods, 3)),
         )
+        curvatures = np.empty((n_frames, grid.node_count, n_rods, 2))
     except (ValueError, OverflowError, MemoryError) as err:
         raise SizeError(
             f"run too large to allocate (material.nodes={mat.nodes}, "
@@ -398,35 +399,19 @@ def simulate_rod(config: ScenarioConfig):
     loads = _drive_loads(config, phases)
     step = step_semi_analytic if semi else step_pure_numeric
 
-    frames = 0
-    pending = []  # curvatures of captured frames whose centerlines are not built
-
-    def build_centerlines():
-        # One call for all pending frames, their rods laid along the rod axis
-        # frame after frame.
-        count = len(pending)
-        positions = reconstruct_centerline(np.concatenate(pending, axis=1), grid.spacing,
-                                           np.tile(bases, (count, 1)))[0]
-        traj.positions[frames - count:frames] = positions.reshape(
-            grid.node_count, count, n_rods, 3).transpose(1, 2, 0, 3)
-        pending.clear()
-
-    def capture(t, state, e):
-        nonlocal frames
-        traj.times[frames] = t
-        traj.energies[frames] = e
-        traj.drifts[frames] = np.stack(np.broadcast_arrays(*drift_norms(state)), axis=-1)
-        pending.append((lift(state) if semi else state).curvature)
-        frames += 1
-        if len(pending) * n_rods >= CENTERLINE_BLOCK:
-            build_centerlines()
-
     e = state_energy(state, mat)
     drive_scale = config.drive.amplitude**2 * mat.length**3 / (2.0 * mat.EI)
     bound = 1e3 * np.maximum(e, np.full(n_rods, max(drive_scale, 1e-12)))
-    capture(0.0, state, e)
-    failed, done = [], 0
-    while done < n_steps and rods.size:
+    failed, done, frames = [], 0, 0
+    while True:
+        if not failed and (done % stride == 0 or done == n_steps):
+            traj.times[frames] = done * dt
+            traj.energies[frames] = e
+            traj.drifts[frames] = np.stack(drift_norms(state), axis=-1)
+            curvatures[frames] = (lift(state) if semi else state).curvature
+            frames += 1
+        if done == n_steps or not rods.size:
+            break
         try:
             new = step(state, mat, loads, bc, done * dt, dt)
             e = state_energy(new, mat)
@@ -443,10 +428,17 @@ def simulate_rod(config: ScenarioConfig):
             continue
         state = new
         done += 1
-        if not failed and (done % stride == 0 or done == n_steps):
-            capture(done * dt, state, e)
-    if pending:
-        build_centerlines()
+    # One call per block, its frames' rods laid along the rod axis frame
+    # after frame; the last block ends at the last captured frame.
+    per_block = -(-CENTERLINE_BLOCK // n_rods)
+    for lo in range(0, frames, per_block):
+        block = curvatures[lo:min(lo + per_block, frames)]
+        count = len(block)
+        positions = reconstruct_centerline(
+            block.transpose(1, 0, 2, 3).reshape(grid.node_count, count * n_rods, 2),
+            grid.spacing, np.tile(bases, (count, 1)))[0]
+        traj.positions[lo:lo + count] = positions.reshape(
+            grid.node_count, count, n_rods, 3).transpose(1, 2, 0, 3)
     traj = Trajectory(traj.times[:frames], traj.positions[:frames],
                       traj.energies[:frames], traj.drifts[:frames])
     return traj, not failed, sorted(failed)
@@ -481,7 +473,15 @@ def benchmark_stability(
     Finds the largest stable step of each scheme on the single-cilium
     scenario, then times both over the horizon at half their thresholds.
     Returns {dt_pure, dt_semi, dt_ratio, wall_pure, wall_semi, speedup}.
+    The horizon and both bounds must be finite, and dt_max no longer than the
+    horizon, which a run cannot step past.
     """
+    dt_min, dt_max = dt_bounds
+    for name, value in (("horizon", horizon), ("dt_min", dt_min), ("dt_max", dt_max)):
+        if not math.isfinite(value):
+            raise InputError(f"{name} must be finite, got {value}")
+    if dt_max > horizon:
+        raise InputError(f"dt_max {dt_max} exceeds the horizon {horizon}")
     single = replace(config, carpet=CarpetConfig(rods=1), output=OutputConfig(stride=10**9))
     report = {}
     for scheme in ("pure", "semi"):

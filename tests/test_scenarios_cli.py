@@ -17,6 +17,7 @@ from rodsim.errors import ConfigurationError, InputError, InstabilityError
 from rodsim.integrators import ManifoldState, lift
 from rodsim.rod_model import MaterialParams, reconstruct_centerline
 from rodsim.scenarios import (
+    BoundaryConfig,
     CarpetConfig,
     DriveConfig,
     OutputConfig,
@@ -38,6 +39,43 @@ def small_config(**overrides):
     return ScenarioConfig(**base)
 
 
+DEFAULT_CONFIG_JSON = """{
+  "schema": 1,
+  "material": {
+    "rho": 1.0,
+    "area": 0.02,
+    "moment": 0.01,
+    "EI": 0.1,
+    "length": 1.0,
+    "nodes": 101
+  },
+  "scheme": "semi",
+  "dt": 0.001,
+  "t_end": 10.0,
+  "boundary": {
+    "base": "clamped",
+    "tip": "free"
+  },
+  "drive": {
+    "amplitude": 0.5,
+    "frequency": 1.0,
+    "active_fraction": 0.3,
+    "phase": 0.0
+  },
+  "carpet": {
+    "rods": 1,
+    "spacing": 0.5,
+    "phase_increment": 0.0
+  },
+  "output": {
+    "stride": 10,
+    "format": "json",
+    "path": null
+  },
+  "seed": 0
+}"""
+
+
 class TestScenarioConfig:
     def test_defaults(self):
         config = default_config()
@@ -54,6 +92,41 @@ class TestScenarioConfig:
         )
         clone = ScenarioConfig.from_json(config.to_json())
         assert clone == config
+
+    def test_json_text_is_the_schema(self):
+        # The config's JSON text, key order and sections included, is its
+        # schema: it is pinned here, for both boundary kinds.
+        assert default_config().to_json() == DEFAULT_CONFIG_JSON
+        doc = json.loads(DEFAULT_CONFIG_JSON)
+        doc["boundary"]["tip"] = "clamped"
+        clamped = ScenarioConfig.from_dict(doc)
+        assert clamped == default_config(boundary=BoundaryConfig(tip="clamped"))
+        assert clamped.to_json() == DEFAULT_CONFIG_JSON.replace(
+            '"tip": "free"', '"tip": "clamped"')
+        assert ScenarioConfig.from_json(clamped.to_json()) == clamped
+
+    @pytest.mark.parametrize(
+        "patch, error, message",
+        [
+            ({"boundary": {"base": "pinned"}}, ConfigurationError,
+             "invalid config: base must be 'clamped' or 'free'"),
+            ({"boundary": {"tip": "hinged"}}, ConfigurationError,
+             "invalid config: tip must be 'clamped' or 'free'"),
+            ({"boundary": []}, InputError,
+             "invalid config: boundary section must be a JSON object"),
+            ({"boundary": {"left": "free"}}, InputError,
+             "invalid config: unknown boundary keys: ['left']"),
+            ({"base": "clamped"}, InputError, "invalid config: unknown config keys: ['base']"),
+        ],
+        ids=["base-pinned", "tip-hinged", "boundary-array", "boundary-unknown-key",
+             "top-level-base"],
+    )
+    def test_boundary_section_errors(self, patch, error, message):
+        doc = {**json.loads(small_config().to_json()), **patch}
+        with pytest.raises(InputError) as err:
+            ScenarioConfig.from_dict(doc)
+        assert type(err.value) is error
+        assert str(err.value) == message
 
     def test_absent_keys_take_the_dataclass_defaults(self):
         material = small_config().material
@@ -183,6 +256,18 @@ class TestTrajectory:
         duplicate = text.splitlines()[3]
         with pytest.raises(InputError, match="duplicate CSV row"):
             Trajectory.from_csv(text + duplicate + "\n")
+
+    @pytest.mark.parametrize("row", ["0.0,0,0,nan,0.0,0.0", "0.0,0,0,0.0,inf,0.0",
+                                     "0.0,0,0,0.0,0.0,-inf"])
+    def test_csv_non_finite_coordinate(self, row):
+        with pytest.raises(InputError, match="malformed CSV row"):
+            Trajectory.from_csv(f"t,rod,node,x,y,z\n{row}\n")
+
+    def test_json_non_finite_position(self):
+        doc = json.loads(self.make().to_json())
+        doc["positions"][1][0][2][1] = float("nan")
+        with pytest.raises(InputError, match="non-finite positions"):
+            Trajectory.from_json(json.dumps(doc))
 
     def test_json_frame_count_mismatch(self):
         doc = json.loads(self.make(frames=2).to_json())
@@ -344,7 +429,7 @@ class TestRunCarpet:
     def test_failed_run_builds_its_last_block(self, monkeypatch):
         # Rods 1 and 3 of this semi carpet go unstable; the frames captured
         # before the first failure (37) fill blocks of 16 frames and part of
-        # one more, which the end of the run builds.
+        # one more, which stops at the last captured frame.
         material = replace(default_config().material, nodes=21)
         config = default_config(
             material=material, dt=3e-3, t_end=1.0, output=OutputConfig(stride=5),
@@ -368,6 +453,29 @@ class TestRunCarpet:
 
 
 class TestBenchmark:
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--dt-max", "inf"], "dt_max must be finite, got inf"),
+            (["--dt-min", "nan"], "dt_min must be finite, got nan"),
+            (["--horizon", "inf"], "horizon must be finite, got inf"),
+            (["--horizon", "0.01", "--dt-max", "1e300"],
+             "dt_max 1e+300 exceeds the horizon 0.01"),
+        ],
+        ids=["dt-max-inf", "dt-min-nan", "horizon-inf", "dt-max-above-horizon"],
+    )
+    def test_rejects_unsteppable_dt_bounds(self, tmp_path, capsys, monkeypatch,
+                                           flags, message):
+        # Bounds that are not finite, or a dt_max that no run over the horizon
+        # can step, are bad input (exit 2) found before any probe runs.
+        def probe(config):
+            raise AssertionError("a probe ran")
+
+        monkeypatch.setattr(scenarios, "simulate_rod", probe)
+        config = write_config(tmp_path, small_config())
+        assert main(["benchmark", str(config), *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_report_fields(self):
         config = small_config(t_end=0.2)
         report = benchmark_stability(config, horizon=0.2, dt_bounds=(1e-4, 1e-1))
@@ -449,6 +557,9 @@ class TestCli:
             (None, "dt", 0),
             (None, "t_end", -1),
             ("boundary", "base", "pinned"),
+            (None, "boundary", []),
+            ("boundary", "left", "free"),
+            (None, "base", "clamped"),
             (None, "dt", 1e-300),
             ("material", "nodes", 10**18),
             ("carpet", "rods", 10**18),
@@ -470,6 +581,23 @@ class TestCli:
         out = tmp_path / "run.json"
         assert main(["simulate", str(path), "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "verify-solution", "export"])
+    def test_unwritable_out_is_bad_input(self, tmp_path, capsys, command):
+        # An --out path that cannot be written is bad input (exit 2) with a
+        # one-line message, not a traceback after the work is done.
+        traj = tmp_path / "run.traj.json"
+        traj.write_text(Trajectory(np.zeros(1), np.zeros((1, 1, 2, 3)), np.zeros((1, 1)),
+                                   np.zeros((1, 1, 3))).to_json())
+        argv = {
+            "simulate": ["simulate", str(write_config(tmp_path, small_config()))],
+            "verify-solution": ["verify-solution", "--grid", "11", "--dt", "6e-2"],
+            "export": ["export", str(traj), "--format", "csv"],
+        }[command]
+        out = tmp_path / "missing" / "x"
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot write {out}: ")
 
     def test_simulate_rejects_non_string_path(self, tmp_path):
         # An integer path would be opened as a file descriptor.
