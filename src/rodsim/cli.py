@@ -118,6 +118,11 @@ def _cmd_simulate(args) -> int:
         trajectory = err.partial
         failed = True
         print(f"error: {err}", file=sys.stderr)
+    # After the run: a t_end / dt too large to count has failed there already.
+    n_steps = config.n_steps
+    if abs(n_steps * config.dt - config.t_end) > 1e-9 * config.t_end:
+        print(f"warning: dt={config.dt} does not divide t_end={config.t_end}; "
+              f"ran {n_steps} step(s) of {config.t_end / n_steps}", file=sys.stderr)
     text = (
         trajectory.to_csv()
         if config.output.format == "csv"

@@ -10,12 +10,15 @@ is a pure function of its inputs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import find_spec, module_from_spec
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf as _gttrf, dgttrs as _gttrs
 
 from .errors import (
     DivergenceError,
@@ -24,6 +27,41 @@ from .errors import (
     SingularSystemError,
     SizeError,
 )
+
+
+def _load_flapack():
+    """SciPy's compiled LAPACK wrappers, ``scipy.linalg._flapack``.
+
+    The extension is loaded from its file without importing the
+    ``scipy.linalg`` package, whose initialisation costs most of a command's
+    start-up and none of whose Python code is used here. A single-phase
+    extension is initialised once per process, so its routines are the very
+    objects SciPy's own ``lapack`` module exports, in either import order.
+    """
+    scipy = find_spec("scipy")  # locates the package without importing it
+    if scipy is None:
+        raise ModuleNotFoundError("rodsim needs SciPy, which is not installed",
+                                  name="scipy")
+    linalg = Path(scipy.origin).parent / "linalg"
+    finder = FileFinder(str(linalg), (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec("scipy.linalg._flapack")
+    if spec is None:
+        from importlib.metadata import version
+
+        raise ImportError(f"SciPy's LAPACK extension _flapack is not in {linalg} "
+                          f"(scipy {version('scipy')})")
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if "scipy.linalg" not in sys.modules:
+        # Initialisation registered the module without its package; drop the
+        # entry so that a later scipy.linalg import binds its own copy (the
+        # same routines) as the package's attribute.
+        sys.modules.pop(spec.name, None)
+    return module
+
+
+_flapack = _load_flapack()
+_gttrf, _gttrs = _flapack.dgttrf, _flapack.dgttrs
 
 __all__ = [
     "Grid1D",
@@ -99,7 +137,8 @@ def central_diff(values: np.ndarray, spacing: float, order: int = 1) -> np.ndarr
 def cumtrapz(values: np.ndarray, spacing: float) -> np.ndarray:
     """Trapezoidal cumulative integral from node 0 along axis 0; result[0] = 0."""
     f = np.asarray(values, dtype=float)
-    out = np.zeros_like(f)
+    out = np.empty_like(f)
+    out[0] = 0.0
     increments = 0.5 * spacing * (f[1:] + f[:-1])
     np.cumsum(increments, axis=0, out=out[1:])
     return out

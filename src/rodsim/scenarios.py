@@ -122,6 +122,12 @@ class ScenarioConfig:
         if not self.dt > 0.0 or not self.t_end > 0.0:
             raise ConfigurationError("dt and t_end must be positive")
 
+    @property
+    def n_steps(self) -> int:
+        """The steps a run takes: t_end / dt rounded, and at least one. Each
+        step is t_end / n_steps long, which is dt only when dt divides t_end."""
+        return max(1, int(round(self.t_end / self.dt)))
+
     def to_json(self) -> str:
         return json.dumps({"schema": SCHEMA_VERSION, **asdict(self)}, indent=2)
 
@@ -378,7 +384,7 @@ def simulate_rod(config: ScenarioConfig):
     stride = config.output.stride
     semi = config.scheme == "semi"
     try:
-        n_steps = max(1, int(round(config.t_end / config.dt)))
+        n_steps = config.n_steps
         n_frames = 1 + n_steps // stride + (n_steps % stride != 0)
         rods = np.arange(n_rods)
         state = (ManifoldState if semi else RodState).zero(grid, n_rods)

@@ -1,5 +1,6 @@
 """Tests for scenario configs, run orchestration, and the command-line interface."""
 
+import importlib.metadata
 import json
 import os
 import resource
@@ -524,6 +525,20 @@ class TestCli:
         assert main(["simulate", str(cfg), "--out", str(out)]) == 0
         assert out.read_text().splitlines()[0] == "t,rod,node,x,y,z"
 
+    @pytest.mark.parametrize("dt, t_end, err", [
+        (0.7, 1.0, "warning: dt=0.7 does not divide t_end=1.0; ran 1 step(s) of 1.0\n"),
+        (1e-3, 0.1, ""),
+    ])
+    def test_simulate_warns_when_dt_does_not_divide_t_end(self, tmp_path, capsys,
+                                                           dt, t_end, err):
+        # The run steps t_end / n_steps either way; the exit code and the
+        # written trajectory do not depend on the warning.
+        config = small_config(scheme="pure", dt=dt, t_end=t_end)
+        out = tmp_path / "run.json"
+        assert main(["simulate", str(write_config(tmp_path, config)), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == err
+        assert out.read_text() == run_scenario(config).to_json()
+
     def test_simulate_unstable_exits_1_with_partial(self, tmp_path):
         config = small_config(
             scheme="pure", dt=5e-2, t_end=5.0, drive=DriveConfig(amplitude=1.0)
@@ -813,6 +828,17 @@ class TestCli:
         assert report["pass"] is True
         assert report["grid"]["Ns"] == int(grid)
 
+    @staticmethod
+    def _run_fresh(code, *args):
+        """stdout of ``code`` run with ``args`` in a fresh interpreter."""
+        src = str(Path(scenarios.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        result = subprocess.run(
+            [sys.executable, "-c", code, *map(str, args)],
+            env=env, capture_output=True, text=True, check=True)
+        return result.stdout.strip()
+
     def test_simulate_does_not_import_interpolation(self, tmp_path):
         # rodsim's splines are its own and SciPy serves only LAPACK's
         # tridiagonal solves, so neither a simulation nor the verification
@@ -832,10 +858,50 @@ class TestCli:
             "assert rodsim.cli.main(['match-cauchy', sys.argv[2], '--out', sys.argv[1]]) == 0\n"
             "print('scipy.interpolate' in sys.modules)\n"
         )
-        src = str(Path(scenarios.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        result = subprocess.run(
-            [sys.executable, "-c", code, str(tmp_path / "out.json"), str(trace)],
-            env=env, capture_output=True, text=True, check=True)
-        assert result.stdout.strip() == "False"
+        assert self._run_fresh(code, tmp_path / "out.json", trace) == "False"
+
+    def test_commands_do_not_import_scipy_linalg(self, tmp_path):
+        # rodsim loads SciPy's compiled LAPACK extension from its file; the
+        # scipy.linalg package's initialisation would be most of a command's
+        # start-up time and memory.
+        cfg = write_config(tmp_path, small_config(dt=1e-3, t_end=1e-2))
+        code = (
+            "import sys\n"
+            "from rodsim.cli import main\n"
+            "assert main(['simulate', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+            "argv = ['verify-solution', '--grid', '11', '--dt', '6e-2', '--out', sys.argv[2]]\n"
+            "assert main(argv) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n"
+        )
+        assert self._run_fresh(code, cfg, tmp_path / "out.json") == "[]"
+
+    @pytest.mark.parametrize("first", ["rodsim.grid_fields", "scipy.linalg.lapack"])
+    def test_lapack_routines_are_scipys(self, first):
+        # The extension initialises once per process, so rodsim's routines are
+        # the objects scipy.linalg.lapack exports, whichever is imported first.
+        second = ({"rodsim.grid_fields", "scipy.linalg.lapack"} - {first}).pop()
+        code = (
+            f"import {first}, {second}\n"
+            "import scipy.linalg\n"
+            "from rodsim.grid_fields import _gttrf, _gttrs\n"
+            "print(_gttrf is scipy.linalg.lapack.dgttrf, _gttrs is scipy.linalg.lapack.dgttrs,\n"
+            "      _gttrf is scipy.linalg._flapack.dgttrf)\n"
+        )
+        assert self._run_fresh(code) == "True True True"
+
+    def test_missing_lapack_extension_names_the_directory(self, tmp_path, monkeypatch):
+        from importlib.machinery import ModuleSpec
+
+        from rodsim import grid_fields
+
+        origin = tmp_path / "scipy" / "__init__.py"
+        monkeypatch.setattr(grid_fields, "find_spec",
+                            lambda name: ModuleSpec(name, None, origin=str(origin)))
+        with pytest.raises(ImportError) as info:
+            grid_fields._load_flapack()
+        message = str(info.value)
+        assert str(tmp_path / "scipy" / "linalg") in message
+        assert f"scipy {importlib.metadata.version('scipy')}" in message
+        monkeypatch.setattr(grid_fields, "find_spec", lambda name: None)
+        with pytest.raises(ModuleNotFoundError, match="needs SciPy"):
+            grid_fields._load_flapack()
