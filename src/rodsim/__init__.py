@@ -44,7 +44,6 @@ from .rod_model import (
     bending_couple,
     energy,
     reconstruct_centerline,
-    solve_contact_force,
 )
 from .scenarios import (
     ScenarioConfig,
@@ -57,13 +56,10 @@ from .solution_family import (
     CauchyTrace,
     SolutionFamily,
     evaluate_family,
-    family_from_json,
     family_to_json,
-    invert_time,
     match_boundary_trace,
     parameter_free_residuals,
     random_family,
-    random_trace,
     sample_state,
     verify_trace_match,
 )

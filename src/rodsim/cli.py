@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .errors import InputError, InstabilityError, RodSimError
+from .errors import InputError, InstabilityError, NumericalError, RodSimError
 from .scenarios import (
     STABILITY_DT_BOUNDS,
     STABILITY_HORIZON,
@@ -157,6 +157,9 @@ def _cmd_match_cauchy(args) -> int:
     fam = match_boundary_trace(trace, u_max, steps)
     samples = np.linspace(0.0, u_max, 33)
     residual = verify_trace_match(fam, trace, samples)
+    if not np.isfinite(residual):  # NaN and infinities are not JSON numbers
+        raise NumericalError(f"the round-trip residual is not finite "
+                             f"(u_max={u_max}, steps={steps})")
     report = {
         "u_max": u_max,
         "steps": steps,

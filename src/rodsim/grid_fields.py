@@ -379,11 +379,6 @@ class SampledFn:
         slack = 1e-12 * max(knots[-1] - knots[0], 1.0)
         self._limits = (float(knots[0] - slack), float(knots[-1] + slack))
 
-    @classmethod
-    def from_callable(cls, fn, lo: float, hi: float, n: int = 256) -> "SampledFn":
-        knots = np.linspace(lo, hi, n)
-        return cls(knots, np.asarray([fn(u) for u in knots], dtype=float))
-
     @property
     def knots(self) -> np.ndarray:
         return self._knots

@@ -35,7 +35,6 @@ __all__ = [
     "cross2",
     "constraint_norms",
     "bending_couple",
-    "solve_contact_force",
     "contact_force",
     "energy",
     "reconstruct_centerline",
@@ -198,14 +197,6 @@ class BoundaryConditions:
             if kind not in ("clamped", "free"):
                 raise ConfigurationError(f"{end} kind must be 'clamped' or 'free'")
 
-    @classmethod
-    def free_free(cls) -> "BoundaryConditions":
-        return cls(base="free", tip="free")
-
-    @classmethod
-    def clamped_base(cls) -> "BoundaryConditions":
-        return cls(base="clamped", tip="free")
-
 
 def bending_couple(state: RodState, params: MaterialParams) -> np.ndarray:
     """Linear isotropic bending law: couple = EI * curvature, componentwise."""
@@ -244,32 +235,6 @@ def _contact_operator(
         raise
 
 
-def solve_contact_force(
-    state: RodState,
-    params: MaterialParams,
-    loads: Loads,
-    bc: BoundaryConditions,
-    t: float,
-) -> np.ndarray:
-    """Recover the internal contact force as a constraint reaction.
-
-    Time-differentiating the velocity compatibility relation and substituting
-    the momentum balances yields a linear two-point boundary-value problem for
-    the force field:
-
-        (1/rho A) n'' + (1/rho I) n = (1/rho I) adiag(m' + l) - (1/rho A) f',
-
-    discretized with central differences. Both components share one scalar
-    tridiagonal matrix, factored once per parameter set and solved with two
-    right-hand-side columns per rod. Free ends impose n = 0; clamped ends
-    impose n' = -f + rho A * (d/dt prescribed linear velocity). A non-finite
-    right-hand side (a blown-up state) gives a non-finite force.
-    """
-    dm = central_diff(bending_couple(state, params), state.grid.spacing)
-    f, l = _loads_at(loads, t, dm, state.grid)
-    return contact_force(dm, f, l, params, bc, t, state.grid)
-
-
 def _loads_at(loads: Loads, t: float, dm: np.ndarray, grid: Grid1D):
     """The distributed force f and couple l at time t, shaped to act with m'.
 
@@ -299,11 +264,22 @@ def contact_force(
     t: float,
     grid: Grid1D,
 ) -> np.ndarray:
-    """``solve_contact_force`` with its inputs already evaluated.
+    """Recover the internal contact force as a constraint reaction.
 
-    ``dm`` is the arclength derivative of the bending couple; ``f`` and ``l``
-    are the distributed force and couple at time t. A stepper that needs
-    them too evaluates them once and passes them here.
+    Time-differentiating the velocity compatibility relation and substituting
+    the momentum balances yields a linear two-point boundary-value problem for
+    the force field:
+
+        (1/rho A) n'' + (1/rho I) n = (1/rho I) adiag(m' + l) - (1/rho A) f',
+
+    discretized with central differences. ``dm`` is m', the arclength
+    derivative of the bending couple; ``f`` and ``l`` are the distributed
+    force and couple at time t, shaped as ``_loads_at`` gives them. Both
+    components share one scalar tridiagonal matrix, factored once per
+    parameter set and solved with two right-hand-side columns per rod. Free
+    ends impose n = 0; clamped ends impose
+    n' = -f + rho A * (d/dt prescribed linear velocity). A non-finite
+    right-hand side (a blown-up state) gives a non-finite force.
     """
     ds = grid.spacing
     factors = _contact_operator(

@@ -17,7 +17,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegeneracyError, InputError, OutOfRangeError
+from .errors import (
+    DegeneracyError,
+    DivergenceError,
+    InputError,
+    OutOfRangeError,
+    SizeError,
+)
 from .grid_fields import Grid1D, SampledFn, central_diff, integrate_ode_rk4
 from .rod_model import RodState, constraint_norms
 
@@ -25,15 +31,12 @@ __all__ = [
     "SolutionFamily",
     "CauchyTrace",
     "evaluate_family",
-    "invert_time",
     "sample_state",
     "parameter_free_residuals",
     "match_boundary_trace",
     "verify_trace_match",
     "family_to_json",
-    "family_from_json",
     "random_family",
-    "random_trace",
 ]
 
 _DEGEN = 1e-12
@@ -156,15 +159,6 @@ def _invert_monotone(fn, lo, hi, target):
                          + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2), 0.5)
 
 
-def invert_time(fam: SolutionFamily, s: float, t: float) -> float:
-    """Find the family parameter u with time_map(amp(u)*s + u) = t."""
-
-    def g(u):
-        return fam.time_map(fam.amp(u) * s + u)
-
-    return float(_invert_monotone(g, *fam.u_range, t))
-
-
 def sample_state(fam: SolutionFamily, grid: Grid1D, t) -> RodState:
     """Evaluate the family on a grid at one physical time or at T times.
 
@@ -239,8 +233,15 @@ def match_boundary_trace(
 
     Integrates the angle and time-map profile from their corner values, then
     sets the amplitude pointwise; the resulting family reproduces the traces
-    along s = 0.
+    along s = 0. A march that overflows, or an amplitude that is not finite,
+    raises ``DivergenceError``.
     """
+    if not u_max > 0.0:
+        raise InputError(f"u_max must be positive, got {u_max}")
+    if steps < 3:
+        raise SizeError(f"steps must be at least 3 (a spline needs 4 knots), "
+                        f"got {steps}")
+    where = f"(u_max={u_max}, steps={steps})"
     v1, w1, k1 = data.v1_trace, data.w1_trace, data.k1_trace
 
     def rhs(u, y):
@@ -258,12 +259,18 @@ def match_boundary_trace(
     c0 = np.arctan2(data.v2_origin, v1(0.0))
     if abs(np.cos(c0)) < 1e-9:
         raise DegeneracyError("initial angle too close to pi/2")
-    us, ys = integrate_ode_rk4(rhs, np.array([c0, 0.0]), (0.0, u_max), steps)
+    try:
+        us, ys = integrate_ode_rk4(rhs, np.array([c0, 0.0]), (0.0, u_max), steps)
+    except OverflowError as err:  # a Python float power of a trace value
+        raise DivergenceError(f"the trace march overflowed {where}: {err}") from err
     c_vals, f_vals = ys[:, 0], ys[:, 1]
     fv1 = np.asarray([v1(f) for f in f_vals])
     fw1 = np.asarray([w1(f) for f in f_vals])
     fk1 = np.asarray([k1(f) for f in f_vals])
-    a_vals = -fk1 * fv1 / (fw1 * np.cos(c_vals))
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_vals = -fk1 * fv1 / (fw1 * np.cos(c_vals))
+    if not np.isfinite(a_vals).all():
+        raise DivergenceError(f"the matched amplitude is not finite {where}")
     # The march knows the exact endpoint slopes; clamping the splines there
     # keeps the corner relations accurate to the RK4 error, not the natural
     # boundary-condition error.
@@ -294,11 +301,15 @@ def verify_trace_match(fam: SolutionFamily, data: CauchyTrace, u_samples) -> flo
         abs(np.sin(fam.angle(0.0)) / fam.time_map.derivative(0.0) - data.v2_origin),
         abs(fam.time_map(0.0)),
     ]
-    return float(max(res))
+    return float(np.max(res))  # NaN in any relation propagates
 
 
 def family_to_json(fam: SolutionFamily) -> str:
-    """Serialize the family samples as JSON (reproducible fixtures)."""
+    """The family's knot samples as JSON: a record of a fit, not a family.
+
+    The clamped end slopes of the angle and time-map splines are not written,
+    so the samples do not rebuild the same splines.
+    """
     return json.dumps(
         {
             "u_knots": fam.amp.knots.tolist(),
@@ -308,21 +319,6 @@ def family_to_json(fam: SolutionFamily) -> str:
             "F": fam.time_map.values.tolist(),
         }
     )
-
-
-def family_from_json(text: str) -> SolutionFamily:
-    try:
-        doc = json.loads(text)
-        u_knots = np.asarray(doc["u_knots"], dtype=float)
-        fam = SolutionFamily(
-            amp=SampledFn(u_knots, doc["A"]),
-            angle=SampledFn(u_knots, doc["C"]),
-            time_map=SampledFn(doc["F_knots"], doc["F"]),
-            u_range=(float(u_knots[0]), float(u_knots[-1])),
-        )
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as err:
-        raise InputError(f"malformed family document: {err}") from err
-    return fam
 
 
 def random_family(rng: np.random.Generator) -> SolutionFamily:
@@ -351,22 +347,4 @@ def random_family(rng: np.random.Generator) -> SolutionFamily:
         angle=SampledFn(u_knots, d + e * u_knots),
         time_map=SampledFn(w_knots, g * w_knots + (h / k) * np.sin(k * w_knots)),
         u_range=(lo, hi),
-    )
-
-
-def random_trace(rng: np.random.Generator) -> CauchyTrace:
-    """Draw nonvanishing boundary-trace data for round-trip checks."""
-
-    def draw():
-        base = rng.uniform(0.7, 1.3) * rng.choice([-1.0, 1.0])
-        amp = rng.uniform(0.1, 0.4) * abs(base)
-        freq = rng.uniform(0.3, 1.0)
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        return lambda t, b=base, a=amp, f=freq, p=phase: b + a * np.cos(f * t + p)
-
-    return CauchyTrace(
-        v1_trace=draw(),
-        w1_trace=draw(),
-        k1_trace=draw(),
-        v2_origin=rng.uniform(0.2, 0.9) * rng.choice([-1.0, 1.0]),
     )

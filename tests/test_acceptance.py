@@ -18,7 +18,7 @@ The numbered criteria:
 import numpy as np
 import pytest
 
-from rodsim.grid_fields import Grid1D, SampledFn
+from rodsim.grid_fields import Grid1D
 from rodsim.integrators import (
     ManifoldState,
     drift_norms,
@@ -48,11 +48,12 @@ from rodsim.solution_family import (
     SolutionFamily,
     match_boundary_trace,
     random_family,
-    random_trace,
     sample_state,
     verify_trace_match,
 )
 from rodsim.verify import family_residuals, reduction_chain_residuals
+
+from helpers import random_trace, sampled_fn
 
 
 def _report(criterion, ok, detail):
@@ -207,9 +208,9 @@ def test_criterion_6_speedup(benchmark_report):
 
 def _exact_family(span=3.0):
     return SolutionFamily(
-        amp=SampledFn.from_callable(lambda u: 1.0, -span, span, 65),
-        angle=SampledFn.from_callable(lambda u: u, -span, span, 65),
-        time_map=SampledFn.from_callable(lambda w: w, -2 * span, 2 * span, 65),
+        amp=sampled_fn(lambda u: 1.0, -span, span, 65),
+        angle=sampled_fn(lambda u: u, -span, span, 65),
+        time_map=sampled_fn(lambda w: w, -2 * span, 2 * span, 65),
         u_range=(-span, span),
     )
 
@@ -346,7 +347,7 @@ def test_criterion_9_energy_drift_order():
     )
     grid = params.grid()
     s = grid.nodes
-    bc = BoundaryConditions.free_free()
+    bc = BoundaryConditions(base="free", tip="free")
 
     def final_energy(dt, t_end=0.2):
         m = ManifoldState(

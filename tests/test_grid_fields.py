@@ -23,6 +23,8 @@ from rodsim.grid_fields import (
     solve_tridiag,
 )
 
+from helpers import sampled_fn
+
 
 class TestGrid1D:
     def test_nodes_and_spacing(self):
@@ -316,7 +318,7 @@ class TestSampledFn:
         np.testing.assert_array_equal(fn(knots), vals)
 
     def test_derivative_matches_central_difference(self):
-        fn = SampledFn.from_callable(np.sin, 0.0, 2.0, 201)
+        fn = sampled_fn(np.sin, 0.0, 2.0, 201)
         xs = np.linspace(0.15, 1.85, 57)
         h = 1e-5
         fd = (fn(xs + h) - fn(xs - h)) / (2.0 * h)
@@ -345,7 +347,7 @@ class TestSampledFn:
         np.testing.assert_array_equal(fn(knots), values)
 
     def test_argument_shapes(self):
-        fn = SampledFn.from_callable(np.sin, 0.0, 1.0, 17)
+        fn = sampled_fn(np.sin, 0.0, 1.0, 17)
         for out in (fn(0.3), fn.derivative(0.3), *fn.value_and_slope(0.3)):
             assert type(out) is float
         for out in (fn(np.array(0.3)), fn.derivative(np.array(0.3)),
@@ -359,7 +361,7 @@ class TestSampledFn:
         assert fn(np.array([], dtype=float)).shape == (0,)
 
     def test_nan_passes_through(self):
-        fn = SampledFn.from_callable(np.sin, 0.0, 1.0, 17)
+        fn = sampled_fn(np.sin, 0.0, 1.0, 17)
         u = np.array([0.25, np.nan])
         for out in (fn(u), fn.derivative(u), *fn.value_and_slope(u)):
             assert np.isfinite(out[0]) and np.isnan(out[1])
@@ -376,7 +378,7 @@ class TestSampledFn:
             SampledFn([0.0, 1.0, 1.0, 3.0], [0.0, 1.0, 2.0, 3.0])
 
     def test_domain_enforced(self):
-        fn = SampledFn.from_callable(np.sin, 0.0, 1.0, 8)
+        fn = sampled_fn(np.sin, 0.0, 1.0, 8)
         with pytest.raises(DomainError):
             fn(1.5)
         for u in (-1e-9, 1.0 + 1e-9, np.array([0.5, 1.0 + 1e-9])):

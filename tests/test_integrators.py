@@ -120,7 +120,8 @@ class TestPureStep:
         params = make_params()
         state = RodState.zero(params.grid())
         new = step_pure_numeric(
-            state, params, Loads(), BoundaryConditions.free_free(), 0.0, 1e-3
+            state, params, Loads(), BoundaryConditions(base="free", tip="free"),
+            0.0, 1e-3
         )
         np.testing.assert_array_equal(new.curvature, 0.0)
         np.testing.assert_array_equal(new.lin_vel, 0.0)
@@ -132,7 +133,8 @@ class TestPureStep:
         state = RodState.zero(params.grid())
         state.lin_vel[:, 1] = 2.5
         new = step_pure_numeric(
-            state, params, Loads(), BoundaryConditions.free_free(), 0.0, 1e-3
+            state, params, Loads(), BoundaryConditions(base="free", tip="free"),
+            0.0, 1e-3
         )
         np.testing.assert_allclose(new.lin_vel, state.lin_vel, atol=1e-12)
         np.testing.assert_allclose(new.ang_vel, 0.0, atol=1e-12)
@@ -145,7 +147,7 @@ class TestPureStep:
                 RodState.zero(params.grid()),
                 params,
                 Loads(),
-                BoundaryConditions.free_free(),
+                BoundaryConditions(base="free", tip="free"),
                 0.0,
                 0.0,
             )
@@ -158,7 +160,7 @@ class TestPureStep:
         state = RodState.zero(params.grid())
         rng = np.random.default_rng(2)
         state.curvature[:] = 0.1 * rng.standard_normal((params.nodes, 2))
-        bc = BoundaryConditions.free_free()
+        bc = BoundaryConditions(base="free", tip="free")
         with np.errstate(all="ignore"), pytest.raises(DivergenceError):
             for k in range(1000):
                 state = step_pure_numeric(state, params, Loads(), bc, k * 1.0, 1.0)
@@ -166,7 +168,7 @@ class TestPureStep:
 
     @pytest.mark.parametrize(
         "bc",
-        [BoundaryConditions.clamped_base(), BoundaryConditions.free_free()],
+        [BoundaryConditions(), BoundaryConditions(base="free", tip="free")],
         ids=["clamped_base", "free_free"],
     )
     def test_huge_finite_state_is_a_non_finite_step(self, bc):
@@ -189,7 +191,7 @@ class TestPureStep:
         fam = random_family(np.random.default_rng(8))
         t0 = float(fam.time_map(0.5))
         state = sample_state(fam, params.grid(), t0)
-        bc = BoundaryConditions.free_free()
+        bc = BoundaryConditions(base="free", tip="free")
         new = step_pure_numeric(state, params, Loads(), bc, t0, 1e-4)
         np.testing.assert_array_equal(new.curvature[0], [0.0, 0.0])
         np.testing.assert_array_equal(new.curvature[-1], [0.0, 0.0])
@@ -205,7 +207,7 @@ class TestPureStep:
         fam = random_family(np.random.default_rng(3))
         t0 = float(fam.time_map(0.5))
         init = sample_state(fam, params.grid(), t0)
-        bc = BoundaryConditions.free_free()
+        bc = BoundaryConditions(base="free", tip="free")
 
         def single_step_r5(dt):
             new = step_pure_numeric(init, params, Loads(), bc, t0, dt)
@@ -220,7 +222,7 @@ class TestSemiStep:
         params = make_params()
         m = ManifoldState.zero(params.grid())
         new = step_semi_analytic(
-            m, params, Loads(), BoundaryConditions.free_free(), 0.0, 1e-3
+            m, params, Loads(), BoundaryConditions(base="free", tip="free"), 0.0, 1e-3
         )
         np.testing.assert_array_equal(new.curv_mag, 0.0)
         np.testing.assert_array_equal(new.angle, 0.0)
@@ -230,7 +232,7 @@ class TestSemiStep:
         m = random_manifold(params.grid(), seed=4)
         loads = Loads(couple=lambda s, t: np.outer(np.sin(3 * s), [0.5, 0.0]))
         new = step_semi_analytic(
-            m, params, loads, BoundaryConditions.free_free(), 0.0, 1e-3
+            m, params, loads, BoundaryConditions(base="free", tip="free"), 0.0, 1e-3
         )
         _, r5, r6 = drift_norms(new)
         assert r5 == 0.0
@@ -245,7 +247,7 @@ class TestSemiStep:
         raw = sample_state(fam, params.grid(), t0)
         m = project(raw, np.zeros(params.nodes), eps=1e-12)
         new = step_semi_analytic(
-            m, params, Loads(), BoundaryConditions.free_free(), t0, 1e-5
+            m, params, Loads(), BoundaryConditions(base="free", tip="free"), t0, 1e-5
         )
         slope = central_diff(new.angle, params.grid().spacing)
         target = -new.ang_mag / new.vel_mag
@@ -261,7 +263,7 @@ class TestSemiStep:
         angle = np.linspace(0.0, 1.0, n)
         m = ManifoldState(g, angle, np.zeros(n), np.zeros(n), np.zeros(n))
         new = step_semi_analytic(
-            m, params, Loads(), BoundaryConditions.free_free(), 0.0, 1e-3
+            m, params, Loads(), BoundaryConditions(base="free", tip="free"), 0.0, 1e-3
         )
         np.testing.assert_allclose(np.diff(new.angle), np.diff(angle), atol=1e-15)
 
@@ -269,7 +271,7 @@ class TestSemiStep:
         params = make_params()
         m = random_manifold(params.grid(), seed=6)
         new = step_semi_analytic(
-            m, params, Loads(), BoundaryConditions.clamped_base(), 0.0, 1e-3
+            m, params, Loads(), BoundaryConditions(), 0.0, 1e-3
         )
         lifted = lift(new)
         np.testing.assert_allclose(lifted.lin_vel[0], [0.0, 0.0], atol=1e-12)
@@ -281,7 +283,7 @@ class TestSemiStep:
                 ManifoldState.zero(params.grid()),
                 params,
                 Loads(),
-                BoundaryConditions.free_free(),
+                BoundaryConditions(base="free", tip="free"),
                 0.0,
                 -1e-3,
             )
@@ -291,7 +293,7 @@ class TestSemiStep:
         m = random_manifold(params.grid(), seed=7)
         dt = 1e-6
         new = step_semi_analytic(
-            m, params, Loads(), BoundaryConditions.free_free(), 0.0, dt
+            m, params, Loads(), BoundaryConditions(base="free", tip="free"), 0.0, dt
         )
         # For a tiny step the angular magnitude barely changes, so the
         # curvature increment is dt * d(ang_mag)/ds of the old state.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rodsim.errors import NumericalError
-from rodsim.grid_fields import Grid1D, SampledFn
+from rodsim.grid_fields import Grid1D
 from rodsim.reduction import (
     developable_residuals,
     extract_speed_profile,
@@ -13,6 +13,8 @@ from rodsim.reduction import (
 )
 from rodsim.solution_family import SolutionFamily, random_family, sample_state
 from rodsim.verify import chain_threshold, reduction_chain_residuals
+
+from helpers import sampled_fn
 
 
 def st_grid(ns=21, nt=21, s_len=1.0, t_len=0.2):
@@ -146,9 +148,9 @@ class TestSpeedProfile:
         # time-map argument. A doubled identity time map gives exactly 1/4.
         span = 3.0
         fam = SolutionFamily(
-            amp=SampledFn.from_callable(lambda u: 1.0, -span, span, 65),
-            angle=SampledFn.from_callable(lambda u: u, -span, span, 65),
-            time_map=SampledFn.from_callable(lambda w: 2.0 * w, -2 * span, 2 * span, 65),
+            amp=sampled_fn(lambda u: 1.0, -span, span, 65),
+            angle=sampled_fn(lambda u: u, -span, span, 65),
+            time_map=sampled_fn(lambda w: 2.0 * w, -2 * span, 2 * span, 65),
             u_range=(-span, span),
         )
         dt = 0.01

@@ -14,9 +14,9 @@ from rodsim.rod_model import (
     RodState,
     adiag,
     bending_couple,
+    contact_force,
     energy,
     reconstruct_centerline,
-    solve_contact_force,
 )
 from rodsim.scenarios import default_config, simulate_rod
 
@@ -70,16 +70,11 @@ class TestBendingCouple:
         np.testing.assert_array_equal(bending_couple(state, params), state.curvature)
 
 
-def _dense_contact_oracle(state, params, loads, bc, t):
+def _dense_contact_oracle(dm, f, l, params, bc, t, grid):
     """Assemble the same discrete BVP densely and solve with numpy."""
-    grid = state.grid
     n = grid.node_count
     ds = grid.spacing
-    s = grid.nodes
-    m = bending_couple(state, params)
-    f = np.broadcast_to(loads.force(s, t), (n, 2))
-    l = np.broadcast_to(loads.couple(s, t), (n, 2))
-    rhs = adiag(central_diff(m, ds) + l) / params.rho_I - central_diff(f, ds) / params.rho_A
+    rhs = adiag(dm + l) / params.rho_I - central_diff(f, ds) / params.rho_A
     a_off = 1.0 / (params.rho_A * ds**2)
     dense = np.zeros((2 * n, 2 * n))
     b = rhs.reshape(-1).copy()
@@ -107,36 +102,39 @@ def _dense_contact_oracle(state, params, loads, bc, t):
 
 
 class TestContactForce:
-    def test_resting_rod_free_ends(self, params, zero_state):
-        n = solve_contact_force(
-            zero_state, params, Loads(), BoundaryConditions.free_free(), 0.0
-        )
+    def test_resting_rod_free_ends(self, params):
+        grid = params.grid()
+        zero = np.zeros((params.nodes, 2))
+        bc = BoundaryConditions(base="free", tip="free")
+        n = contact_force(zero, zero, zero, params, bc, 0.0, grid)
         np.testing.assert_allclose(n, 0.0, atol=1e-12)
 
-    def test_constant_gravity_matches_dense_oracle(self, params, zero_state):
-        loads = Loads(force=lambda s, t: np.tile([0.0, -1.0], (s.shape[0], 1)))
-        bc = BoundaryConditions.clamped_base()
-        n = solve_contact_force(zero_state, params, loads, bc, 0.0)
-        oracle = _dense_contact_oracle(zero_state, params, loads, bc, 0.0)
+    def test_constant_gravity_matches_dense_oracle(self, params):
+        grid = params.grid()
+        zero = np.zeros((params.nodes, 2))
+        gravity = np.tile([0.0, -1.0], (params.nodes, 1))
+        bc = BoundaryConditions()
+        n = contact_force(zero, gravity, zero, params, bc, 0.0, grid)
+        oracle = _dense_contact_oracle(zero, gravity, zero, params, bc, 0.0, grid)
         np.testing.assert_allclose(n, oracle, rtol=1e-10, atol=1e-12)
 
-    def test_linearity_in_loads(self, params, zero_state):
-        # Linearity holds in the load-dependent part; a zero-curvature state
-        # removes the fixed bending offset so plain superposition applies.
+    def test_linearity_in_loads(self, params):
+        # Linearity holds in the load-dependent part; a zero bending couple
+        # removes the fixed offset so plain superposition applies.
         rng = np.random.default_rng(7)
-        bc = BoundaryConditions.clamped_base()
+        grid = params.grid()
+        s = grid.nodes
+        zero = np.zeros((params.nodes, 2))
+        bc = BoundaryConditions()
 
-        def loads_for(fv, lv):
-            return Loads(
-                force=lambda s, t, v=fv: np.outer(np.sin(s + 1.0), v),
-                couple=lambda s, t, v=lv: np.outer(np.cos(s), v),
-            )
+        def force_for(fv, lv):
+            f, l = np.outer(np.sin(s + 1.0), fv), np.outer(np.cos(s), lv)
+            return contact_force(zero, f, l, params, bc, 0.0, grid)
 
         cases = [(rng.standard_normal(2), rng.standard_normal(2)) for _ in range(2)]
-        n1 = solve_contact_force(zero_state, params, loads_for(*cases[0]), bc, 0.0)
-        n2 = solve_contact_force(zero_state, params, loads_for(*cases[1]), bc, 0.0)
-        summed = loads_for(cases[0][0] + cases[1][0], cases[0][1] + cases[1][1])
-        n12 = solve_contact_force(zero_state, params, summed, bc, 0.0)
+        n1 = force_for(*cases[0])
+        n2 = force_for(*cases[1])
+        n12 = force_for(cases[0][0] + cases[1][0], cases[0][1] + cases[1][1])
         scale = np.abs(n12).max()
         np.testing.assert_allclose(n1 + n2, n12, atol=1e-10 * max(scale, 1.0))
 
@@ -153,7 +151,7 @@ class TestContactForce:
         fam = random_family(np.random.default_rng(0))
         t0 = float(fam.time_map(0.5))
         state = sample_state(fam, grid, t0)
-        bc = BoundaryConditions.free_free()
+        bc = BoundaryConditions(base="free", tip="free")
         loads = Loads()
         dt = 1e-5
 
@@ -187,12 +185,18 @@ class TestContactForce:
         fields = [rng.standard_normal((params.nodes, rods, 2)) for _ in range(3)]
         loads = Loads(force=lambda s, t: np.outer(np.sin(s + 1.0), [0.3, -1.0]),
                       couple=lambda s, t: np.outer(np.cos(s), [1.0, 0.5]))
-        bc = BoundaryConditions.clamped_base()
-        n = solve_contact_force(RodState(grid, *fields), params, loads, bc, 0.0)
+        bc = BoundaryConditions()
+
+        def force_of(state):
+            # The inputs a step evaluates: m' of the state and the shaped loads.
+            dm = central_diff(bending_couple(state, params), grid.spacing)
+            f, l = rod_model._loads_at(loads, 0.0, dm, grid)
+            return contact_force(dm, f, l, params, bc, 0.0, grid)
+
+        n = force_of(RodState(grid, *fields))
         for k in range(rods):
             alone = RodState(grid, *(f[:, k] for f in fields))
-            one = solve_contact_force(alone, params, loads, bc, 0.0)
-            assert np.array_equal(n[:, k], one)
+            assert np.array_equal(n[:, k], force_of(alone))
 
     def test_free_free_resonance_raises_at_factor_time(self):
         # rho_I / rho_A = ds^2 / 2 makes the interior pivot exactly zero. The
@@ -201,12 +205,11 @@ class TestContactForce:
         params = MaterialParams(
             rho=1.0, area=1.0, moment=0.125, EI=1.0, length=1.0, nodes=3
         )
-        state = RodState.zero(params.grid())
+        zero = np.zeros((params.nodes, 2))
+        bc = BoundaryConditions(base="free", tip="free")
         for _ in range(2):
             with pytest.raises(ConfigurationError, match="pivot row 1"):
-                solve_contact_force(
-                    state, params, Loads(), BoundaryConditions.free_free(), 0.0
-                )
+                contact_force(zero, zero, zero, params, bc, 0.0, params.grid())
 
     def test_simulate_rod_factors_once(self, monkeypatch):
         calls = []

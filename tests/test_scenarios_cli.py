@@ -654,13 +654,17 @@ class TestCli:
             ({"steps": True}, None, "'steps' must be an integer"),
             ({"steps": 10**400}, None, "steps is too large"),
             ({"u_max": "nan"}, None, "'u_max' must be a finite number"),
+            ({"u_max": 0.0}, None, "u_max must be positive, got 0.0"),
+            ({"u_max": -0.5}, None, "u_max must be positive, got -0.5"),
+            ({"steps": 2}, None, "steps must be at least 3"),
             ({"v1": {"cos": {"freq": float("inf")}}}, None, "'freq' must be a finite"),
             (None, ["--dt", "0"], "dt must be positive and finite"),
             (None, ["--dt", "-0.05"], "dt must be positive and finite"),
             (None, ["--dt", "nan"], "dt must be positive and finite"),
         ],
         ids=["v2_origin-string", "const-list", "cos-number", "steps-float",
-             "steps-bool", "steps-huge", "u_max-string", "freq-inf", "dt-zero",
+             "steps-bool", "steps-huge", "u_max-string", "u_max-zero", "u_max-negative",
+             "steps-two", "freq-inf", "dt-zero",
              "dt-negative", "dt-nan"],
     )
     def test_rejects_mistyped_number(self, tmp_path, capsys, patch, flags, message):
@@ -716,6 +720,28 @@ class TestCli:
         path.write_text(json.dumps(dict(worked_spec(), v1={"const": 1e-12})))
         assert main(["match-cauchy", str(path)]) == 1
         assert "initial angle too close to pi/2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "patch, message",
+        [
+            ({"u_max": 1e308},
+             "round-trip residual is not finite (u_max=1e+308, steps=1000)"),
+            ({"k1": {"const": 1e308}, "v1": {"const": 10.0}},
+             "amplitude is not finite (u_max=0.5, steps=1000)"),
+            ({"k1": {"const": 1e200}, "v1": {"const": 1e200}},
+             "march overflowed (u_max=0.5, steps=1000)"),
+        ],
+        ids=["residual", "amplitude", "march"],
+    )
+    def test_match_cauchy_non_finite_exits_1(self, tmp_path, capsys, patch, message):
+        # A fit that overflows is a numerical failure (exit 1) that names the
+        # keys setting the march, not a report holding NaN, which is not JSON.
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(dict(worked_spec(), **patch)))
+        out = tmp_path / "match.json"
+        assert main(["match-cauchy", str(path), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_match_cauchy_worked_example(self, tmp_path):
         path = tmp_path / "trace.json"

@@ -11,26 +11,34 @@ from rodsim.solution_family import (
     CauchyTrace,
     SolutionFamily,
     evaluate_family,
-    family_from_json,
-    family_to_json,
-    invert_time,
     match_boundary_trace,
     parameter_free_residuals,
     random_family,
-    random_trace,
     sample_state,
     verify_trace_match,
 )
 
+from helpers import random_trace, sampled_fn
 
-def identity_family(span=3.0):
-    """Unit amplitude, linear angle, identity time map (all splines exact)."""
+
+def identity_family(span=3.0, time_sign=1.0):
+    """Unit amplitude, linear angle, identity time map (all splines exact);
+    ``time_sign=-1`` makes the time map F(w) = -w, decreasing."""
     return SolutionFamily(
-        amp=SampledFn.from_callable(lambda u: 1.0, -span, span, 65),
-        angle=SampledFn.from_callable(lambda u: u, -span, span, 65),
-        time_map=SampledFn.from_callable(lambda w: w, -2 * span, 2 * span, 65),
+        amp=sampled_fn(lambda u: 1.0, -span, span, 65),
+        angle=sampled_fn(lambda u: u, -span, span, 65),
+        time_map=sampled_fn(lambda w: time_sign * w, -2 * span, 2 * span, 65),
         u_range=(-span, span),
     )
+
+
+def family_case(case):
+    """``random_family`` of an int seed, or a closed-form family by name."""
+    if case == "identity":
+        return identity_family()
+    if case == "decreasing":
+        return identity_family(time_sign=-1.0)
+    return random_family(np.random.default_rng(case))
 
 
 def stop_tol(u):
@@ -84,52 +92,14 @@ class TestEvaluateFamily:
 
     def test_degenerate_denominator(self):
         fam = SolutionFamily(
-            amp=SampledFn.from_callable(lambda u: 1.0 - u, -2, 2, 65),
-            angle=SampledFn.from_callable(lambda u: u, -2, 2, 65),
-            time_map=SampledFn.from_callable(lambda w: w, -4, 4, 65),
+            amp=sampled_fn(lambda u: 1.0 - u, -2, 2, 65),
+            angle=sampled_fn(lambda u: u, -2, 2, 65),
+            time_map=sampled_fn(lambda w: w, -4, 4, 65),
             u_range=(-2.0, 2.0),
         )
         # A'(u) = -1, so at s = 1 the denominator A'(u)s + 1 vanishes.
         with pytest.raises(DegeneracyError):
             evaluate_family(fam, 1.0, 0.5)
-
-
-class TestInvertTime:
-    def test_identity_family(self):
-        fam = identity_family()
-        assert invert_time(fam, 0.3, 1.0) == pytest.approx(0.7, abs=1e-12)
-
-    def test_s_zero_collapses_to_time_map_inverse(self):
-        fam = random_family(np.random.default_rng(3))
-        t = float(fam.time_map(0.4))
-        u = invert_time(fam, 0.0, t)
-        assert fam.time_map(u) == pytest.approx(t, abs=1e-10)
-
-    def test_out_of_range(self):
-        with pytest.raises(OutOfRangeError):
-            invert_time(identity_family(), 0.0, 1e6)
-
-    def test_decreasing_time_map(self):
-        # F(w) = -w: the bracket ends give the direction, so t = -1 at s = 0.3
-        # means w = u + 0.3 = 1.
-        span = 3.0
-        fam = SolutionFamily(
-            amp=SampledFn.from_callable(lambda u: 1.0, -span, span, 65),
-            angle=SampledFn.from_callable(lambda u: u, -span, span, 65),
-            time_map=SampledFn.from_callable(lambda w: -w, -2 * span, 2 * span, 65),
-            u_range=(-span, span),
-        )
-        assert invert_time(fam, 0.3, -1.0) == pytest.approx(0.7, abs=1e-12)
-        with pytest.raises(OutOfRangeError):
-            invert_time(fam, 0.3, 5.0)
-
-    def test_residual_tolerance(self):
-        fam = random_family(np.random.default_rng(4))
-        t = float(fam.time_map(0.3))
-        for s in (0.0, 0.5, 1.0):
-            u = invert_time(fam, s, t)
-            w = fam.amp(u) * s + u
-            assert abs(fam.time_map(w) - t) <= 1e-10 * max(1.0, abs(t))
 
 
 class TestInvertMonotone:
@@ -250,9 +220,11 @@ class TestSampleState:
         assert np.abs(r6).max() < 1e-12
 
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_times_array_matches_single_times(self, seed):
-        fam = random_family(np.random.default_rng(seed))
+    # Every node is checked against the oracle, s = 0 (where u inverts the
+    # time map alone) included, for a decreasing time map too.
+    @pytest.mark.parametrize("case", [0, 1, 2, 3, 4, "identity", "decreasing"])
+    def test_times_array_matches_single_times(self, case):
+        fam = family_case(case)
         grid = Grid1D(1.0, 21)
         times = float(fam.time_map(0.5)) + np.linspace(-0.3, 0.3, 7)
         block = sample_state(fam, grid, times)
@@ -270,11 +242,15 @@ class TestSampleState:
                 np.testing.assert_array_equal(column, getattr(single, name))
                 np.testing.assert_allclose(column, oracle[k], rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("bad", [1e6, np.nan])
-    def test_one_unreachable_time_raises(self, bad):
+    @pytest.mark.parametrize("case, bad", [
+        pytest.param("identity", 1e6, id="1000000.0"),
+        pytest.param("identity", np.nan, id="nan"),
+        pytest.param("decreasing", 5.0, id="decreasing-5.0"),
+    ])
+    def test_one_unreachable_time_raises(self, case, bad):
         times = np.array([0.0, 0.5, bad, 1.0])
         with pytest.raises(OutOfRangeError, match=f"target {bad} not reachable"):
-            sample_state(identity_family(), Grid1D(1.0, 11), times)
+            sample_state(family_case(case), Grid1D(1.0, 11), times)
 
 
 class TestParameterFreeResiduals:
@@ -395,26 +371,11 @@ class TestMatchBoundaryTrace:
         rng = np.random.default_rng(40 + seed)
         trace = random_trace(rng)
         fam = match_boundary_trace(trace, 0.3, steps=1000)
-        t_lo = float(fam.time_map(0.05))
-        t_hi = float(fam.time_map(0.25))
-        for t in np.linspace(t_lo, t_hi, 7):
-            u = invert_time(fam, 0.0, t)
-            _, omega, vel, _ = evaluate_family(fam, 0.0, u)
-            assert vel[0] == pytest.approx(trace.v1_trace(t), abs=1e-5)
-            assert omega[0] == pytest.approx(trace.w1_trace(t), abs=1e-5)
+        times = np.linspace(float(fam.time_map(0.05)), float(fam.time_map(0.25)), 7)
+        # A short grid keeps every node's time-map argument inside the fit.
+        base = sample_state(fam, Grid1D(1e-3, 3), times)
+        np.testing.assert_allclose(base.lin_vel[0, :, 0], trace.v1_trace(times),
+                                   rtol=0, atol=1e-5)
+        np.testing.assert_allclose(base.ang_vel[0, :, 0], trace.w1_trace(times),
+                                   rtol=0, atol=1e-5)
 
-
-class TestSerialization:
-    def test_json_round_trip(self):
-        fam = random_family(np.random.default_rng(9))
-        clone = family_from_json(family_to_json(fam))
-        u = np.linspace(-1.0, 1.0, 17)
-        np.testing.assert_allclose(clone.amp(u), fam.amp(u), atol=1e-12)
-        np.testing.assert_allclose(clone.angle(u), fam.angle(u), atol=1e-12)
-        np.testing.assert_allclose(
-            clone.time_map(u), fam.time_map(u), atol=1e-12
-        )
-
-    def test_malformed_document(self):
-        with pytest.raises(InputError):
-            family_from_json("{\"u_knots\": [0, 1]}")
