@@ -242,6 +242,10 @@ class TestSampleState:
                 np.testing.assert_array_equal(column, getattr(single, name))
                 np.testing.assert_allclose(column, oracle[k], rtol=0, atol=1e-12)
 
+    def test_scalar_unreachable_time_raises(self):
+        with pytest.raises(OutOfRangeError, match="target 1000000.0 not reachable"):
+            sample_state(identity_family(), Grid1D(1.0, 11), 1e6)
+
     @pytest.mark.parametrize("case, bad", [
         pytest.param("identity", 1e6, id="1000000.0"),
         pytest.param("identity", np.nan, id="nan"),
