@@ -31,7 +31,7 @@ class SingularSystemError(NumericalError):
 
 class DivergenceError(NumericalError):
     """An ODE march or time step produced non-finite values; ``rods`` lists
-    the rods that did in a step of several rods, else it is None."""
+    the rods of a time step that did (0 for a state without a rod axis)."""
 
     def __init__(self, message, rods=None):
         super().__init__(message)

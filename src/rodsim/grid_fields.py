@@ -24,6 +24,7 @@ from .errors import (
     DivergenceError,
     DomainError,
     InputError,
+    NumericalError,
     SingularSystemError,
     SizeError,
 )
@@ -106,21 +107,30 @@ def central_diff(values: np.ndarray, spacing: float, order: int = 1) -> np.ndarr
     """Second-order finite differences along axis 0.
 
     Interior nodes use central stencils; boundary nodes use one-sided
-    second-order stencils (no ghost nodes).
+    second-order stencils (no ghost nodes). A first derivative keeps the
+    memory order of ``values``, so a node-last array ``a`` is differenced
+    along its contiguous last axis, without a copy, as ``central_diff(a.T, h).T``.
     """
     f = np.asarray(values, dtype=float)
     n = f.shape[0]
     if n < 3:
         raise SizeError(f"need at least 3 nodes to differentiate, got {n}")
-    out = np.empty_like(f)
     h = spacing
     if order == 1:
-        inner = out[1:-1]  # the interior stencil is evaluated in place
-        np.subtract(f[2:], f[:-2], out=inner)
+        # Lines of nodes in f's memory order, node i + 1 ``step`` entries after
+        # node i: one slice of the flat buffer holds every interior stencil
+        # (entries straddling two node-last lines are end nodes, set below).
+        lines = f.reshape(n, -1, order="A") if f.ndim > 1 else f
+        lines = lines if lines.flags.forc else np.ascontiguousarray(lines)
+        out = np.empty_like(lines)
+        step = lines.strides[0] // lines.itemsize
+        inner = out.ravel("K")[step:-step]
+        np.subtract(lines.ravel("K")[2 * step:], lines.ravel("K")[:-2 * step], out=inner)
         inner /= 2.0 * h
-        out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
-        out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
-        return out
+        out[0] = (-3.0 * lines[0] + 4.0 * lines[1] - lines[2]) / (2.0 * h)
+        out[-1] = (3.0 * lines[-1] - 4.0 * lines[-2] + lines[-3]) / (2.0 * h)
+        return out.reshape(f.shape, order="A")
+    out = np.empty_like(f)
     if order == 2:
         out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / h**2
         if n >= 4:
@@ -227,35 +237,38 @@ def solve_tridiag(factors: TridiagFactors, rhs) -> np.ndarray:
     LAPACK solves each column on its own, so columns do not mix. Raises
     ``SingularSystemError`` at the worst row if the residual exceeds 1e-10
     times the scale of A x and rhs. A non-finite or overflowing right-hand
-    side gives a non-finite solution for the caller to handle.
+    side gives a non-finite solution for the caller to handle. The check
+    runs on the transposes, one system per contiguous row.
     """
     b = np.asarray(rhs, dtype=float)
     n = factors.diag.shape[0]
     if b.ndim != 2 or b.shape[0] != n:
         raise SizeError(f"rhs shape {b.shape} does not match {n} rows")
     x, _ = _gttrs(*factors.lu, b)
-    # |A x - b|, |x| and |b| side by side, so that one reduction finds all
-    # three maxima.
-    table = np.empty((3,) + x.shape)
+    xt, bt = x.T, b.T
+    # |A x - b|, |x| and |b| side by side, one column of x per row, so that
+    # one reduction finds all three maxima.
+    table = np.empty((3,) + xt.shape)
     residual = table[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(factors.diag[:, None], x, out=residual)
-        residual -= b
-        below, above = residual[1:], residual[:-1]
-        below += factors.lower[:, None] * x[:-1]
-        above += factors.upper[:, None] * x[1:]
-        table[1], table[2] = x, b
+        np.multiply(factors.diag, xt, out=residual)
+        residual -= bt
+        below, above = residual[:, 1:], residual[:, :-1]
+        below += factors.lower * xt[:, :-1]
+        above += factors.upper * xt[:, 1:]
+        table[1], table[2] = xt, bt
         np.abs(table, out=table)
         worst, x_max, b_max = table.max(axis=(1, 2)).tolist()
     bound = 1e-10 * (3.0 * factors.scale * x_max + b_max)
     if math.isfinite(worst) and math.isfinite(bound) and worst > max(bound, 1e-300):
-        row = int(residual.argmax()) // b.shape[1]
+        row = int(residual.max(axis=0).argmax())
         raise SingularSystemError(
             f"residual {worst:.3e} above {bound:.3e} at row {row}", row=row
         )
     return x
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing table raises
 def cubic_spline(knots, values, ends="natural") -> np.ndarray:
     """Horner table of the C^2 cubic spline through ``values`` at ``knots``.
 
@@ -269,7 +282,8 @@ def cubic_spline(knots, values, ends="natural") -> np.ndarray:
     apply. Returns shape (N, 4, *values.shape[1:]): row i < N-1 holds the
     coefficients of the cubic on [knots[i], knots[i+1]] in powers 3, 2, 1, 0
     of u - knots[i]; row N-1 holds the line through the last knot with its
-    slope, so that every knot evaluates to its value exactly.
+    slope, so that every knot evaluates to its value exactly. A table that
+    overflows raises ``NumericalError``, with no floating-point warning.
     """
     x = np.asarray(knots, dtype=float)
     y = np.asarray(values, dtype=float)
@@ -320,6 +334,9 @@ def cubic_spline(knots, values, ends="natural") -> np.ndarray:
     table[:-1, 1] = (secant - slopes[:-1]) / hc - excess
     table[:, 2] = slopes
     table[:, 3] = y
+    if not np.isfinite(table).all():
+        raise NumericalError(f"the cubic spline table overflows on the knots "
+                             f"[{float(x[0])!r}, {float(x[-1])!r}]")
     return table.reshape(n, 4, *tail)
 
 

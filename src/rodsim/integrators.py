@@ -15,6 +15,11 @@ next state and raises DivergenceError when it produces non-finite values;
 ``drift_norms`` and ``state_energy`` measure a state when the caller asks.
 A state with a rod axis steps K rods at once; the projection threshold, the
 finite check, the energy and the drift norms are then taken rod by rod.
+
+A step works on one packed array per state, (6, K, N) for a RodState and
+(4, K, N) for a ManifoldState (``rod_model._GridState._packed``): every
+component is a contiguous block. The public functions pack, run the core that
+``scenarios.simulate_rod`` steps with, and unpack; both give the same bits.
 """
 
 from __future__ import annotations
@@ -32,14 +37,11 @@ from .rod_model import (
     MaterialParams,
     RodState,
     _GridState,
-    _energy_from_squares,
+    _energy,
     _loads_at,
-    _trusted_state,
     adiag,
-    bending_couple,
     constraint_norms,
     contact_force,
-    energy,
 )
 
 __all__ = [
@@ -65,22 +67,32 @@ class ManifoldState(_GridState):
 
 
 def _direction(angle: np.ndarray) -> np.ndarray:
-    e = np.empty(np.shape(angle) + (2,))
-    np.cos(angle, out=e[..., 0])
-    np.sin(angle, out=e[..., 1])
+    """The unit vectors (cos, sin) of the angles, component first."""
+    e = np.empty((2,) + np.shape(angle))
+    np.cos(angle, out=e[0])
+    np.sin(angle, out=e[1])
     return e
+
+
+def _lift(m: np.ndarray) -> np.ndarray:
+    """The packed raw state of a packed manifold state."""
+    return (m[1:, None] * _direction(m[0])).reshape((6,) + m.shape[1:])
 
 
 def lift(m: ManifoldState) -> RodState:
     """Expand a collinear state into the raw vector representation."""
-    e = _direction(m.angle)
-    return _trusted_state(
-        RodState,
-        m.grid,
-        m.curv_mag[..., None] * e,
-        m.ang_mag[..., None] * e,
-        m.vel_mag[..., None] * e,
-    )
+    return RodState._from_packed(m.grid, _lift(m._packed()), m._batched)
+
+
+def _project(raw: np.ndarray, prev_angle: np.ndarray, eps) -> np.ndarray:
+    """The packed manifold state of a packed raw state; ``prev_angle`` and
+    ``eps`` broadcast against (K, N)."""
+    v0, v1 = raw[4], raw[5]
+    m = np.empty((4,) + v0.shape)
+    m[0] = np.where(np.hypot(v0, v1) > eps, np.arctan2(v1, v0), prev_angle)
+    np.einsum("fjkn,jkn->fkn", raw.reshape((3, 2) + v0.shape), _direction(m[0]),
+              out=m[1:])
+    return m
 
 
 def project(r: RodState, prev_angle: np.ndarray, eps) -> ManifoldState:
@@ -90,20 +102,13 @@ def project(r: RodState, prev_angle: np.ndarray, eps) -> ManifoldState:
     exceeds ``eps`` (a float, or one per rod); below that the previous angle
     is carried through. Normal components of all three fields are discarded.
     """
-    if not (np.asarray(eps) > 0.0).all():
+    eps = np.asarray(eps)
+    if not (eps > 0.0).all():
         raise InputError("projection threshold must be positive")
     if not np.isfinite(prev_angle).all():
         raise InputError("previous angle contains non-finite entries")
-    speed = np.hypot(r.lin_vel[..., 0], r.lin_vel[..., 1])
-    angle = np.where(
-        speed > eps, np.arctan2(r.lin_vel[..., 1], r.lin_vel[..., 0]), prev_angle
-    )
-    # The three fields side by side, so one einsum takes all their components
-    # along the direction.
-    vectors = np.empty((3,) + r.lin_vel.shape)
-    vectors[0], vectors[1], vectors[2] = r.curvature, r.ang_vel, r.lin_vel
-    magnitudes = np.einsum("...j,...j->...", vectors, _direction(angle))
-    return _trusted_state(ManifoldState, r.grid, angle, *magnitudes)
+    m = _project(r._packed(), np.asarray(prev_angle, float).T, eps[..., None])
+    return ManifoldState._from_packed(r.grid, m, r._batched)
 
 
 def drift_norms(state):
@@ -128,18 +133,17 @@ def state_energy(state, params: MaterialParams):
     drops out of every squared norm, so no vectors are built. It agrees with
     ``energy(lift(m))`` to rounding.
     """
-    if not isinstance(state, ManifoldState):
-        return energy(state, params)
-    return _energy_from_squares(state.vel_mag**2, state.ang_mag**2, state.curv_mag**2,
-                                params, state.grid.spacing)
+    e = _energy(state._packed(), params, state.grid.spacing)
+    return e if state._batched else e[0]
 
 
-def _require_finite(*fields):
-    """Raise DivergenceError naming the rods whose vector fields are not all finite."""
-    if not all(np.isfinite(f).all() for f in fields):
-        ok = np.logical_and.reduce([np.isfinite(f).all(axis=(0, -1)) for f in fields])
-        rods = None if ok.ndim == 0 else np.flatnonzero(~ok)
-        raise DivergenceError("a time step produced non-finite values", rods=rods)
+def _require_finite(packed: np.ndarray):
+    """Raise DivergenceError naming the rods whose rows of a (C, K, N) array
+    are not all finite."""
+    if not np.isfinite(packed).all():
+        ok = np.isfinite(packed).all(axis=(0, 2))
+        raise DivergenceError("a time step produced non-finite values",
+                              rods=np.flatnonzero(~ok))
 
 
 def _apply_free_moment(curvature, bc: BoundaryConditions):
@@ -149,30 +153,94 @@ def _apply_free_moment(curvature, bc: BoundaryConditions):
     uncontrolled and feeds a spurious instability localized at the end node.
     """
     if bc.base == "free":
-        curvature[0] = 0.0
+        curvature[..., 0] = 0.0
     if bc.tip == "free":
-        curvature[-1] = 0.0
+        curvature[..., -1] = 0.0
 
 
-def _apply_clamps(lin_vel, ang_vel, bc: BoundaryConditions, t_next: float):
-    if bc.base == "clamped":
-        lin_vel[0] = np.asarray(bc.base_lin_vel(t_next), float)
-        ang_vel[0] = np.asarray(bc.base_ang_vel(t_next), float)
-    if bc.tip == "clamped":
-        lin_vel[-1] = np.asarray(bc.tip_lin_vel(t_next), float)
-        ang_vel[-1] = np.asarray(bc.tip_ang_vel(t_next), float)
+def _apply_clamps(velocities, bc: BoundaryConditions, t_next: float):
+    """Impose the clamped ends' signals on packed (4, K, N) angular and linear
+    velocities, through each end's (K, 4) transpose."""
+    for end, kind, ang, lin in ((0, bc.base, bc.base_ang_vel, bc.base_lin_vel),
+                                (-1, bc.tip, bc.tip_ang_vel, bc.tip_lin_vel)):
+        if kind == "clamped":
+            at_end = velocities[..., end].T
+            at_end[..., :2] = np.asarray(ang(t_next), float)
+            at_end[..., 2:] = np.asarray(lin(t_next), float)
 
 
-def _euler_velocities(state, dm, params, loads, bc, t, dt):
-    """One forward-Euler update of the two momentum balances; ``dm`` is the
-    arclength derivative of the state's bending couple."""
-    ds = state.grid.spacing
-    f, l = _loads_at(loads, t, dm, state.grid)
+def _euler_velocities(raw, dm, params, bc, grid, loads_at, t, dt):
+    """The next angular and linear velocities (4, K, N) of a packed raw state
+    by forward Euler; ``dm`` is m', and ``loads_at(t, dm)`` gives f and l in
+    the stepping layout, (2, K, N) or (2, 1, N) for all rods alike."""
+    ds = grid.spacing
+    f, l = loads_at(t, dm)
     # A blown-up state gives a non-finite force, and so a non-finite step.
-    n = contact_force(dm, f, l, params, bc, t, state.grid)
-    lin_vel = state.lin_vel + dt * (central_diff(n, ds) + f) / params.rho_A
-    ang_vel = state.ang_vel + dt * (dm + adiag(n) + l) / params.rho_I
-    return lin_vel, ang_vel
+    n = contact_force(dm.T, f.T, l.T, params, bc, t, grid).T
+    velocities = np.empty((4,) + dm.shape[1:])
+    np.add(raw[2:4], dt * (dm + adiag(n.T).T + l) / params.rho_I, out=velocities[:2])
+    np.add(raw[4:6], dt * (central_diff(n.T, ds).T + f) / params.rho_A,
+           out=velocities[2:])
+    return velocities
+
+
+def _step_pure(raw, params, bc, grid, loads_at, t, dt):
+    """``step_pure_numeric`` on a packed raw state."""
+    # One stencil call differentiates the bending couple and the angular
+    # velocity, stacked along the component axis.
+    both = np.concatenate((params.EI * raw[0:2], raw[2:4]))
+    derivatives = central_diff(both.T, grid.spacing).T
+    new = np.empty_like(raw)
+    np.add(raw[0:2], dt * derivatives[2:], out=new[0:2])
+    new[2:] = _euler_velocities(raw, derivatives[:2], params, bc, grid, loads_at, t, dt)
+    _apply_clamps(new[2:], bc, t + dt)
+    _apply_free_moment(new[0:2], bc)
+    _require_finite(new)
+    return new
+
+
+def _step_semi(m, params, bc, grid, loads_at, t, dt):
+    """``step_semi_analytic`` on a packed manifold state."""
+    ds = grid.spacing
+    raw = _lift(m)
+    dm = central_diff((params.EI * raw[0:2]).T, ds).T
+    velocities = _euler_velocities(raw, dm, params, bc, grid, loads_at, t, dt)
+    _apply_clamps(velocities, bc, t + dt)
+    _require_finite(velocities)
+    eps = np.maximum(1e-8 * np.abs(velocities[2:]).max(axis=(0, 2)), 1e-300)[:, None]
+    raw[2:] = velocities  # the lifted curvature with the updated velocities
+    proj = _project(raw, m[0], eps)
+    ang_mag, vel_mag = proj[2], proj[3]
+
+    # Angle reconstruction: integrate the angle slope from the base node,
+    # carrying the previous local increment across near-zero-velocity nodes.
+    ok = np.abs(vel_mag) > eps
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = np.where(ok, -ang_mag / vel_mag, 0.0)
+    incr = 0.5 * ds * (slope[:, 1:] + slope[:, :-1])
+    prev_incr = m[0, :, 1:] - m[0, :, :-1]
+    usable = ok[:, 1:] & ok[:, :-1]
+    incr = np.where(usable, incr, prev_incr)
+    new = proj  # the magnitudes stay; angle and curvature are replaced
+    angle = new[0]
+    angle[:, 0] = 0.0
+    np.cumsum(incr, axis=1, out=angle[:, 1:])
+    angle += m[0, :, :1] + dt * ang_mag[:, :1]  # the base node's angle
+
+    np.add(m[1], dt * central_diff(ang_mag.T, ds).T, out=new[1])
+    _apply_free_moment(new[1], bc)
+    _require_finite(new)
+    return new
+
+
+def _step(core, state, params, loads, bc, t, dt):
+    """Run the packed step ``core`` on a public state: pack, step, unpack."""
+    if not dt > 0.0:
+        raise InputError("dt must be positive")
+    grid = state.grid
+    new = core(state._packed(), params, bc, grid,
+               lambda t, dm: tuple(v.T for v in _loads_at(loads, t, dm.T, grid)), t, dt)
+    return type(state)._from_packed(grid, new, state._batched)
 
 
 def step_pure_numeric(
@@ -188,19 +256,7 @@ def step_pure_numeric(
     All right-hand sides are evaluated at the pre-step state (simultaneous
     update). Raises DivergenceError if the step produces non-finite values.
     """
-    if not dt > 0.0:
-        raise InputError("dt must be positive")
-    # One stencil call differentiates the bending couple and the angular
-    # velocity, side by side along the component axis.
-    both = np.concatenate((bending_couple(state, params), state.ang_vel), axis=-1)
-    derivatives = central_diff(both, state.grid.spacing)
-    lin_vel, ang_vel = _euler_velocities(
-        state, derivatives[..., :2], params, loads, bc, t, dt)
-    curvature = state.curvature + dt * derivatives[..., 2:]
-    _apply_clamps(lin_vel, ang_vel, bc, t + dt)
-    _apply_free_moment(curvature, bc)
-    _require_finite(lin_vel, ang_vel, curvature)
-    return _trusted_state(RodState, state.grid, curvature, ang_vel, lin_vel)
+    return _step(_step_pure, state, params, loads, bc, t, dt)
 
 
 def step_semi_analytic(
@@ -222,37 +278,7 @@ def step_semi_analytic(
     projection threshold ``eps`` is 1e-8 of each rod's largest velocity
     component.
     """
-    if not dt > 0.0:
-        raise InputError("dt must be positive")
-    grid = m.grid
-    ds = grid.spacing
-    state = lift(m)
-    dm = central_diff(bending_couple(state, params), ds)
-    lin_vel, ang_vel = _euler_velocities(state, dm, params, loads, bc, t, dt)
-    _apply_clamps(lin_vel, ang_vel, bc, t + dt)
-    _require_finite(lin_vel, ang_vel)
-    eps = np.maximum(1e-8 * np.abs(lin_vel).max(axis=(0, -1)), 1e-300)
-    updated = _trusted_state(RodState, grid, state.curvature, ang_vel, lin_vel)
-    proj = project(updated, m.angle, eps)
-
-    # Angle reconstruction: integrate the angle slope from the base node,
-    # carrying the previous local increment across near-zero-velocity nodes.
-    ok = np.abs(proj.vel_mag) > eps
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope = np.where(ok, -proj.ang_mag / proj.vel_mag, 0.0)
-    incr = 0.5 * ds * (slope[1:] + slope[:-1])
-    prev_incr = m.angle[1:] - m.angle[:-1]
-    usable = ok[1:] & ok[:-1]
-    incr = np.where(usable, incr, prev_incr)
-    angle = np.zeros_like(m.angle)
-    np.cumsum(incr, axis=0, out=angle[1:])
-    angle += m.angle[0] + dt * proj.ang_mag[0]  # the base node's angle
-
-    curv_mag = m.curv_mag + dt * central_diff(proj.ang_mag, ds)
-    _apply_free_moment(curv_mag, bc)
-    fields = (angle, curv_mag, proj.ang_mag, proj.vel_mag)
-    _require_finite(*(f[..., None] for f in fields))
-    return _trusted_state(ManifoldState, grid, *fields)
+    return _step(_step_semi, m, params, loads, bc, t, dt)
 
 
 def max_stable_dt(is_stable, dt_min: float, dt_max: float) -> float:

@@ -6,10 +6,15 @@ in the director frame. The internal couple follows a linear isotropic bending
 law; the internal (contact) force is a constraint reaction recovered each step
 from a linear boundary-value problem. Rods of one material on one grid can
 share a state with a rod axis between the node and component axes.
+
+A step packs a state into one array, components and rods first and nodes
+last (``_GridState._packed``); a packed block passes to the functions here,
+which take node-first arrays, as its transpose.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Callable
@@ -131,6 +136,32 @@ class _GridState:
         shape = (grid.node_count, *rod_axis, *cls._component)
         return cls(grid, *(np.zeros(shape) for _ in fields(cls)[1:]))
 
+    @property
+    def _batched(self) -> bool:
+        """Whether the fields carry a rod axis."""
+        _, first, *_ = vars(self).values()  # in field order, grid first
+        return first.ndim > 1 + len(self._component)
+
+    def _packed(self) -> np.ndarray:
+        """The fields in the stepping layout, (C, K, N): each field's
+        components in turn, then rods (K = 1 without a rod axis), nodes last."""
+        grid, *arrays = vars(self).values()
+        width = math.prod(self._component)
+        node_first = [a.reshape(grid.node_count, -1, width) for a in arrays]
+        return np.concatenate(node_first, axis=-1).T.copy()
+
+    @classmethod
+    def _from_packed(cls, grid: Grid1D, packed: np.ndarray, batched: bool = True):
+        """The state of views into a ``_packed`` array, without its rod axis
+        unless ``batched``. Built without ``__post_init__``: states are checked
+        where they enter, and the steppers check what they compute."""
+        width = math.prod(cls._component)
+        shape = (grid.node_count, *packed.shape[1:2 if batched else 1], *cls._component)
+        state = object.__new__(cls)
+        views = (packed[i:i + width].T.reshape(shape) for i in range(0, len(packed), width))
+        vars(state).update(zip(cls.__dataclass_fields__, (grid, *views)))
+        return state
+
 
 @dataclass
 class RodState(_GridState):
@@ -140,19 +171,6 @@ class RodState(_GridState):
     ang_vel: np.ndarray
     lin_vel: np.ndarray
     _component = (2,)
-
-
-def _trusted_state(cls, grid: Grid1D, *arrays):
-    """A ``cls`` state from float fields already known to have its shapes and
-    to be finite, built without ``__post_init__``.
-
-    States enter through their constructors, which check them; the steppers
-    and the projections build every later state from checked arrays and check
-    what they compute themselves, so they build states here.
-    """
-    state = object.__new__(cls)
-    vars(state).update(zip(cls.__dataclass_fields__, (grid, *arrays)))
-    return state
 
 
 def _zero_load(s, t):
@@ -296,25 +314,28 @@ def contact_force(
         rhs[-1] = 0.0
     else:
         rhs[-1] = -f[-1] + params.rho_A * np.asarray(bc.tip_lin_acc(t), float)
-    return solve_tridiag(factors, rhs.reshape(rhs.shape[0], -1)).reshape(rhs.shape)
+    # One solve per column; taken in rhs's own memory order, the transpose of
+    # a packed (2, K, N) block gives contiguous columns without a copy.
+    x = solve_tridiag(factors, rhs.T.reshape(-1, rhs.shape[0]).T)
+    return x.T.reshape(rhs.T.shape).T
 
 
 def energy(state: RodState, params: MaterialParams):
     """Kinetic plus bending energy of each rod, integrated with the trapezoid rule."""
-    vectors = (state.lin_vel, state.ang_vel, state.curvature)
-    return _energy_from_squares(*map(_squared_norm, vectors), params, state.grid.spacing)
+    e = _energy(state._packed(), params, state.grid.spacing)
+    return e if state._batched else e[0]
 
 
-def _squared_norm(v: np.ndarray) -> np.ndarray:
-    """The bits of np.sum(v**2, axis=-1) for 2-vectors, without a reduction."""
-    squares = np.square(v)
-    return squares[..., 0] + squares[..., 1]
-
-
-def _energy_from_squares(vel2, ang2, curv2, params: MaterialParams, spacing: float):
-    """Per-rod energy from the squared field magnitudes at each node."""
+def _energy(packed: np.ndarray, params: MaterialParams, spacing: float) -> np.ndarray:
+    """Per-rod energy (K,) of a packed RodState, or of a packed ManifoldState
+    (angle and magnitudes: the unit direction drops out of every square)."""
+    if len(packed) == 4:
+        curv2, ang2, vel2 = np.square(packed[1:])
+    else:  # the bits of np.sum(v**2, axis=-1) for 2-vectors, without a reduction
+        squares = np.square(packed)
+        curv2, ang2, vel2 = squares[0::2] + squares[1::2]
     density = 0.5 * (params.rho_A * vel2 + params.rho_I * ang2 + params.EI * curv2)
-    return cumtrapz(density, spacing)[-1]
+    return cumtrapz(density.T, spacing)[-1]
 
 
 def _interval_operators(kappa: np.ndarray, ds: float):

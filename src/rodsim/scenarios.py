@@ -28,19 +28,18 @@ from .errors import (
 )
 from .integrators import (
     ManifoldState,
+    _lift,
+    _step_pure,
+    _step_semi,
     drift_norms,
-    lift,
     max_stable_dt,
-    state_energy,
-    step_pure_numeric,
-    step_semi_analytic,
 )
 from .rod_model import (
     BoundaryConditions,
     Loads,
     MaterialParams,
     RodState,
-    _trusted_state,
+    _energy,
     reconstruct_centerline,
 )
 
@@ -328,30 +327,34 @@ class Trajectory:
         )
 
 
-def _drive_loads(config: ScenarioConfig, phase) -> Loads:
-    """The drive couple for one phase, or for a vector of K phases (one per rod)."""
+def _drive(config: ScenarioConfig, phase, nodes: np.ndarray):
+    """The drive as the packed steps' ``loads_at``: no distributed force, and
+    the couple for one phase, or for a vector of K phases (one per rod),
+    component-major. The basal profile is built once."""
     drive = config.drive
     cutoff = drive.active_fraction * config.material.length
+    profile = (nodes <= cutoff + 1e-12).astype(float)
     two_pi_nu = 2.0 * np.pi * drive.frequency
     phase = np.asarray(phase, float)
+    force = np.zeros((2, 1, nodes.size))
 
-    def couple(s, t):
-        out = np.zeros(s.shape + phase.shape + (2,))
-        out[..., 0] = np.multiply.outer(
-            s <= cutoff + 1e-12, drive.amplitude * np.sin(two_pi_nu * t + phase))
-        return out
+    def loads_at(t, dm=None):
+        couple = np.zeros((2,) + phase.shape + nodes.shape)
+        np.multiply.outer(drive.amplitude * np.sin(two_pi_nu * t + phase), profile,
+                          out=couple[0])
+        return force, couple
 
-    return Loads(couple=couple)
+    return loads_at
+
+
+def _drive_loads(config: ScenarioConfig, phase) -> Loads:
+    """The drive couple as ``Loads``; a value is the transposed view of a
+    component-major buffer."""
+    return Loads(couple=lambda s, t: _drive(config, phase, s)(t)[1].T)
 
 
 def _boundary(config: ScenarioConfig) -> BoundaryConditions:
     return BoundaryConditions(base=config.boundary.base, tip=config.boundary.tip)
-
-
-def _take(state, keep):
-    """The rods ``keep`` (a mask over the rod axis) of a batched state."""
-    grid, *fields = vars(state).values()  # in field order, grid first
-    return _trusted_state(type(state), grid, *(v[:, keep] for v in fields))
 
 
 # Rod-frames whose centerlines one reconstruct_centerline call builds in a
@@ -376,6 +379,9 @@ def simulate_rod(config: ScenarioConfig):
     frame records its curvatures; the centerlines of the captured frames are
     reconstructed after the run, in blocks of whole frames that hold at most
     ``CENTERLINE_BLOCK`` rod-frames (one frame when the rods alone exceed it).
+
+    The rods step in the packed layout of ``integrators``, unpacked only at
+    a frame, with the drive's profile built once.
     """
     mat = config.material
     grid = mat.grid()
@@ -383,11 +389,12 @@ def simulate_rod(config: ScenarioConfig):
     n_rods = config.carpet.rods
     stride = config.output.stride
     semi = config.scheme == "semi"
+    cls, step = (ManifoldState, _step_semi) if semi else (RodState, _step_pure)
     try:
         n_steps = config.n_steps
         n_frames = 1 + n_steps // stride + (n_steps % stride != 0)
         rods = np.arange(n_rods)
-        state = (ManifoldState if semi else RodState).zero(grid, n_rods)
+        packed = cls.zero(grid, n_rods)._packed()
         traj = Trajectory(
             np.empty(n_frames), np.empty((n_frames, n_rods, grid.node_count, 3)),
             np.empty((n_frames, n_rods)), np.empty((n_frames, n_rods, 3)),
@@ -402,25 +409,25 @@ def simulate_rod(config: ScenarioConfig):
     phases = config.drive.phase + rods * config.carpet.phase_increment
     bases = np.zeros((n_rods, 3))
     bases[:, 0] = rods * config.carpet.spacing
-    loads = _drive_loads(config, phases)
-    step = step_semi_analytic if semi else step_pure_numeric
+    loads_at = _drive(config, phases, grid.nodes)
 
-    e = state_energy(state, mat)
+    e = _energy(packed, mat, grid.spacing)
     drive_scale = config.drive.amplitude**2 * mat.length**3 / (2.0 * mat.EI)
     bound = 1e3 * np.maximum(e, np.full(n_rods, max(drive_scale, 1e-12)))
     failed, done, frames = [], 0, 0
     while True:
         if not failed and (done % stride == 0 or done == n_steps):
+            state = cls._from_packed(grid, packed)
             traj.times[frames] = done * dt
             traj.energies[frames] = e
             traj.drifts[frames] = np.stack(drift_norms(state), axis=-1)
-            curvatures[frames] = (lift(state) if semi else state).curvature
+            curvatures[frames] = (_lift(packed) if semi else packed)[0:2].T
             frames += 1
         if done == n_steps or not rods.size:
             break
         try:
-            new = step(state, mat, loads, bc, done * dt, dt)
-            e = state_energy(new, mat)
+            new = step(packed, mat, bc, grid, loads_at, done * dt, dt)
+            e = _energy(new, mat, grid.spacing)
             lost = e > bound
         except DivergenceError as err:
             lost = np.isin(np.arange(rods.size), err.rods)
@@ -429,10 +436,10 @@ def simulate_rod(config: ScenarioConfig):
             # columns in the step, so the others keep their bits.
             failed += rods[lost].tolist()
             keep = ~lost
-            rods, bound, state = rods[keep], bound[keep], _take(state, keep)
-            loads = _drive_loads(config, phases[rods])
+            rods, bound, packed = rods[keep], bound[keep], packed[:, keep]
+            loads_at = _drive(config, phases[rods], grid.nodes)
             continue
-        state = new
+        packed = new
         done += 1
     # One call per block, its frames' rods laid along the rod axis frame
     # after frame; the last block ends at the last captured frame.

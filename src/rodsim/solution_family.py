@@ -21,6 +21,7 @@ from .errors import (
     DegeneracyError,
     DivergenceError,
     InputError,
+    NumericalError,
     OutOfRangeError,
     SizeError,
 )
@@ -263,6 +264,9 @@ def match_boundary_trace(
         us, ys = integrate_ode_rk4(rhs, np.array([c0, 0.0]), (0.0, u_max), steps)
     except OverflowError as err:  # a Python float power of a trace value
         raise DivergenceError(f"the trace march overflowed {where}: {err}") from err
+    if not us[1] > us[0]:  # the spacing u_max / steps underflowed to zero
+        raise InputError(f"u_max / steps is below the float range: the knots do "
+                         f"not increase {where}")
     c_vals, f_vals = ys[:, 0], ys[:, 1]
     fv1 = np.asarray([v1(f) for f in f_vals])
     fw1 = np.asarray([w1(f) for f in f_vals])
@@ -276,12 +280,15 @@ def match_boundary_trace(
     # boundary-condition error.
     slope0 = rhs(us[0], ys[0])
     slope1 = rhs(us[-1], ys[-1])
-    return SolutionFamily(
-        amp=SampledFn(us, a_vals),
-        angle=SampledFn(us, c_vals, end_slopes=(slope0[0], slope1[0])),
-        time_map=SampledFn(us, f_vals, end_slopes=(slope0[1], slope1[1])),
-        u_range=(0.0, u_max),
-    )
+    try:
+        return SolutionFamily(
+            amp=SampledFn(us, a_vals),
+            angle=SampledFn(us, c_vals, end_slopes=(slope0[0], slope1[0])),
+            time_map=SampledFn(us, f_vals, end_slopes=(slope0[1], slope1[1])),
+            u_range=(0.0, u_max),
+        )
+    except NumericalError as err:  # a spline table that overflows
+        raise DivergenceError(f"the fit overflowed {where}: {err}") from err
 
 
 def verify_trace_match(fam: SolutionFamily, data: CauchyTrace, u_samples) -> float:

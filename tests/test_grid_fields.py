@@ -1,5 +1,7 @@
 """Tests for the uniform-grid numeric substrate."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline  # test oracle only
@@ -8,6 +10,7 @@ from rodsim.errors import (
     DivergenceError,
     DomainError,
     InputError,
+    NumericalError,
     SingularSystemError,
     SizeError,
 )
@@ -304,6 +307,16 @@ class TestCubicSpline:
             cubic_spline([0.0, 1.0, np.inf], [0.0, 1.0, 2.0])
         with pytest.raises(InputError, match="finite"):
             cubic_spline([-np.inf, 1.0, 2.0], [0.0, 1.0, 2.0])
+
+    def test_overflowing_table_is_a_numerical_error(self):
+        # Finite knots spread over the whole float range with a clamped end
+        # slope: eliminating the first row overflows. The error names the
+        # overflow, and no RuntimeWarning escapes on the way.
+        knots = np.linspace(0.0, 1e308, 1001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="cubic spline table overflows"):
+                cubic_spline(knots, np.sin(np.arange(1001.0)), ends=(1e5, 1e5))
 
     def test_unknown_ends(self):
         with pytest.raises(ValueError, match="ends"):

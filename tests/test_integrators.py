@@ -386,3 +386,100 @@ class TestDefaultCiliumOffManifold:
         # Measured: 0.148 and 0.208. A first-order drift would halve instead.
         assert coarse > 0.1
         assert fine > 0.75 * coarse
+
+
+class TestPackedPathMatchesPublicPath:
+    """``simulate_rod`` steps the packed layout; the public functions pack,
+    step and unpack. Both must give the same bits."""
+
+    @staticmethod
+    def public_run(config):
+        """Times, energies, drift norms and curvatures of the captured frames
+        of ``config``, from a loop of the public calls alone."""
+        mat, semi = config.material, config.scheme == "semi"
+        rods = config.carpet.rods
+        loads = scenarios._drive_loads(
+            config, config.drive.phase + np.arange(rods) * config.carpet.phase_increment)
+        bc = scenarios._boundary(config)
+        state = (ManifoldState if semi else RodState).zero(mat.grid(), rods)
+        step = step_semi_analytic if semi else step_pure_numeric
+        n_steps, stride = config.n_steps, config.output.stride
+        dt = config.t_end / n_steps
+        frames = []
+        for k in range(n_steps + 1):
+            if k % stride == 0 or k == n_steps:
+                frames.append((k * dt, state_energy(state, mat),
+                               np.stack(drift_norms(state), axis=-1),
+                               (lift(state) if semi else state).curvature.copy()))
+            if k < n_steps:
+                state = step(state, mat, loads, bc, k * dt, dt)
+        return [np.array(column) for column in zip(*frames)]
+
+    @pytest.mark.parametrize("scheme, dt, t_end", [("pure", 1e-4, 0.02), ("semi", 1e-3, 0.2)])
+    def test_carpet_frames_are_bit_identical(self, monkeypatch, scheme, dt, t_end):
+        material = MaterialParams(rho=1.0, area=2e-2, moment=1e-2, EI=1e-1,
+                                  length=1.0, nodes=31)
+        config = default_config(
+            material=material, scheme=scheme, dt=dt, t_end=t_end,
+            carpet=scenarios.CarpetConfig(rods=3, spacing=0.5, phase_increment=2.1))
+        assert config.n_steps >= 200
+        curvatures = []
+        drift = scenarios.drift_norms
+
+        def recording_drift_norms(state):  # called once per captured frame
+            vectors = lift(state) if isinstance(state, ManifoldState) else state
+            curvatures.append(vectors.curvature.copy())
+            return drift(state)
+
+        monkeypatch.setattr(scenarios, "drift_norms", recording_drift_norms)
+        traj, stable, _ = scenarios.simulate_rod(config)
+        assert stable
+        times, energies, drifts, public_curvatures = self.public_run(config)
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.energies, energies)
+        assert np.array_equal(traj.drifts, drifts)
+        assert np.array_equal(np.array(curvatures), public_curvatures)
+
+    @pytest.mark.parametrize("scheme", ["pure", "semi"])
+    def test_one_rod_step_equals_rod_axis_step(self, scheme):
+        config = default_config(scheme=scheme)
+        params = config.material
+        loads = scenarios._drive_loads(config, 0.4)
+        bc = scenarios._boundary(config)
+        m = random_manifold(params.grid(), seed=3)
+        single = m if scheme == "semi" else lift(m)
+        batched = type(single)(params.grid(), *(a[:, None] for a in list(vars(single).values())[1:]))
+        step = step_semi_analytic if scheme == "semi" else step_pure_numeric
+        one = step(single, params, loads, bc, 0.1, 1e-4)
+        axis = step(batched, params, loads, bc, 0.1, 1e-4)
+        for a, b in zip(list(vars(one).values())[1:], list(vars(axis).values())[1:]):
+            assert a.shape == b.shape[:1] + b.shape[2:]
+            assert np.array_equal(a, b[:, 0])
+
+    def test_unstable_semi_run_fails_at_the_same_step(self):
+        # Default cilium at dt=1e-4: the semi scheme blows up before t=0.3
+        # (ROADMAP item 3). simulate_rod captures every step up to the one
+        # that loses the rod; the public loop must lose it at that step too.
+        config = default_config(dt=1e-4, t_end=0.3,
+                                output=scenarios.OutputConfig(stride=1))
+        with np.errstate(all="ignore"):
+            traj, stable, failed = scenarios.simulate_rod(config)
+        assert not stable and failed == [0]
+        mat, dt = config.material, config.t_end / config.n_steps
+        loads = scenarios._drive_loads(config, config.drive.phase)
+        bc = scenarios._boundary(config)
+        drive_scale = config.drive.amplitude**2 * mat.length**3 / (2.0 * mat.EI)
+        m = ManifoldState.zero(mat.grid())
+        lost_at = None
+        with np.errstate(all="ignore"):
+            for k in range(config.n_steps):
+                try:
+                    m = step_semi_analytic(m, mat, loads, bc, k * dt, dt)
+                except DivergenceError:
+                    lost_at = k
+                    break
+                if state_energy(m, mat) > 1e3 * drive_scale:
+                    lost_at = k
+                    break
+        assert lost_at is not None
+        assert traj.times.size == lost_at + 1

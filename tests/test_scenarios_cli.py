@@ -316,7 +316,7 @@ class TestRunCilium:
         # With the energy bound out of the way, the run goes on until a step
         # overflows; that step's DivergenceError ends it as unstable, keeping
         # the frames captured before it.
-        monkeypatch.setattr(scenarios, "state_energy", lambda state, params: 0.0)
+        monkeypatch.setattr(scenarios, "_energy", lambda squares, params, spacing: 0.0)
         config = small_config(
             scheme="pure", dt=0.5, t_end=100.0, drive=DriveConfig(amplitude=1.0),
             output=OutputConfig(stride=1),
@@ -657,6 +657,9 @@ class TestCli:
             ({"u_max": 0.0}, None, "u_max must be positive, got 0.0"),
             ({"u_max": -0.5}, None, "u_max must be positive, got -0.5"),
             ({"steps": 2}, None, "steps must be at least 3"),
+            ({"u_max": 5e-324}, None,
+             "u_max / steps is below the float range: the knots do not increase "
+             "(u_max=5e-324, steps=1000)"),
             ({"v1": {"cos": {"freq": float("inf")}}}, None, "'freq' must be a finite"),
             (None, ["--dt", "0"], "dt must be positive and finite"),
             (None, ["--dt", "-0.05"], "dt must be positive and finite"),
@@ -664,7 +667,7 @@ class TestCli:
         ],
         ids=["v2_origin-string", "const-list", "cos-number", "steps-float",
              "steps-bool", "steps-huge", "u_max-string", "u_max-zero", "u_max-negative",
-             "steps-two", "freq-inf", "dt-zero",
+             "steps-two", "u_max-underflow", "freq-inf", "dt-zero",
              "dt-negative", "dt-nan"],
     )
     def test_rejects_mistyped_number(self, tmp_path, capsys, patch, flags, message):
@@ -725,7 +728,8 @@ class TestCli:
         "patch, message",
         [
             ({"u_max": 1e308},
-             "round-trip residual is not finite (u_max=1e+308, steps=1000)"),
+             "the fit overflowed (u_max=1e+308, steps=1000): the cubic spline table "
+             "overflows"),
             ({"k1": {"const": 1e308}, "v1": {"const": 10.0}},
              "amplitude is not finite (u_max=0.5, steps=1000)"),
             ({"k1": {"const": 1e200}, "v1": {"const": 1e200}},
