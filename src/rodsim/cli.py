@@ -157,8 +157,13 @@ def _cmd_match_cauchy(args) -> int:
     fam = match_boundary_trace(trace, u_max, steps)
     samples = np.linspace(0.0, u_max, 33)
     residual = verify_trace_match(fam, trace, samples)
-    if not np.isfinite(residual):  # NaN and infinities are not JSON numbers
-        raise NumericalError(f"the round-trip residual is not finite "
+    largest = max(np.abs(fn(samples)).max()
+                  for fn in (trace.v1_trace, trace.w1_trace, trace.k1_trace))
+    bound = 1e-6 * max(1.0, largest)
+    # Also false for NaN and infinities, which are not JSON numbers.
+    if not residual <= bound:
+        raise NumericalError(f"the round-trip residual {residual:.3g} is not within its "
+                             f"bound {bound:.3g} = 1e-6 x max(1, largest |trace value|) "
                              f"(u_max={u_max}, steps={steps})")
     report = {
         "u_max": u_max,

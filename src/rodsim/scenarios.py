@@ -268,16 +268,20 @@ class Trajectory:
         return traj
 
     def to_csv(self) -> str:
-        lines = ["t,rod,node,x,y,z"]
+        """One ``t,rod,node,x,y,z`` row per frame, rod and node, every float
+        written as its ``repr``. A frame's rows fill one template, and each
+        distinct coordinate of the frame goes through ``repr`` once."""
         positions = np.asarray(self.positions, dtype=float)
-        # Python floats from tolist() repr exactly as float(v) of each element;
-        # converting one frame at a time keeps the Python objects to a frame.
+        rods, nodes = positions.shape[1:3]
+        template = "".join(f"\n{k},{i},%s,%s,%s" for k in range(rods) for i in range(nodes))
+        parts = ["t,rod,node,x,y,z"]
         for t, frame in zip(np.asarray(self.times, dtype=float).tolist(), positions):
-            t = repr(t)
-            for k, rod in enumerate(frame.tolist()):
-                for i, (x, y, z) in enumerate(rod):
-                    lines.append(f"{t},{k},{i},{x!r},{y!r},{z!r}")
-        return "\n".join(lines) + "\n"
+            # Keyed on the bits, not the value: -0.0 and 0.0 repr differently.
+            bits, inverse = np.unique(frame.view(np.int64).ravel(), return_inverse=True)
+            texts = [repr(v) for v in bits.view(float).tolist()]
+            parts.append(template.replace("\n", f"\n{t!r},")
+                         % tuple(map(texts.__getitem__, inverse.tolist())))
+        return "".join(parts) + "\n"
 
     @classmethod
     def from_csv(cls, text: str) -> "Trajectory":
@@ -368,8 +372,10 @@ def simulate_rod(config: ScenarioConfig):
 
     Rod k has drive phase ``drive.phase + k * carpet.phase_increment`` and
     its base at ``(k * carpet.spacing, 0, 0)``; a single cilium is one rod.
-    Returns (trajectory, stable, failed): ``failed`` lists the rods that did
-    not reach t_end, and ``stable`` is True when there are none.
+    Returns (trajectory, stable, failed): ``failed`` maps each rod that did
+    not reach t_end, in rod order, to where it was lost: the step, the time
+    that step reached and the cause, ``non-finite`` or ``energy E above bound
+    B``. ``stable`` is True when there are none.
 
     Frames are captured every ``output.stride`` steps, including the initial
     and final states. A rod fails when its step produces non-finite values or
@@ -414,7 +420,7 @@ def simulate_rod(config: ScenarioConfig):
     e = _energy(packed, mat, grid.spacing)
     drive_scale = config.drive.amplitude**2 * mat.length**3 / (2.0 * mat.EI)
     bound = 1e3 * np.maximum(e, np.full(n_rods, max(drive_scale, 1e-12)))
-    failed, done, frames = [], 0, 0
+    failed, done, frames = {}, 0, 0
     while True:
         if not failed and (done % stride == 0 or done == n_steps):
             state = cls._from_packed(grid, packed)
@@ -430,11 +436,14 @@ def simulate_rod(config: ScenarioConfig):
             e = _energy(new, mat, grid.spacing)
             lost = e > bound
         except DivergenceError as err:
-            lost = np.isin(np.arange(rods.size), err.rods)
+            lost, e = np.isin(np.arange(rods.size), err.rods), None
         if lost.any():
+            at = f"step {done + 1} (t={(done + 1) * dt:.6g}, "
+            failed.update((rods[j].item(), at + ("non-finite)" if e is None else
+                           f"energy {e[j]:.3g} above bound {bound[j]:.3g})"))
+                          for j in np.flatnonzero(lost))
             # Step the other rods again without these: every rod has its own
             # columns in the step, so the others keep their bits.
-            failed += rods[lost].tolist()
             keep = ~lost
             rods, bound, packed = rods[keep], bound[keep], packed[:, keep]
             loads_at = _drive(config, phases[rods], grid.nodes)
@@ -454,19 +463,21 @@ def simulate_rod(config: ScenarioConfig):
             grid.node_count, count, n_rods, 3).transpose(1, 2, 0, 3)
     traj = Trajectory(traj.times[:frames], traj.positions[:frames],
                       traj.energies[:frames], traj.drifts[:frames])
-    return traj, not failed, sorted(failed)
+    return traj, not failed, dict(sorted(failed.items()))
 
 
 def run_scenario(config: ScenarioConfig) -> Trajectory:
     """Run the scenario's rods, one cilium or a carpet, to t_end.
 
     Raises InstabilityError, carrying the frames captured before the first
-    failure as ``partial``, when any rod does not reach t_end.
+    failure as ``partial``, when any rod does not reach t_end; its message
+    names each failed rod's step, time and cause.
     """
     trajectory, stable, failed = simulate_rod(config)
     if not stable:
-        message = ("simulation became unstable" if config.carpet.rods == 1
-                   else f"rod(s) {failed} became unstable")
+        message = (f"simulation became unstable at {failed[0]}" if config.carpet.rods == 1
+                   else f"rod(s) {list(failed)} became unstable: "
+                   + "; ".join(f"rod {k} at {where}" for k, where in failed.items()))
         raise InstabilityError(message, partial=trajectory)
     return trajectory
 

@@ -464,7 +464,7 @@ class TestPackedPathMatchesPublicPath:
                                 output=scenarios.OutputConfig(stride=1))
         with np.errstate(all="ignore"):
             traj, stable, failed = scenarios.simulate_rod(config)
-        assert not stable and failed == [0]
+        assert not stable and list(failed) == [0]
         mat, dt = config.material, config.t_end / config.n_steps
         loads = scenarios._drive_loads(config, config.drive.phase)
         bc = scenarios._boundary(config)
@@ -483,3 +483,4 @@ class TestPackedPathMatchesPublicPath:
                     break
         assert lost_at is not None
         assert traj.times.size == lost_at + 1
+        assert failed[0].startswith(f"step {lost_at + 1} (t={(lost_at + 1) * dt:.6g}, ")

@@ -3,6 +3,7 @@
 import importlib.metadata
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -219,6 +220,30 @@ class TestTrajectory:
         np.testing.assert_array_equal(clone.positions, traj.positions)
         assert clone.to_csv() == text
 
+    def test_csv_bytes_match_row_by_row_repr(self):
+        # to_csv formats each distinct coordinate of a frame once; its bytes
+        # must be those of writing every row on its own, for signed zeros,
+        # subnormals, huge values and values repeated within and across frames.
+        traj = self.make(frames=4, rods=3, nodes=5)
+        positions = traj.positions
+        positions[0] = 0.1  # a frame whose coordinates are all equal
+        positions[1, 0, 0] = (-0.0, 0.0, 5e-324)
+        positions[1, 0, 1] = (1e300, -1e300, 0.0)
+        positions[1, 1] = positions[1, 0]  # repeated across rods
+        positions[2, 2] = positions[1, 0]  # repeated across frames
+        positions[3, :, :, 0] = -0.0
+        positions[3, 1, 2] = (0.0, -5e-324, -0.0)
+        traj.times = np.array([0.0, 0.1, 1.0 / 3.0, 1e300])
+        rows = ["t,rod,node,x,y,z"] + [
+            f"{t!r},{k},{i},{x!r},{y!r},{z!r}"
+            for t, frame in zip(traj.times.tolist(), positions.tolist())
+            for k, rod in enumerate(frame) for i, (x, y, z) in enumerate(rod)]
+        text = traj.to_csv()
+        assert text == "\n".join(rows) + "\n"
+        clone = Trajectory.from_csv(text)
+        assert clone.times.tobytes() == traj.times.tobytes()
+        assert clone.positions.tobytes() == positions.tobytes()
+
     def test_csv_header(self):
         assert self.make().to_csv().splitlines()[0] == "t,rod,node,x,y,z"
 
@@ -307,7 +332,7 @@ class TestRunCilium:
         with np.errstate(all="ignore"):
             with pytest.raises(InstabilityError) as err:
                 run_scenario(config)
-        assert str(err.value) == "simulation became unstable"
+        assert str(err.value).startswith("simulation became unstable at step ")
         partial = err.value.partial
         assert isinstance(partial, Trajectory)
         assert np.all(np.isfinite(partial.positions))
@@ -324,7 +349,7 @@ class TestRunCilium:
         with np.errstate(all="ignore"):
             traj, stable, failed = simulate_rod(config)
         assert stable is False
-        assert failed == [0]
+        assert list(failed) == [0] and failed[0].endswith(", non-finite)")
         assert 1 < traj.times.size < 200
         assert traj.times[-1] < config.t_end
 
@@ -362,8 +387,9 @@ class TestRunCarpet:
 
     def test_unstable_rods_are_those_unstable_alone(self):
         # Each rod fails as it would alone: the carpet names exactly the rods
-        # whose single runs fail, and its partial trajectory stops where the
-        # earliest of them stopped.
+        # whose single runs fail, each at the step, time and cause of its
+        # single run, and its partial trajectory stops where the earliest of
+        # them stopped.
         # The semi scheme at this step size goes unstable on some drive
         # phases only (ROADMAP item 1), at different frames.
         material = replace(default_config().material, nodes=21)
@@ -371,7 +397,7 @@ class TestRunCarpet:
             material=material, dt=3e-3, t_end=1.0, output=OutputConfig(stride=5),
             carpet=CarpetConfig(rods=5, spacing=0.5, phase_increment=0.785),
         )
-        unstable, frames = [], []
+        unstable, frames, where = [], [], []
         with np.errstate(all="ignore"):
             for k in range(5):
                 alone = replace(config, carpet=CarpetConfig(),
@@ -381,10 +407,16 @@ class TestRunCarpet:
                 except InstabilityError as err:
                     unstable.append(k)
                     frames.append(err.partial.times.size)
+                    where.append(str(err).removeprefix("simulation became unstable at "))
             with pytest.raises(InstabilityError) as err:
                 run_scenario(config)
-        assert 0 < len(unstable) < 5
-        assert str(err.value) == f"rod(s) {unstable} became unstable"
+        assert unstable == [0, 4]
+        assert str(err.value) == (
+            "rod(s) [0, 4] became unstable: "
+            f"rod 0 at {where[0]}; rod 4 at {where[1]}")
+        for text in where:
+            assert re.fullmatch(r"step \d+ \(t=0\.\d+, energy 1\.\d\de\+03 above bound "
+                                r"1\.25e\+03\)", text), text
         assert err.value.partial.times.size == min(frames)
 
     @staticmethod
@@ -440,7 +472,7 @@ class TestRunCarpet:
         with np.errstate(all="ignore"):
             (traj, stable, failed), per_frame, calls = self.simulate_with_frame_centerlines(
                 config, monkeypatch)
-        assert not stable and failed == [1, 3]
+        assert not stable and list(failed) == [1, 3]
         rod_frames = traj.times.size * 4
         assert rod_frames > 64 and rod_frames % 64  # the last block is partial
         assert calls == [64] * (rod_frames // 64) + [rod_frames % 64]
@@ -730,16 +762,20 @@ class TestCli:
             ({"u_max": 1e308},
              "the fit overflowed (u_max=1e+308, steps=1000): the cubic spline table "
              "overflows"),
+            ({"u_max": 1e50},
+             "the round-trip residual 4.75e+29 is not within its bound 1e-06 = "
+             "1e-6 x max(1, largest |trace value|) (u_max=1e+50, steps=1000)"),
             ({"k1": {"const": 1e308}, "v1": {"const": 10.0}},
              "amplitude is not finite (u_max=0.5, steps=1000)"),
             ({"k1": {"const": 1e200}, "v1": {"const": 1e200}},
              "march overflowed (u_max=0.5, steps=1000)"),
         ],
-        ids=["residual", "amplitude", "march"],
+        ids=["residual", "residual-bound", "amplitude", "march"],
     )
     def test_match_cauchy_non_finite_exits_1(self, tmp_path, capsys, patch, message):
         # A fit that overflows is a numerical failure (exit 1) that names the
         # keys setting the march, not a report holding NaN, which is not JSON.
+        # So is a finite fit whose round-trip residual is above its bound.
         path = tmp_path / "trace.json"
         path.write_text(json.dumps(dict(worked_spec(), **patch)))
         out = tmp_path / "match.json"
@@ -756,6 +792,15 @@ class TestCli:
         assert report["round_trip_residual"] <= 1e-6
         amp = np.asarray(report["family"]["A"])
         np.testing.assert_allclose(amp, 1.0, atol=1e-6)
+
+    @pytest.mark.parametrize("u_max", [50.0, 1e6])
+    def test_match_cauchy_residual_within_bound(self, tmp_path, u_max):
+        # Long fits of the worked example stay far inside the 1e-6 bound.
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(dict(worked_spec(), u_max=u_max)))
+        out = tmp_path / "match.json"
+        assert main(["match-cauchy", str(path), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["round_trip_residual"] <= 1e-7
 
     def test_match_cauchy_missing_key(self, tmp_path):
         path = tmp_path / "trace.json"
