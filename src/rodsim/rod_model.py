@@ -26,7 +26,6 @@ from .grid_fields import (
     Grid1D,
     TridiagFactors,
     central_diff,
-    cumtrapz,
     factor_tridiag,
     solve_tridiag,
 )
@@ -328,14 +327,24 @@ def energy(state: RodState, params: MaterialParams):
 
 def _energy(packed: np.ndarray, params: MaterialParams, spacing: float) -> np.ndarray:
     """Per-rod energy (K,) of a packed RodState, or of a packed ManifoldState
-    (angle and magnitudes: the unit direction drops out of every square)."""
-    if len(packed) == 4:
-        curv2, ang2, vel2 = np.square(packed[1:])
+    (angle and magnitudes: the unit direction drops out of every square).
+    A stack of B packed states, (B, C, K, N), gives (B, K).
+
+    The trapezoid rule sums the increments node by node, as ``cumtrapz``
+    does, so a state's energy has the same bits alone and in a stack."""
+    components = packed.swapaxes(0, -3)  # (C, ..., K, N)
+    if len(components) == 4:
+        curv2, ang2, vel2 = np.square(components[1:])
     else:  # the bits of np.sum(v**2, axis=-1) for 2-vectors, without a reduction
-        squares = np.square(packed)
+        squares = np.square(components)
         curv2, ang2, vel2 = squares[0::2] + squares[1::2]
-    density = 0.5 * (params.rho_A * vel2 + params.rho_I * ang2 + params.EI * curv2)
-    return cumtrapz(density.T, spacing)[-1]
+    density = params.rho_A * vel2
+    density += params.rho_I * ang2
+    density += params.EI * curv2
+    density *= 0.5
+    increments = density[..., 1:] + density[..., :-1]
+    increments *= 0.5 * spacing
+    return np.cumsum(increments, axis=-1)[..., -1]
 
 
 def _interval_operators(kappa: np.ndarray, ds: float):

@@ -332,29 +332,30 @@ class Trajectory:
 
 
 def _drive(config: ScenarioConfig, phase, nodes: np.ndarray):
-    """The drive as the packed steps' ``loads_at``: no distributed force, and
-    the couple for one phase, or for a vector of K phases (one per rod),
-    component-major. The basal profile is built once."""
+    """The drive couple of a block of steps, as a function of the steps'
+    times (B,) that gives (B, 2, *phase's shape, N), component-major: the
+    couple for one phase, or for a vector of K phases (one per rod), at
+    every time in one evaluation. No distributed force acts. The basal
+    profile is built once."""
     drive = config.drive
     cutoff = drive.active_fraction * config.material.length
     profile = (nodes <= cutoff + 1e-12).astype(float)
     two_pi_nu = 2.0 * np.pi * drive.frequency
     phase = np.asarray(phase, float)
-    force = np.zeros((2, 1, nodes.size))
 
-    def loads_at(t, dm=None):
-        couple = np.zeros((2,) + phase.shape + nodes.shape)
-        np.multiply.outer(drive.amplitude * np.sin(two_pi_nu * t + phase), profile,
-                          out=couple[0])
-        return force, couple
+    def couples_at(times):
+        couples = np.zeros((len(times), 2) + phase.shape + nodes.shape)
+        np.multiply.outer(drive.amplitude * np.sin(np.add.outer(two_pi_nu * times, phase)),
+                          profile, out=couples[:, 0])
+        return couples
 
-    return loads_at
+    return couples_at
 
 
 def _drive_loads(config: ScenarioConfig, phase) -> Loads:
     """The drive couple as ``Loads``; a value is the transposed view of a
     component-major buffer."""
-    return Loads(couple=lambda s, t: _drive(config, phase, s)(t)[1].T)
+    return Loads(couple=lambda s, t: _drive(config, phase, s)(np.array([t]))[0].T)
 
 
 def _boundary(config: ScenarioConfig) -> BoundaryConditions:
@@ -365,6 +366,25 @@ def _boundary(config: ScenarioConfig) -> BoundaryConditions:
 # run: a call's fixed cost is paid once per block, and the cap bounds the
 # memory of the call's temporaries.
 CENTERLINE_BLOCK = 64
+# Rod-nodes (rods times nodes) whose states one block of steps holds: the
+# drive of the block's steps is built in one evaluation and the energy bound
+# checked for all of them in one call. 64 states of a 101-node rod; counting
+# nodes keeps a block's memory the same on any grid, where a large grid's
+# step costs too much for the saving to show.
+STEP_BLOCK = 64 * 101
+
+
+def _finite(scale, message):
+    """The value of ``scale()``, a scalar that a run derives from its config;
+    InputError(message) when it overflows, on the way or by a division by a
+    product that underflowed to 0."""
+    try:
+        value = scale()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise InputError(message)
+    return value
 
 
 def simulate_rod(config: ScenarioConfig):
@@ -387,7 +407,13 @@ def simulate_rod(config: ScenarioConfig):
     ``CENTERLINE_BLOCK`` rod-frames (one frame when the rods alone exceed it).
 
     The rods step in the packed layout of ``integrators``, unpacked only at
-    a frame, with the drive's profile built once.
+    a frame, in blocks of steps that end at the next frame and hold at most
+    ``STEP_BLOCK`` rod-nodes (one step when one state exceeds it). A
+    block's drive is built in one evaluation and one ``_energy`` call checks
+    the bound for all its steps; its first failing step, by energy or else by
+    a non-finite value, loses its rods as a step-by-step run would. A scale
+    the run derives from the config that overflows (the energy bound, the
+    contact-force coefficients) is an InputError naming its keys.
     """
     mat = config.material
     grid = mat.grid()
@@ -396,6 +422,16 @@ def simulate_rod(config: ScenarioConfig):
     stride = config.output.stride
     semi = config.scheme == "semi"
     cls, step = (ManifoldState, _step_semi) if semi else (RodState, _step_pure)
+    amplitude, ds = config.drive.amplitude, grid.spacing
+    limit = _finite(lambda: 1e3 * max(amplitude**2 * mat.length**3 / (2.0 * mat.EI), 1e-12),
+                    "the energy bound 1e3 * amplitude**2 * length**3 / (2 EI) overflows "
+                    f"for drive.amplitude={amplitude!r}, material.length={mat.length!r} "
+                    f"and material.EI={mat.EI!r}")
+    _finite(lambda: max(1.0 / (mat.rho_A * ds**2), 1.0 / mat.rho_I),
+            "the contact-force coefficients 1/(rho*area*ds**2) and 1/(rho*moment), "
+            f"ds = length/(nodes - 1), overflow for material.rho={mat.rho!r}, "
+            f"material.area={mat.area!r}, material.moment={mat.moment!r}, "
+            f"material.length={mat.length!r} and material.nodes={mat.nodes}")
     try:
         n_steps = config.n_steps
         n_frames = 1 + n_steps // stride + (n_steps % stride != 0)
@@ -415,11 +451,11 @@ def simulate_rod(config: ScenarioConfig):
     phases = config.drive.phase + rods * config.carpet.phase_increment
     bases = np.zeros((n_rods, 3))
     bases[:, 0] = rods * config.carpet.spacing
-    loads_at = _drive(config, phases, grid.nodes)
+    couples_at = _drive(config, phases, grid.nodes)
+    force = np.zeros((2, 1, grid.node_count))
 
-    e = _energy(packed, mat, grid.spacing)
-    drive_scale = config.drive.amplitude**2 * mat.length**3 / (2.0 * mat.EI)
-    bound = 1e3 * np.maximum(e, np.full(n_rods, max(drive_scale, 1e-12)))
+    e = _energy(packed, mat, ds)
+    bound = np.full(n_rods, limit)  # a run starts from rest, with zero energy
     failed, done, frames = {}, 0, 0
     while True:
         if not failed and (done % stride == 0 or done == n_steps):
@@ -431,25 +467,42 @@ def simulate_rod(config: ScenarioConfig):
             frames += 1
         if done == n_steps or not rods.size:
             break
+        # The block ends at the next frame, or sooner once it holds
+        # STEP_BLOCK rod-nodes.
+        end = min(n_steps, done - done % stride + stride,
+                  done + max(1, STEP_BLOCK // (rods.size * grid.node_count)))
+        block = np.empty((end - done + 1,) + packed.shape)  # the state, then each step's
+        block[0] = packed
+        steps, lost, cause = 0, None, None
         try:
-            new = step(packed, mat, bc, grid, loads_at, done * dt, dt)
-            e = _energy(new, mat, grid.spacing)
-            lost = e > bound
+            for couple in couples_at(np.arange(done, end) * dt):
+                loads = force, couple
+                block[steps + 1] = step(block[steps], mat, bc, grid, lambda t, dm: loads,
+                                        (done + steps) * dt, dt)
+                steps += 1
         except DivergenceError as err:
-            lost, e = np.isin(np.arange(rods.size), err.rods), None
-        if lost.any():
+            lost = np.isin(np.arange(rods.size), err.rods)
+        if steps:
+            energies = _energy(block[1:steps + 1], mat, ds)
+            over = (energies > bound).any(axis=1)
+            if over.any():  # a completed step, so before any that diverged
+                steps = int(over.argmax())
+                cause = energies[steps]
+                lost = cause > bound
+            else:
+                e = energies[-1]
+        packed = block[steps]
+        done += steps
+        if lost is not None:
             at = f"step {done + 1} (t={(done + 1) * dt:.6g}, "
-            failed.update((rods[j].item(), at + ("non-finite)" if e is None else
-                           f"energy {e[j]:.3g} above bound {bound[j]:.3g})"))
+            failed.update((rods[j].item(), at + ("non-finite)" if cause is None else
+                           f"energy {cause[j]:.3g} above bound {bound[j]:.3g})"))
                           for j in np.flatnonzero(lost))
             # Step the other rods again without these: every rod has its own
             # columns in the step, so the others keep their bits.
             keep = ~lost
             rods, bound, packed = rods[keep], bound[keep], packed[:, keep]
-            loads_at = _drive(config, phases[rods], grid.nodes)
-            continue
-        packed = new
-        done += 1
+            couples_at = _drive(config, phases[rods], grid.nodes)
     # One call per block, its frames' rods laid along the rod axis frame
     # after frame; the last block ends at the last captured frame.
     per_block = -(-CENTERLINE_BLOCK // n_rods)

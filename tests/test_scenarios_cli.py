@@ -341,7 +341,8 @@ class TestRunCilium:
         # With the energy bound out of the way, the run goes on until a step
         # overflows; that step's DivergenceError ends it as unstable, keeping
         # the frames captured before it.
-        monkeypatch.setattr(scenarios, "_energy", lambda squares, params, spacing: 0.0)
+        monkeypatch.setattr(scenarios, "_energy", lambda packed, params, spacing:
+                            np.zeros(packed.shape[:-3] + packed.shape[-2:-1]))
         config = small_config(
             scheme="pure", dt=0.5, t_end=100.0, drive=DriveConfig(amplitude=1.0),
             output=OutputConfig(stride=1),
@@ -483,6 +484,81 @@ class TestRunCarpet:
         assert single.positions.shape[1] == 1
         multi = run_scenario(small_config(carpet=CarpetConfig(rods=2)))
         assert multi.positions.shape[1] == 2
+
+
+def carpet_losing_three():
+    """A semi carpet whose drive phases 0, 0.3 and 0.6 lose rods 0, 1 and 2 at
+    steps 185, 182 and 179: with the default cap, the block from the frame at
+    step 175 to the next at 200 holds all three."""
+    material = replace(default_config().material, nodes=21)
+    return default_config(
+        material=material, dt=3e-3, t_end=1.0, output=OutputConfig(stride=25),
+        carpet=CarpetConfig(rods=3, spacing=0.5, phase_increment=0.3))
+
+
+class TestStepBlocks:
+    """``simulate_rod`` steps in blocks of at most ``STEP_BLOCK`` rod-nodes;
+    a cap of one state is the step-by-step loop. Every cap gives the same
+    bits."""
+
+    DEFAULT = scenarios.STEP_BLOCK
+
+    @staticmethod
+    def diverging_pure():
+        return small_config(scheme="pure", dt=0.5, t_end=100.0,
+                            drive=DriveConfig(amplitude=1.0), output=OutputConfig(stride=10))
+
+    CASES = {
+        "pure-cilium": lambda: small_config(scheme="pure", dt=1e-4, t_end=0.03,
+                                            output=OutputConfig(stride=100)),
+        "semi-cilium": lambda: small_config(dt=1e-3, t_end=0.2, output=OutputConfig(stride=70)),
+        "semi-carpet-losing-three": carpet_losing_three,
+        "diverging-pure": diverging_pure,
+        "bound-before-divergence": diverging_pure,
+        "stable-semi-probe": lambda: default_config(dt=1e-3, t_end=2.0,
+                                                    output=OutputConfig(stride=10**9)),
+        "unstable-semi-probe": lambda: default_config(dt=1e-4, t_end=0.3,
+                                                      output=OutputConfig(stride=10**9)),
+    }
+    # Stand-ins for _energy, one energy per state and rod: none at all, so
+    # that a step overflows (step 195 of diverging_pure); or an infinite one
+    # once a value exceeds 1e303, at step 193 of the block that ends at 200.
+    ENERGIES = {
+        "diverging-pure": lambda packed: np.zeros(packed.shape[:-3] + packed.shape[-2:-1]),
+        "bound-before-divergence": lambda packed: np.where(
+            np.abs(packed).max(axis=(-3, -1)) > 1e303, np.inf, 0.0),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_every_cap_gives_the_step_by_step_result(self, monkeypatch, case):
+        config = self.CASES[case]()
+        if case in self.ENERGIES:
+            energy = self.ENERGIES[case]
+            monkeypatch.setattr(scenarios, "_energy",
+                                lambda packed, params, spacing: energy(packed))
+        results = []
+        state = config.carpet.rods * config.material.nodes  # rod-nodes
+        for cap in (state, 3 * state, self.DEFAULT):
+            monkeypatch.setattr(scenarios, "STEP_BLOCK", cap)
+            with np.errstate(all="ignore"):
+                results.append(simulate_rod(config))
+        (traj, stable, failed), *others = results
+        for other, stable_other, failed_other in others:
+            assert stable_other == stable and failed_other == failed
+            for name, values in vars(traj).items():  # NaN too: a diverged centerline
+                assert getattr(other, name).tobytes() == values.tobytes(), name
+        steps = [int(re.match(r"step (\d+) ", where)[1]) for where in failed.values()]
+        if case == "semi-carpet-losing-three":
+            assert list(failed) == [0, 1, 2] and steps == [185, 182, 179]
+            assert 175 < min(steps) and max(steps) <= 200 <= 175 + self.DEFAULT // (3 * 21)
+        elif case == "diverging-pure":
+            assert steps == [195] and failed[0].endswith(", non-finite)")
+        elif case == "bound-before-divergence":
+            assert steps == [193] and failed[0].endswith("energy inf above bound 5e+03)")
+        elif case == "unstable-semi-probe":
+            assert list(failed) == [0] and traj.times.size == 1
+        else:
+            assert stable
 
 
 class TestBenchmark:
@@ -627,6 +703,33 @@ class TestCli:
         path.write_text(json.dumps(doc))
         out = tmp_path / "run.json"
         assert main(["simulate", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value, named",
+        [
+            ("drive", "amplitude", 1e160, ["drive.amplitude", "material.length", "material.EI"]),
+            ("material", "length", 1e300, ["drive.amplitude", "material.length", "material.EI"]),
+            ("material", "EI", 1e-320, ["drive.amplitude", "material.length", "material.EI"]),
+            ("material", "rho", 1e-320, ["material.rho", "material.area", "material.moment",
+                                         "material.length", "material.nodes"]),
+        ],
+    )
+    def test_simulate_rejects_overflowing_scales(self, tmp_path, capsys, section, key,
+                                                 value, named):
+        # Finite values whose derived scales overflow: the energy bound, which
+        # would otherwise switch the energy check off, or the contact-force
+        # coefficients (rho*area*ds**2 underflows to 0). Bad input that
+        # names its keys (exit 2), not a traceback.
+        doc = json.loads(small_config().to_json())
+        doc[section][key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "run.json"
+        assert main(["simulate", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert all(name in err for name in named), err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "verify-solution", "export"])
