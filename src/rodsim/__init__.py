@@ -26,7 +26,6 @@ from .integrators import (
     lift,
     max_stable_dt,
     project,
-    state_energy,
     step_pure_numeric,
     step_semi_analytic,
 )
@@ -41,7 +40,6 @@ from .rod_model import (
     Loads,
     MaterialParams,
     RodState,
-    bending_couple,
     energy,
     reconstruct_centerline,
 )

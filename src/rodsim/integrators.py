@@ -12,14 +12,18 @@ the rod.
 Both schemes impose the moment-free condition m = 0 (zero curvature) at free
 ends in addition to the clamped-end velocity signals. A step returns only the
 next state and raises DivergenceError when it produces non-finite values;
-``drift_norms`` and ``state_energy`` measure a state when the caller asks.
-A state with a rod axis steps K rods at once; the projection threshold, the
-finite check, the energy and the drift norms are then taken rod by rod.
+``drift_norms`` and ``rod_model.energy`` measure a state of either kind when
+the caller asks. A state with a rod axis steps K rods at once; the projection
+threshold, the finite check, the energy and the drift norms are then taken
+rod by rod.
 
 A step works on one packed array per state, (6, K, N) for a RodState and
 (4, K, N) for a ManifoldState (``rod_model._GridState._packed``): every
-component is a contiguous block. The public functions pack, run the core that
-``scenarios.simulate_rod`` steps with, and unpack; both give the same bits.
+component is a contiguous block. The cores take the loads already evaluated,
+as packed (2, K, N) or (2, 1, N) arrays. The public functions pack, evaluate
+the loads, run the core that ``scenarios.simulate_rod`` steps with, and
+unpack; both give the same bits, and ``simulate_rod`` measures its frames on
+the packed array as ``drift_norms`` does.
 """
 
 from __future__ import annotations
@@ -37,17 +41,15 @@ from .rod_model import (
     MaterialParams,
     RodState,
     _GridState,
-    _energy,
+    _drift_norms,
     _loads_at,
     adiag,
-    constraint_norms,
     contact_force,
 )
 
 __all__ = [
     "ManifoldState",
     "drift_norms",
-    "state_energy",
     "lift",
     "project",
     "step_pure_numeric",
@@ -113,28 +115,16 @@ def project(r: RodState, prev_angle: np.ndarray, eps) -> ManifoldState:
 
 def drift_norms(state):
     """Max-norms (R4, R5, R6) of a RodState or ManifoldState
-    (``rod_model.constraint_norms``).
+    (``rod_model._drift_norms``).
 
     On the manifold the three vectors share one direction, so R5 and R6 are
     zero by representation; R4 is measured on the lifted vectors. Each norm
     is a float for one rod and an array of K norms for K rods.
     """
-    if isinstance(state, ManifoldState):
-        r4 = constraint_norms(lift(state))[0]
-        zero = np.zeros_like(r4)[()]  # [()] gives a scalar for one rod
-        return r4, zero, zero
-    return constraint_norms(state)
-
-
-def state_energy(state, params: MaterialParams):
-    """Kinetic plus bending energy of a RodState or ManifoldState, per rod.
-
-    A collinear state's energy comes from its magnitudes: the unit direction
-    drops out of every squared norm, so no vectors are built. It agrees with
-    ``energy(lift(m))`` to rounding.
-    """
-    e = _energy(state._packed(), params, state.grid.spacing)
-    return e if state._batched else e[0]
+    collinear = isinstance(state, ManifoldState)
+    raw = _lift(state._packed()) if collinear else state._packed()
+    norms = _drift_norms(raw, state.grid.spacing, collinear)
+    return tuple(norms if state._batched else norms[:, 0])
 
 
 def _require_finite(packed: np.ndarray):
@@ -169,12 +159,11 @@ def _apply_clamps(velocities, bc: BoundaryConditions, t_next: float):
             at_end[..., 2:] = np.asarray(lin(t_next), float)
 
 
-def _euler_velocities(raw, dm, params, bc, grid, loads_at, t, dt):
+def _euler_velocities(raw, dm, params, bc, grid, f, l, t, dt):
     """The next angular and linear velocities (4, K, N) of a packed raw state
-    by forward Euler; ``dm`` is m', and ``loads_at(t, dm)`` gives f and l in
-    the stepping layout, (2, K, N) or (2, 1, N) for all rods alike."""
+    by forward Euler; ``dm`` is m', and f and l are the loads at t in the
+    stepping layout, (2, K, N) or (2, 1, N) for all rods alike."""
     ds = grid.spacing
-    f, l = loads_at(t, dm)
     # A blown-up state gives a non-finite force, and so a non-finite step.
     n = contact_force(dm.T, f.T, l.T, params, bc, t, grid).T
     velocities = np.empty((4,) + dm.shape[1:])
@@ -184,7 +173,7 @@ def _euler_velocities(raw, dm, params, bc, grid, loads_at, t, dt):
     return velocities
 
 
-def _step_pure(raw, params, bc, grid, loads_at, t, dt):
+def _step_pure(raw, params, bc, grid, f, l, t, dt):
     """``step_pure_numeric`` on a packed raw state."""
     # One stencil call differentiates the bending couple and the angular
     # velocity, stacked along the component axis.
@@ -192,19 +181,19 @@ def _step_pure(raw, params, bc, grid, loads_at, t, dt):
     derivatives = central_diff(both.T, grid.spacing).T
     new = np.empty_like(raw)
     np.add(raw[0:2], dt * derivatives[2:], out=new[0:2])
-    new[2:] = _euler_velocities(raw, derivatives[:2], params, bc, grid, loads_at, t, dt)
+    new[2:] = _euler_velocities(raw, derivatives[:2], params, bc, grid, f, l, t, dt)
     _apply_clamps(new[2:], bc, t + dt)
     _apply_free_moment(new[0:2], bc)
     _require_finite(new)
     return new
 
 
-def _step_semi(m, params, bc, grid, loads_at, t, dt):
+def _step_semi(m, params, bc, grid, f, l, t, dt):
     """``step_semi_analytic`` on a packed manifold state."""
     ds = grid.spacing
     raw = _lift(m)
     dm = central_diff((params.EI * raw[0:2]).T, ds).T
-    velocities = _euler_velocities(raw, dm, params, bc, grid, loads_at, t, dt)
+    velocities = _euler_velocities(raw, dm, params, bc, grid, f, l, t, dt)
     _apply_clamps(velocities, bc, t + dt)
     _require_finite(velocities)
     eps = np.maximum(1e-8 * np.abs(velocities[2:]).max(axis=(0, 2)), 1e-300)[:, None]
@@ -234,12 +223,13 @@ def _step_semi(m, params, bc, grid, loads_at, t, dt):
 
 
 def _step(core, state, params, loads, bc, t, dt):
-    """Run the packed step ``core`` on a public state: pack, step, unpack."""
+    """Run the packed step ``core`` on a public state: pack, evaluate the
+    loads, step, unpack."""
     if not dt > 0.0:
         raise InputError("dt must be positive")
     grid = state.grid
-    new = core(state._packed(), params, bc, grid,
-               lambda t, dm: tuple(v.T for v in _loads_at(loads, t, dm.T, grid)), t, dt)
+    f, l = (v.T for v in _loads_at(loads, t, grid))
+    new = core(state._packed(), params, bc, grid, f, l, t, dt)
     return type(state)._from_packed(grid, new, state._batched)
 
 

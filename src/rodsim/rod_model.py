@@ -9,7 +9,8 @@ share a state with a rod axis between the node and component axes.
 
 A step packs a state into one array, components and rods first and nodes
 last (``_GridState._packed``); a packed block passes to the functions here,
-which take node-first arrays, as its transpose.
+which take node-first arrays, as its transpose. ``_energy`` and
+``_drift_norms`` measure packed states themselves.
 """
 
 from __future__ import annotations
@@ -36,9 +37,6 @@ __all__ = [
     "Loads",
     "BoundaryConditions",
     "adiag",
-    "cross2",
-    "constraint_norms",
-    "bending_couple",
     "contact_force",
     "energy",
     "reconstruct_centerline",
@@ -52,25 +50,22 @@ def adiag(v: np.ndarray) -> np.ndarray:
     return v[..., ::-1] * _ADIAG_SIGNS
 
 
-def cross2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Planar cross product a1*b2 - a2*b1 (last axis)."""
-    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-
-
-def constraint_norms(state: "RodState"):
-    """Max-norms (R4, R5, R6) over the nodes of a state's constraint residuals.
+def _drift_norms(raw: np.ndarray, spacing: float, collinear: bool) -> np.ndarray:
+    """Max-norms (3, K) over the nodes of a packed raw state's constraint
+    residuals, R4, R5 and R6 per rod.
 
     R4 is the velocity compatibility residual lin_vel' - adiag(ang_vel), R5
     and R6 the collinearity of the angular and linear velocity with the
-    curvature. Each norm is a float for (N, 2) fields and an array over the
-    middle axis for (N, K, 2) fields.
+    curvature. A ``collinear`` state (a lifted manifold state) has R5 = R6 = 0
+    by representation; they are set, not computed.
     """
-    r4 = central_diff(state.lin_vel, state.grid.spacing) - adiag(state.ang_vel)
-    return (
-        np.abs(r4).max(axis=(0, -1)),
-        np.abs(cross2(state.ang_vel, state.curvature)).max(axis=0),
-        np.abs(cross2(state.lin_vel, state.curvature)).max(axis=0),
-    )
+    norms = np.zeros((3,) + raw.shape[1:2])
+    r4 = central_diff(raw[4:6].T, spacing) - adiag(raw[2:4].T)
+    norms[0] = np.abs(r4).max(axis=(0, -1))
+    if not collinear:
+        norms[1] = np.abs(raw[2] * raw[1] - raw[3] * raw[0]).max(axis=-1)
+        norms[2] = np.abs(raw[4] * raw[1] - raw[5] * raw[0]).max(axis=-1)
+    return norms
 
 
 @dataclass(frozen=True)
@@ -215,11 +210,6 @@ class BoundaryConditions:
                 raise ConfigurationError(f"{end} kind must be 'clamped' or 'free'")
 
 
-def bending_couple(state: RodState, params: MaterialParams) -> np.ndarray:
-    """Linear isotropic bending law: couple = EI * curvature, componentwise."""
-    return params.EI * state.curvature
-
-
 @lru_cache(maxsize=16)
 def _contact_operator(
     rho_A: float, rho_I: float, ds: float, nodes: int, base: str, tip: str
@@ -252,22 +242,19 @@ def _contact_operator(
         raise
 
 
-def _loads_at(loads: Loads, t: float, dm: np.ndarray, grid: Grid1D):
-    """The distributed force f and couple l at time t, shaped to act with m'.
+def _loads_at(loads: Loads, t: float, grid: Grid1D):
+    """The distributed force f and couple l at time t, each with a rod axis.
 
-    ``dm`` is m', the arclength derivative of the bending couple, and has the
-    state's shape. A load value of shape (N, K, 2) acts rod by rod; any
-    other value is broadcast to (N, 2) and acts on every rod alike, through a
-    rod axis of length 1 on an (N, K, 2) state.
+    A load value of shape (N, K, 2) acts rod by rod; any other value is
+    broadcast to (N, 2) and acts on every rod alike, through a rod axis of
+    length 1.
     """
 
     def shaped(load):
         value = np.asarray(load(grid.nodes, t), float)
         if value.ndim == 3:
             return value
-        if value.shape != (grid.node_count, 2):
-            value = np.broadcast_to(value, (grid.node_count, 2))
-        return value[:, None] if dm.ndim == 3 else value
+        return np.broadcast_to(value, (grid.node_count, 2))[:, None]
 
     return shaped(loads.force), shaped(loads.couple)
 
@@ -319,8 +306,14 @@ def contact_force(
     return x.T.reshape(rhs.T.shape).T
 
 
-def energy(state: RodState, params: MaterialParams):
-    """Kinetic plus bending energy of each rod, integrated with the trapezoid rule."""
+def energy(state: _GridState, params: MaterialParams):
+    """Kinetic plus bending energy of each rod, integrated with the trapezoid
+    rule: a float for one rod, an array of K energies for K rods.
+
+    A RodState or a ManifoldState: a collinear state's energy comes from its
+    magnitudes, as the unit direction drops out of every squared norm, and
+    agrees with the energy of its lifted vectors to rounding.
+    """
     e = _energy(state._packed(), params, state.grid.spacing)
     return e if state._batched else e[0]
 

@@ -31,7 +31,6 @@ from .integrators import (
     _lift,
     _step_pure,
     _step_semi,
-    drift_norms,
     max_stable_dt,
 )
 from .rod_model import (
@@ -39,6 +38,7 @@ from .rod_model import (
     Loads,
     MaterialParams,
     RodState,
+    _drift_norms,
     _energy,
     reconstruct_centerline,
 )
@@ -362,10 +362,11 @@ def _boundary(config: ScenarioConfig) -> BoundaryConditions:
     return BoundaryConditions(base=config.boundary.base, tip=config.boundary.tip)
 
 
-# Rod-frames whose centerlines one reconstruct_centerline call builds in a
-# run: a call's fixed cost is paid once per block, and the cap bounds the
-# memory of the call's temporaries.
-CENTERLINE_BLOCK = 64
+# Rod-frame-nodes (frames times rods times nodes) whose centerlines one
+# reconstruct_centerline call builds in a run: a call's fixed cost is paid
+# once per block, and counting nodes bounds the memory of the call's
+# temporaries on any grid. 64 frames of a 101-node rod.
+CENTERLINE_BLOCK = 64 * 101
 # Rod-nodes (rods times nodes) whose states one block of steps holds: the
 # drive of the block's steps is built in one evaluation and the energy bound
 # checked for all of them in one call. 64 states of a 101-node rod; counting
@@ -404,10 +405,12 @@ def simulate_rod(config: ScenarioConfig):
     trajectory keeps the frames captured before the first failure. Each
     frame records its curvatures; the centerlines of the captured frames are
     reconstructed after the run, in blocks of whole frames that hold at most
-    ``CENTERLINE_BLOCK`` rod-frames (one frame when the rods alone exceed it).
+    ``CENTERLINE_BLOCK`` rod-frame-nodes (one frame when one frame exceeds
+    it).
 
-    The rods step in the packed layout of ``integrators``, unpacked only at
-    a frame, in blocks of steps that end at the next frame and hold at most
+    The rods step in the packed layout of ``integrators``, and each frame is
+    measured on the packed array, a semi frame lifted once. They step in
+    blocks of steps that end at the next frame and hold at most
     ``STEP_BLOCK`` rod-nodes (one step when one state exceeds it). A
     block's drive is built in one evaluation and one ``_energy`` call checks
     the bound for all its steps; its first failing step, by energy or else by
@@ -459,11 +462,11 @@ def simulate_rod(config: ScenarioConfig):
     failed, done, frames = {}, 0, 0
     while True:
         if not failed and (done % stride == 0 or done == n_steps):
-            state = cls._from_packed(grid, packed)
+            raw = _lift(packed) if semi else packed
             traj.times[frames] = done * dt
             traj.energies[frames] = e
-            traj.drifts[frames] = np.stack(drift_norms(state), axis=-1)
-            curvatures[frames] = (_lift(packed) if semi else packed)[0:2].T
+            traj.drifts[frames] = _drift_norms(raw, ds, semi).T
+            curvatures[frames] = raw[0:2].T
             frames += 1
         if done == n_steps or not rods.size:
             break
@@ -476,8 +479,7 @@ def simulate_rod(config: ScenarioConfig):
         steps, lost, cause = 0, None, None
         try:
             for couple in couples_at(np.arange(done, end) * dt):
-                loads = force, couple
-                block[steps + 1] = step(block[steps], mat, bc, grid, lambda t, dm: loads,
+                block[steps + 1] = step(block[steps], mat, bc, grid, force, couple,
                                         (done + steps) * dt, dt)
                 steps += 1
         except DivergenceError as err:
@@ -505,7 +507,7 @@ def simulate_rod(config: ScenarioConfig):
             couples_at = _drive(config, phases[rods], grid.nodes)
     # One call per block, its frames' rods laid along the rod axis frame
     # after frame; the last block ends at the last captured frame.
-    per_block = -(-CENTERLINE_BLOCK // n_rods)
+    per_block = max(1, CENTERLINE_BLOCK // (n_rods * grid.node_count))
     for lo in range(0, frames, per_block):
         block = curvatures[lo:min(lo + per_block, frames)]
         count = len(block)

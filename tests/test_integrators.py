@@ -12,7 +12,6 @@ from rodsim.integrators import (
     lift,
     max_stable_dt,
     project,
-    state_energy,
     step_pure_numeric,
     step_semi_analytic,
 )
@@ -348,12 +347,7 @@ class TestDiagnostics:
         for seed in range(20):
             m = random_manifold(params.grid(), seed=seed)
             lifted = energy(lift(m), params)
-            assert abs(state_energy(m, params) - lifted) <= 1e-14 * lifted
-
-    def test_rod_state_energy_is_energy(self):
-        params = make_params()
-        state = lift(random_manifold(params.grid(), seed=10))
-        assert state_energy(state, params) == energy(state, params)
+            assert abs(energy(m, params) - lifted) <= 1e-14 * lifted
 
 
 class TestDefaultCiliumOffManifold:
@@ -408,7 +402,7 @@ class TestPackedPathMatchesPublicPath:
         frames = []
         for k in range(n_steps + 1):
             if k % stride == 0 or k == n_steps:
-                frames.append((k * dt, state_energy(state, mat),
+                frames.append((k * dt, energy(state, mat),
                                np.stack(drift_norms(state), axis=-1),
                                (lift(state) if semi else state).curvature.copy()))
             if k < n_steps:
@@ -424,14 +418,13 @@ class TestPackedPathMatchesPublicPath:
             carpet=scenarios.CarpetConfig(rods=3, spacing=0.5, phase_increment=2.1))
         assert config.n_steps >= 200
         curvatures = []
-        drift = scenarios.drift_norms
+        drift = scenarios._drift_norms
 
-        def recording_drift_norms(state):  # called once per captured frame
-            vectors = lift(state) if isinstance(state, ManifoldState) else state
-            curvatures.append(vectors.curvature.copy())
-            return drift(state)
+        def recording_drift_norms(raw, spacing, collinear):  # once per captured frame
+            curvatures.append(raw[0:2].T.copy())
+            return drift(raw, spacing, collinear)
 
-        monkeypatch.setattr(scenarios, "drift_norms", recording_drift_norms)
+        monkeypatch.setattr(scenarios, "_drift_norms", recording_drift_norms)
         traj, stable, _ = scenarios.simulate_rod(config)
         assert stable
         times, energies, drifts, public_curvatures = self.public_run(config)
@@ -478,7 +471,7 @@ class TestPackedPathMatchesPublicPath:
                 except DivergenceError:
                     lost_at = k
                     break
-                if state_energy(m, mat) > 1e3 * drive_scale:
+                if energy(m, mat) > 1e3 * drive_scale:
                     lost_at = k
                     break
         assert lost_at is not None

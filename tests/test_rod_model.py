@@ -13,7 +13,6 @@ from rodsim.rod_model import (
     MaterialParams,
     RodState,
     adiag,
-    bending_couple,
     contact_force,
     energy,
     reconstruct_centerline,
@@ -49,25 +48,35 @@ class TestAdiag:
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-class TestBendingCouple:
-    def test_zero_curvature(self, params, zero_state):
-        np.testing.assert_array_equal(
-            bending_couple(zero_state, params), np.zeros((params.nodes, 2))
-        )
+def _node_first_drift_norms(state):
+    """R4, R5 and R6 max-norms from the node-first fields: the compatibility
+    residual lin_vel' - adiag(ang_vel) and the planar cross products."""
+    kappa, omega, vel = state.curvature, state.ang_vel, state.lin_vel
 
-    def test_direct_scaling(self):
-        params = make_params(EI=2.0, nodes=5)
-        state = RodState.zero(params.grid())
-        state.curvature[:] = [1.0, -3.0]
-        np.testing.assert_array_equal(
-            bending_couple(state, params), np.tile([2.0, -6.0], (5, 1))
-        )
+    def cross(a, b):
+        return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
-    def test_unit_stiffness_identity(self):
-        params = make_params(EI=1.0)
-        state = RodState.zero(params.grid())
-        state.curvature[:, 0] = np.sin(params.grid().nodes)
-        np.testing.assert_array_equal(bending_couple(state, params), state.curvature)
+    r4 = central_diff(vel, state.grid.spacing) - adiag(omega)
+    return (np.abs(r4).max(axis=(0, -1)), np.abs(cross(omega, kappa)).max(axis=0),
+            np.abs(cross(vel, kappa)).max(axis=0))
+
+
+class TestDriftNorms:
+    # One rod without a rod axis, and K rods; K == N makes the node and rod
+    # axes the same size.
+    @pytest.mark.parametrize("rods", [None, 1, 3, 41])
+    def test_bits_match_node_first_formulas(self, params, rods):
+        rng = np.random.default_rng(0 if rods is None else rods)
+        grid = params.grid()
+        shape = (params.nodes, 2) if rods is None else (params.nodes, rods, 2)
+        state = RodState(grid, *(rng.standard_normal(shape) for _ in range(3)))
+        want = np.stack(_node_first_drift_norms(state)).reshape(3, -1)
+        got = rod_model._drift_norms(state._packed(), grid.spacing, False)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        # A collinear state keeps R4 and has R5 = R6 = +0.0 exactly.
+        collinear = rod_model._drift_norms(state._packed(), grid.spacing, True)
+        assert collinear[0].tobytes() == want[0].tobytes()
+        assert collinear[1:].tobytes() == np.zeros_like(want[1:]).tobytes()
 
 
 def _dense_contact_oracle(dm, f, l, params, bc, t, grid):
@@ -160,7 +169,7 @@ class TestContactForce:
                 new = step_pure_numeric(state, params, loads, bc, t0, dt)
                 return drift_norms(new)[0]
             ds = grid.spacing
-            m = bending_couple(state, params)
+            m = params.EI * state.curvature
             lin = state.lin_vel + dt * 0.0
             ang = state.ang_vel + dt * central_diff(m, ds) / params.rho_I
             new = RodState(grid, state.curvature.copy(), ang, lin)
@@ -189,14 +198,14 @@ class TestContactForce:
 
         def force_of(state):
             # The inputs a step evaluates: m' of the state and the shaped loads.
-            dm = central_diff(bending_couple(state, params), grid.spacing)
-            f, l = rod_model._loads_at(loads, 0.0, dm, grid)
+            dm = central_diff(params.EI * state.curvature, grid.spacing)
+            f, l = rod_model._loads_at(loads, 0.0, grid)
             return contact_force(dm, f, l, params, bc, 0.0, grid)
 
         n = force_of(RodState(grid, *fields))
         for k in range(rods):
-            alone = RodState(grid, *(f[:, k] for f in fields))
-            assert np.array_equal(n[:, k], force_of(alone))
+            alone = RodState(grid, *(f[:, k:k + 1] for f in fields))
+            assert np.array_equal(n[:, k:k + 1], force_of(alone))
 
     def test_free_free_resonance_raises_at_factor_time(self):
         # rho_I / rho_A = ds^2 / 2 makes the interior pivot exactly zero. The

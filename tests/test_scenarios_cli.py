@@ -16,7 +16,6 @@ import pytest
 from rodsim import cli, scenarios
 from rodsim.cli import main
 from rodsim.errors import ConfigurationError, InputError, InstabilityError
-from rodsim.integrators import ManifoldState, lift
 from rodsim.rod_model import MaterialParams, reconstruct_centerline
 from rodsim.scenarios import (
     BoundaryConfig,
@@ -426,19 +425,18 @@ class TestRunCarpet:
         reconstruct_centerline call of its own, and the rod-frame count of
         every call that simulate_rod made."""
         curvatures, calls = [], []
-        drift_norms = scenarios.drift_norms
+        drift_norms = scenarios._drift_norms
         reconstruct = scenarios.reconstruct_centerline
 
-        def recording_drift_norms(state):  # called once per captured frame
-            vectors = lift(state) if isinstance(state, ManifoldState) else state
-            curvatures.append(vectors.curvature)
-            return drift_norms(state)
+        def recording_drift_norms(raw, spacing, collinear):  # once per captured frame
+            curvatures.append(raw[0:2].T.copy())
+            return drift_norms(raw, spacing, collinear)
 
         def counting_reconstruct(curvature, *args):
             calls.append(curvature.shape[1])
             return reconstruct(curvature, *args)
 
-        monkeypatch.setattr(scenarios, "drift_norms", recording_drift_norms)
+        monkeypatch.setattr(scenarios, "_drift_norms", recording_drift_norms)
         monkeypatch.setattr(scenarios, "reconstruct_centerline", counting_reconstruct)
         result = simulate_rod(config)
         bases = np.zeros((config.carpet.rods, 3))
@@ -449,21 +447,25 @@ class TestRunCarpet:
         return result, per_frame, calls
 
     def test_frame_blocks_match_per_frame_centerlines(self, monkeypatch):
-        # 51 frames of 3 rods: blocks of 22 frames (66 rod-frames), and a
-        # last block of 7 at the end of the run.
-        config = small_config(scheme="pure", dt=1e-4, t_end=5e-3,
+        # 251 frames of 3 rods of 21 nodes: blocks of 102 frames (306
+        # rod-frames, 6426 rod-frame-nodes within the cap of 6464), and a
+        # last block of 47 at the end of the run.
+        config = small_config(scheme="pure", dt=1e-4, t_end=2.5e-2,
                               output=OutputConfig(stride=1),
                               carpet=CarpetConfig(rods=3, spacing=0.5, phase_increment=2.1))
         (traj, stable, _), per_frame, calls = self.simulate_with_frame_centerlines(
             config, monkeypatch)
-        assert stable and traj.times.size == 51
-        assert calls == [66, 66, 21]
+        assert stable and traj.times.size == 251
+        assert calls == [306, 306, 141]
+        assert max(calls) * config.material.nodes <= scenarios.CENTERLINE_BLOCK
         assert np.array_equal(traj.positions, per_frame)
 
     def test_failed_run_builds_its_last_block(self, monkeypatch):
         # Rods 1 and 3 of this semi carpet go unstable; the frames captured
         # before the first failure (37) fill blocks of 16 frames and part of
-        # one more, which stops at the last captured frame.
+        # one more, which stops at the last captured frame. The cap is set to
+        # 64 rod-frames of 21 nodes so that the run needs several blocks.
+        monkeypatch.setattr(scenarios, "CENTERLINE_BLOCK", 64 * 21)
         material = replace(default_config().material, nodes=21)
         config = default_config(
             material=material, dt=3e-3, t_end=1.0, output=OutputConfig(stride=5),
