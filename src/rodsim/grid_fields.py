@@ -237,8 +237,9 @@ def solve_tridiag(factors: TridiagFactors, rhs) -> np.ndarray:
     LAPACK solves each column on its own, so columns do not mix. Raises
     ``SingularSystemError`` at the worst row if the residual exceeds 1e-10
     times the scale of A x and rhs. A non-finite or overflowing right-hand
-    side gives a non-finite solution for the caller to handle. The check
-    runs on the transposes, one system per contiguous row.
+    side gives a non-finite solution for the caller to handle; the check then
+    runs on the other columns. It runs on the transposes, one system per
+    contiguous row.
     """
     b = np.asarray(rhs, dtype=float)
     n = factors.diag.shape[0]
@@ -259,8 +260,12 @@ def solve_tridiag(factors: TridiagFactors, rhs) -> np.ndarray:
         table[1], table[2] = xt, bt
         np.abs(table, out=table)
         worst, x_max, b_max = table.max(axis=(1, 2)).tolist()
+    if not math.isfinite(worst):  # only when a column blew up
+        finite = np.isfinite(table).all(axis=(0, 2))
+        residual = residual[finite]
+        worst, x_max, b_max = table[:, finite].max(axis=(1, 2), initial=0.0).tolist()
     bound = 1e-10 * (3.0 * factors.scale * x_max + b_max)
-    if math.isfinite(worst) and math.isfinite(bound) and worst > max(bound, 1e-300):
+    if math.isfinite(bound) and worst > max(bound, 1e-300):
         row = int(residual.max(axis=0).argmax())
         raise SingularSystemError(
             f"residual {worst:.3e} above {bound:.3e} at row {row}", row=row

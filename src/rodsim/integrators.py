@@ -11,11 +11,10 @@ the rod.
 
 Both schemes impose the moment-free condition m = 0 (zero curvature) at free
 ends in addition to the clamped-end velocity signals. A step returns only the
-next state and raises DivergenceError when it produces non-finite values;
-``drift_norms`` and ``rod_model.energy`` measure a state of either kind when
-the caller asks. A state with a rod axis steps K rods at once; the projection
-threshold, the finite check, the energy and the drift norms are then taken
-rod by rod.
+next state; ``drift_norms`` and ``rod_model.energy`` measure a state of either
+kind when the caller asks. A state with a rod axis steps K rods at once; the
+projection threshold, the energy and the drift norms are then taken rod by
+rod, and a rod that blows up leaves the others' bits as they would be alone.
 
 A step works on one packed array per state, (6, K, N) for a RodState and
 (4, K, N) for a ManifoldState (``rod_model._GridState._packed``): every
@@ -23,7 +22,9 @@ component is a contiguous block. The cores take the loads already evaluated,
 as packed (2, K, N) or (2, 1, N) arrays. The public functions pack, evaluate
 the loads, run the core that ``scenarios.simulate_rod`` steps with, and
 unpack; both give the same bits, and ``simulate_rod`` measures its frames on
-the packed array as ``drift_norms`` does.
+the packed array as ``drift_norms`` does. The cores never raise: a rod that
+blows up gets non-finite rows, which ``simulate_rod`` finds once per block of
+steps. The public steps raise DivergenceError, naming those rods.
 """
 
 from __future__ import annotations
@@ -184,7 +185,6 @@ def _step_pure(raw, params, bc, grid, f, l, t, dt):
     new[2:] = _euler_velocities(raw, derivatives[:2], params, bc, grid, f, l, t, dt)
     _apply_clamps(new[2:], bc, t + dt)
     _apply_free_moment(new[0:2], bc)
-    _require_finite(new)
     return new
 
 
@@ -195,7 +195,6 @@ def _step_semi(m, params, bc, grid, f, l, t, dt):
     dm = central_diff((params.EI * raw[0:2]).T, ds).T
     velocities = _euler_velocities(raw, dm, params, bc, grid, f, l, t, dt)
     _apply_clamps(velocities, bc, t + dt)
-    _require_finite(velocities)
     eps = np.maximum(1e-8 * np.abs(velocities[2:]).max(axis=(0, 2)), 1e-300)[:, None]
     raw[2:] = velocities  # the lifted curvature with the updated velocities
     proj = _project(raw, m[0], eps)
@@ -218,18 +217,19 @@ def _step_semi(m, params, bc, grid, f, l, t, dt):
 
     np.add(m[1], dt * central_diff(ang_mag.T, ds).T, out=new[1])
     _apply_free_moment(new[1], bc)
-    _require_finite(new)
     return new
 
 
 def _step(core, state, params, loads, bc, t, dt):
     """Run the packed step ``core`` on a public state: pack, evaluate the
-    loads, step, unpack."""
+    loads, step, raise DivergenceError naming the rods whose new rows are not
+    all finite, unpack."""
     if not dt > 0.0:
         raise InputError("dt must be positive")
     grid = state.grid
     f, l = (v.T for v in _loads_at(loads, t, grid))
     new = core(state._packed(), params, bc, grid, f, l, t, dt)
+    _require_finite(new)
     return type(state)._from_packed(grid, new, state._batched)
 
 

@@ -377,9 +377,9 @@ def reconstruct_centerline(curvature: np.ndarray, spacing: float,
     the exact tangent integral of that constant-curvature rotation. Returns
     (positions (N, 3), frames (N, 3, 3)); frame columns are the directors, the
     third column being the centerline tangent, and the base frame is the
-    identity. An (N, K, 2) curvature gives K rods at once, (N, K, 3)
-    positions and (N, K, 3, 3) frames, each rod starting from its row of a
-    (K, 3) ``base_position`` (or from one shared (3,) base).
+    identity. An (N, ..., K, 2) curvature gives many rods at once, (N, ...,
+    K, 3) positions and (N, ..., K, 3, 3) frames, rod k of each starting from
+    row k of a (K, 3) ``base_position`` (or all from one shared (3,) base).
     """
     kappa = np.asarray(curvature, dtype=float)
     rot, step = _interval_operators(kappa, spacing)

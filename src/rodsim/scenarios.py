@@ -21,13 +21,11 @@ import numpy as np
 
 from .errors import (
     ConfigurationError,
-    DivergenceError,
     InputError,
     InstabilityError,
     SizeError,
 )
 from .integrators import (
-    ManifoldState,
     _lift,
     _step_pure,
     _step_semi,
@@ -37,7 +35,6 @@ from .rod_model import (
     BoundaryConditions,
     Loads,
     MaterialParams,
-    RodState,
     _drift_norms,
     _energy,
     reconstruct_centerline,
@@ -339,7 +336,8 @@ def _drive(config: ScenarioConfig, phase, nodes: np.ndarray):
     profile is built once."""
     drive = config.drive
     cutoff = drive.active_fraction * config.material.length
-    profile = (nodes <= cutoff + 1e-12).astype(float)
+    # A rounding tolerance relative to the length: the same nodes on any scale.
+    profile = (nodes <= cutoff + 1e-12 * config.material.length).astype(float)
     two_pi_nu = 2.0 * np.pi * drive.frequency
     phase = np.asarray(phase, float)
 
@@ -362,17 +360,12 @@ def _boundary(config: ScenarioConfig) -> BoundaryConditions:
     return BoundaryConditions(base=config.boundary.base, tip=config.boundary.tip)
 
 
-# Rod-frame-nodes (frames times rods times nodes) whose centerlines one
-# reconstruct_centerline call builds in a run: a call's fixed cost is paid
-# once per block, and counting nodes bounds the memory of the call's
-# temporaries on any grid. 64 frames of a 101-node rod.
-CENTERLINE_BLOCK = 64 * 101
-# Rod-nodes (rods times nodes) whose states one block of steps holds: the
-# drive of the block's steps is built in one evaluation and the energy bound
-# checked for all of them in one call. 64 states of a 101-node rod; counting
-# nodes keeps a block's memory the same on any grid, where a large grid's
-# step costs too much for the saving to show.
-STEP_BLOCK = 64 * 101
+# Rod-nodes in one block of a run, 64 states of a 101-node rod. A block of
+# steps holds at most BLOCK rods times nodes: its drive is built in one
+# evaluation and one check finds its failures. One reconstruct_centerline call
+# builds at most BLOCK frames times rods times nodes. A fixed cost is paid once
+# per block, and counting nodes keeps a block's memory the same on any grid.
+BLOCK = 64 * 101
 
 
 def _finite(scale, message):
@@ -399,24 +392,25 @@ def simulate_rod(config: ScenarioConfig):
     B``. ``stable`` is True when there are none.
 
     Frames are captured every ``output.stride`` steps, including the initial
-    and final states. A rod fails when its step produces non-finite values or
-    its energy, checked every step, exceeds 1e3 times the reference scale.
-    The others step on without it, so each rod fails as it would alone; the
-    trajectory keeps the frames captured before the first failure. Each
-    frame records its curvatures; the centerlines of the captured frames are
-    reconstructed after the run, in blocks of whole frames that hold at most
-    ``CENTERLINE_BLOCK`` rod-frame-nodes (one frame when one frame exceeds
-    it).
+    and final states. A rod fails at its first step whose energy exceeds 1e3
+    times the reference scale, or that produces non-finite values. Each rod
+    is stepped once and fails as it would alone; the trajectory keeps the
+    frames captured before the first failure. Each frame records its
+    curvatures; the centerlines of the captured frames are reconstructed
+    after the run, in blocks of whole frames that hold at most ``BLOCK``
+    rod-frame-nodes (one frame when one frame exceeds it).
 
     The rods step in the packed layout of ``integrators``, and each frame is
     measured on the packed array, a semi frame lifted once. They step in
-    blocks of steps that end at the next frame and hold at most
-    ``STEP_BLOCK`` rod-nodes (one step when one state exceeds it). A
-    block's drive is built in one evaluation and one ``_energy`` call checks
-    the bound for all its steps; its first failing step, by energy or else by
-    a non-finite value, loses its rods as a step-by-step run would. A scale
-    the run derives from the config that overflows (the energy bound, the
-    contact-force coefficients) is an InputError naming its keys.
+    blocks of steps that end at the next frame and hold at most ``BLOCK``
+    rod-nodes (one step when one state exceeds it). A block's drive is built
+    in one evaluation and every step runs to the block's end, a failing rod's
+    too, with floating-point warnings off. One check then finds each rod's
+    first failing step: one ``_energy`` call on all the steps against the
+    bound, then their finite check. The lost rods are dropped at the block's
+    end, and the others go on from its last state. A scale the run derives
+    from the config that overflows (the energy bound, the contact-force
+    coefficients) is an InputError naming its keys.
     """
     mat = config.material
     grid = mat.grid()
@@ -424,7 +418,7 @@ def simulate_rod(config: ScenarioConfig):
     n_rods = config.carpet.rods
     stride = config.output.stride
     semi = config.scheme == "semi"
-    cls, step = (ManifoldState, _step_semi) if semi else (RodState, _step_pure)
+    step = _step_semi if semi else _step_pure
     amplitude, ds = config.drive.amplitude, grid.spacing
     limit = _finite(lambda: 1e3 * max(amplitude**2 * mat.length**3 / (2.0 * mat.EI), 1e-12),
                     "the energy bound 1e3 * amplitude**2 * length**3 / (2 EI) overflows "
@@ -439,12 +433,13 @@ def simulate_rod(config: ScenarioConfig):
         n_steps = config.n_steps
         n_frames = 1 + n_steps // stride + (n_steps % stride != 0)
         rods = np.arange(n_rods)
-        packed = cls.zero(grid, n_rods)._packed()
+        packed = np.zeros((4 if semi else 6, n_rods, grid.node_count))
         traj = Trajectory(
             np.empty(n_frames), np.empty((n_frames, n_rods, grid.node_count, 3)),
             np.empty((n_frames, n_rods)), np.empty((n_frames, n_rods, 3)),
         )
-        curvatures = np.empty((n_frames, grid.node_count, n_rods, 2))
+        # Node first, so that a block of frames is one slice.
+        curvatures = np.empty((grid.node_count, n_frames, n_rods, 2))
     except (ValueError, OverflowError, MemoryError) as err:
         raise SizeError(
             f"run too large to allocate (material.nodes={mat.nodes}, "
@@ -457,8 +452,7 @@ def simulate_rod(config: ScenarioConfig):
     couples_at = _drive(config, phases, grid.nodes)
     force = np.zeros((2, 1, grid.node_count))
 
-    e = _energy(packed, mat, ds)
-    bound = np.full(n_rods, limit)  # a run starts from rest, with zero energy
+    e = np.zeros(n_rods)  # a run starts from rest
     failed, done, frames = {}, 0, 0
     while True:
         if not failed and (done % stride == 0 or done == n_steps):
@@ -466,56 +460,46 @@ def simulate_rod(config: ScenarioConfig):
             traj.times[frames] = done * dt
             traj.energies[frames] = e
             traj.drifts[frames] = _drift_norms(raw, ds, semi).T
-            curvatures[frames] = raw[0:2].T
+            curvatures[:, frames] = raw[0:2].T
             frames += 1
         if done == n_steps or not rods.size:
             break
-        # The block ends at the next frame, or sooner once it holds
-        # STEP_BLOCK rod-nodes.
+        # The block ends at the next frame, or sooner once it holds BLOCK
+        # rod-nodes.
         end = min(n_steps, done - done % stride + stride,
-                  done + max(1, STEP_BLOCK // (rods.size * grid.node_count)))
+                  done + max(1, BLOCK // (rods.size * grid.node_count)))
         block = np.empty((end - done + 1,) + packed.shape)  # the state, then each step's
         block[0] = packed
-        steps, lost, cause = 0, None, None
-        try:
-            for couple in couples_at(np.arange(done, end) * dt):
-                block[steps + 1] = step(block[steps], mat, bc, grid, force, couple,
-                                        (done + steps) * dt, dt)
-                steps += 1
-        except DivergenceError as err:
-            lost = np.isin(np.arange(rods.size), err.rods)
-        if steps:
-            energies = _energy(block[1:steps + 1], mat, ds)
-            over = (energies > bound).any(axis=1)
-            if over.any():  # a completed step, so before any that diverged
-                steps = int(over.argmax())
-                cause = energies[steps]
-                lost = cause > bound
-            else:
-                e = energies[-1]
-        packed = block[steps]
-        done += steps
-        if lost is not None:
-            at = f"step {done + 1} (t={(done + 1) * dt:.6g}, "
-            failed.update((rods[j].item(), at + ("non-finite)" if cause is None else
-                           f"energy {cause[j]:.3g} above bound {bound[j]:.3g})"))
-                          for j in np.flatnonzero(lost))
-            # Step the other rods again without these: every rod has its own
-            # columns in the step, so the others keep their bits.
-            keep = ~lost
-            rods, bound, packed = rods[keep], bound[keep], packed[:, keep]
+        with np.errstate(all="ignore"):  # a failing rod steps on to the block's end
+            for i, couple in enumerate(couples_at(np.arange(done, end) * dt)):
+                block[i + 1] = step(block[i], mat, bc, grid, force, couple,
+                                    (done + i) * dt, dt)
+            energies = _energy(block[1:], mat, ds)
+        # A rod's first failing step: an energy above the bound, or a
+        # non-finite row, which takes precedence at the same step.
+        bad = energies > limit  # (steps, rods)
+        nonfinite = np.zeros_like(bad)
+        if not np.isfinite(block[1:]).all():
+            nonfinite = ~np.isfinite(block[1:]).all(axis=(1, 3))
+            bad |= nonfinite
+        packed, e = block[-1], energies[-1]
+        lost = bad.any(axis=0)
+        if lost.any():
+            for j, s in zip(np.flatnonzero(lost), bad.argmax(axis=0)[lost]):
+                cause = ("non-finite" if nonfinite[s, j] else
+                         f"energy {energies[s, j]:.3g} above bound {limit:.3g}")
+                k = done + s + 1
+                failed[rods[j].item()] = f"step {k} (t={k * dt:.6g}, {cause})"
+            rods, packed = rods[~lost], packed[:, ~lost]
             couples_at = _drive(config, phases[rods], grid.nodes)
-    # One call per block, its frames' rods laid along the rod axis frame
-    # after frame; the last block ends at the last captured frame.
-    per_block = max(1, CENTERLINE_BLOCK // (n_rods * grid.node_count))
+        done = end
+    # One call per block of whole frames, with every frame's rods on the
+    # shared bases; the last block ends at the last captured frame.
+    per_block = max(1, BLOCK // (n_rods * grid.node_count))
     for lo in range(0, frames, per_block):
-        block = curvatures[lo:min(lo + per_block, frames)]
-        count = len(block)
-        positions = reconstruct_centerline(
-            block.transpose(1, 0, 2, 3).reshape(grid.node_count, count * n_rods, 2),
-            grid.spacing, np.tile(bases, (count, 1)))[0]
-        traj.positions[lo:lo + count] = positions.reshape(
-            grid.node_count, count, n_rods, 3).transpose(1, 2, 0, 3)
+        hi = min(lo + per_block, frames)
+        positions = reconstruct_centerline(curvatures[:, lo:hi], ds, bases)[0]
+        traj.positions[lo:hi] = positions.transpose(1, 2, 0, 3)
     traj = Trajectory(traj.times[:frames], traj.positions[:frames],
                       traj.energies[:frames], traj.drifts[:frames])
     return traj, not failed, dict(sorted(failed.items()))

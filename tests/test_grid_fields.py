@@ -201,6 +201,24 @@ class TestBlockTridiag:
         for array in (factors.lower, factors.diag, factors.upper, *factors.lu):
             assert not array.flags.writeable
 
+    @pytest.mark.parametrize("blown_up", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_residual_check_skips_only_blown_up_columns(self, blown_up):
+        # Factors whose bands do not match their LU fail the residual check;
+        # a non-finite right-hand-side column must not switch the check off
+        # for the others.
+        rng = np.random.default_rng(11)
+        lower, diag, upper, rhs = _random_dominant_system(rng, 20)
+        factors = factor_tridiag(lower, diag, upper)
+        rhs[7, 1] = blown_up
+        with np.errstate(invalid="ignore"):
+            x = solve_tridiag(factors, rhs)  # the healthy column passes
+        assert np.isfinite(x[:, 0]).all() and not np.isfinite(x[:, 1]).all()
+        wrong = factors._replace(diag=1.5 * factors.diag)
+        with np.errstate(invalid="ignore"), pytest.raises(SingularSystemError):
+            solve_tridiag(wrong, rhs)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(solve_tridiag(wrong, np.full((20, 2), np.nan))).all()
+
     def test_band_shape_mismatch(self):
         with pytest.raises(SizeError):
             factor_tridiag(np.ones(4), np.ones(4), np.ones(3))

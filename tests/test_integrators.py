@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rodsim import scenarios
+from rodsim import integrators, scenarios
 from rodsim.errors import DivergenceError, InputError, InstabilityError
 from rodsim.grid_fields import Grid1D, central_diff
 from rodsim.integrators import (
@@ -380,6 +380,73 @@ class TestDefaultCiliumOffManifold:
         # Measured: 0.148 and 0.208. A first-order drift would halve instead.
         assert coarse > 0.1
         assert fine > 0.75 * coarse
+
+
+class TestPackedCores:
+    """The packed cores ``_step_pure`` and ``_step_semi`` that ``simulate_rod``
+    steps with: pure functions of the packed state that never raise."""
+
+    @staticmethod
+    def setup(rods, semi, seed=0):
+        """Default cilium material, boundary and zero force, a shared random
+        couple (2, 1, N), and a random packed batch (C, rods, N)."""
+        config = default_config()
+        params = config.material
+        grid = params.grid()
+        rng = np.random.default_rng(seed)
+        force = np.zeros((2, 1, grid.node_count))
+        couple = rng.standard_normal((2, 1, grid.node_count))
+        packed = rng.uniform(-1.0, 1.0, (4 if semi else 6, rods, grid.node_count))
+        if semi:
+            packed[3] += np.sign(packed[3]) * 0.3  # |v| away from the projection threshold
+        return params, scenarios._boundary(config), grid, force, couple, packed
+
+    def test_pure_step_is_linear_in_the_state_and_affine_in_dt(self):
+        # Under zero load, with the clamp's zero signals, one forward-Euler
+        # step maps the state linearly, and is affine in dt: A(dt) = P + dt M.
+        params, bc, grid, force, _, packed = self.setup(8, semi=False)
+        zero = np.zeros_like(force)
+        x, y, c = packed[:, :4], packed[:, 4:], -2.7
+
+        def step(batch, dt):
+            return integrators._step_pure(batch, params, bc, grid, force, zero, 0.3, dt)
+
+        # x, y and x + c y as the rods of one batch.
+        out = step(np.concatenate((x, y, x + c * y), axis=1), 1e-3)
+        ax, ay, axy = out[:, :4], out[:, 4:8], out[:, 8:]
+        combined = ax + c * ay
+        assert np.abs(axy - combined).max() <= 1e-12 * np.abs(combined).max()
+        a1, a2 = step(x, 1.0), step(x, 2.0)
+        slope = a2 - a1
+        for dt in (0.25, 3.0):
+            affine = a1 + (dt - 1.0) * slope
+            assert np.abs(step(x, dt) - affine).max() <= 1e-12 * np.abs(affine).max()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("scheme", ["pure", "semi"])
+    def test_a_blown_up_rod_leaves_the_others_bits(self, scheme, bad):
+        semi = scheme == "semi"
+        core = integrators._step_semi if semi else integrators._step_pure
+        params, bc, grid, force, couple, packed = self.setup(3, semi)
+        packed[:, 1, grid.node_count // 2] = bad
+        with np.errstate(all="ignore"):
+            new = core(packed, params, bc, grid, force, couple, 0.1, 1e-3)
+        alone = core(packed[:, [0, 2]].copy(), params, bc, grid, force, couple, 0.1, 1e-3)
+        assert new[:, [0, 2]].tobytes() == alone.tobytes()
+        assert not np.isfinite(new[:, 1]).all()
+
+    @pytest.mark.parametrize("scheme", ["pure", "semi"])
+    def test_public_steps_raise_naming_the_rods(self, scheme):
+        config = default_config()
+        params = config.material
+        state = (ManifoldState if scheme == "semi" else RodState).zero(params.grid(), 4)
+        field = state.curv_mag if scheme == "semi" else state.curvature
+        field[50, 1] = np.nan
+        field[50, 3] = np.inf
+        step = step_semi_analytic if scheme == "semi" else step_pure_numeric
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
+            step(state, params, Loads(), scenarios._boundary(config), 0.0, 1e-3)
+        assert list(err.value.rods) == [1, 3]
 
 
 class TestPackedPathMatchesPublicPath:

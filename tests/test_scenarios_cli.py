@@ -2,11 +2,13 @@
 
 import importlib.metadata
 import json
+import math
 import os
 import re
 import resource
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -190,6 +192,25 @@ class TestScenarioConfig:
         assert message in capsys.readouterr().err
 
 
+class TestDrive:
+    @pytest.mark.parametrize("length", [1e-11, 1e-9, 1.0, 1e6])
+    def test_driven_nodes_do_not_depend_on_units(self, length):
+        # Node i is driven when i / (N - 1) <= active_fraction, on any length
+        # scale: the cutoff's tolerance is relative to the length.
+        wrong = []
+        for nodes in (3, 11, 21, 31, 101, 1001):
+            for fraction in (0.1, 0.25, 0.3, 0.5, 0.7, 1.0):
+                config = default_config(
+                    material=replace(default_config().material, length=length, nodes=nodes),
+                    drive=DriveConfig(amplitude=1.0, active_fraction=fraction))
+                couple = scenarios._drive(config, 0.0, config.material.grid().nodes)(
+                    np.array([0.25]))[0, 0]
+                expected = sum(i / (nodes - 1) <= fraction for i in range(nodes))
+                if np.count_nonzero(couple) != expected:
+                    wrong.append((nodes, fraction, np.count_nonzero(couple), expected))
+        assert not wrong
+
+
 class TestTrajectory:
     def make(self, frames=3, rods=2, nodes=4):
         rng = np.random.default_rng(0)
@@ -338,7 +359,7 @@ class TestRunCilium:
 
     def test_diverging_pure_run_is_unstable(self, monkeypatch):
         # With the energy bound out of the way, the run goes on until a step
-        # overflows; that step's DivergenceError ends it as unstable, keeping
+        # overflows; that step's non-finite values end it as unstable, keeping
         # the frames captured before it.
         monkeypatch.setattr(scenarios, "_energy", lambda packed, params, spacing:
                             np.zeros(packed.shape[:-3] + packed.shape[-2:-1]))
@@ -352,6 +373,19 @@ class TestRunCilium:
         assert list(failed) == [0] and failed[0].endswith(", non-finite)")
         assert 1 < traj.times.size < 200
         assert traj.times[-1] < config.t_end
+
+    def test_unstable_run_raises_no_floating_point_warning(self):
+        # The lost rod overflows later in its block, which runs to its end;
+        # the run reports the loss and nothing else.
+        config = default_config(
+            material=replace(default_config().material, nodes=21), scheme="pure",
+            dt=0.5, t_end=1000.0, drive=DriveConfig(amplitude=1.0),
+            output=OutputConfig(stride=10**9))
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error")
+            _, stable, failed = simulate_rod(config)
+        assert not stable
+        assert failed == {0: "step 13 (t=6.5, energy 5.34e+03 above bound 5e+03)"}
 
 
 class TestRunCarpet:
@@ -432,8 +466,8 @@ class TestRunCarpet:
             curvatures.append(raw[0:2].T.copy())
             return drift_norms(raw, spacing, collinear)
 
-        def counting_reconstruct(curvature, *args):
-            calls.append(curvature.shape[1])
+        def counting_reconstruct(curvature, *args):  # (N, frames, rods, 2)
+            calls.append(math.prod(curvature.shape[1:-1]))
             return reconstruct(curvature, *args)
 
         monkeypatch.setattr(scenarios, "_drift_norms", recording_drift_norms)
@@ -457,15 +491,16 @@ class TestRunCarpet:
             config, monkeypatch)
         assert stable and traj.times.size == 251
         assert calls == [306, 306, 141]
-        assert max(calls) * config.material.nodes <= scenarios.CENTERLINE_BLOCK
+        assert max(calls) * config.material.nodes <= scenarios.BLOCK
         assert np.array_equal(traj.positions, per_frame)
 
     def test_failed_run_builds_its_last_block(self, monkeypatch):
         # Rods 1 and 3 of this semi carpet go unstable; the frames captured
         # before the first failure (37) fill blocks of 16 frames and part of
-        # one more, which stops at the last captured frame. The cap is set to
-        # 64 rod-frames of 21 nodes so that the run needs several blocks.
-        monkeypatch.setattr(scenarios, "CENTERLINE_BLOCK", 64 * 21)
+        # one more, which stops at the last captured frame. The cap, which
+        # sizes the step blocks too, is set to 64 rod-frames of 21 nodes so
+        # that the run needs several blocks.
+        monkeypatch.setattr(scenarios, "BLOCK", 64 * 21)
         material = replace(default_config().material, nodes=21)
         config = default_config(
             material=material, dt=3e-3, t_end=1.0, output=OutputConfig(stride=5),
@@ -499,11 +534,11 @@ def carpet_losing_three():
 
 
 class TestStepBlocks:
-    """``simulate_rod`` steps in blocks of at most ``STEP_BLOCK`` rod-nodes;
+    """``simulate_rod`` steps in blocks of at most ``BLOCK`` rod-nodes;
     a cap of one state is the step-by-step loop. Every cap gives the same
     bits."""
 
-    DEFAULT = scenarios.STEP_BLOCK
+    DEFAULT = scenarios.BLOCK
 
     @staticmethod
     def diverging_pure():
@@ -541,7 +576,7 @@ class TestStepBlocks:
         results = []
         state = config.carpet.rods * config.material.nodes  # rod-nodes
         for cap in (state, 3 * state, self.DEFAULT):
-            monkeypatch.setattr(scenarios, "STEP_BLOCK", cap)
+            monkeypatch.setattr(scenarios, "BLOCK", cap)
             with np.errstate(all="ignore"):
                 results.append(simulate_rod(config))
         (traj, stable, failed), *others = results
