@@ -165,7 +165,7 @@ def integrate_ode_rk4(rhs, y0, u_range, steps: int):
     y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
     try:
         ys = np.empty((steps + 1,) + y.shape)
-    except ValueError as err:  # more states than an array can index
+    except (ValueError, MemoryError) as err:  # more states than fit, or can be indexed
         raise SizeError(f"steps is too large for an array of states: {err}") from err
     u0, u1 = float(u_range[0]), float(u_range[1])
     h = (u1 - u0) / steps

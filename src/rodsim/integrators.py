@@ -22,9 +22,9 @@ component is a contiguous block. The cores take the loads already evaluated,
 as packed (2, K, N) or (2, 1, N) arrays. The public functions pack, evaluate
 the loads, run the core that ``scenarios.simulate_rod`` steps with, and
 unpack; both give the same bits, and ``simulate_rod`` measures its frames on
-the packed array as ``drift_norms`` does. The cores never raise: a rod that
-blows up gets non-finite rows, which ``simulate_rod`` finds once per block of
-steps. The public steps raise DivergenceError, naming those rods.
+the packed array as ``drift_norms`` does. A rod that blows up gets non-finite
+rows, which ``_nonfinite_rods`` finds: ``simulate_rod`` once per block of
+steps, the public steps at each step, raising DivergenceError naming them.
 """
 
 from __future__ import annotations
@@ -87,13 +87,14 @@ def lift(m: ManifoldState) -> RodState:
     return RodState._from_packed(m.grid, _lift(m._packed()), m._batched)
 
 
-def _project(raw: np.ndarray, prev_angle: np.ndarray, eps) -> np.ndarray:
-    """The packed manifold state of a packed raw state; ``prev_angle`` and
-    ``eps`` broadcast against (K, N)."""
-    v0, v1 = raw[4], raw[5]
-    m = np.empty((4,) + v0.shape)
+def _project(fields: np.ndarray, prev_angle: np.ndarray, eps) -> np.ndarray:
+    """The angle and one magnitude per field, (1 + F, K, N), of a stack of F
+    packed 2-vector fields (2F, K, N) whose last pair is the linear velocity;
+    ``prev_angle`` and ``eps`` broadcast against (K, N)."""
+    v0, v1 = fields[-2], fields[-1]
+    m = np.empty((1 + len(fields) // 2,) + v0.shape)
     m[0] = np.where(np.hypot(v0, v1) > eps, np.arctan2(v1, v0), prev_angle)
-    np.einsum("fjkn,jkn->fkn", raw.reshape((3, 2) + v0.shape), _direction(m[0]),
+    np.einsum("fjkn,jkn->fkn", fields.reshape((-1, 2) + v0.shape), _direction(m[0]),
               out=m[1:])
     return m
 
@@ -128,13 +129,12 @@ def drift_norms(state):
     return tuple(norms if state._batched else norms[:, 0])
 
 
-def _require_finite(packed: np.ndarray):
-    """Raise DivergenceError naming the rods whose rows of a (C, K, N) array
-    are not all finite."""
-    if not np.isfinite(packed).all():
-        ok = np.isfinite(packed).all(axis=(0, 2))
-        raise DivergenceError("a time step produced non-finite values",
-                              rods=np.flatnonzero(~ok))
+def _nonfinite_rods(packed: np.ndarray) -> np.ndarray:
+    """The (..., K) mask of rods with a non-finite entry in packed states
+    (..., C, K, N)."""
+    if np.isfinite(packed).all():  # the common case, one pass
+        return np.zeros(packed.shape[:-3] + packed.shape[-2:-1], bool)
+    return ~np.isfinite(packed).all(axis=(-3, -1))
 
 
 def _apply_free_moment(curvature, bc: BoundaryConditions):
@@ -196,20 +196,18 @@ def _step_semi(m, params, bc, grid, f, l, t, dt):
     velocities = _euler_velocities(raw, dm, params, bc, grid, f, l, t, dt)
     _apply_clamps(velocities, bc, t + dt)
     eps = np.maximum(1e-8 * np.abs(velocities[2:]).max(axis=(0, 2)), 1e-300)[:, None]
-    raw[2:] = velocities  # the lifted curvature with the updated velocities
-    proj = _project(raw, m[0], eps)
-    ang_mag, vel_mag = proj[2], proj[3]
+    new = np.empty_like(m)  # angle, curvature, then the projected magnitudes
+    new[2:] = _project(velocities, m[0], eps)[1:]
+    ang_mag, vel_mag = new[2], new[3]
 
     # Angle reconstruction: integrate the angle slope from the base node,
-    # carrying the previous local increment across near-zero-velocity nodes.
+    # carrying the previous local increment across every interval next to a
+    # near-zero-velocity node.
     ok = np.abs(vel_mag) > eps
     with np.errstate(divide="ignore", invalid="ignore"):
-        slope = np.where(ok, -ang_mag / vel_mag, 0.0)
-    incr = 0.5 * ds * (slope[:, 1:] + slope[:, :-1])
-    prev_incr = m[0, :, 1:] - m[0, :, :-1]
-    usable = ok[:, 1:] & ok[:, :-1]
-    incr = np.where(usable, incr, prev_incr)
-    new = proj  # the magnitudes stay; angle and curvature are replaced
+        slope = -ang_mag / vel_mag
+        incr = 0.5 * ds * (slope[:, 1:] + slope[:, :-1])
+    incr = np.where(ok[:, 1:] & ok[:, :-1], incr, m[0, :, 1:] - m[0, :, :-1])
     angle = new[0]
     angle[:, 0] = 0.0
     np.cumsum(incr, axis=1, out=angle[:, 1:])
@@ -229,7 +227,10 @@ def _step(core, state, params, loads, bc, t, dt):
     grid = state.grid
     f, l = (v.T for v in _loads_at(loads, t, grid))
     new = core(state._packed(), params, bc, grid, f, l, t, dt)
-    _require_finite(new)
+    bad = _nonfinite_rods(new)
+    if bad.any():
+        raise DivergenceError("a time step produced non-finite values",
+                              rods=np.flatnonzero(bad))
     return type(state)._from_packed(grid, new, state._batched)
 
 

@@ -207,22 +207,34 @@ class BoundaryConditions:
     def __post_init__(self):
         for end, kind in (("base", self.base), ("tip", self.tip)):
             if kind not in ("clamped", "free"):
-                raise ConfigurationError(f"{end} kind must be 'clamped' or 'free'")
+                raise ConfigurationError(f"{end} must be 'clamped' or 'free'")
 
 
 @lru_cache(maxsize=16)
 def _contact_operator(
-    rho_A: float, rho_I: float, ds: float, nodes: int, base: str, tip: str
+    params: MaterialParams, ds: float, nodes: int, base: str, tip: str
 ) -> TridiagFactors:
     """Factor the contact-force matrix, shared by both force components.
 
-    The matrix depends only on these scalars, so a run factors it once.
-    A singular matrix raises every time it is requested (nothing is cached).
+    The matrix depends only on the material, the grid and the end kinds, so
+    a run factors it once. Coefficients 1/(rho A ds**2) and 1/(rho I) that
+    overflow are an InputError naming the material keys; that and a singular
+    matrix raise every time the operator is requested (nothing is cached).
     """
-    a_off = 1.0 / (rho_A * ds**2)
+    try:
+        a_off = 1.0 / (params.rho_A * ds**2)
+        scale = max(a_off, 1.0 / params.rho_I)
+    except (OverflowError, ZeroDivisionError):
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise InputError(
+            "the contact-force coefficients 1/(rho*area*ds**2) and 1/(rho*moment), "
+            f"ds = length/(nodes - 1), overflow for material.rho={params.rho!r}, "
+            f"material.area={params.area!r}, material.moment={params.moment!r}, "
+            f"material.length={params.length!r} and material.nodes={params.nodes}")
     lower = np.full(nodes - 1, a_off)
     upper = np.full(nodes - 1, a_off)
-    diag = np.full(nodes, -2.0 * a_off + 1.0 / rho_I)
+    diag = np.full(nodes, -2.0 * a_off + 1.0 / params.rho_I)
     if base == "free":
         diag[0], upper[0] = 1.0, 0.0
     else:
@@ -286,9 +298,7 @@ def contact_force(
     right-hand side (a blown-up state) gives a non-finite force.
     """
     ds = grid.spacing
-    factors = _contact_operator(
-        params.rho_A, params.rho_I, ds, grid.node_count, bc.base, bc.tip
-    )
+    factors = _contact_operator(params, ds, grid.node_count, bc.base, bc.tip)
     rhs = adiag(dm + l) / params.rho_I
     if f.any():  # skipped for the common zero force, whose derivative is +0.0
         rhs -= central_diff(f, ds) / params.rho_A

@@ -27,6 +27,7 @@ from .errors import (
 )
 from .integrators import (
     _lift,
+    _nonfinite_rods,
     _step_pure,
     _step_semi,
     max_stable_dt,
@@ -57,9 +58,7 @@ class BoundaryConfig:
     tip: str = "free"
 
     def __post_init__(self):
-        for end, kind in (("base", self.base), ("tip", self.tip)):
-            if kind not in ("clamped", "free"):
-                raise ConfigurationError(f"{end} must be 'clamped' or 'free'")
+        BoundaryConditions(self.base, self.tip)  # checks the end kinds
 
 
 @dataclass(frozen=True)
@@ -328,32 +327,27 @@ class Trajectory:
         )
 
 
-def _drive(config: ScenarioConfig, phase, nodes: np.ndarray):
-    """The drive couple of a block of steps, as a function of the steps'
-    times (B,) that gives (B, 2, *phase's shape, N), component-major: the
-    couple for one phase, or for a vector of K phases (one per rod), at
-    every time in one evaluation. No distributed force acts. The basal
-    profile is built once."""
+def _drive(config: ScenarioConfig, phase, nodes: np.ndarray, times: np.ndarray):
+    """The drive couple at the times (B,) of a block of steps, (B, 2,
+    *phase's shape, N), component-major: the couple for one phase, or for a
+    vector of K phases (one per rod), at every time in one evaluation. No
+    distributed force acts."""
     drive = config.drive
     cutoff = drive.active_fraction * config.material.length
     # A rounding tolerance relative to the length: the same nodes on any scale.
     profile = (nodes <= cutoff + 1e-12 * config.material.length).astype(float)
-    two_pi_nu = 2.0 * np.pi * drive.frequency
     phase = np.asarray(phase, float)
-
-    def couples_at(times):
-        couples = np.zeros((len(times), 2) + phase.shape + nodes.shape)
-        np.multiply.outer(drive.amplitude * np.sin(np.add.outer(two_pi_nu * times, phase)),
-                          profile, out=couples[:, 0])
-        return couples
-
-    return couples_at
+    couples = np.zeros((len(times), 2) + phase.shape + nodes.shape)
+    np.multiply.outer(
+        drive.amplitude * np.sin(np.add.outer(2.0 * np.pi * drive.frequency * times, phase)),
+        profile, out=couples[:, 0])
+    return couples
 
 
 def _drive_loads(config: ScenarioConfig, phase) -> Loads:
     """The drive couple as ``Loads``; a value is the transposed view of a
     component-major buffer."""
-    return Loads(couple=lambda s, t: _drive(config, phase, s)(np.array([t]))[0].T)
+    return Loads(couple=lambda s, t: _drive(config, phase, s, np.array([t]))[0].T)
 
 
 def _boundary(config: ScenarioConfig) -> BoundaryConditions:
@@ -366,19 +360,6 @@ def _boundary(config: ScenarioConfig) -> BoundaryConditions:
 # builds at most BLOCK frames times rods times nodes. A fixed cost is paid once
 # per block, and counting nodes keeps a block's memory the same on any grid.
 BLOCK = 64 * 101
-
-
-def _finite(scale, message):
-    """The value of ``scale()``, a scalar that a run derives from its config;
-    InputError(message) when it overflows, on the way or by a division by a
-    product that underflowed to 0."""
-    try:
-        value = scale()
-    except (OverflowError, ZeroDivisionError):
-        value = math.inf
-    if not math.isfinite(value):
-        raise InputError(message)
-    return value
 
 
 def simulate_rod(config: ScenarioConfig):
@@ -409,8 +390,9 @@ def simulate_rod(config: ScenarioConfig):
     first failing step: one ``_energy`` call on all the steps against the
     bound, then their finite check. The lost rods are dropped at the block's
     end, and the others go on from its last state. A scale the run derives
-    from the config that overflows (the energy bound, the contact-force
-    coefficients) is an InputError naming its keys.
+    from the config that overflows is an InputError naming its keys: the
+    energy bound before anything is allocated, the contact-force
+    coefficients at the first step (``rod_model._contact_operator``).
     """
     mat = config.material
     grid = mat.grid()
@@ -420,15 +402,14 @@ def simulate_rod(config: ScenarioConfig):
     semi = config.scheme == "semi"
     step = _step_semi if semi else _step_pure
     amplitude, ds = config.drive.amplitude, grid.spacing
-    limit = _finite(lambda: 1e3 * max(amplitude**2 * mat.length**3 / (2.0 * mat.EI), 1e-12),
-                    "the energy bound 1e3 * amplitude**2 * length**3 / (2 EI) overflows "
-                    f"for drive.amplitude={amplitude!r}, material.length={mat.length!r} "
-                    f"and material.EI={mat.EI!r}")
-    _finite(lambda: max(1.0 / (mat.rho_A * ds**2), 1.0 / mat.rho_I),
-            "the contact-force coefficients 1/(rho*area*ds**2) and 1/(rho*moment), "
-            f"ds = length/(nodes - 1), overflow for material.rho={mat.rho!r}, "
-            f"material.area={mat.area!r}, material.moment={mat.moment!r}, "
-            f"material.length={mat.length!r} and material.nodes={mat.nodes}")
+    try:
+        limit = 1e3 * max(amplitude**2 * mat.length**3 / (2.0 * mat.EI), 1e-12)
+    except (OverflowError, ZeroDivisionError):
+        limit = math.inf
+    if not math.isfinite(limit):
+        raise InputError("the energy bound 1e3 * amplitude**2 * length**3 / (2 EI) overflows "
+                         f"for drive.amplitude={amplitude!r}, material.length={mat.length!r} "
+                         f"and material.EI={mat.EI!r}")
     try:
         n_steps = config.n_steps
         n_frames = 1 + n_steps // stride + (n_steps % stride != 0)
@@ -449,7 +430,6 @@ def simulate_rod(config: ScenarioConfig):
     phases = config.drive.phase + rods * config.carpet.phase_increment
     bases = np.zeros((n_rods, 3))
     bases[:, 0] = rods * config.carpet.spacing
-    couples_at = _drive(config, phases, grid.nodes)
     force = np.zeros((2, 1, grid.node_count))
 
     e = np.zeros(n_rods)  # a run starts from rest
@@ -471,17 +451,15 @@ def simulate_rod(config: ScenarioConfig):
         block = np.empty((end - done + 1,) + packed.shape)  # the state, then each step's
         block[0] = packed
         with np.errstate(all="ignore"):  # a failing rod steps on to the block's end
-            for i, couple in enumerate(couples_at(np.arange(done, end) * dt)):
+            couples = _drive(config, phases[rods], grid.nodes, np.arange(done, end) * dt)
+            for i, couple in enumerate(couples):
                 block[i + 1] = step(block[i], mat, bc, grid, force, couple,
                                     (done + i) * dt, dt)
             energies = _energy(block[1:], mat, ds)
         # A rod's first failing step: an energy above the bound, or a
         # non-finite row, which takes precedence at the same step.
-        bad = energies > limit  # (steps, rods)
-        nonfinite = np.zeros_like(bad)
-        if not np.isfinite(block[1:]).all():
-            nonfinite = ~np.isfinite(block[1:]).all(axis=(1, 3))
-            bad |= nonfinite
+        nonfinite = _nonfinite_rods(block[1:])  # (steps, rods)
+        bad = (energies > limit) | nonfinite
         packed, e = block[-1], energies[-1]
         lost = bad.any(axis=0)
         if lost.any():
@@ -491,7 +469,6 @@ def simulate_rod(config: ScenarioConfig):
                 k = done + s + 1
                 failed[rods[j].item()] = f"step {k} (t={k * dt:.6g}, {cause})"
             rods, packed = rods[~lost], packed[:, ~lost]
-            couples_at = _drive(config, phases[rods], grid.nodes)
         done = end
     # One call per block of whole frames, with every frame's rods on the
     # shared bases; the last block ends at the last captured frame.

@@ -3,6 +3,8 @@
 import numpy as np
 
 from rodsim.grid_fields import SampledFn
+from rodsim.integrators import _step_pure
+from rodsim.rod_model import BoundaryConditions
 from rodsim.solution_family import CauchyTrace
 
 
@@ -28,3 +30,24 @@ def random_trace(rng: np.random.Generator) -> CauchyTrace:
         k1_trace=draw(),
         v2_origin=rng.uniform(0.2, 0.9) * rng.choice([-1.0, 1.0]),
     )
+
+
+def pure_step_matrices(config):
+    """The 6N x 6N matrices (M, P) of the pure step under zero load, whose
+    matrix is A(dt) = P + dt M: forward Euler is affine in dt, so
+    M = A(2) - A(1) and P = A(1) - M. Each A(dt) is one ``_step_pure`` call
+    on the (6, 6N, N) identity batch, whose rod j is the j-th unit state."""
+    params = config.material
+    grid = params.grid()
+    n = grid.node_count
+    identity = np.eye(6 * n).reshape(6 * n, 6, n).transpose(1, 0, 2).copy()
+    zero = np.zeros((2, 1, n))
+    bc = BoundaryConditions(base=config.boundary.base, tip=config.boundary.tip)
+
+    def matrix(dt):
+        new = _step_pure(identity, params, bc, grid, zero, zero, 0.0, dt)
+        return new.transpose(1, 0, 2).reshape(6 * n, 6 * n).T  # column j: rod j
+
+    a1 = matrix(1.0)
+    m = matrix(2.0) - a1
+    return m, a1 - m

@@ -26,6 +26,8 @@ from rodsim.rod_model import (
 from rodsim.scenarios import default_config
 from rodsim.solution_family import random_family, sample_state
 
+from helpers import pure_step_matrices
+
 
 def make_params(**overrides):
     base = dict(rho=1.0, area=1.0, moment=1e-2, EI=1e-1, length=1.0, nodes=41)
@@ -447,6 +449,30 @@ class TestPackedCores:
         with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
             step(state, params, Loads(), scenarios._boundary(config), 0.0, 1e-3)
         assert list(err.value.rods) == [1, 3]
+
+    def test_pure_spectrum_is_neutral_and_euler_grows_by_its_square(self):
+        # A(dt) = P + dt M. M's eigenvalues lie on the imaginary axis, so
+        # forward Euler amplifies the fastest mode by |1 + i lam dt|, about
+        # 1 + (lam dt)**2 / 2 per step, at every dt.
+        m, p = pure_step_matrices(default_config())
+        lam = np.linalg.eigvals(m)
+        fastest = np.abs(lam).max()
+        assert lam.real.max() <= 1e-9 * fastest
+        for dt in (1e-5, 1e-4):
+            growth = np.abs(np.linalg.eigvals(p + dt * m)).max() - 1.0
+            expected = 0.5 * (fastest * dt) ** 2
+            assert abs(growth - expected) <= 0.01 * expected, (dt, growth, expected)
+
+    @pytest.mark.parametrize("scheme", ["pure", "semi"])
+    def test_public_steps_reject_overflowing_contact_scales(self, scheme):
+        # rho * area * ds**2 underflows to 0: an input error naming the
+        # material keys, not a ZeroDivisionError.
+        params = MaterialParams(rho=1e-320, area=2e-2, moment=1e-2, EI=0.1, length=1.0,
+                                nodes=101)
+        state = (ManifoldState if scheme == "semi" else RodState).zero(params.grid())
+        step = step_semi_analytic if scheme == "semi" else step_pure_numeric
+        with pytest.raises(InputError, match=r"material\.rho=1e-320"):
+            step(state, params, Loads(), BoundaryConditions(), 0.0, 1e-3)
 
 
 class TestPackedPathMatchesPublicPath:

@@ -203,8 +203,8 @@ class TestDrive:
                 config = default_config(
                     material=replace(default_config().material, length=length, nodes=nodes),
                     drive=DriveConfig(amplitude=1.0, active_fraction=fraction))
-                couple = scenarios._drive(config, 0.0, config.material.grid().nodes)(
-                    np.array([0.25]))[0, 0]
+                couple = scenarios._drive(config, 0.0, config.material.grid().nodes,
+                                          np.array([0.25]))[0, 0]
                 expected = sum(i / (nodes - 1) <= fraction for i in range(nodes))
                 if np.count_nonzero(couple) != expected:
                     wrong.append((nodes, fraction, np.count_nonzero(couple), expected))
@@ -871,24 +871,38 @@ class TestCli:
         assert "sampled window [" in err and "(--grid 31 --dt 5.0)" in err
         assert "not reachable on [" in err
 
-    def test_verify_oversized_grid_is_a_size_error(self):
-        # Under a 3 GiB address-space cap the grid's (N, N) sampling blocks
-        # cannot be allocated: a one-line input error (exit 2), not a
-        # traceback. The cap keeps the attempt from taking the machine's memory.
+    @staticmethod
+    def run_capped(*argv):
+        """The CLI in a subprocess under a 3 GiB address-space cap, which
+        keeps an oversized allocation from taking the machine's memory."""
         def cap_address_space():
             resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 
         src = str(Path(scenarios.__file__).resolve().parents[1])
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
             [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        result = subprocess.run(
-            [sys.executable, "-m", "rodsim.cli", "verify-solution",
-             "--grid", "200000", "--dt", "1e-7"],
-            env=env, preexec_fn=cap_address_space, capture_output=True, text=True)
+        return subprocess.run([sys.executable, "-m", "rodsim.cli", *argv], env=env,
+                              preexec_fn=cap_address_space, capture_output=True, text=True)
+
+    def test_verify_oversized_grid_is_a_size_error(self):
+        # Under the cap the grid's (N, N) sampling blocks cannot be
+        # allocated: a one-line input error (exit 2), not a traceback.
+        result = self.run_capped("verify-solution", "--grid", "200000", "--dt", "1e-7")
         assert result.returncode == 2, result.stderr
         lines = result.stderr.splitlines()
         assert len(lines) == 1, result.stderr
         assert "--grid 200000 --dt 1e-07" in lines[0]
+
+    def test_match_cauchy_oversized_steps_is_a_size_error(self, tmp_path):
+        # Under the cap the RK4 march's states cannot be allocated: a
+        # one-line input error naming steps (exit 2), not a traceback.
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(dict(worked_spec(), steps=10**10)))
+        result = self.run_capped("match-cauchy", str(path), "--out", str(tmp_path / "m.json"))
+        assert result.returncode == 2, result.stderr
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1, result.stderr
+        assert "steps" in lines[0]
 
     def test_match_cauchy_numerical_failure_exits_1(self, tmp_path, capsys):
         path = tmp_path / "trace.json"
