@@ -9,7 +9,6 @@ is a pure function of its inputs.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -75,6 +74,7 @@ __all__ = [
     "TridiagFactors",
     "factor_tridiag",
     "solve_tridiag",
+    "check_tridiag",
 ]
 
 
@@ -234,43 +234,52 @@ def factor_tridiag(lower, diag, upper) -> TridiagFactors:
 def solve_tridiag(factors: TridiagFactors, rhs) -> np.ndarray:
     """Solve A x = rhs for an (N, k) rhs with ``factor_tridiag``'s factors.
 
-    LAPACK solves each column on its own, so columns do not mix. Raises
-    ``SingularSystemError`` at the worst row if the residual exceeds 1e-10
-    times the scale of A x and rhs. A non-finite or overflowing right-hand
-    side gives a non-finite solution for the caller to handle; the check then
-    runs on the other columns. It runs on the transposes, one system per
-    contiguous row.
+    LAPACK solves each column on its own, so columns do not mix. The solution
+    passes ``check_tridiag``. A non-finite or overflowing right-hand side
+    gives a non-finite solution for the caller to handle.
     """
     b = np.asarray(rhs, dtype=float)
     n = factors.diag.shape[0]
     if b.ndim != 2 or b.shape[0] != n:
         raise SizeError(f"rhs shape {b.shape} does not match {n} rows")
     x, _ = _gttrs(*factors.lu, b)
-    xt, bt = x.T, b.T
-    # |A x - b|, |x| and |b| side by side, one column of x per row, so that
-    # one reduction finds all three maxima.
-    table = np.empty((3,) + xt.shape)
-    residual = table[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(factors.diag, xt, out=residual)
-        residual -= bt
-        below, above = residual[:, 1:], residual[:, :-1]
-        below += factors.lower * xt[:, :-1]
-        above += factors.upper * xt[:, 1:]
-        table[1], table[2] = xt, bt
-        np.abs(table, out=table)
-        worst, x_max, b_max = table.max(axis=(1, 2)).tolist()
-    if not math.isfinite(worst):  # only when a column blew up
-        finite = np.isfinite(table).all(axis=(0, 2))
-        residual = residual[finite]
-        worst, x_max, b_max = table[:, finite].max(axis=(1, 2), initial=0.0).tolist()
-    bound = 1e-10 * (3.0 * factors.scale * x_max + b_max)
-    if math.isfinite(bound) and worst > max(bound, 1e-300):
-        row = int(residual.max(axis=0).argmax())
-        raise SingularSystemError(
-            f"residual {worst:.3e} above {bound:.3e} at row {row}", row=row
-        )
+    check_tridiag(factors, x.T, b.T)
     return x
+
+
+def check_tridiag(factors: TridiagFactors, x, b) -> None:
+    """Residual check of a stack of solves of A x = b, ``x`` and ``b`` shaped
+    (..., k, N): one solve per leading index, its k columns node-last.
+
+    Raises ``SingularSystemError`` at the worst row of the first solve whose
+    residual exceeds 1e-10 times the scale of A x and b, measured over that
+    solve's columns. A column with a non-finite entry in x, b or its residual
+    is left out, so a blown-up column does not hide the others.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = np.multiply(factors.diag, x)
+        residual -= b
+        term = np.multiply(factors.lower, x[..., :-1])
+        residual[..., 1:] += term
+        np.multiply(factors.upper, x[..., 1:], out=term)
+        residual[..., :-1] += term
+        np.abs(residual, out=residual)
+        worst = residual.max(axis=(-2, -1))
+        x_max, b_max = (np.abs(a).max(axis=(-2, -1)) for a in (x, b))
+        if not np.isfinite(worst).all():  # only when a column blew up
+            finite = (np.isfinite(residual).all(axis=-1) & np.isfinite(x).all(axis=-1)
+                      & np.isfinite(b).all(axis=-1))[..., None]
+            residual, x_abs, b_abs = (np.where(finite, np.abs(a), 0.0) for a in (residual, x, b))
+            worst, x_max, b_max = (a.max(axis=(-2, -1)) for a in (residual, x_abs, b_abs))
+    # A finite worst residual is never above an infinite bound.
+    bound = 1e-10 * (3.0 * factors.scale * x_max + b_max)
+    failing = np.flatnonzero(worst > np.maximum(bound, 1e-300))
+    if failing.size:
+        solve = np.unravel_index(failing[0], np.shape(worst))
+        row = int(residual[solve].max(axis=0).argmax())
+        raise SingularSystemError(
+            f"residual {worst[solve]:.3e} above {bound[solve]:.3e} at row {row}", row=row
+        )
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing table raises

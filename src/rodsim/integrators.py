@@ -18,13 +18,17 @@ rod, and a rod that blows up leaves the others' bits as they would be alone.
 
 A step works on one packed array per state, (6, K, N) for a RodState and
 (4, K, N) for a ManifoldState (``rod_model._GridState._packed``): every
-component is a contiguous block. The cores take the loads already evaluated,
-as packed (2, K, N) or (2, 1, N) arrays. The public functions pack, evaluate
-the loads, run the core that ``scenarios.simulate_rod`` steps with, and
-unpack; both give the same bits, and ``simulate_rod`` measures its frames on
-the packed array as ``drift_norms`` does. A rod that blows up gets non-finite
-rows, which ``_nonfinite_rods`` finds: ``simulate_rod`` once per block of
-steps, the public steps at each step, raising DivergenceError naming them.
+component is a contiguous block. The cores ``_steps_pure`` and ``_steps_semi``
+fill a block of B steps, (B + 1, C, K, N), from its first state, taking the
+loads already evaluated as packed arrays, and fill a (2, B, 2, K, N) buffer
+with the contact forces and right-hand sides of its steps for one residual
+check (``rod_model._check_contact_forces``). The public functions pack, evaluate
+the loads, run the core that ``scenarios.simulate_rod`` steps with on a block
+of one step, check its solve, and unpack; both give the same bits, and
+``simulate_rod`` measures its frames on the packed array as ``drift_norms``
+does. A rod that blows up gets non-finite rows, which ``_nonfinite_rods``
+finds: ``simulate_rod`` once per block of steps, the public steps at each
+step, raising DivergenceError naming them.
 """
 
 from __future__ import annotations
@@ -42,10 +46,11 @@ from .rod_model import (
     MaterialParams,
     RodState,
     _GridState,
+    _check_contact_forces,
+    _contact_force,
     _drift_norms,
     _loads_at,
     adiag,
-    contact_force,
 )
 
 __all__ = [
@@ -149,89 +154,101 @@ def _apply_free_moment(curvature, bc: BoundaryConditions):
         curvature[..., -1] = 0.0
 
 
-def _apply_clamps(velocities, bc: BoundaryConditions, t_next: float):
-    """Impose the clamped ends' signals on packed (4, K, N) angular and linear
-    velocities, through each end's (K, 4) transpose."""
-    for end, kind, ang, lin in ((0, bc.base, bc.base_ang_vel, bc.base_lin_vel),
-                                (-1, bc.tip, bc.tip_ang_vel, bc.tip_lin_vel)):
+def _apply_clamps(field, bc: BoundaryConditions, t_next: float, signal: str):
+    """Impose the clamped ends' ``signal``, "ang_vel" or "lin_vel", on a
+    packed (2, K, N) velocity, through each end's (K, 2) transpose."""
+    for end, kind, name in ((0, bc.base, "base_"), (-1, bc.tip, "tip_")):
         if kind == "clamped":
-            at_end = velocities[..., end].T
-            at_end[..., :2] = np.asarray(ang(t_next), float)
-            at_end[..., 2:] = np.asarray(lin(t_next), float)
+            field[..., end].T[...] = np.asarray(getattr(bc, name + signal)(t_next), float)
 
 
-def _euler_velocities(raw, dm, params, bc, grid, f, l, t, dt):
-    """The next angular and linear velocities (4, K, N) of a packed raw state
-    by forward Euler; ``dm`` is m', and f and l are the loads at t in the
-    stepping layout, (2, K, N) or (2, 1, N) for all rods alike."""
+def _steps_pure(block, solves, params, bc, grid, f, couples, times, dt):
+    """``step_pure_numeric`` on a block of packed raw states: fill block[1:]
+    from block[0], step i at times[i] under the couple couples[i], and fill
+    ``solves`` (2, B, 2, K, N) with the steps' contact forces and their
+    right-hand sides, unchecked.
+
+    The linear velocity feeds nothing back, so it advances last, from one
+    stencil pass over all the block's forces."""
     ds = grid.spacing
-    # A blown-up state gives a non-finite force, and so a non-finite step.
-    n = contact_force(dm.T, f.T, l.T, params, bc, t, grid).T
-    velocities = np.empty((4,) + dm.shape[1:])
-    np.add(raw[2:4], dt * (dm + adiag(n.T).T + l) / params.rho_I, out=velocities[:2])
-    np.add(raw[4:6], dt * (central_diff(n.T, ds).T + f) / params.rho_A,
-           out=velocities[2:])
-    return velocities
+    forces, rhs = solves
+    for i, l in enumerate(couples):
+        raw, new = block[i], block[i + 1]
+        # One stencil call differentiates the bending couple and the angular
+        # velocity, stacked along the component axis.
+        derivatives = central_diff(np.concatenate((params.EI * raw[0:2], raw[2:4])).T, ds).T
+        dm = derivatives[:2]
+        np.add(raw[0:2], dt * derivatives[2:], out=new[0:2])
+        forces[i] = _contact_force(dm, f, l, params, bc, times[i], grid, rhs[i])[0]
+        np.add(raw[2:4], dt * (dm + adiag(forces[i].T).T + l) / params.rho_I, out=new[2:4])
+        _apply_clamps(new[2:4], bc, times[i] + dt, "ang_vel")
+        _apply_free_moment(new[0:2], bc)
+    increments = central_diff(forces.T, ds).T
+    increments += f
+    increments *= dt
+    increments /= params.rho_A
+    for i, increment in enumerate(increments):
+        np.add(block[i, 4:6], increment, out=block[i + 1, 4:6])
+        _apply_clamps(block[i + 1, 4:6], bc, times[i] + dt, "lin_vel")
 
 
-def _step_pure(raw, params, bc, grid, f, l, t, dt):
-    """``step_pure_numeric`` on a packed raw state."""
-    # One stencil call differentiates the bending couple and the angular
-    # velocity, stacked along the component axis.
-    both = np.concatenate((params.EI * raw[0:2], raw[2:4]))
-    derivatives = central_diff(both.T, grid.spacing).T
-    new = np.empty_like(raw)
-    np.add(raw[0:2], dt * derivatives[2:], out=new[0:2])
-    new[2:] = _euler_velocities(raw, derivatives[:2], params, bc, grid, f, l, t, dt)
-    _apply_clamps(new[2:], bc, t + dt)
-    _apply_free_moment(new[0:2], bc)
-    return new
-
-
-def _step_semi(m, params, bc, grid, f, l, t, dt):
-    """``step_semi_analytic`` on a packed manifold state."""
+def _steps_semi(block, solves, params, bc, grid, f, couples, times, dt):
+    """``step_semi_analytic`` on a block of packed manifold states, as
+    ``_steps_pure`` does; each step's linear velocity sets its angle."""
     ds = grid.spacing
-    raw = _lift(m)
-    dm = central_diff((params.EI * raw[0:2]).T, ds).T
-    velocities = _euler_velocities(raw, dm, params, bc, grid, f, l, t, dt)
-    _apply_clamps(velocities, bc, t + dt)
-    eps = np.maximum(1e-8 * np.abs(velocities[2:]).max(axis=(0, 2)), 1e-300)[:, None]
-    new = np.empty_like(m)  # angle, curvature, then the projected magnitudes
-    new[2:] = _project(velocities, m[0], eps)[1:]
-    ang_mag, vel_mag = new[2], new[3]
+    forces, rhs = solves
+    for i, l in enumerate(couples):
+        m, new = block[i], block[i + 1]
+        raw = _lift(m)
+        dm = central_diff((params.EI * raw[0:2]).T, ds).T
+        forces[i] = _contact_force(dm, f, l, params, bc, times[i], grid, rhs[i])[0]
+        n = forces[i]
+        velocities = np.empty((4,) + dm.shape[1:])
+        np.add(raw[2:4], dt * (dm + adiag(n.T).T + l) / params.rho_I, out=velocities[:2])
+        np.add(raw[4:6], dt * (central_diff(n.T, ds).T + f) / params.rho_A,
+               out=velocities[2:])
+        _apply_clamps(velocities[:2], bc, times[i] + dt, "ang_vel")
+        _apply_clamps(velocities[2:], bc, times[i] + dt, "lin_vel")
+        eps = np.maximum(1e-8 * np.abs(velocities[2:]).max(axis=(0, 2)), 1e-300)[:, None]
+        # new holds the angle, the curvature, then the projected magnitudes.
+        new[2:] = _project(velocities, m[0], eps)[1:]
+        ang_mag, vel_mag = new[2], new[3]
 
-    # Angle reconstruction: integrate the angle slope from the base node,
-    # carrying the previous local increment across every interval next to a
-    # near-zero-velocity node.
-    ok = np.abs(vel_mag) > eps
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope = -ang_mag / vel_mag
-        incr = 0.5 * ds * (slope[:, 1:] + slope[:, :-1])
-    incr = np.where(ok[:, 1:] & ok[:, :-1], incr, m[0, :, 1:] - m[0, :, :-1])
-    angle = new[0]
-    angle[:, 0] = 0.0
-    np.cumsum(incr, axis=1, out=angle[:, 1:])
-    angle += m[0, :, :1] + dt * ang_mag[:, :1]  # the base node's angle
+        # Angle reconstruction: integrate the angle slope from the base node,
+        # carrying the previous local increment across every interval next to
+        # a near-zero-velocity node.
+        ok = np.abs(vel_mag) > eps
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = -ang_mag / vel_mag
+            incr = 0.5 * ds * (slope[:, 1:] + slope[:, :-1])
+        incr = np.where(ok[:, 1:] & ok[:, :-1], incr, m[0, :, 1:] - m[0, :, :-1])
+        angle = new[0]
+        angle[:, 0] = 0.0
+        np.cumsum(incr, axis=1, out=angle[:, 1:])
+        angle += m[0, :, :1] + dt * ang_mag[:, :1]  # the base node's angle
 
-    np.add(m[1], dt * central_diff(ang_mag.T, ds).T, out=new[1])
-    _apply_free_moment(new[1], bc)
-    return new
+        np.add(m[1], dt * central_diff(ang_mag.T, ds).T, out=new[1])
+        _apply_free_moment(new[1], bc)
 
 
-def _step(core, state, params, loads, bc, t, dt):
-    """Run the packed step ``core`` on a public state: pack, evaluate the
-    loads, step, raise DivergenceError naming the rods whose new rows are not
-    all finite, unpack."""
+def _step(steps, state, params, loads, bc, t, dt):
+    """Run the block core ``steps`` on a public state, as a block of one:
+    pack, evaluate the loads, step, check the contact-force solve, raise
+    DivergenceError naming the rods whose new rows are not all finite,
+    unpack."""
     if not dt > 0.0:
         raise InputError("dt must be positive")
     grid = state.grid
     f, l = (v.T for v in _loads_at(loads, t, grid))
-    new = core(state._packed(), params, bc, grid, f, l, t, dt)
-    bad = _nonfinite_rods(new)
+    block = np.stack([state._packed()] * 2)  # the state, then the step's
+    solves = np.empty((2, 1, 2) + block.shape[2:])
+    steps(block, solves, params, bc, grid, f, l[None], np.array([t]), dt)
+    _check_contact_forces(*solves, params, bc, grid)
+    bad = _nonfinite_rods(block[1])
     if bad.any():
         raise DivergenceError("a time step produced non-finite values",
                               rods=np.flatnonzero(bad))
-    return type(state)._from_packed(grid, new, state._batched)
+    return type(state)._from_packed(grid, block[1], state._batched)
 
 
 def step_pure_numeric(
@@ -247,7 +264,7 @@ def step_pure_numeric(
     All right-hand sides are evaluated at the pre-step state (simultaneous
     update). Raises DivergenceError if the step produces non-finite values.
     """
-    return _step(_step_pure, state, params, loads, bc, t, dt)
+    return _step(_steps_pure, state, params, loads, bc, t, dt)
 
 
 def step_semi_analytic(
@@ -269,7 +286,7 @@ def step_semi_analytic(
     projection threshold ``eps`` is 1e-8 of each rod's largest velocity
     component.
     """
-    return _step(_step_semi, m, params, loads, bc, t, dt)
+    return _step(_steps_semi, m, params, loads, bc, t, dt)
 
 
 def max_stable_dt(is_stable, dt_min: float, dt_max: float) -> float:

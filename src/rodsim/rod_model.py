@@ -9,8 +9,8 @@ share a state with a rod axis between the node and component axes.
 
 A step packs a state into one array, components and rods first and nodes
 last (``_GridState._packed``); a packed block passes to the functions here,
-which take node-first arrays, as its transpose. ``_energy`` and
-``_drift_norms`` measure packed states themselves.
+which take node-first arrays, as its transpose. ``_contact_force``,
+``_energy`` and ``_drift_norms`` take packed arrays themselves.
 """
 
 from __future__ import annotations
@@ -26,9 +26,10 @@ from .errors import ConfigurationError, InputError, SingularSystemError
 from .grid_fields import (
     Grid1D,
     TridiagFactors,
+    _gttrs,
     central_diff,
+    check_tridiag,
     factor_tridiag,
-    solve_tridiag,
 )
 
 __all__ = [
@@ -218,8 +219,10 @@ def _contact_operator(
 
     The matrix depends only on the material, the grid and the end kinds, so
     a run factors it once. Coefficients 1/(rho A ds**2) and 1/(rho I) that
-    overflow are an InputError naming the material keys; that and a singular
-    matrix raise every time the operator is requested (nothing is cached).
+    overflow, or whose products in the elimination do, are an InputError
+    naming the material keys; that and a singular matrix raise every time the
+    operator is requested (nothing is cached). With both ends free a failed
+    factorization is a ConfigurationError.
     """
     try:
         a_off = 1.0 / (params.rho_A * ds**2)
@@ -227,11 +230,7 @@ def _contact_operator(
     except (OverflowError, ZeroDivisionError):
         scale = math.inf
     if not math.isfinite(scale):
-        raise InputError(
-            "the contact-force coefficients 1/(rho*area*ds**2) and 1/(rho*moment), "
-            f"ds = length/(nodes - 1), overflow for material.rho={params.rho!r}, "
-            f"material.area={params.area!r}, material.moment={params.moment!r}, "
-            f"material.length={params.length!r} and material.nodes={params.nodes}")
+        raise _overflowing_material(params)
     lower = np.full(nodes - 1, a_off)
     upper = np.full(nodes - 1, a_off)
     diag = np.full(nodes, -2.0 * a_off + 1.0 / params.rho_I)
@@ -244,14 +243,25 @@ def _contact_operator(
     else:
         diag[-1], lower[-1] = 1.0 / ds, -1.0 / ds
     try:
-        return factor_tridiag(lower, diag, upper)
+        with np.errstate(all="ignore"):  # a failed elimination raises below
+            return factor_tridiag(lower, diag, upper)
     except SingularSystemError as err:
         if base == "free" and tip == "free":
             raise ConfigurationError(
                 "contact-force system singular with both ends free "
                 f"(incompatible loads); pivot row {err.row}"
             ) from err
+        if not math.isfinite(a_off * a_off):  # elimination multiplies lower and upper
+            raise _overflowing_material(params) from err
         raise
+
+
+def _overflowing_material(params: MaterialParams) -> InputError:
+    return InputError(
+        "the contact-force coefficients 1/(rho*area*ds**2) and 1/(rho*moment), "
+        f"ds = length/(nodes - 1), overflow for material.rho={params.rho!r}, "
+        f"material.area={params.area!r}, material.moment={params.moment!r}, "
+        f"material.length={params.length!r} and material.nodes={params.nodes}")
 
 
 def _loads_at(loads: Loads, t: float, grid: Grid1D):
@@ -297,23 +307,36 @@ def contact_force(
     n' = -f + rho A * (d/dt prescribed linear velocity). A non-finite
     right-hand side (a blown-up state) gives a non-finite force.
     """
+    n, rhs = _contact_force(dm.T, f.T, l.T, params, bc, t, grid)
+    _check_contact_forces(n[None], rhs[None], params, bc, grid)
+    return n.T
+
+
+def _contact_force(dm, f, l, params, bc, t, grid, rhs=None):
+    """``contact_force`` of packed m', f and l, (2, ..., N), without the
+    residual check: the force and its right-hand side, written into ``rhs``
+    when given. A contiguous ``rhs`` has contiguous transposed columns, which
+    LAPACK takes without a copy."""
     ds = grid.spacing
     factors = _contact_operator(params, ds, grid.node_count, bc.base, bc.tip)
-    rhs = adiag(dm + l) / params.rho_I
+    load = adiag((dm + l).T).T
+    rhs = np.divide(load, params.rho_I, out=rhs)
     if f.any():  # skipped for the common zero force, whose derivative is +0.0
-        rhs -= central_diff(f, ds) / params.rho_A
-    if bc.base == "free":
-        rhs[0] = 0.0
-    else:
-        rhs[0] = -f[0] + params.rho_A * np.asarray(bc.base_lin_acc(t), float)
-    if bc.tip == "free":
-        rhs[-1] = 0.0
-    else:
-        rhs[-1] = -f[-1] + params.rho_A * np.asarray(bc.tip_lin_acc(t), float)
-    # One solve per column; taken in rhs's own memory order, the transpose of
-    # a packed (2, K, N) block gives contiguous columns without a copy.
-    x = solve_tridiag(factors, rhs.T.reshape(-1, rhs.shape[0]).T)
-    return x.T.reshape(rhs.T.shape).T
+        rhs -= central_diff(f.T, ds).T / params.rho_A
+    for end, kind, acc in ((0, bc.base, bc.base_lin_acc), (-1, bc.tip, bc.tip_lin_acc)):
+        rhs[..., end].T[...] = (0.0 if kind == "free" else
+                                -f[..., end].T + params.rho_A * np.asarray(acc(t), float))
+    x, _ = _gttrs(*factors.lu, rhs.reshape(-1, grid.node_count).T)
+    return x.T.reshape(rhs.shape), rhs
+
+
+def _check_contact_forces(forces, rhs, params, bc, grid):
+    """``grid_fields.check_tridiag`` on a stack of B packed contact forces
+    and their right-hand sides, (B, 2, ..., N): one solve, and one bound,
+    per force."""
+    factors = _contact_operator(params, grid.spacing, grid.node_count, bc.base, bc.tip)
+    shape = (len(forces), -1, grid.node_count)
+    check_tridiag(factors, forces.reshape(shape), rhs.reshape(shape))
 
 
 def energy(state: _GridState, params: MaterialParams):

@@ -28,14 +28,15 @@ from .errors import (
 from .integrators import (
     _lift,
     _nonfinite_rods,
-    _step_pure,
-    _step_semi,
+    _steps_pure,
+    _steps_semi,
     max_stable_dt,
 )
 from .rod_model import (
     BoundaryConditions,
     Loads,
     MaterialParams,
+    _check_contact_forces,
     _drift_norms,
     _energy,
     reconstruct_centerline,
@@ -356,7 +357,8 @@ def _boundary(config: ScenarioConfig) -> BoundaryConditions:
 
 # Rod-nodes in one block of a run, 64 states of a 101-node rod. A block of
 # steps holds at most BLOCK rods times nodes: its drive is built in one
-# evaluation and one check finds its failures. One reconstruct_centerline call
+# evaluation, one residual check covers its contact-force solves and one check
+# finds its failures. One reconstruct_centerline call
 # builds at most BLOCK frames times rods times nodes. A fixed cost is paid once
 # per block, and counting nodes keeps a block's memory the same on any grid.
 BLOCK = 64 * 101
@@ -381,15 +383,17 @@ def simulate_rod(config: ScenarioConfig):
     after the run, in blocks of whole frames that hold at most ``BLOCK``
     rod-frame-nodes (one frame when one frame exceeds it).
 
-    The rods step in the packed layout of ``integrators``, and each frame is
-    measured on the packed array, a semi frame lifted once. They step in
-    blocks of steps that end at the next frame and hold at most ``BLOCK``
-    rod-nodes (one step when one state exceeds it). A block's drive is built
-    in one evaluation and every step runs to the block's end, a failing rod's
-    too, with floating-point warnings off. One check then finds each rod's
-    first failing step: one ``_energy`` call on all the steps against the
-    bound, then their finite check. The lost rods are dropped at the block's
-    end, and the others go on from its last state. A scale the run derives
+    The rods step in the packed layout of ``integrators``, in blocks of
+    steps that hold at most ``BLOCK`` rod-nodes (one step when one state
+    exceeds it) and run across frames. A block's drive is built in one
+    evaluation and every step runs to the block's end, a failing rod's too,
+    with floating-point warnings off. One residual check of all the block's
+    contact-force solves comes first and raises SingularSystemError. Then one
+    check finds each rod's first failing step: one ``_energy`` call on all
+    the steps against the bound, then their finite check. The frames before
+    the block's first failure are read from its rows and measured on the
+    packed array, a semi frame lifted once. The lost rods are dropped at the
+    block's end, and the others go on from its last state. A scale the run derives
     from the config that overflows is an InputError naming its keys: the
     energy bound before anything is allocated, the contact-force
     coefficients at the first step (``rod_model._contact_operator``).
@@ -400,7 +404,7 @@ def simulate_rod(config: ScenarioConfig):
     n_rods = config.carpet.rods
     stride = config.output.stride
     semi = config.scheme == "semi"
-    step = _step_semi if semi else _step_pure
+    steps = _steps_semi if semi else _steps_pure
     amplitude, ds = config.drive.amplitude, grid.spacing
     try:
         limit = 1e3 * max(amplitude**2 * mat.length**3 / (2.0 * mat.EI), 1e-12)
@@ -432,36 +436,44 @@ def simulate_rod(config: ScenarioConfig):
     bases[:, 0] = rods * config.carpet.spacing
     force = np.zeros((2, 1, grid.node_count))
 
-    e = np.zeros(n_rods)  # a run starts from rest
-    failed, done, frames = {}, 0, 0
-    while True:
-        if not failed and (done % stride == 0 or done == n_steps):
-            raw = _lift(packed) if semi else packed
-            traj.times[frames] = done * dt
-            traj.energies[frames] = e
-            traj.drifts[frames] = _drift_norms(raw, ds, semi).T
-            curvatures[:, frames] = raw[0:2].T
-            frames += 1
-        if done == n_steps or not rods.size:
-            break
-        # The block ends at the next frame, or sooner once it holds BLOCK
-        # rod-nodes.
-        end = min(n_steps, done - done % stride + stride,
-                  done + max(1, BLOCK // (rods.size * grid.node_count)))
-        block = np.empty((end - done + 1,) + packed.shape)  # the state, then each step's
+    def capture(state, energies, k):  # the frame of step k, from a packed state
+        raw = _lift(state) if semi else state
+        frame = -(-k // stride)  # the last frame may end a partial stride
+        traj.times[frame] = k * dt
+        traj.energies[frame] = energies
+        traj.drifts[frame] = _drift_norms(raw, ds, semi).T
+        curvatures[:, frame] = raw[0:2].T
+        return frame + 1
+
+    frames = capture(packed, np.zeros(n_rods), 0)  # a run starts from rest
+    failed, done, buffer = {}, 0, np.empty(0)
+    while done < n_steps and rods.size:
+        size = max(1, BLOCK // (rods.size * grid.node_count))
+        if buffer.shape[2:] != packed.shape[1:]:
+            # Kept until a rod is lost: buffers made anew for every block
+            # page-fault on every block.
+            buffer = np.empty((size + 1,) + packed.shape)
+            solves = np.empty((2, size, 2) + packed.shape[1:])
+        end = min(n_steps, done + size)
+        block = buffer[:end - done + 1]  # the state, then each step's
         block[0] = packed
+        times = np.arange(done, end) * dt
         with np.errstate(all="ignore"):  # a failing rod steps on to the block's end
-            couples = _drive(config, phases[rods], grid.nodes, np.arange(done, end) * dt)
-            for i, couple in enumerate(couples):
-                block[i + 1] = step(block[i], mat, bc, grid, force, couple,
-                                    (done + i) * dt, dt)
+            couples = _drive(config, phases[rods], grid.nodes, times)
+            steps(block, solves[:, :end - done], mat, bc, grid, force, couples, times, dt)
+            _check_contact_forces(*solves[:, :end - done], mat, bc, grid)
             energies = _energy(block[1:], mat, ds)
         # A rod's first failing step: an energy above the bound, or a
         # non-finite row, which takes precedence at the same step.
         nonfinite = _nonfinite_rods(block[1:])  # (steps, rods)
         bad = (energies > limit) | nonfinite
-        packed, e = block[-1], energies[-1]
         lost = bad.any(axis=0)
+        if not failed:  # the frames before the block's first failure
+            kept = bad.any(axis=1).argmax() if lost.any() else len(bad)
+            for k in range(done + 1, done + kept + 1):
+                if k % stride == 0 or k == n_steps:
+                    frames = capture(block[k - done], energies[k - done - 1], k)
+        packed = block[-1]
         if lost.any():
             for j, s in zip(np.flatnonzero(lost), bad.argmax(axis=0)[lost]):
                 cause = ("non-finite" if nonfinite[s, j] else

@@ -3,7 +3,7 @@
 import numpy as np
 
 from rodsim.grid_fields import SampledFn
-from rodsim.integrators import _step_pure
+from rodsim.integrators import _steps_pure
 from rodsim.rod_model import BoundaryConditions
 from rodsim.solution_family import CauchyTrace
 
@@ -32,11 +32,22 @@ def random_trace(rng: np.random.Generator) -> CauchyTrace:
     )
 
 
+def step_once(steps, packed, params, bc, grid, f, l, t, dt):
+    """One step of the block core ``steps`` (``integrators._steps_pure`` or
+    ``_steps_semi``) from a packed state, as a block of one, under the force
+    ``f`` and the couple ``l``: the next packed state."""
+    block = np.empty((2,) + packed.shape)
+    block[0] = packed
+    steps(block, np.empty((2, 1, 2) + packed.shape[1:]), params, bc, grid, f, l[None],
+          np.array([t]), dt)
+    return block[1]
+
+
 def pure_step_matrices(config):
     """The 6N x 6N matrices (M, P) of the pure step under zero load, whose
     matrix is A(dt) = P + dt M: forward Euler is affine in dt, so
-    M = A(2) - A(1) and P = A(1) - M. Each A(dt) is one ``_step_pure`` call
-    on the (6, 6N, N) identity batch, whose rod j is the j-th unit state."""
+    M = A(2) - A(1) and P = A(1) - M. Each A(dt) is one pure step on the
+    (6, 6N, N) identity batch, whose rod j is the j-th unit state."""
     params = config.material
     grid = params.grid()
     n = grid.node_count
@@ -45,7 +56,7 @@ def pure_step_matrices(config):
     bc = BoundaryConditions(base=config.boundary.base, tip=config.boundary.tip)
 
     def matrix(dt):
-        new = _step_pure(identity, params, bc, grid, zero, zero, 0.0, dt)
+        new = step_once(_steps_pure, identity, params, bc, grid, zero, zero, 0.0, dt)
         return new.transpose(1, 0, 2).reshape(6 * n, 6 * n).T  # column j: rod j
 
     a1 = matrix(1.0)

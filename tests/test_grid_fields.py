@@ -18,6 +18,7 @@ from rodsim.grid_fields import (
     Grid1D,
     SampledFn,
     central_diff,
+    check_tridiag,
     cubic_spline,
     cumtrapz,
     eval_spline,
@@ -218,6 +219,32 @@ class TestBlockTridiag:
             solve_tridiag(wrong, rhs)
         with np.errstate(invalid="ignore"):
             assert np.isnan(solve_tridiag(wrong, np.full((20, 2), np.nan))).all()
+
+    def test_stacked_check_raises_for_its_first_failing_solve(self):
+        # A stack of solves (B, k, N) has one bound per solve. Past a solve
+        # with a NaN column and one that passes, the check raises as
+        # solve_tridiag does on the first failing solve alone.
+        rng = np.random.default_rng(12)
+        lower, diag, upper, _ = _random_dominant_system(rng, 20)
+        factors = factor_tridiag(lower, diag, upper)
+        wrong = factors._replace(diag=1.5 * factors.diag)
+        b = rng.standard_normal((4, 2, 20))
+        b[0, 0] = b[1] = 0.0  # zero residual under any matrix
+        b[0, 1, 7] = np.nan
+        with np.errstate(invalid="ignore"):
+            x = np.stack([solve_tridiag(factors, solve.T).T for solve in b])
+            check_tridiag(wrong, x[:2], b[:2])
+            stacked = []
+            for first in (0, 1):  # with and without the NaN column
+                with pytest.raises(SingularSystemError) as err:
+                    check_tridiag(wrong, x[first:], b[first:])
+                stacked.append((str(err.value), err.value.row))
+        alone = []
+        for solve in (2, 3):
+            with pytest.raises(SingularSystemError) as err:
+                solve_tridiag(wrong, b[solve].T)
+            alone.append((str(err.value), err.value.row))
+        assert stacked == [alone[0]] * 2 and alone[0] != alone[1]
 
     def test_band_shape_mismatch(self):
         with pytest.raises(SizeError):

@@ -26,7 +26,7 @@ from rodsim.rod_model import (
 from rodsim.scenarios import default_config
 from rodsim.solution_family import random_family, sample_state
 
-from helpers import pure_step_matrices
+from helpers import pure_step_matrices, step_once
 
 
 def make_params(**overrides):
@@ -385,8 +385,9 @@ class TestDefaultCiliumOffManifold:
 
 
 class TestPackedCores:
-    """The packed cores ``_step_pure`` and ``_step_semi`` that ``simulate_rod``
-    steps with: pure functions of the packed state that never raise."""
+    """The packed block cores ``_steps_pure`` and ``_steps_semi`` that
+    ``simulate_rod`` steps with, here through blocks of one step: pure
+    functions of the packed state that never raise."""
 
     @staticmethod
     def setup(rods, semi, seed=0):
@@ -411,7 +412,8 @@ class TestPackedCores:
         x, y, c = packed[:, :4], packed[:, 4:], -2.7
 
         def step(batch, dt):
-            return integrators._step_pure(batch, params, bc, grid, force, zero, 0.3, dt)
+            return step_once(integrators._steps_pure, batch, params, bc, grid, force, zero,
+                             0.3, dt)
 
         # x, y and x + c y as the rods of one batch.
         out = step(np.concatenate((x, y, x + c * y), axis=1), 1e-3)
@@ -428,12 +430,13 @@ class TestPackedCores:
     @pytest.mark.parametrize("scheme", ["pure", "semi"])
     def test_a_blown_up_rod_leaves_the_others_bits(self, scheme, bad):
         semi = scheme == "semi"
-        core = integrators._step_semi if semi else integrators._step_pure
+        core = integrators._steps_semi if semi else integrators._steps_pure
         params, bc, grid, force, couple, packed = self.setup(3, semi)
         packed[:, 1, grid.node_count // 2] = bad
         with np.errstate(all="ignore"):
-            new = core(packed, params, bc, grid, force, couple, 0.1, 1e-3)
-        alone = core(packed[:, [0, 2]].copy(), params, bc, grid, force, couple, 0.1, 1e-3)
+            new = step_once(core, packed, params, bc, grid, force, couple, 0.1, 1e-3)
+        alone = step_once(core, packed[:, [0, 2]].copy(), params, bc, grid, force, couple,
+                          0.1, 1e-3)
         assert new[:, [0, 2]].tobytes() == alone.tobytes()
         assert not np.isfinite(new[:, 1]).all()
 

@@ -15,9 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rodsim import cli, scenarios
+from rodsim import cli, rod_model, scenarios
 from rodsim.cli import main
-from rodsim.errors import ConfigurationError, InputError, InstabilityError
+from rodsim.errors import ConfigurationError, InputError, InstabilityError, SingularSystemError
 from rodsim.rod_model import MaterialParams, reconstruct_centerline
 from rodsim.scenarios import (
     BoundaryConfig,
@@ -525,12 +525,23 @@ class TestRunCarpet:
 
 def carpet_losing_three():
     """A semi carpet whose drive phases 0, 0.3 and 0.6 lose rods 0, 1 and 2 at
-    steps 185, 182 and 179: with the default cap, the block from the frame at
-    step 175 to the next at 200 holds all three."""
+    steps 185, 182 and 179: with the default cap, blocks of 102 steps that
+    run across its frames, the block of steps 103 to 204 holds all three."""
     material = replace(default_config().material, nodes=21)
     return default_config(
         material=material, dt=3e-3, t_end=1.0, output=OutputConfig(stride=25),
         carpet=CarpetConfig(rods=3, spacing=0.5, phase_increment=0.3))
+
+
+def pure_carpet_losing_four():
+    """A pure carpet of four 21-node rods, drive phases 0 to 3, that loses rods
+    0 to 3 at steps 803, 611, 595 and 749 and keeps the 85 frames before step
+    595: with the default cap its blocks hold 76 steps, and its frames come
+    every 7."""
+    material = replace(default_config().material, nodes=21)
+    return default_config(
+        material=material, scheme="pure", dt=2e-3, t_end=40.0, output=OutputConfig(stride=7),
+        carpet=CarpetConfig(rods=4, spacing=0.5, phase_increment=1.0))
 
 
 class TestStepBlocks:
@@ -550,6 +561,7 @@ class TestStepBlocks:
                                             output=OutputConfig(stride=100)),
         "semi-cilium": lambda: small_config(dt=1e-3, t_end=0.2, output=OutputConfig(stride=70)),
         "semi-carpet-losing-three": carpet_losing_three,
+        "pure-carpet-losing-four": pure_carpet_losing_four,
         "diverging-pure": diverging_pure,
         "bound-before-divergence": diverging_pure,
         "stable-semi-probe": lambda: default_config(dt=1e-3, t_end=2.0,
@@ -587,7 +599,10 @@ class TestStepBlocks:
         steps = [int(re.match(r"step (\d+) ", where)[1]) for where in failed.values()]
         if case == "semi-carpet-losing-three":
             assert list(failed) == [0, 1, 2] and steps == [185, 182, 179]
-            assert 175 < min(steps) and max(steps) <= 200 <= 175 + self.DEFAULT // (3 * 21)
+            assert 102 < min(steps) and max(steps) <= 2 * (self.DEFAULT // (3 * 21))
+        elif case == "pure-carpet-losing-four":
+            assert list(failed) == [0, 1, 2, 3] and steps == [803, 611, 595, 749]
+            assert traj.times.size == 85 and traj.times[-1] == 588 * config.dt
         elif case == "diverging-pure":
             assert steps == [195] and failed[0].endswith(", non-finite)")
         elif case == "bound-before-divergence":
@@ -596,6 +611,20 @@ class TestStepBlocks:
             assert list(failed) == [0] and traj.times.size == 1
         else:
             assert stable
+
+    @pytest.mark.parametrize("scheme", ["pure", "semi"])
+    def test_a_wrong_factor_fails_the_residual_check(self, monkeypatch, scheme):
+        # Bands that do not match their LU factors fail the residual check at
+        # the first solve with a nonzero right-hand side, step 2 (the drive
+        # is zero at t = 0), as the check of each step on its own does.
+        operator = rod_model._contact_operator
+        monkeypatch.setattr(rod_model, "_contact_operator",
+                            lambda *key: operator(*key)._replace(diag=1.5 * operator(*key).diag))
+        config = small_config(scheme=scheme, carpet=CarpetConfig(rods=3, phase_increment=1.0))
+        with pytest.raises(SingularSystemError) as err:
+            simulate_rod(config)
+        assert str(err.value) == "residual 3.093e+02 above 1.901e-07 at row 1"
+        assert err.value.row == 1
 
 
 class TestBenchmark:
@@ -768,6 +797,29 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert all(name in err for name in named), err
         assert not out.exists()
+
+    @pytest.mark.parametrize("scheme", ["pure", "semi"])
+    def test_simulate_rejects_a_material_whose_elimination_overflows(self, tmp_path, capsys,
+                                                                     scheme):
+        # area 1e-300: the coefficients (4e302) are finite, but their products
+        # in the elimination are not. Bad input naming the material keys
+        # (exit 2) with no floating-point warning, not a singular pivot; with
+        # both ends free it stays a singular configuration.
+        doc = json.loads(small_config(scheme=scheme).to_json())
+        doc["material"]["area"] = 1e-300
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", str(path), "--out", str(tmp_path / "run.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the contact-force coefficients") and err.count("\n") == 1
+        assert all(f"material.{key}=" in err for key in ("rho", "area", "moment", "length",
+                                                         "nodes")), err
+        doc["boundary"] = {"base": "free", "tip": "free"}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigurationError, match="singular with both ends free"):
+            simulate_rod(ScenarioConfig.from_json(path.read_text()))
 
     @pytest.mark.parametrize("command", ["simulate", "verify-solution", "export"])
     def test_unwritable_out_is_bad_input(self, tmp_path, capsys, command):
