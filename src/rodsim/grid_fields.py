@@ -243,19 +243,20 @@ def solve_tridiag(factors: TridiagFactors, rhs) -> np.ndarray:
     if b.ndim != 2 or b.shape[0] != n:
         raise SizeError(f"rhs shape {b.shape} does not match {n} rows")
     x, _ = _gttrs(*factors.lu, b)
-    check_tridiag(factors, x.T, b.T)
+    check_tridiag(factors, x.T[None], b.T[None])
     return x
 
 
 def check_tridiag(factors: TridiagFactors, x, b) -> None:
     """Residual check of a stack of solves of A x = b, ``x`` and ``b`` shaped
-    (..., k, N): one solve per leading index, its k columns node-last.
+    (B, ..., N): one solve per leading index, its columns node-last.
 
     Raises ``SingularSystemError`` at the worst row of the first solve whose
     residual exceeds 1e-10 times the scale of A x and b, measured over that
     solve's columns. A column with a non-finite entry in x, b or its residual
     is left out, so a blown-up column does not hide the others.
     """
+    columns = tuple(range(1, x.ndim))  # the axes of one solve
     with np.errstate(over="ignore", invalid="ignore"):
         residual = np.multiply(factors.diag, x)
         residual -= b
@@ -263,23 +264,23 @@ def check_tridiag(factors: TridiagFactors, x, b) -> None:
         residual[..., 1:] += term
         np.multiply(factors.upper, x[..., 1:], out=term)
         residual[..., :-1] += term
-        np.abs(residual, out=residual)
-        worst = residual.max(axis=(-2, -1))
-        x_max, b_max = (np.abs(a).max(axis=(-2, -1)) for a in (x, b))
-        if not np.isfinite(worst).all():  # only when a column blew up
-            finite = (np.isfinite(residual).all(axis=-1) & np.isfinite(x).all(axis=-1)
-                      & np.isfinite(b).all(axis=-1))[..., None]
-            residual, x_abs, b_abs = (np.where(finite, np.abs(a), 0.0) for a in (residual, x, b))
-            worst, x_max, b_max = (a.max(axis=(-2, -1)) for a in (residual, x_abs, b_abs))
-    # A finite worst residual is never above an infinite bound.
-    bound = 1e-10 * (3.0 * factors.scale * x_max + b_max)
-    failing = np.flatnonzero(worst > np.maximum(bound, 1e-300))
-    if failing.size:
-        solve = np.unravel_index(failing[0], np.shape(worst))
-        row = int(residual[solve].max(axis=0).argmax())
-        raise SingularSystemError(
-            f"residual {worst[solve]:.3e} above {bound[solve]:.3e} at row {row}", row=row
-        )
+        parts = np.abs(residual, out=residual), np.abs(x), np.abs(b)
+        for blown_up in (False, True):
+            if blown_up:  # leave out the columns with a non-finite entry
+                finite = np.logical_and.reduce([np.isfinite(a).all(axis=-1) for a in parts])
+                parts = [np.where(finite[..., None], a, 0.0) for a in parts]
+            worst, x_max, b_max = (a.max(axis=columns) for a in parts)
+            # NaN compares false, so a blown-up column takes the second pass;
+            # a finite worst residual is never above an infinite bound.
+            bound = 1e-10 * (3.0 * factors.scale * x_max + b_max)
+            within = worst <= np.maximum(bound, 1e-300)
+            if within.all():
+                return
+    solve = within.argmin()  # the first failing solve
+    row = int(parts[0][solve].reshape(-1, x.shape[-1]).max(axis=0).argmax())
+    raise SingularSystemError(
+        f"residual {worst[solve]:.3e} above {bound[solve]:.3e} at row {row}", row=row
+    )
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing table raises

@@ -20,15 +20,17 @@ A step works on one packed array per state, (6, K, N) for a RodState and
 (4, K, N) for a ManifoldState (``rod_model._GridState._packed``): every
 component is a contiguous block. The cores ``_steps_pure`` and ``_steps_semi``
 fill a block of B steps, (B + 1, C, K, N), from its first state, taking the
-loads already evaluated as packed arrays, and fill a (2, B, 2, K, N) buffer
-with the contact forces and right-hand sides of its steps for one residual
-check (``rod_model._check_contact_forces``). The public functions pack, evaluate
-the loads, run the core that ``scenarios.simulate_rod`` steps with on a block
-of one step, check its solve, and unpack; both give the same bits, and
-``simulate_rod`` measures its frames on the packed array as ``drift_norms``
-does. A rod that blows up gets non-finite rows, which ``_nonfinite_rods``
-finds: ``simulate_rod`` once per block of steps, the public steps at each
-step, raising DivergenceError naming them.
+loads already evaluated as packed arrays. Each looks up the contact-force
+factors (``rod_model._contact_operator``) once, fills a (2, B, 2, K, N)
+buffer with its steps' contact forces and right-hand sides, and ends with one
+residual check of them all (``grid_fields.check_tridiag``), which raises
+SingularSystemError. The public functions pack, evaluate the loads, run the
+core that ``scenarios.simulate_rod`` steps with on a block of one step, and
+unpack; both give the same bits, and ``simulate_rod`` measures its frames on
+the packed array as ``drift_norms`` does. A rod that blows up gets non-finite
+rows, which the residual check leaves out and ``_nonfinite_rods`` finds:
+``simulate_rod`` once per block of steps, the public steps at each step,
+raising DivergenceError naming them.
 """
 
 from __future__ import annotations
@@ -39,15 +41,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, InputError, InstabilityError
-from .grid_fields import central_diff
+from .grid_fields import central_diff, check_tridiag
 from .rod_model import (
     BoundaryConditions,
     Loads,
     MaterialParams,
     RodState,
     _GridState,
-    _check_contact_forces,
     _contact_force,
+    _contact_operator,
     _drift_norms,
     _loads_at,
     adiag,
@@ -164,13 +166,14 @@ def _apply_clamps(field, bc: BoundaryConditions, t_next: float, signal: str):
 
 def _steps_pure(block, solves, params, bc, grid, f, couples, times, dt):
     """``step_pure_numeric`` on a block of packed raw states: fill block[1:]
-    from block[0], step i at times[i] under the couple couples[i], and fill
-    ``solves`` (2, B, 2, K, N) with the steps' contact forces and their
-    right-hand sides, unchecked.
+    from block[0], step i at times[i] under the couple couples[i], with
+    ``solves`` (2, B, 2, K, N) as the buffer of the steps' contact forces and
+    their right-hand sides, all residual-checked at the end.
 
     The linear velocity feeds nothing back, so it advances last, from one
     stencil pass over all the block's forces."""
     ds = grid.spacing
+    factors = _contact_operator(params, bc.base, bc.tip)
     forces, rhs = solves
     for i, l in enumerate(couples):
         raw, new = block[i], block[i + 1]
@@ -179,7 +182,7 @@ def _steps_pure(block, solves, params, bc, grid, f, couples, times, dt):
         derivatives = central_diff(np.concatenate((params.EI * raw[0:2], raw[2:4])).T, ds).T
         dm = derivatives[:2]
         np.add(raw[0:2], dt * derivatives[2:], out=new[0:2])
-        forces[i] = _contact_force(dm, f, l, params, bc, times[i], grid, rhs[i])[0]
+        forces[i] = _contact_force(dm, f, l, params, bc, times[i], ds, factors, rhs[i])[0]
         np.add(raw[2:4], dt * (dm + adiag(forces[i].T).T + l) / params.rho_I, out=new[2:4])
         _apply_clamps(new[2:4], bc, times[i] + dt, "ang_vel")
         _apply_free_moment(new[0:2], bc)
@@ -190,18 +193,20 @@ def _steps_pure(block, solves, params, bc, grid, f, couples, times, dt):
     for i, increment in enumerate(increments):
         np.add(block[i, 4:6], increment, out=block[i + 1, 4:6])
         _apply_clamps(block[i + 1, 4:6], bc, times[i] + dt, "lin_vel")
+    check_tridiag(factors, forces, rhs)
 
 
 def _steps_semi(block, solves, params, bc, grid, f, couples, times, dt):
     """``step_semi_analytic`` on a block of packed manifold states, as
     ``_steps_pure`` does; each step's linear velocity sets its angle."""
     ds = grid.spacing
+    factors = _contact_operator(params, bc.base, bc.tip)
     forces, rhs = solves
     for i, l in enumerate(couples):
         m, new = block[i], block[i + 1]
         raw = _lift(m)
         dm = central_diff((params.EI * raw[0:2]).T, ds).T
-        forces[i] = _contact_force(dm, f, l, params, bc, times[i], grid, rhs[i])[0]
+        forces[i] = _contact_force(dm, f, l, params, bc, times[i], ds, factors, rhs[i])[0]
         n = forces[i]
         velocities = np.empty((4,) + dm.shape[1:])
         np.add(raw[2:4], dt * (dm + adiag(n.T).T + l) / params.rho_I, out=velocities[:2])
@@ -229,21 +234,22 @@ def _steps_semi(block, solves, params, bc, grid, f, couples, times, dt):
 
         np.add(m[1], dt * central_diff(ang_mag.T, ds).T, out=new[1])
         _apply_free_moment(new[1], bc)
+    check_tridiag(factors, forces, rhs)
 
 
 def _step(steps, state, params, loads, bc, t, dt):
-    """Run the block core ``steps`` on a public state, as a block of one:
-    pack, evaluate the loads, step, check the contact-force solve, raise
-    DivergenceError naming the rods whose new rows are not all finite,
-    unpack."""
+    """Run the block core ``steps`` on a public state on the material's grid,
+    as a block of one: pack, evaluate the loads, step, raise DivergenceError
+    naming the rods whose new rows are not all finite, unpack."""
     if not dt > 0.0:
         raise InputError("dt must be positive")
     grid = state.grid
+    if grid != params.grid():  # the contact-force factors are on the material's grid
+        raise InputError(f"state grid {grid} differs from the material's {params.grid()}")
     f, l = (v.T for v in _loads_at(loads, t, grid))
     block = np.stack([state._packed()] * 2)  # the state, then the step's
     solves = np.empty((2, 1, 2) + block.shape[2:])
     steps(block, solves, params, bc, grid, f, l[None], np.array([t]), dt)
-    _check_contact_forces(*solves, params, bc, grid)
     bad = _nonfinite_rods(block[1])
     if bad.any():
         raise DivergenceError("a time step produced non-finite values",

@@ -8,9 +8,9 @@ from a linear boundary-value problem. Rods of one material on one grid can
 share a state with a rod axis between the node and component axes.
 
 A step packs a state into one array, components and rods first and nodes
-last (``_GridState._packed``); a packed block passes to the functions here,
-which take node-first arrays, as its transpose. ``_contact_force``,
-``_energy`` and ``_drift_norms`` take packed arrays themselves.
+last (``_GridState._packed``), which ``_contact_force``, ``_energy`` and
+``_drift_norms`` take. The step cores look up the contact-force factors
+(``_contact_operator``) once per block of steps and check the block's solves.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .grid_fields import (
     TridiagFactors,
     _gttrs,
     central_diff,
-    check_tridiag,
     factor_tridiag,
 )
 
@@ -38,7 +37,6 @@ __all__ = [
     "Loads",
     "BoundaryConditions",
     "adiag",
-    "contact_force",
     "energy",
     "reconstruct_centerline",
 ]
@@ -212,18 +210,19 @@ class BoundaryConditions:
 
 
 @lru_cache(maxsize=16)
-def _contact_operator(
-    params: MaterialParams, ds: float, nodes: int, base: str, tip: str
-) -> TridiagFactors:
-    """Factor the contact-force matrix, shared by both force components.
+def _contact_operator(params: MaterialParams, base: str, tip: str) -> TridiagFactors:
+    """Factor the contact-force matrix of ``_contact_force``, shared by both
+    force components, on the grid of ``params``.
 
-    The matrix depends only on the material, the grid and the end kinds, so
+    The matrix depends only on the material, its grid and the end kinds, so
     a run factors it once. Coefficients 1/(rho A ds**2) and 1/(rho I) that
     overflow, or whose products in the elimination do, are an InputError
     naming the material keys; that and a singular matrix raise every time the
     operator is requested (nothing is cached). With both ends free a failed
     factorization is a ConfigurationError.
     """
+    nodes = params.nodes
+    ds = params.length / (nodes - 1)
     try:
         a_off = 1.0 / (params.rho_A * ds**2)
         scale = max(a_off, 1.0 / params.rho_I)
@@ -281,15 +280,7 @@ def _loads_at(loads: Loads, t: float, grid: Grid1D):
     return shaped(loads.force), shaped(loads.couple)
 
 
-def contact_force(
-    dm: np.ndarray,
-    f: np.ndarray,
-    l: np.ndarray,
-    params: MaterialParams,
-    bc: BoundaryConditions,
-    t: float,
-    grid: Grid1D,
-) -> np.ndarray:
+def _contact_force(dm, f, l, params, bc, t, ds, factors, rhs=None):
     """Recover the internal contact force as a constraint reaction.
 
     Time-differentiating the velocity compatibility relation and substituting
@@ -298,27 +289,16 @@ def contact_force(
 
         (1/rho A) n'' + (1/rho I) n = (1/rho I) adiag(m' + l) - (1/rho A) f',
 
-    discretized with central differences. ``dm`` is m', the arclength
-    derivative of the bending couple; ``f`` and ``l`` are the distributed
-    force and couple at time t, shaped as ``_loads_at`` gives them. Both
-    components share one scalar tridiagonal matrix, factored once per
-    parameter set and solved with two right-hand-side columns per rod. Free
-    ends impose n = 0; clamped ends impose
-    n' = -f + rho A * (d/dt prescribed linear velocity). A non-finite
-    right-hand side (a blown-up state) gives a non-finite force.
+    discretized with central differences on nodes ``ds`` apart. ``dm`` is m',
+    the arclength derivative of the bending couple; ``f`` and ``l`` are the
+    distributed force and couple at time t; all three are packed, (2, ..., N).
+    Both components share one scalar tridiagonal matrix, whose ``factors``
+    (``_contact_operator``) the caller looks up. Free ends impose n = 0;
+    clamped ends impose n' = -f + rho A * (d/dt prescribed linear velocity).
+    Returns the force and its right-hand side, unchecked (a blown-up state
+    gives a non-finite force), written into ``rhs`` when given: a contiguous
+    ``rhs`` has contiguous transposed columns, which LAPACK takes as they are.
     """
-    n, rhs = _contact_force(dm.T, f.T, l.T, params, bc, t, grid)
-    _check_contact_forces(n[None], rhs[None], params, bc, grid)
-    return n.T
-
-
-def _contact_force(dm, f, l, params, bc, t, grid, rhs=None):
-    """``contact_force`` of packed m', f and l, (2, ..., N), without the
-    residual check: the force and its right-hand side, written into ``rhs``
-    when given. A contiguous ``rhs`` has contiguous transposed columns, which
-    LAPACK takes without a copy."""
-    ds = grid.spacing
-    factors = _contact_operator(params, ds, grid.node_count, bc.base, bc.tip)
     load = adiag((dm + l).T).T
     rhs = np.divide(load, params.rho_I, out=rhs)
     if f.any():  # skipped for the common zero force, whose derivative is +0.0
@@ -326,17 +306,8 @@ def _contact_force(dm, f, l, params, bc, t, grid, rhs=None):
     for end, kind, acc in ((0, bc.base, bc.base_lin_acc), (-1, bc.tip, bc.tip_lin_acc)):
         rhs[..., end].T[...] = (0.0 if kind == "free" else
                                 -f[..., end].T + params.rho_A * np.asarray(acc(t), float))
-    x, _ = _gttrs(*factors.lu, rhs.reshape(-1, grid.node_count).T)
+    x, _ = _gttrs(*factors.lu, rhs.reshape(-1, rhs.shape[-1]).T)
     return x.T.reshape(rhs.shape), rhs
-
-
-def _check_contact_forces(forces, rhs, params, bc, grid):
-    """``grid_fields.check_tridiag`` on a stack of B packed contact forces
-    and their right-hand sides, (B, 2, ..., N): one solve, and one bound,
-    per force."""
-    factors = _contact_operator(params, grid.spacing, grid.node_count, bc.base, bc.tip)
-    shape = (len(forces), -1, grid.node_count)
-    check_tridiag(factors, forces.reshape(shape), rhs.reshape(shape))
 
 
 def energy(state: _GridState, params: MaterialParams):

@@ -36,7 +36,6 @@ from .rod_model import (
     BoundaryConditions,
     Loads,
     MaterialParams,
-    _check_contact_forces,
     _drift_norms,
     _energy,
     reconstruct_centerline,
@@ -387,16 +386,17 @@ def simulate_rod(config: ScenarioConfig):
     steps that hold at most ``BLOCK`` rod-nodes (one step when one state
     exceeds it) and run across frames. A block's drive is built in one
     evaluation and every step runs to the block's end, a failing rod's too,
-    with floating-point warnings off. One residual check of all the block's
-    contact-force solves comes first and raises SingularSystemError. Then one
-    check finds each rod's first failing step: one ``_energy`` call on all
+    with floating-point warnings off. The block core's one residual check of
+    its contact-force solves comes first and raises SingularSystemError. Then
+    one check finds each rod's first failing step: one ``_energy`` call on all
     the steps against the bound, then their finite check. The frames before
     the block's first failure are read from its rows and measured on the
     packed array, a semi frame lifted once. The lost rods are dropped at the
     block's end, and the others go on from its last state. A scale the run derives
     from the config that overflows is an InputError naming its keys: the
-    energy bound before anything is allocated, the contact-force
-    coefficients at the first step (``rod_model._contact_operator``).
+    energy bound before anything is allocated, then the rod bases and the
+    drive phase up to t_end, the contact-force coefficients at the first
+    block (``rod_model._contact_operator``).
     """
     mat = config.material
     grid = mat.grid()
@@ -431,9 +431,19 @@ def simulate_rod(config: ScenarioConfig):
             f"carpet.rods={n_rods}, dt={config.dt}, t_end={config.t_end}, "
             f"output.stride={stride}): {err}") from err
     dt = config.t_end / n_steps
-    phases = config.drive.phase + rods * config.carpet.phase_increment
+    drive, carpet = config.drive, config.carpet
     bases = np.zeros((n_rods, 3))
-    bases[:, 0] = rods * config.carpet.spacing
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        phases = drive.phase + rods * carpet.phase_increment
+        bases[:, 0] = rods * carpet.spacing
+    if not np.isfinite(bases).all():
+        raise InputError(f"the rod bases overflow for carpet.spacing={carpet.spacing!r} "
+                         f"and carpet.rods={n_rods}")
+    if not math.isfinite(2.0 * math.pi * abs(drive.frequency) * config.t_end + abs(phases).max()):
+        raise InputError(f"the drive phase overflows for drive.frequency={drive.frequency!r}, "
+                         f"t_end={config.t_end!r}, drive.phase={drive.phase!r}, "
+                         f"carpet.phase_increment={carpet.phase_increment!r} and "
+                         f"carpet.rods={n_rods}")
     force = np.zeros((2, 1, grid.node_count))
 
     def capture(state, energies, k):  # the frame of step k, from a packed state
@@ -461,7 +471,6 @@ def simulate_rod(config: ScenarioConfig):
         with np.errstate(all="ignore"):  # a failing rod steps on to the block's end
             couples = _drive(config, phases[rods], grid.nodes, times)
             steps(block, solves[:, :end - done], mat, bc, grid, force, couples, times, dt)
-            _check_contact_forces(*solves[:, :end - done], mat, bc, grid)
             energies = _energy(block[1:], mat, ds)
         # A rod's first failing step: an energy above the bound, or a
         # non-finite row, which takes precedence at the same step.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rodsim import integrators, scenarios
-from rodsim.errors import DivergenceError, InputError, InstabilityError
+from rodsim.errors import DivergenceError, InputError, InstabilityError, SingularSystemError
 from rodsim.grid_fields import Grid1D, central_diff
 from rodsim.integrators import (
     ManifoldState,
@@ -387,7 +387,7 @@ class TestDefaultCiliumOffManifold:
 class TestPackedCores:
     """The packed block cores ``_steps_pure`` and ``_steps_semi`` that
     ``simulate_rod`` steps with, here through blocks of one step: pure
-    functions of the packed state that never raise."""
+    functions of the packed state that never raise for a blown-up rod."""
 
     @staticmethod
     def setup(rods, semi, seed=0):
@@ -476,6 +476,34 @@ class TestPackedCores:
         step = step_semi_analytic if scheme == "semi" else step_pure_numeric
         with pytest.raises(InputError, match=r"material\.rho=1e-320"):
             step(state, params, Loads(), BoundaryConditions(), 0.0, 1e-3)
+
+    @pytest.mark.parametrize("length, nodes", [(1.0, 21), (2.0, 41)])
+    @pytest.mark.parametrize("scheme", ["pure", "semi"])
+    def test_public_steps_reject_a_state_off_the_material_grid(self, scheme, length, nodes):
+        # The contact-force factors are on the material's grid (41 nodes on
+        # length 1), so a state on another grid is bad input.
+        state = (ManifoldState if scheme == "semi" else RodState).zero(Grid1D(length, nodes))
+        step = step_semi_analytic if scheme == "semi" else step_pure_numeric
+        with pytest.raises(InputError, match="differs from the material's"):
+            step(state, make_params(), Loads(), BoundaryConditions(), 0.0, 1e-3)
+
+    @pytest.mark.parametrize("scheme", ["pure", "semi"])
+    def test_public_steps_run_the_residual_check(self, monkeypatch, scheme):
+        # Bands that do not match their LU factors fail the residual check of
+        # the step's contact-force solve.
+        operator = integrators._contact_operator
+        monkeypatch.setattr(integrators, "_contact_operator",
+                            lambda *key: operator(*key)._replace(diag=1.5 * operator(*key).diag))
+        config = default_config()
+        params = config.material
+        grid = params.grid()
+        if scheme == "semi":
+            state, step = random_manifold(grid), step_semi_analytic
+        else:
+            fields = np.random.default_rng(0).uniform(-1.0, 1.0, (3, grid.node_count, 2))
+            state, step = RodState(grid, *fields), step_pure_numeric
+        with pytest.raises(SingularSystemError, match="^residual .* at row "):
+            step(state, params, Loads(), scenarios._boundary(config), 0.0, 1e-3)
 
 
 class TestPackedPathMatchesPublicPath:

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from rodsim import rod_model
+from rodsim import integrators, rod_model
 from rodsim.errors import ConfigurationError
-from rodsim.grid_fields import Grid1D, central_diff
+from rodsim.grid_fields import Grid1D, central_diff, check_tridiag
 from rodsim.integrators import ManifoldState
 from rodsim.rod_model import (
     BoundaryConditions,
@@ -13,7 +13,6 @@ from rodsim.rod_model import (
     MaterialParams,
     RodState,
     adiag,
-    contact_force,
     energy,
     reconstruct_centerline,
 )
@@ -108,6 +107,15 @@ def _dense_contact_oracle(dm, f, l, params, bc, t, grid):
                 dense[2 * idx + c, 2 * other + c] = sign / ds
                 b[2 * idx + c] = -fb[c] + params.rho_A * acc[c]
     return np.linalg.solve(dense, b).reshape(n, 2)
+
+
+def contact_force(dm, f, l, params, bc, t, grid):
+    """``rod_model._contact_force`` of node-first m', f and l, (N, ..., 2),
+    residual-checked as the step cores check it: the node-first force."""
+    factors = rod_model._contact_operator(params, bc.base, bc.tip)
+    n, rhs = rod_model._contact_force(dm.T, f.T, l.T, params, bc, t, grid.spacing, factors)
+    check_tridiag(factors, n[None], rhs[None])
+    return n.T
 
 
 class TestContactForce:
@@ -234,6 +242,17 @@ class TestContactForce:
             config = default_config(scheme=scheme, dt=1e-4, t_end=1e-2)
             assert simulate_rod(config)[1]
         assert len(calls) == 1
+
+    def test_simulate_rod_looks_up_the_operator_once_per_block(self, monkeypatch):
+        # 150 steps of the default cilium run in blocks of 64, 64 and 22.
+        calls = []
+        operator = integrators._contact_operator
+        monkeypatch.setattr(integrators, "_contact_operator",
+                            lambda *key: calls.append(key) or operator(*key))
+        for scheme in ("pure", "semi"):
+            calls.clear()
+            simulate_rod(default_config(scheme=scheme, dt=1e-3, t_end=0.15))
+            assert len(calls) == 3, scheme
 
     @pytest.mark.parametrize("scheme", ["pure", "semi"])
     def test_stepping_validates_only_the_start_state(self, monkeypatch, scheme):

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rodsim import cli, rod_model, scenarios
+from rodsim import cli, integrators, scenarios
 from rodsim.cli import main
 from rodsim.errors import ConfigurationError, InputError, InstabilityError, SingularSystemError
 from rodsim.rod_model import MaterialParams, reconstruct_centerline
@@ -617,8 +617,8 @@ class TestStepBlocks:
         # Bands that do not match their LU factors fail the residual check at
         # the first solve with a nonzero right-hand side, step 2 (the drive
         # is zero at t = 0), as the check of each step on its own does.
-        operator = rod_model._contact_operator
-        monkeypatch.setattr(rod_model, "_contact_operator",
+        operator = integrators._contact_operator
+        monkeypatch.setattr(integrators, "_contact_operator",
                             lambda *key: operator(*key)._replace(diag=1.5 * operator(*key).diag))
         config = small_config(scheme=scheme, carpet=CarpetConfig(rods=3, phase_increment=1.0))
         with pytest.raises(SingularSystemError) as err:
@@ -796,6 +796,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert all(name in err for name in named), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section, key, named",
+        [
+            ("carpet", "spacing", ["carpet.spacing", "carpet.rods"]),
+            ("carpet", "phase_increment", ["drive.frequency", "t_end", "drive.phase",
+                                           "carpet.phase_increment", "carpet.rods"]),
+            ("drive", "frequency", ["drive.frequency", "t_end", "drive.phase",
+                                    "carpet.phase_increment", "carpet.rods"]),
+        ],
+    )
+    def test_simulate_rejects_an_overflowing_carpet(self, tmp_path, capsys, section, key,
+                                                    named):
+        # 1e308 on three rods: rod 2's base 2 * spacing, rod 2's phase or the
+        # drive's 2*pi*frequency*t overflows. Bad input naming its keys (exit
+        # 2) with no floating-point warning, not an infinite base in the
+        # output nor a non-finite step.
+        doc = json.loads(small_config(scheme="pure", carpet=CarpetConfig(rods=3)).to_json())
+        doc[section][key] = 1e308
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "run.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert all(f"{name}=" in err for name in named), err
         assert not out.exists()
 
     @pytest.mark.parametrize("scheme", ["pure", "semi"])
