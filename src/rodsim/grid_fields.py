@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import find_spec, module_from_spec
 from pathlib import Path
@@ -103,6 +103,41 @@ class Grid1D:
         return nodes
 
 
+@lru_cache(maxsize=64)
+def _end_pairs(shape: tuple, strides: tuple):
+    """For lines (M, N) with these strides: the flat node step, the flat
+    positions of each line's node pairs (0, N-1), (1, N-2), (2, N-3),
+    pair-major, and the end rows' weights on them, each sign on its operand."""
+    (lines, n), (line_step, step) = shape, (s // 8 for s in strides)
+    pairs = np.array([[[0, n - 1]], [[1, n - 2]], [[2, n - 3]]]) * step
+    index = (pairs + line_step * np.arange(lines)[:, None]).ravel()
+    weights = np.repeat([[[-3.0, 3.0]], [[4.0, -4.0]], [[-1.0, 1.0]]], lines, axis=1).ravel()
+    index.flags.writeable = weights.flags.writeable = False
+    return step, index, weights
+
+
+def _diff_last(x: np.ndarray, spacing: float, out: np.ndarray) -> np.ndarray:
+    """``central_diff`` of float ``x`` (..., N) along its last axis into
+    ``out``, both C-contiguous or both 2-D transposes of C-contiguous arrays.
+    One slice of the flat buffers holds every interior difference (entries
+    straddling two lines are end nodes, set after it); the end rows
+    -3 f0 + 4 f1 - f2 and 3 f[-1] - 4 f[-2] + f[-3] (x - y is x + (-y) to
+    the bit) take one pass over all end-node pairs; one division scales all."""
+    n = x.shape[-1]
+    lines = x.reshape(-1, n)
+    step, index, weights = _end_pairs(lines.shape, lines.strides)
+    flat, out_flat = lines.ravel("K"), out.reshape(-1, n).ravel("K")
+    np.subtract(flat[2 * step:], flat[:-2 * step], out=out_flat[step:-step])
+    pairs = flat.take(index)
+    pairs *= weights
+    third = len(index) // 3
+    ends = np.add(pairs[:third], pairs[third:2 * third])
+    ends += pairs[2 * third:]
+    out_flat.put(index[:third], ends)
+    out_flat /= 2.0 * spacing
+    return out
+
+
 def central_diff(values: np.ndarray, spacing: float, order: int = 1) -> np.ndarray:
     """Second-order finite differences along axis 0.
 
@@ -117,18 +152,11 @@ def central_diff(values: np.ndarray, spacing: float, order: int = 1) -> np.ndarr
         raise SizeError(f"need at least 3 nodes to differentiate, got {n}")
     h = spacing
     if order == 1:
-        # Lines of nodes in f's memory order, node i + 1 ``step`` entries after
-        # node i: one slice of the flat buffer holds every interior stencil
-        # (entries straddling two node-last lines are end nodes, set below).
+        # Lines of nodes in f's memory order, differenced node-last.
         lines = f.reshape(n, -1, order="A") if f.ndim > 1 else f
         lines = lines if lines.flags.forc else np.ascontiguousarray(lines)
         out = np.empty_like(lines)
-        step = lines.strides[0] // lines.itemsize
-        inner = out.ravel("K")[step:-step]
-        np.subtract(lines.ravel("K")[2 * step:], lines.ravel("K")[:-2 * step], out=inner)
-        inner /= 2.0 * h
-        out[0] = (-3.0 * lines[0] + 4.0 * lines[1] - lines[2]) / (2.0 * h)
-        out[-1] = (3.0 * lines[-1] - 4.0 * lines[-2] + lines[-3]) / (2.0 * h)
+        _diff_last(lines.T, h, out.T)
         return out.reshape(f.shape, order="A")
     out = np.empty_like(f)
     if order == 2:

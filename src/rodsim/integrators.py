@@ -17,20 +17,18 @@ projection threshold, the energy and the drift norms are then taken rod by
 rod, and a rod that blows up leaves the others' bits as they would be alone.
 
 A step works on one packed array per state, (6, K, N) for a RodState and
-(4, K, N) for a ManifoldState (``rod_model._GridState._packed``): every
-component is a contiguous block. The cores ``_steps_pure`` and ``_steps_semi``
-fill a block of B steps, (B + 1, C, K, N), from its first state, taking the
-loads already evaluated as packed arrays. Each looks up the contact-force
-factors (``rod_model._contact_operator``) once, fills a (2, B, 2, K, N)
-buffer with its steps' contact forces and right-hand sides, and ends with one
-residual check of them all (``grid_fields.check_tridiag``), which raises
-SingularSystemError. The public functions pack, evaluate the loads, run the
-core that ``scenarios.simulate_rod`` steps with on a block of one step, and
-unpack; both give the same bits, and ``simulate_rod`` measures its frames on
-the packed array as ``drift_norms`` does. A rod that blows up gets non-finite
-rows, which the residual check leaves out and ``_nonfinite_rods`` finds:
-``simulate_rod`` once per block of steps, the public steps at each step,
-raising DivergenceError naming them.
+(4, K, N) for a ManifoldState (``rod_model._GridState._packed``). The cores
+``_steps_pure`` and ``_steps_semi`` fill a block of B steps, (B + 1, C, K, N),
+from its first state, on one ``_Workspace`` made per block: the clamp and
+contact-force end-row tables of all its steps, and the stages' buffers. The
+semi step runs four named stages: momentum update (contact force and
+clamps), projection, angle integration and curvature advance. A core ends
+with one residual check of its block's contact-force solves
+(``grid_fields.check_tridiag``), which raises SingularSystemError. The
+public functions run a core on a block of one step, with the same bits as
+``scenarios.simulate_rod``. A rod that blows up gets non-finite rows, which
+the residual check leaves out and ``_nonfinite_rods`` finds: the public
+steps raise DivergenceError naming them.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, InputError, InstabilityError
-from .grid_fields import central_diff, check_tridiag
+from .grid_fields import _diff_last, central_diff, check_tridiag
 from .rod_model import (
     BoundaryConditions,
     Loads,
@@ -52,7 +50,6 @@ from .rod_model import (
     _contact_operator,
     _drift_norms,
     _loads_at,
-    adiag,
 )
 
 __all__ = [
@@ -76,17 +73,20 @@ class ManifoldState(_GridState):
     vel_mag: np.ndarray
 
 
-def _direction(angle: np.ndarray) -> np.ndarray:
-    """The unit vectors (cos, sin) of the angles, component first."""
-    e = np.empty((2,) + np.shape(angle))
+def _direction(angle: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    """The unit vectors (cos, sin) of the angles, component first, into ``out``."""
+    e = np.empty((2,) + np.shape(angle)) if out is None else out
     np.cos(angle, out=e[0])
     np.sin(angle, out=e[1])
     return e
 
 
-def _lift(m: np.ndarray) -> np.ndarray:
-    """The packed raw state of a packed manifold state."""
-    return (m[1:, None] * _direction(m[0])).reshape((6,) + m.shape[1:])
+def _lift(m: np.ndarray, out: np.ndarray = None, direction: np.ndarray = None) -> np.ndarray:
+    """The packed raw state (6, K, N) of a packed manifold state, into a
+    contiguous ``out``, with its unit vectors into ``direction``."""
+    out = np.empty((6,) + m.shape[1:]) if out is None else out
+    np.multiply(m[1:, None], _direction(m[0], direction), out=out.reshape((3, 2) + m.shape[1:]))
+    return out
 
 
 def lift(m: ManifoldState) -> RodState:
@@ -94,15 +94,17 @@ def lift(m: ManifoldState) -> RodState:
     return RodState._from_packed(m.grid, _lift(m._packed()), m._batched)
 
 
-def _project(fields: np.ndarray, prev_angle: np.ndarray, eps) -> np.ndarray:
-    """The angle and one magnitude per field, (1 + F, K, N), of a stack of F
-    packed 2-vector fields (2F, K, N) whose last pair is the linear velocity;
-    ``prev_angle`` and ``eps`` broadcast against (K, N)."""
+def _project(fields: np.ndarray, prev_angle: np.ndarray, eps, out: np.ndarray = None,
+             direction: np.ndarray = None) -> np.ndarray:
+    """The angle and one magnitude per field, (1 + F, K, N), into ``out``, of
+    a stack of F packed 2-vector fields (2F, K, N) whose last pair is the
+    linear velocity; ``prev_angle`` and ``eps`` broadcast against (K, N), and
+    ``direction`` takes the unit vectors."""
     v0, v1 = fields[-2], fields[-1]
-    m = np.empty((1 + len(fields) // 2,) + v0.shape)
+    m = np.empty((1 + len(fields) // 2,) + v0.shape) if out is None else out
     m[0] = np.where(np.hypot(v0, v1) > eps, np.arctan2(v1, v0), prev_angle)
-    np.einsum("fjkn,jkn->fkn", fields.reshape((-1, 2) + v0.shape), _direction(m[0]),
-              out=m[1:])
+    np.einsum("fjkn,jkn->fkn", fields.reshape((-1, 2) + v0.shape),
+              _direction(m[0], direction), out=m[1:])
     return m
 
 
@@ -144,97 +146,171 @@ def _nonfinite_rods(packed: np.ndarray) -> np.ndarray:
     return ~np.isfinite(packed).all(axis=(-3, -1))
 
 
-def _apply_free_moment(curvature, bc: BoundaryConditions):
-    """Zero the curvature at free ends (a free end carries no bending moment).
-
-    Without this condition the boundary energy flux m·ω through a free end is
-    uncontrolled and feeds a spurious instability localized at the end node.
-    """
-    if bc.base == "free":
-        curvature[..., 0] = 0.0
-    if bc.tip == "free":
-        curvature[..., -1] = 0.0
+def _end_nodes(bc: BoundaryConditions, kind: str, n: int):
+    """The node slice of the ends of a kind: node 0, node N-1, both or None."""
+    base, tip = bc.base == kind, bc.tip == kind
+    return slice(0 if base else n - 1, n if tip else 1, n - 1) if base or tip else None
 
 
-def _apply_clamps(field, bc: BoundaryConditions, t_next: float, signal: str):
-    """Impose the clamped ends' ``signal``, "ang_vel" or "lin_vel", on a
-    packed (2, K, N) velocity, through each end's (K, 2) transpose."""
-    for end, kind, name in ((0, bc.base, "base_"), (-1, bc.tip, "tip_")):
-        if kind == "clamped":
-            field[..., end].T[...] = np.asarray(getattr(bc, name + signal)(t_next), float)
+def _signals(bc: BoundaryConditions, name: str, ends, times, rods: int) -> np.ndarray:
+    """The boundary signal ``name`` ("lin_vel", "ang_vel" or "lin_acc") of
+    each end in ``ends`` at ``times`` (B,), (B, 2, rods, len(ends)). A value
+    that does not broadcast to the end's (rods, 2) is an InputError."""
+    table = np.empty((len(times), 2, rods, len(ends)))
+    for e, end in enumerate(ends):
+        signal = getattr(bc, f"{end}_{name}")
+        for value, t in zip(table[..., e].transpose(0, 2, 1), times):  # each (rods, 2)
+            try:
+                value[...] = signal(t)
+            except (TypeError, ValueError) as err:
+                raise InputError(f"boundary signal {end}_{name} at t={t:.6g} is not a "
+                                 f"2-vector for each of {rods} rod(s): {err}") from None
+    return table
+
+
+class _Workspace:
+    """A block of B steps of K rods: its tables and its stages' (…, K, N)
+    buffers. ``clamps`` (B, 4, K, E) holds the angular then linear velocity of
+    the ``clamped`` ends at each step's end, ``ends`` (B, 2, K, 2) the
+    contact-force end rows at each step's time, ``df`` f' / rho A or None."""
+
+    def __init__(self, params, bc, grid, f, times, dt, rods):
+        n, self.ds = grid.node_count, grid.spacing
+        self.params, self.f, self.dt = params, f, dt
+        self.factors = _contact_operator(params, bc.base, bc.tip)
+        # A free end carries no bending moment (zero curvature): else the energy
+        # flux m·ω through it feeds a spurious instability at the end node.
+        self.clamped, self.free = _end_nodes(bc, "clamped", n), _end_nodes(bc, "free", n)
+        clamped = [end for end in ("base", "tip") if getattr(bc, end) == "clamped"]
+        self.clamps = np.concatenate([_signals(bc, name, clamped, times + dt, rods)
+                                      for name in ("ang_vel", "lin_vel")], axis=1)
+        self.ends = np.zeros((len(times), 2, rods, 2))  # n = 0 at a free end
+        for e, end in enumerate(("base", "tip")):
+            if end in clamped:  # n' = -f + rho A * lin_acc, node 0 or -1
+                acc = _signals(bc, "lin_acc", (end,), times, rods)[..., 0]
+                self.ends[..., e] = -f[..., -e] + params.rho_A * acc
+        self.df = None
+        if f.any():  # a zero force's derivative is +0.0, and x - 0.0 is x
+            self.df = central_diff(f.T, self.ds).T / params.rho_A
+        # The pure core stacks its stencil input in ``velocities``.
+        self.lifted, self.derivatives, self.velocities, self.direction, self.torque = (
+            np.empty((c, rods, n)) for c in (6, 4, 4, 2, 2))
+        self.slope, self.increments = np.empty((rods, n)), np.empty((rods, n - 1))
+
+
+def _angular_velocity(w, ang_vel, dm, n, l, out):
+    """ang_vel + dt (m' + adiag(n) + l) / rho I into ``out``, with
+    adiag(n) = (n1, -n0) (x + (-y) is x - y to the bit)."""
+    torque = w.torque
+    np.add(dm[0], n[1], out=torque[0])
+    np.subtract(dm[1], n[0], out=torque[1])
+    torque += l
+    torque *= w.dt
+    torque /= w.params.rho_I
+    np.add(ang_vel, torque, out=out)
+
+
+def _velocity_increment(w, dn):
+    """dt (n' + f) / rho A in place of n' (``dn``) of one or more steps."""
+    dn += w.f
+    dn *= w.dt
+    dn /= w.params.rho_A
+    return dn
+
+
+def _momentum(w, raw, l, i, n, rhs):
+    """Stage 1 of step i: from the lifted state ``raw`` and the couple ``l``,
+    the contact force into ``n`` (right-hand side into ``rhs``), the
+    forward-Euler velocities into w.velocities, and the clamps."""
+    dm, dn = w.derivatives[:2], w.derivatives[2:]
+    _diff_last(np.multiply(w.params.EI, raw[0:2], out=w.torque), w.ds, dm)
+    _contact_force(dm, l, w.df, w.ends[i], w.params, w.factors, n, rhs)
+    _angular_velocity(w, raw[2:4], dm, n, l, w.velocities[:2])
+    np.add(raw[4:6], _velocity_increment(w, _diff_last(n, w.ds, dn)), out=w.velocities[2:])
+    if w.clamped:
+        w.velocities[..., w.clamped] = w.clamps[i]
+
+
+def _projection(w, m, new):
+    """Stage 2: the velocities' magnitudes into new[2:4], along the linear
+    velocity where its magnitude exceeds w.eps, 1e-8 of the rod's largest
+    component, and along m's angle elsewhere; new[1] holds that angle."""
+    w.eps = np.maximum(1e-8 * np.abs(w.velocities[2:]).max(axis=(0, 2)), 1e-300)[:, None]
+    _project(w.velocities, m[0], w.eps, new[1:], w.direction)
+
+
+def _angle_integration(w, m, new):
+    """Stage 3: the angle into new[0], the slope -ang_mag / vel_mag integrated
+    from the base node, which turns by dt ang_mag; every interval next to a
+    node in the projection's dead zone keeps m's increment."""
+    ang_mag, vel_mag = new[2], new[3]
+    ok = np.abs(vel_mag) > w.eps
+    incr = w.increments
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = np.negative(ang_mag, out=w.slope)
+        slope /= vel_mag
+        np.add(slope[:, 1:], slope[:, :-1], out=incr)
+        incr *= 0.5 * w.ds
+    np.subtract(m[0, :, 1:], m[0, :, :-1], out=incr, where=~(ok[:, 1:] & ok[:, :-1]))
+    angle = new[0]
+    angle[:, 0] = 0.0
+    np.cumsum(incr, axis=1, out=angle[:, 1:])
+    angle += m[0, :, :1] + w.dt * ang_mag[:, :1]
+
+
+def _curvature_advance(w, m, new):
+    """Stage 4: m's curvature magnitude + dt d(ang_mag)/ds into new[1], zero
+    at free ends."""
+    advance = _diff_last(new[2], w.ds, w.slope)
+    advance *= w.dt
+    np.add(m[1], advance, out=new[1])
+    if w.free:
+        new[1][..., w.free] = 0.0
 
 
 def _steps_pure(block, solves, params, bc, grid, f, couples, times, dt):
     """``step_pure_numeric`` on a block of packed raw states: fill block[1:]
     from block[0], step i at times[i] under the couple couples[i], with
     ``solves`` (2, B, 2, K, N) as the buffer of the steps' contact forces and
-    their right-hand sides, all residual-checked at the end.
-
-    The linear velocity feeds nothing back, so it advances last, from one
-    stencil pass over all the block's forces."""
-    ds = grid.spacing
-    factors = _contact_operator(params, bc.base, bc.tip)
+    their right-hand sides, all residual-checked at the end. The linear
+    velocity feeds nothing back: it advances last, from one stencil pass."""
+    w = _Workspace(params, bc, grid, f, times, dt, block.shape[2])
     forces, rhs = solves
+    stack, derivatives = w.velocities, w.derivatives
     for i, l in enumerate(couples):
         raw, new = block[i], block[i + 1]
-        # One stencil call differentiates the bending couple and the angular
-        # velocity, stacked along the component axis.
-        derivatives = central_diff(np.concatenate((params.EI * raw[0:2], raw[2:4])).T, ds).T
-        dm = derivatives[:2]
-        np.add(raw[0:2], dt * derivatives[2:], out=new[0:2])
-        forces[i] = _contact_force(dm, f, l, params, bc, times[i], ds, factors, rhs[i])[0]
-        np.add(raw[2:4], dt * (dm + adiag(forces[i].T).T + l) / params.rho_I, out=new[2:4])
-        _apply_clamps(new[2:4], bc, times[i] + dt, "ang_vel")
-        _apply_free_moment(new[0:2], bc)
-    increments = central_diff(forces.T, ds).T
-    increments += f
-    increments *= dt
-    increments /= params.rho_A
+        # One stencil pass over the bending couple and the angular velocity.
+        np.multiply(params.EI, raw[0:2], out=stack[:2])
+        stack[2:] = raw[2:4]
+        _diff_last(stack, w.ds, derivatives)
+        derivatives[2:] *= dt
+        np.add(raw[0:2], derivatives[2:], out=new[0:2])
+        _contact_force(derivatives[:2], l, w.df, w.ends[i], params, w.factors, forces[i], rhs[i])
+        _angular_velocity(w, raw[2:4], derivatives[:2], forces[i], l, new[2:4])
+        if w.clamped:
+            new[2:4][..., w.clamped] = w.clamps[i, :2]
+        if w.free:
+            new[0:2][..., w.free] = 0.0
+    increments = _velocity_increment(w, _diff_last(forces, w.ds, np.empty_like(forces)))
     for i, increment in enumerate(increments):
         np.add(block[i, 4:6], increment, out=block[i + 1, 4:6])
-        _apply_clamps(block[i + 1, 4:6], bc, times[i] + dt, "lin_vel")
-    check_tridiag(factors, forces, rhs)
+    if w.clamped:
+        block[1:, 4:6][..., w.clamped] = w.clamps[:, 2:]
+    check_tridiag(w.factors, forces, rhs)
 
 
 def _steps_semi(block, solves, params, bc, grid, f, couples, times, dt):
     """``step_semi_analytic`` on a block of packed manifold states, as
-    ``_steps_pure`` does; each step's linear velocity sets its angle."""
-    ds = grid.spacing
-    factors = _contact_operator(params, bc.base, bc.tip)
+    ``_steps_pure`` does: each step lifts its state and runs the four stages."""
+    w = _Workspace(params, bc, grid, f, times, dt, block.shape[2])
     forces, rhs = solves
     for i, l in enumerate(couples):
         m, new = block[i], block[i + 1]
-        raw = _lift(m)
-        dm = central_diff((params.EI * raw[0:2]).T, ds).T
-        forces[i] = _contact_force(dm, f, l, params, bc, times[i], ds, factors, rhs[i])[0]
-        n = forces[i]
-        velocities = np.empty((4,) + dm.shape[1:])
-        np.add(raw[2:4], dt * (dm + adiag(n.T).T + l) / params.rho_I, out=velocities[:2])
-        np.add(raw[4:6], dt * (central_diff(n.T, ds).T + f) / params.rho_A,
-               out=velocities[2:])
-        _apply_clamps(velocities[:2], bc, times[i] + dt, "ang_vel")
-        _apply_clamps(velocities[2:], bc, times[i] + dt, "lin_vel")
-        eps = np.maximum(1e-8 * np.abs(velocities[2:]).max(axis=(0, 2)), 1e-300)[:, None]
-        # new holds the angle, the curvature, then the projected magnitudes.
-        new[2:] = _project(velocities, m[0], eps)[1:]
-        ang_mag, vel_mag = new[2], new[3]
-
-        # Angle reconstruction: integrate the angle slope from the base node,
-        # carrying the previous local increment across every interval next to
-        # a near-zero-velocity node.
-        ok = np.abs(vel_mag) > eps
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = -ang_mag / vel_mag
-            incr = 0.5 * ds * (slope[:, 1:] + slope[:, :-1])
-        incr = np.where(ok[:, 1:] & ok[:, :-1], incr, m[0, :, 1:] - m[0, :, :-1])
-        angle = new[0]
-        angle[:, 0] = 0.0
-        np.cumsum(incr, axis=1, out=angle[:, 1:])
-        angle += m[0, :, :1] + dt * ang_mag[:, :1]  # the base node's angle
-
-        np.add(m[1], dt * central_diff(ang_mag.T, ds).T, out=new[1])
-        _apply_free_moment(new[1], bc)
-    check_tridiag(factors, forces, rhs)
+        _momentum(w, _lift(m, w.lifted, w.direction), l, i, forces[i], rhs[i])
+        _projection(w, m, new)
+        _angle_integration(w, m, new)
+        _curvature_advance(w, m, new)
+    check_tridiag(w.factors, forces, rhs)
 
 
 def _step(steps, state, params, loads, bc, t, dt):

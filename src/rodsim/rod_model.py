@@ -280,7 +280,7 @@ def _loads_at(loads: Loads, t: float, grid: Grid1D):
     return shaped(loads.force), shaped(loads.couple)
 
 
-def _contact_force(dm, f, l, params, bc, t, ds, factors, rhs=None):
+def _contact_force(dm, l, df, ends, params, factors, n, rhs):
     """Recover the internal contact force as a constraint reaction.
 
     Time-differentiating the velocity compatibility relation and substituting
@@ -289,25 +289,26 @@ def _contact_force(dm, f, l, params, bc, t, ds, factors, rhs=None):
 
         (1/rho A) n'' + (1/rho I) n = (1/rho I) adiag(m' + l) - (1/rho A) f',
 
-    discretized with central differences on nodes ``ds`` apart. ``dm`` is m',
-    the arclength derivative of the bending couple; ``f`` and ``l`` are the
-    distributed force and couple at time t; all three are packed, (2, ..., N).
+    discretized with central differences. ``dm`` is m', the arclength
+    derivative of the bending couple, and ``l`` the distributed couple, both
+    packed, (2, ..., N); ``df`` is f' / rho A, or None for a zero force.
     Both components share one scalar tridiagonal matrix, whose ``factors``
     (``_contact_operator``) the caller looks up. Free ends impose n = 0;
-    clamped ends impose n' = -f + rho A * (d/dt prescribed linear velocity).
-    Returns the force and its right-hand side, unchecked (a blown-up state
-    gives a non-finite force), written into ``rhs`` when given: a contiguous
-    ``rhs`` has contiguous transposed columns, which LAPACK takes as they are.
+    clamped ends impose n' = -f + rho A * (d/dt prescribed linear velocity):
+    the end rows ``ends`` (2, K, 2), base then tip last. Writes the
+    right-hand side into ``rhs`` and the force, unchecked (a blown-up state
+    gives a non-finite force), into ``n``, both contiguous (2, K, N): LAPACK
+    solves in place in n's transposed columns.
     """
-    load = adiag((dm + l).T).T
-    rhs = np.divide(load, params.rho_I, out=rhs)
-    if f.any():  # skipped for the common zero force, whose derivative is +0.0
-        rhs -= central_diff(f.T, ds).T / params.rho_A
-    for end, kind, acc in ((0, bc.base, bc.base_lin_acc), (-1, bc.tip, bc.tip_lin_acc)):
-        rhs[..., end].T[...] = (0.0 if kind == "free" else
-                                -f[..., end].T + params.rho_A * np.asarray(acc(t), float))
-    x, _ = _gttrs(*factors.lu, rhs.reshape(-1, rhs.shape[-1]).T)
-    return x.T.reshape(rhs.shape), rhs
+    # adiag(v) = (v1, -v0), the sign moved to the divisor: (-v0) / c is v0 / (-c).
+    np.add(dm[::-1], l[::-1], out=rhs)
+    np.divide(rhs[0], params.rho_I, out=rhs[0])
+    np.divide(rhs[1], -params.rho_I, out=rhs[1])
+    if df is not None:
+        rhs -= df
+    rhs[..., ::rhs.shape[-1] - 1] = ends
+    n[...] = rhs
+    _gttrs(*factors.lu, n.reshape(-1, n.shape[-1]).T, overwrite_b=1)
 
 
 def energy(state: _GridState, params: MaterialParams):

@@ -32,15 +32,22 @@ def random_trace(rng: np.random.Generator) -> CauchyTrace:
     )
 
 
-def step_once(steps, packed, params, bc, grid, f, l, t, dt):
-    """One step of the block core ``steps`` (``integrators._steps_pure`` or
-    ``_steps_semi``) from a packed state, as a block of one, under the force
-    ``f`` and the couple ``l``: the next packed state."""
-    block = np.empty((2,) + packed.shape)
+def step_block(steps, packed, params, bc, grid, f, couples, times, dt):
+    """A block of steps of the block core ``steps`` (``integrators._steps_pure``
+    or ``_steps_semi``) from a packed state, under the force ``f`` and step
+    i's couple couples[i] at times[i]: the block of states (B + 1, C, K, N)
+    and the steps' contact forces and right-hand sides (2, B, 2, K, N)."""
+    block = np.empty((len(times) + 1,) + packed.shape)
     block[0] = packed
-    steps(block, np.empty((2, 1, 2) + packed.shape[1:]), params, bc, grid, f, l[None],
-          np.array([t]), dt)
-    return block[1]
+    solves = np.empty((2, len(times), 2) + packed.shape[1:])
+    steps(block, solves, params, bc, grid, f, couples, times, dt)
+    return block, solves
+
+
+def step_once(steps, packed, params, bc, grid, f, l, t, dt):
+    """One step of the block core ``steps`` from a packed state, as a block of
+    one, under the force ``f`` and the couple ``l``: the next packed state."""
+    return step_block(steps, packed, params, bc, grid, f, l[None], np.array([t]), dt)[0][1]
 
 
 def pure_step_matrices(config):

@@ -102,14 +102,33 @@ class TestCentralDiff:
         with pytest.raises(SizeError):
             central_diff(np.array([1.0, 2.0]), 0.1)
 
-    @pytest.mark.parametrize("order", [1, 2])
-    @pytest.mark.parametrize("shape", [(3,), (4,), (3, 2), (4, 2), (3, 5, 2), (4, 5, 2)])
-    def test_bits_match_plain_stencils(self, order, shape):
-        # Signed zeros included: the bytes, not only the values, must agree.
-        rng = np.random.default_rng(len(shape) + 10 * shape[0])
+    @staticmethod
+    def signed_zeros(shape, seed):
+        """Random values with a fifth each of +0.0 and -0.0."""
+        rng = np.random.default_rng(seed)
         f = rng.standard_normal(shape)
         f[rng.random(shape) < 0.2] = 0.0
         f[rng.random(shape) < 0.2] = -0.0
+        return f
+
+    # N = 5, 6 and 7 are where the end-node pairs (1, N-2) and (2, N-3)
+    # meet, cross or touch the interior.
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("shape", [(3,), (4,), (3, 2), (4, 2), (3, 5, 2), (4, 5, 2),
+                                       (5,), (6,), (7,), (5, 2), (6, 2), (7, 2),
+                                       (5, 5, 2), (6, 5, 2), (7, 5, 2)])
+    def test_bits_match_plain_stencils(self, order, shape):
+        # Signed zeros included: the bytes, not only the values, must agree.
+        f = self.signed_zeros(shape, len(shape) + 10 * shape[0])
+        got = central_diff(f, 0.1, order)
+        want = plain_central_diff(f, 0.1, order)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("nodes", [3, 4, 5, 6, 7, 101])
+    def test_node_last_bits_match_plain_stencils(self, order, nodes):
+        # A packed (2, K, N) field passed as its transpose, nodes contiguous.
+        f = self.signed_zeros((2, 3, nodes), nodes).T
         got = central_diff(f, 0.1, order)
         want = plain_central_diff(f, 0.1, order)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -26,7 +26,7 @@ from rodsim.rod_model import (
 from rodsim.scenarios import default_config
 from rodsim.solution_family import random_family, sample_state
 
-from helpers import pure_step_matrices, step_once
+from helpers import pure_step_matrices, step_block, step_once
 
 
 def make_params(**overrides):
@@ -305,6 +305,60 @@ class TestSemiStep:
         predicted[[0, -1]] = 0.0  # free ends are moment-free
         np.testing.assert_allclose(new.curv_mag, predicted, atol=1e-6)
 
+    @staticmethod
+    def dead_zone_step(scales, bc, base_speed=None):
+        """One semi step of K straight rods, rod k at velocity scale
+        scales[k], and the angle increments the step must give.
+
+        With no curvature and no load the contact force is zero, so the step
+        keeps every velocity but the clamped ones (a clamped base moves at
+        base_speed times the rod's scale), and the projection threshold eps
+        alone sets the dead zone: 1e-8 of the rod's largest linear-velocity
+        component after the clamps. Node 9 moves at 3 eps and node 14 at
+        0.3 eps. The angular velocity peaks 50 times above the linear one,
+        so a threshold taken from it would put node 9 in the dead zone too.
+        """
+        params = make_params(nodes=21)
+        grid = params.grid()
+        scale = np.asarray(scales, float)
+        angle = np.outer(0.3 * np.sin(3.0 * grid.nodes), np.ones_like(scale))
+        vel = np.outer(np.linspace(0.5, 1.0, grid.node_count), scale)
+        components = np.abs(vel * np.stack([np.cos(angle), np.sin(angle)]))
+        after = vel.copy()
+        if base_speed is not None:
+            components[:, 0] = [base_speed * scale, 0.0 * scale]
+            after[0] = base_speed * scale
+        eps = 1e-8 * components.max(axis=(0, 1))
+        vel[9], vel[14] = 3.0 * eps, 0.3 * eps
+        after[9], after[14] = vel[9], vel[14]
+        ang = 0.5 * vel
+        ang[4] = 50.0 * scale
+        ang_after = ang.copy()
+        if base_speed is not None:
+            ang_after[0] = 0.0
+        m = ManifoldState(grid, angle, np.zeros_like(vel), ang, vel)
+        new = step_semi_analytic(m, params, Loads(), bc, 0.0, 1e-3)
+        ok = after > eps
+        assert (~ok).sum(axis=0).tolist() == [1] * len(scale)  # node 14 alone
+        slope = -ang_after / after
+        traced = 0.5 * grid.spacing * (slope[1:] + slope[:-1])
+        expected = np.where(ok[1:] & ok[:-1], traced, np.diff(angle, axis=0))
+        return np.diff(new.angle, axis=0), expected
+
+    def test_projection_threshold_is_set_by_the_linear_velocity(self):
+        got, expected = self.dead_zone_step([1.0], BoundaryConditions(base="free", tip="free"))
+        np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-12)
+
+    def test_projection_threshold_is_per_rod_after_the_clamps(self):
+        # Rods six decades apart, each clamped at ten times its own scale: a
+        # shared threshold, or one taken before the clamps, moves the dead
+        # zone of some rod.
+        scales = [1.0, 1e3, 1e-3]
+        clamp = np.array([[10.0 * s, 0.0] for s in scales])
+        bc = BoundaryConditions(base_lin_vel=lambda t: clamp)
+        got, expected = self.dead_zone_step(scales, bc, base_speed=10.0)
+        np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-12)
+
 
 class TestMaxStableDt:
     def test_threshold_located(self):
@@ -504,6 +558,82 @@ class TestPackedCores:
             state, step = RodState(grid, *fields), step_pure_numeric
         with pytest.raises(SingularSystemError, match="^residual .* at row "):
             step(state, params, Loads(), scenarios._boundary(config), 0.0, 1e-3)
+
+    @pytest.mark.parametrize("scheme", ["pure", "semi"])
+    def test_rod_by_rod_loads_step_each_rod_as_alone(self, scheme):
+        # (N, K, 2) loads, a force among them, act rod by rod.
+        params = make_params()
+        grid = params.grid()
+        force, couple = np.random.default_rng(5).standard_normal((2, grid.node_count, 3, 2))
+        step = step_semi_analytic if scheme == "semi" else step_pure_numeric
+        rods = [random_manifold(grid, seed=k) for k in range(3)]
+        if scheme == "pure":
+            rods = [lift(m) for m in rods]
+        fields = [np.stack(f, axis=1) for f in zip(*(list(vars(r).values())[1:] for r in rods))]
+        state = type(rods[0])(grid, *fields)
+        new = step(state, params, Loads(lambda s, t: force, lambda s, t: couple),
+                   BoundaryConditions(), 0.0, 1e-3)
+        for k, rod in enumerate(rods):
+            loads = Loads(lambda s, t: force[:, k:k + 1], lambda s, t: couple[:, k:k + 1])
+            alone = step(rod, params, loads, BoundaryConditions(), 0.0, 1e-3)
+            for a, b in zip(list(vars(alone).values())[1:], list(vars(new).values())[1:]):
+                assert a.tobytes() == b[:, k].tobytes()
+
+    @pytest.mark.parametrize("signal", ["base_ang_vel", "tip_lin_acc"])
+    @pytest.mark.parametrize("scheme", ["pure", "semi"])
+    def test_public_steps_reject_a_misshapen_clamp_signal(self, scheme, signal):
+        # A 3-vector does not broadcast to the end's (rods, 2).
+        params = make_params()
+        bc = BoundaryConditions(tip="clamped", **{signal: lambda t: np.zeros(3)})
+        state = (ManifoldState if scheme == "semi" else RodState).zero(params.grid())
+        step = step_semi_analytic if scheme == "semi" else step_pure_numeric
+        with pytest.raises(InputError, match=f"^boundary signal {signal} at t="):
+            step(state, params, Loads(), bc, 0.0, 1e-3)
+
+    @pytest.mark.parametrize("size", [1, 3, 64])
+    @pytest.mark.parametrize("scheme", ["pure", "semi"])
+    def test_time_varying_clamps_in_a_block_match_public_steps(self, scheme, size):
+        # Both ends clamped to signals that change every step. A block of
+        # steps gives the bytes of as many public steps; each end holds its
+        # signals at the step's end time, and each contact-force end row is
+        # rho A times the acceleration at the step's time (no force acts).
+        semi = scheme == "semi"
+        params = make_params(nodes=21)
+        grid = params.grid()
+        e = lambda a: np.array([np.cos(a), np.sin(a)])
+        lin_vel = {"base": lambda t: (0.5 + 20.0 * t) * e(3.0 * t),
+                   "tip": lambda t: (0.4 + 30.0 * t) * e(1.0 - 2.0 * t)}
+        ang_vel = {"base": lambda t: (0.2 + 10.0 * t) * e(5.0 * t + 1.0),
+                   "tip": lambda t: (0.3 - 5.0 * t) * e(4.0 * t)}
+        lin_acc = {"base": lambda t: 1.5 * e(7.0 * t + 0.5),
+                   "tip": lambda t: -0.7 * e(2.0 * t)}
+        bc = BoundaryConditions(base="clamped", tip="clamped", **{
+            f"{end}_{name}": signals[end] for name, signals in
+            (("lin_vel", lin_vel), ("ang_vel", ang_vel), ("lin_acc", lin_acc))
+            for end in ("base", "tip")})
+        dt = 1e-3 if semi else 1e-4
+        times = np.arange(size) * dt
+        state = random_manifold(grid, seed=size)
+        state = state if semi else lift(state)
+        zero = np.zeros((2, 1, grid.node_count))
+        core = integrators._steps_semi if semi else integrators._steps_pure
+        block, (_, rhs) = step_block(core, state._packed(), params, bc, grid, zero,
+                                     np.zeros((size, 2, 1, grid.node_count)), times, dt)
+        step = step_semi_analytic if semi else step_pure_numeric
+        for k in range(size):
+            state = step(state, params, Loads(), bc, k * dt, dt)
+            assert state._packed().tobytes() == block[k + 1].tobytes(), k
+        for k, t in enumerate(times):
+            for node, end in ((0, "base"), (-1, "tip")):
+                v, w = lin_vel[end](t + dt), ang_vel[end](t + dt)
+                assert np.array_equal(rhs[k, :, 0, node], params.rho_A * lin_acc[end](t))
+                if semi:  # the magnitudes along the clamped velocity
+                    speed = np.hypot(*v)
+                    np.testing.assert_allclose(block[k + 1, 2:4, 0, node],
+                                               [w @ v / speed, speed], rtol=1e-12)
+                else:
+                    assert np.array_equal(block[k + 1, 2:4, 0, node], w)
+                    assert np.array_equal(block[k + 1, 4:6, 0, node], v)
 
 
 class TestPackedPathMatchesPublicPath:

@@ -111,11 +111,16 @@ def _dense_contact_oracle(dm, f, l, params, bc, t, grid):
 
 def contact_force(dm, f, l, params, bc, t, grid):
     """``rod_model._contact_force`` of node-first m', f and l, (N, ..., 2),
-    residual-checked as the step cores check it: the node-first force."""
+    with its end rows and f' from a step core's workspace and its solve
+    residual-checked as the cores check it: the node-first force."""
     factors = rod_model._contact_operator(params, bc.base, bc.tip)
-    n, rhs = rod_model._contact_force(dm.T, f.T, l.T, params, bc, t, grid.spacing, factors)
+    shape = np.shape(dm)
+    dm, f, l = (np.reshape(a, (params.nodes, -1, 2)).T for a in (dm, f, l))
+    w = integrators._Workspace(params, bc, grid, f, np.array([t]), 1.0, dm.shape[1])
+    n, rhs = np.empty((2,) + dm.shape)
+    rod_model._contact_force(dm, l, w.df, w.ends[0], params, factors, n, rhs)
     check_tridiag(factors, n[None], rhs[None])
-    return n.T
+    return n.T.reshape(shape)
 
 
 class TestContactForce:
