@@ -19,16 +19,15 @@ rod, and a rod that blows up leaves the others' bits as they would be alone.
 A step works on one packed array per state, (6, K, N) for a RodState and
 (4, K, N) for a ManifoldState (``rod_model._GridState._packed``). The cores
 ``_steps_pure`` and ``_steps_semi`` fill a block of B steps, (B + 1, C, K, N),
-from its first state, on one ``_Workspace`` made per block: the clamp and
-contact-force end-row tables of all its steps, and the stages' buffers. The
-semi step runs four named stages: momentum update (contact force and
-clamps), projection, angle integration and curvature advance. A core ends
-with one residual check of its block's contact-force solves
-(``grid_fields.check_tridiag``), which raises SingularSystemError. The
-public functions run a core on a block of one step, with the same bits as
-``scenarios.simulate_rod``. A rod that blows up gets non-finite rows, which
-the residual check leaves out and ``_nonfinite_rods`` finds: the public
-steps raise DivergenceError naming them.
+from its first state, on one ``_Workspace`` made per block, each a list of
+calls to one set of stages: ``_momentum`` (contact force and angular
+velocity), ``_curvature`` (zero at free ends) and ``_clamp``, and in the semi
+core ``_projection`` and ``_angle_integration``. A core ends with one
+residual check of its block's contact-force solves (``check_tridiag``),
+which raises SingularSystemError. The public functions run a core on a block
+of one step, with the same bits as ``scenarios.simulate_rod``. A rod that
+blows up gets non-finite rows, which the residual check leaves out and
+``_nonfinite_rods`` finds: the public steps raise DivergenceError naming them.
 """
 
 from __future__ import annotations
@@ -146,10 +145,10 @@ def _nonfinite_rods(packed: np.ndarray) -> np.ndarray:
     return ~np.isfinite(packed).all(axis=(-3, -1))
 
 
-def _end_nodes(bc: BoundaryConditions, kind: str, n: int):
-    """The node slice of the ends of a kind: node 0, node N-1, both or None."""
+def _end_nodes(bc: BoundaryConditions, kind: str, n: int) -> slice:
+    """The node slice of the ends of a kind: node 0, node N-1, both or none."""
     base, tip = bc.base == kind, bc.tip == kind
-    return slice(0 if base else n - 1, n if tip else 1, n - 1) if base or tip else None
+    return slice(0 if base else n - 1, n if tip else 1, n - 1)  # neither: empty, as n > 2
 
 
 def _signals(bc: BoundaryConditions, name: str, ends, times, rods: int) -> np.ndarray:
@@ -178,8 +177,6 @@ class _Workspace:
         n, self.ds = grid.node_count, grid.spacing
         self.params, self.f, self.dt = params, f, dt
         self.factors = _contact_operator(params, bc.base, bc.tip)
-        # A free end carries no bending moment (zero curvature): else the energy
-        # flux m·ω through it feeds a spurious instability at the end node.
         self.clamped, self.free = _end_nodes(bc, "clamped", n), _end_nodes(bc, "free", n)
         clamped = [end for end in ("base", "tip") if getattr(bc, end) == "clamped"]
         self.clamps = np.concatenate([_signals(bc, name, clamped, times + dt, rods)
@@ -189,18 +186,20 @@ class _Workspace:
             if end in clamped:  # n' = -f + rho A * lin_acc, node 0 or -1
                 acc = _signals(bc, "lin_acc", (end,), times, rods)[..., 0]
                 self.ends[..., e] = -f[..., -e] + params.rho_A * acc
-        self.df = None
-        if f.any():  # a zero force's derivative is +0.0, and x - 0.0 is x
-            self.df = central_diff(f.T, self.ds).T / params.rho_A
+        # A zero force's derivative is +0.0, and x - 0.0 is x: none is subtracted.
+        self.df = central_diff(f.T, self.ds).T / params.rho_A if f.any() else None
         # The pure core stacks its stencil input in ``velocities``.
         self.lifted, self.derivatives, self.velocities, self.direction, self.torque = (
             np.empty((c, rods, n)) for c in (6, 4, 4, 2, 2))
         self.slope, self.increments = np.empty((rods, n)), np.empty((rods, n - 1))
 
 
-def _angular_velocity(w, ang_vel, dm, n, l, out):
-    """ang_vel + dt (m' + adiag(n) + l) / rho I into ``out``, with
-    adiag(n) = (n1, -n0) (x + (-y) is x - y to the bit)."""
+def _momentum(w, dm, ang_vel, l, i, n, rhs, out):
+    """The momentum stage of step i: from m' (``dm``) and the couple ``l``,
+    the contact force into ``n`` (right-hand side into ``rhs``) and the
+    forward-Euler angular velocity ang_vel + dt (m' + adiag(n) + l) / rho I
+    into ``out``, with adiag(n) = (n1, -n0) (x + (-y) is x - y to the bit)."""
+    _contact_force(dm, l, w.df, w.ends[i], w.params, w.factors, n, rhs)
     torque = w.torque
     np.add(dm[0], n[1], out=torque[0])
     np.subtract(dm[1], n[0], out=torque[1])
@@ -208,6 +207,20 @@ def _angular_velocity(w, ang_vel, dm, n, l, out):
     torque *= w.dt
     torque /= w.params.rho_I
     np.add(ang_vel, torque, out=out)
+
+
+def _curvature(w, old, derivative, out):
+    """The curvature stage: old + dt derivative into ``out``, scaling
+    ``derivative`` in place, and zero at free ends, which carry no bending
+    moment: else the energy flux m·ω through one feeds a spurious instability."""
+    derivative *= w.dt
+    np.add(old, derivative, out=out)
+    out[..., w.free] = 0.0
+
+
+def _clamp(w, velocities, values):
+    """The clamp rule: ``values`` (rows of w.clamps) at the clamped ends."""
+    velocities[..., w.clamped] = values
 
 
 def _velocity_increment(w, dn):
@@ -218,31 +231,38 @@ def _velocity_increment(w, dn):
     return dn
 
 
-def _momentum(w, raw, l, i, n, rhs):
-    """Stage 1 of step i: from the lifted state ``raw`` and the couple ``l``,
-    the contact force into ``n`` (right-hand side into ``rhs``), the
-    forward-Euler velocities into w.velocities, and the clamps."""
+def _linear_velocities(w, block, forces):
+    """The pure linear velocity of a block, which feeds nothing back: its
+    steps' increments from one stencil pass, added step by step, clamped."""
+    increments = _velocity_increment(w, _diff_last(forces, w.ds, np.empty_like(forces)))
+    for i, increment in enumerate(increments):
+        np.add(block[i, 4:6], increment, out=block[i + 1, 4:6])
+    _clamp(w, block[1:, 4:6], w.clamps[:, 2:])
+
+
+def _velocities(w, m, l, i, n, rhs):
+    """The semi step's velocities into w.velocities: the momentum stage on the
+    lifted m, then the linear velocity, then one clamp of all four rows."""
+    raw = _lift(m, w.lifted, w.direction)
     dm, dn = w.derivatives[:2], w.derivatives[2:]
     _diff_last(np.multiply(w.params.EI, raw[0:2], out=w.torque), w.ds, dm)
-    _contact_force(dm, l, w.df, w.ends[i], w.params, w.factors, n, rhs)
-    _angular_velocity(w, raw[2:4], dm, n, l, w.velocities[:2])
+    _momentum(w, dm, raw[2:4], l, i, n, rhs, w.velocities[:2])
     np.add(raw[4:6], _velocity_increment(w, _diff_last(n, w.ds, dn)), out=w.velocities[2:])
-    if w.clamped:
-        w.velocities[..., w.clamped] = w.clamps[i]
+    _clamp(w, w.velocities, w.clamps[i])
 
 
 def _projection(w, m, new):
-    """Stage 2: the velocities' magnitudes into new[2:4], along the linear
-    velocity where its magnitude exceeds w.eps, 1e-8 of the rod's largest
-    component, and along m's angle elsewhere; new[1] holds that angle."""
+    """The velocities' magnitudes into new[2:4], along the linear velocity
+    where its magnitude exceeds w.eps, 1e-8 of the rod's largest component,
+    and along m's angle elsewhere; new[1] holds that angle."""
     w.eps = np.maximum(1e-8 * np.abs(w.velocities[2:]).max(axis=(0, 2)), 1e-300)[:, None]
     _project(w.velocities, m[0], w.eps, new[1:], w.direction)
 
 
 def _angle_integration(w, m, new):
-    """Stage 3: the angle into new[0], the slope -ang_mag / vel_mag integrated
-    from the base node, which turns by dt ang_mag; every interval next to a
-    node in the projection's dead zone keeps m's increment."""
+    """The angle into new[0], the slope -ang_mag / vel_mag integrated from
+    the base node, which turns by dt ang_mag; every interval next to a node
+    in the projection's dead zone keeps m's increment."""
     ang_mag, vel_mag = new[2], new[3]
     ok = np.abs(vel_mag) > w.eps
     incr = w.increments
@@ -258,22 +278,10 @@ def _angle_integration(w, m, new):
     angle += m[0, :, :1] + w.dt * ang_mag[:, :1]
 
 
-def _curvature_advance(w, m, new):
-    """Stage 4: m's curvature magnitude + dt d(ang_mag)/ds into new[1], zero
-    at free ends."""
-    advance = _diff_last(new[2], w.ds, w.slope)
-    advance *= w.dt
-    np.add(m[1], advance, out=new[1])
-    if w.free:
-        new[1][..., w.free] = 0.0
-
-
 def _steps_pure(block, solves, params, bc, grid, f, couples, times, dt):
     """``step_pure_numeric`` on a block of packed raw states: fill block[1:]
-    from block[0], step i at times[i] under the couple couples[i], with
-    ``solves`` (2, B, 2, K, N) as the buffer of the steps' contact forces and
-    their right-hand sides, all residual-checked at the end. The linear
-    velocity feeds nothing back: it advances last, from one stencil pass."""
+    from block[0], step i at times[i] under the couple couples[i], into
+    ``solves`` (2, B, 2, K, N) the steps' contact forces and right-hand sides."""
     w = _Workspace(params, bc, grid, f, times, dt, block.shape[2])
     forces, rhs = solves
     stack, derivatives = w.velocities, w.derivatives
@@ -283,33 +291,24 @@ def _steps_pure(block, solves, params, bc, grid, f, couples, times, dt):
         np.multiply(params.EI, raw[0:2], out=stack[:2])
         stack[2:] = raw[2:4]
         _diff_last(stack, w.ds, derivatives)
-        derivatives[2:] *= dt
-        np.add(raw[0:2], derivatives[2:], out=new[0:2])
-        _contact_force(derivatives[:2], l, w.df, w.ends[i], params, w.factors, forces[i], rhs[i])
-        _angular_velocity(w, raw[2:4], derivatives[:2], forces[i], l, new[2:4])
-        if w.clamped:
-            new[2:4][..., w.clamped] = w.clamps[i, :2]
-        if w.free:
-            new[0:2][..., w.free] = 0.0
-    increments = _velocity_increment(w, _diff_last(forces, w.ds, np.empty_like(forces)))
-    for i, increment in enumerate(increments):
-        np.add(block[i, 4:6], increment, out=block[i + 1, 4:6])
-    if w.clamped:
-        block[1:, 4:6][..., w.clamped] = w.clamps[:, 2:]
+        _curvature(w, raw[0:2], derivatives[2:], new[0:2])
+        _momentum(w, derivatives[:2], raw[2:4], l, i, forces[i], rhs[i], new[2:4])
+        _clamp(w, new[2:4], w.clamps[i, :2])
+    _linear_velocities(w, block, forces)
     check_tridiag(w.factors, forces, rhs)
 
 
 def _steps_semi(block, solves, params, bc, grid, f, couples, times, dt):
     """``step_semi_analytic`` on a block of packed manifold states, as
-    ``_steps_pure`` does: each step lifts its state and runs the four stages."""
+    ``_steps_pure`` does, the curvature advanced from the new ang_mag."""
     w = _Workspace(params, bc, grid, f, times, dt, block.shape[2])
     forces, rhs = solves
     for i, l in enumerate(couples):
         m, new = block[i], block[i + 1]
-        _momentum(w, _lift(m, w.lifted, w.direction), l, i, forces[i], rhs[i])
+        _velocities(w, m, l, i, forces[i], rhs[i])
         _projection(w, m, new)
         _angle_integration(w, m, new)
-        _curvature_advance(w, m, new)
+        _curvature(w, m[1], _diff_last(new[2], w.ds, w.slope), new[1])
     check_tridiag(w.factors, forces, rhs)
 
 

@@ -9,8 +9,9 @@ share a state with a rod axis between the node and component axes.
 
 A step packs a state into one array, components and rods first and nodes
 last (``_GridState._packed``), which ``_contact_force``, ``_energy`` and
-``_drift_norms`` take. The step cores look up the contact-force factors
-(``_contact_operator``) once per block of steps and check the block's solves.
+``_drift_norms`` take. The momentum stage of both step cores
+(``integrators._momentum``) solves for the contact force with the factors of
+``_contact_operator``, which each block of steps looks up once.
 """
 
 from __future__ import annotations

@@ -122,6 +122,8 @@ def build_report(seed: int = 0, n_nodes: int = 101, dt: float = 1e-2) -> dict:
         raise InputError(f"dt must be positive and finite, got {dt}")
     # The grid checks the node count before its spacing is used.
     ds = Grid1D(1.0, n_nodes).spacing
+    if seed < 0:  # np.random.default_rng's ValueError would name no flag
+        raise InputError(f"--seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     fam = random_family(rng)
     h = max(ds, dt)
@@ -130,13 +132,8 @@ def build_report(seed: int = 0, n_nodes: int = 101, dt: float = 1e-2) -> dict:
     residuals = _grid_residuals(fam, n_nodes, dt, flags)
     fine = _grid_residuals(fam, 2 * (n_nodes - 1) + 1, dt / 2.0, flags)
 
-    orders = {}
-    for key, coarse_val in residuals.items():
-        fine_val = fine[key]
-        if coarse_val > 0.0 and fine_val > 0.0:
-            orders[key] = float(np.log2(coarse_val / fine_val))
-        else:
-            orders[key] = None
+    orders = {key: float(np.log2(coarse / fine[key])) if coarse > 0.0 and fine[key] > 0.0
+              else None for key, coarse in residuals.items()}
 
     fam_thr = family_threshold(h)
     chain_thr = chain_threshold(h)

@@ -2,8 +2,18 @@
 
 import numpy as np
 
-from rodsim.grid_fields import SampledFn
-from rodsim.integrators import _steps_pure
+from rodsim.grid_fields import SampledFn, _diff_last, check_tridiag
+from rodsim.integrators import (
+    _Workspace,
+    _angle_integration,
+    _clamp,
+    _curvature,
+    _linear_velocities,
+    _momentum,
+    _projection,
+    _steps_pure,
+    _velocities,
+)
 from rodsim.rod_model import BoundaryConditions
 from rodsim.solution_family import CauchyTrace
 
@@ -50,22 +60,78 @@ def step_once(steps, packed, params, bc, grid, f, l, t, dt):
     return step_block(steps, packed, params, bc, grid, f, l[None], np.array([t]), dt)[0][1]
 
 
-def pure_step_matrices(config):
-    """The 6N x 6N matrices (M, P) of the pure step under zero load, whose
-    matrix is A(dt) = P + dt M: forward Euler is affine in dt, so
-    M = A(2) - A(1) and P = A(1) - M. Each A(dt) is one pure step on the
-    (6, 6N, N) identity batch, whose rod j is the j-th unit state."""
+def step_matrix(steps, config, dt):
+    """The 6N x 6N matrix of one step of the raw block core ``steps`` under
+    zero load and static clamps: the step on the (6, 6N, N) identity batch,
+    whose rod j is the j-th unit state."""
     params = config.material
     grid = params.grid()
     n = grid.node_count
     identity = np.eye(6 * n).reshape(6 * n, 6, n).transpose(1, 0, 2).copy()
     zero = np.zeros((2, 1, n))
     bc = BoundaryConditions(base=config.boundary.base, tip=config.boundary.tip)
+    new = step_once(steps, identity, params, bc, grid, zero, zero, 0.0, dt)
+    return new.transpose(1, 0, 2).reshape(6 * n, 6 * n).T  # column j: rod j
 
-    def matrix(dt):
-        new = step_once(_steps_pure, identity, params, bc, grid, zero, zero, 0.0, dt)
-        return new.transpose(1, 0, 2).reshape(6 * n, 6 * n).T  # column j: rod j
 
-    a1 = matrix(1.0)
-    m = matrix(2.0) - a1
+def pure_step_matrices(config):
+    """The 6N x 6N matrices (M, P) of the pure step under zero load, whose
+    matrix is A(dt) = P + dt M: forward Euler is affine in dt, so
+    M = A(2) - A(1) and P = A(1) - M."""
+    a1 = step_matrix(_steps_pure, config, 1.0)
+    m = step_matrix(_steps_pure, config, 2.0) - a1
     return m, a1 - m
+
+
+def block_core(step, finish=None):
+    """A block core with the signature of ``integrators._steps_pure``: each
+    step i runs step(w, old, new, l, i, n, rhs) on the block's workspace,
+    with its contact force and right-hand side into n and rhs; then
+    finish(w, block, forces) runs, and the block's solves are checked."""
+
+    def steps(block, solves, params, bc, grid, f, couples, times, dt):
+        w = _Workspace(params, bc, grid, f, times, dt, block.shape[2])
+        forces, rhs = solves
+        for i, l in enumerate(couples):
+            step(w, block[i], block[i + 1], l, i, forces[i], rhs[i])
+        if finish is not None:
+            finish(w, block, forces)
+        check_tridiag(w.factors, forces, rhs)
+
+    return steps
+
+
+def _reordered(w, raw, new, l, i, n, rhs):
+    """The pure step with the curvature advanced from the updated, clamped
+    angular velocity: symplectic Euler on curvature and angular velocity."""
+    dm = w.derivatives[:2]
+    _diff_last(np.multiply(w.params.EI, raw[0:2], out=w.torque), w.ds, dm)
+    _momentum(w, dm, raw[2:4], l, i, n, rhs, new[2:4])
+    _clamp(w, new[2:4], w.clamps[i, :2])
+    _curvature(w, raw[0:2], _diff_last(new[2:4], w.ds, w.derivatives[2:]), new[0:2])
+
+
+def _semi_old_ang_mag(w, m, new, l, i, n, rhs):
+    """The semi step without ingredient (i): the curvature advanced from the
+    old ang_mag."""
+    _velocities(w, m, l, i, n, rhs)
+    _projection(w, m, new)
+    _angle_integration(w, m, new)
+    _curvature(w, m[1], _diff_last(m[2], w.ds, w.slope), new[1])
+
+
+def _semi_projected_angle(w, m, new, l, i, n, rhs):
+    """The semi step without ingredient (iii): the angle taken from the
+    projection, not integrated along the rod."""
+    _velocities(w, m, l, i, n, rhs)
+    _projection(w, m, new)
+    new[0] = new[1]
+    _curvature(w, m[1], _diff_last(new[2], w.ds, w.slope), new[1])
+
+
+# Scheme variants as block cores of the integrators' stages, which a test
+# runs through ``scenarios.simulate_rod`` by swapping ``scenarios._steps_pure``
+# or ``_steps_semi`` for one.
+steps_reordered = block_core(_reordered, _linear_velocities)
+steps_semi_old_ang_mag = block_core(_semi_old_ang_mag)
+steps_semi_projected_angle = block_core(_semi_projected_angle)

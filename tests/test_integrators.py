@@ -1,5 +1,7 @@
 """Tests for the pure-numeric and semi-analytic time steppers."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,10 +25,18 @@ from rodsim.rod_model import (
     adiag,
     energy,
 )
-from rodsim.scenarios import default_config
+from rodsim.scenarios import default_config, simulate_rod
 from rodsim.solution_family import random_family, sample_state
 
-from helpers import pure_step_matrices, step_block, step_once
+from helpers import (
+    pure_step_matrices,
+    step_block,
+    step_matrix,
+    step_once,
+    steps_reordered,
+    steps_semi_old_ang_mag,
+    steps_semi_projected_angle,
+)
 
 
 def make_params(**overrides):
@@ -634,6 +644,68 @@ class TestPackedCores:
                 else:
                     assert np.array_equal(block[k + 1, 2:4, 0, node], w)
                     assert np.array_equal(block[k + 1, 4:6, 0, node], v)
+
+
+class TestSchemeVariants:
+    """Scheme variants made of the integrators' stages (``helpers``), each
+    differing from a scheme in one ingredient of the semi step: (i) the
+    curvature advanced from the updated angular velocity, (ii) the projection
+    onto one direction, (iii) the angle integrated along the rod."""
+
+    def test_reordered_step_differs_from_the_pure_step_only_in_curvature(self):
+        # Under a force, a couple and moving clamps at both ends, its
+        # velocities are the pure step's to the bit: only (i) differs.
+        params = default_config().material
+        grid = params.grid()
+        rng = np.random.default_rng(3)
+        spin = lambda a, w: (lambda t: np.array([a * np.sin(w * t), a * np.cos(w * t)]))
+        bc = BoundaryConditions("clamped", "clamped", spin(0.1, 3.0), spin(0.2, 2.0),
+                                spin(0.3, 3.0), spin(0.05, 1.0), spin(0.15, 4.0),
+                                spin(0.05, 1.0))
+        force, couple = rng.standard_normal((2, 2, 1, grid.node_count))
+        packed = rng.uniform(-1.0, 1.0, (6, 3, grid.node_count))
+        pure, reordered = (step_once(core, packed, params, bc, grid, force, couple, 0.4, 1e-3)
+                           for core in (integrators._steps_pure, steps_reordered))
+        assert reordered[2:].tobytes() == pure[2:].tobytes()
+        assert not np.array_equal(reordered[:2], pure[:2])
+
+    @pytest.fixture(scope="class")
+    def threshold_51(self):
+        """The N=51 default cilium and 2 / lambda_max of its pure step."""
+        config = default_config()
+        config = replace(config, material=replace(config.material, nodes=51))
+        m, _ = pure_step_matrices(config)
+        return config, 2.0 / np.abs(np.linalg.eigvals(m)).max()
+
+    def test_reordered_step_is_stable_up_to_the_symplectic_euler_bound(self, threshold_51):
+        # Symplectic Euler on curvature and angular velocity is stable for
+        # |lambda dt| <= 2 (Hairer, Lubich & Wanner, Geometric Numerical
+        # Integration, 2006, VI.3); 2 / lambda_max is 1.0637e-2 at N=51.
+        config, bound = threshold_51
+        assert abs(bound - 1.0637e-2) <= 1e-3 * bound
+        inside, outside = (np.abs(np.linalg.eigvals(step_matrix(steps_reordered, config, dt)))
+                           .max() for dt in (0.9 * bound, 1.1 * bound))
+        assert inside <= 1.0 + 1e-9
+        assert outside > 1.0
+
+    @pytest.mark.parametrize("dt", [5e-3, 1e-3, 2.5e-4])
+    def test_semi_without_i_fails_on_the_default_cilium(self, monkeypatch, dt):
+        # Advanced from the old ang_mag, the curvature loses the default
+        # cilium before t=1 at every dt (at t = 0.135, 0.206 and 0.316).
+        monkeypatch.setattr(scenarios, "_steps_semi", steps_semi_old_ang_mag)
+        _, stable, failed = simulate_rod(replace(default_config(), dt=dt, t_end=1.0))
+        assert not stable and list(failed) == [0]
+
+    @pytest.mark.parametrize("dt", [5e-3, 1e-3])
+    def test_semi_without_iii_keeps_the_default_cilium_straight(self, monkeypatch, dt):
+        # The cilium's curvature is orthogonal to its velocity, so with the
+        # angle from the projection alone the rod stays straight, its tip at
+        # (0, 0, 1); the semi step bends it.
+        config = replace(default_config(), dt=dt, t_end=1.0)
+        tip = lambda: simulate_rod(config)[0].positions[-1, 0, -1]
+        assert np.abs(tip() - [0.0, 0.0, 1.0]).max() > 0.1
+        monkeypatch.setattr(scenarios, "_steps_semi", steps_semi_projected_angle)
+        assert np.abs(tip() - [0.0, 0.0, 1.0]).max() <= 1e-6
 
 
 class TestPackedPathMatchesPublicPath:

@@ -917,11 +917,12 @@ class TestCli:
             (None, ["--dt", "0"], "dt must be positive and finite"),
             (None, ["--dt", "-0.05"], "dt must be positive and finite"),
             (None, ["--dt", "nan"], "dt must be positive and finite"),
+            (None, ["--seed", "-1"], "--seed must be a non-negative integer, got -1"),
         ],
         ids=["v2_origin-string", "const-list", "cos-number", "steps-float",
              "steps-bool", "steps-huge", "u_max-string", "u_max-zero", "u_max-negative",
              "steps-two", "u_max-underflow", "freq-inf", "dt-zero",
-             "dt-negative", "dt-nan"],
+             "dt-negative", "dt-nan", "seed-negative"],
     )
     def test_rejects_mistyped_number(self, tmp_path, capsys, patch, flags, message):
         # Counts must be JSON integers that an array of states can hold and
