@@ -285,14 +285,22 @@ def check_tridiag(factors: TridiagFactors, x, b) -> None:
     is left out, so a blown-up column does not hide the others.
     """
     columns = tuple(range(1, x.ndim))  # the axes of one solve
+    n, flat = x.shape[-1], x.ravel()
+    # The diagonal and the two off-diagonal bands laid along the flat lines.
+    bands = np.zeros((3, 1, n))
+    bands[0, 0], bands[1, 0, :-1], bands[2, 0, :-1] = factors.diag, factors.lower, factors.upper
+    residual, lower, upper = bands.repeat(flat.size // n, axis=1).reshape(3, -1)
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = np.multiply(factors.diag, x)
-        residual -= b
-        term = np.multiply(factors.lower, x[..., :-1])
-        residual[..., 1:] += term
-        np.multiply(factors.upper, x[..., 1:], out=term)
-        residual[..., :-1] += term
-        parts = np.abs(residual, out=residual), np.abs(x), np.abs(b)
+        residual *= flat
+        residual -= b.ravel()
+        # Row i+1's lower term and row i's upper term; a term straddling two
+        # lines is zeroed, so a blown-up line spills into none.
+        for term, rows, by in ((lower[:-1], slice(1, None), flat[:-1]),
+                               (upper[:-1], slice(None, -1), flat[1:])):
+            term *= by
+            term[n - 1::n] = 0.0
+            residual[rows] += term
+        parts = np.abs(residual, out=residual).reshape(x.shape), np.abs(x), np.abs(b)
         for blown_up in (False, True):
             if blown_up:  # leave out the columns with a non-finite entry
                 finite = np.logical_and.reduce([np.isfinite(a).all(axis=-1) for a in parts])

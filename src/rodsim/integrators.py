@@ -49,6 +49,7 @@ from .rod_model import (
     _contact_operator,
     _drift_norms,
     _loads_at,
+    _zero_signal,
 )
 
 __all__ = [
@@ -153,11 +154,15 @@ def _end_nodes(bc: BoundaryConditions, kind: str, n: int) -> slice:
 
 def _signals(bc: BoundaryConditions, name: str, ends, times, rods: int) -> np.ndarray:
     """The boundary signal ``name`` ("lin_vel", "ang_vel" or "lin_acc") of
-    each end in ``ends`` at ``times`` (B,), (B, 2, rods, len(ends)). A value
-    that does not broadcast to the end's (rods, 2) is an InputError."""
-    table = np.empty((len(times), 2, rods, len(ends)))
+    each end in ``ends`` at ``times`` (B,), (B, 2, rods, len(ends)). A
+    ``_zero_signal`` (a static clamp) leaves its zero rows without a call;
+    any other signal is called once per time, and a value that does not
+    broadcast to the end's (rods, 2) is an InputError."""
+    table = np.zeros((len(times), 2, rods, len(ends)))
     for e, end in enumerate(ends):
         signal = getattr(bc, f"{end}_{name}")
+        if signal is _zero_signal:
+            continue
         for value, t in zip(table[..., e].transpose(0, 2, 1), times):  # each (rods, 2)
             try:
                 value[...] = signal(t)

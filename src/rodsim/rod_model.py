@@ -27,8 +27,8 @@ from .errors import ConfigurationError, InputError, SingularSystemError
 from .grid_fields import (
     Grid1D,
     TridiagFactors,
+    _diff_last,
     _gttrs,
-    central_diff,
     factor_tridiag,
 )
 
@@ -60,8 +60,10 @@ def _drift_norms(raw: np.ndarray, spacing: float, collinear: bool) -> np.ndarray
     by representation; they are set, not computed.
     """
     norms = np.zeros((3,) + raw.shape[1:2])
-    r4 = central_diff(raw[4:6].T, spacing) - adiag(raw[2:4].T)
-    norms[0] = np.abs(r4).max(axis=(0, -1))
+    r4 = _diff_last(raw[4:6], spacing, np.empty((2,) + raw.shape[1:]))
+    r4[0] -= raw[3]  # adiag(w) = (w1, -w0), and x - (-y) is x + y
+    r4[1] += raw[2]
+    norms[0] = np.abs(r4, out=r4).max(axis=(0, -1))
     if not collinear:
         norms[1] = np.abs(raw[2] * raw[1] - raw[3] * raw[0]).max(axis=-1)
         norms[2] = np.abs(raw[4] * raw[1] - raw[5] * raw[0]).max(axis=-1)
@@ -349,18 +351,20 @@ def _energy(packed: np.ndarray, params: MaterialParams, spacing: float) -> np.nd
 def _interval_operators(kappa: np.ndarray, ds: float):
     """Rotation and tangent step of every constant-curvature interval.
 
-    Interval i carries the midpoint curvature of nodes i and i+1, K its skew
-    matrix; ``kappa`` is (N, ..., 2). Returns (exp(ds*K) (N-1, ..., 3, 3),
-    V e3 (N-1, ..., 3)) with V = integral_0^ds exp(sigma*K) dsigma, both in
-    closed form (Rodrigues), so constant-curvature segments are exact;
-    intervals turning less than 1e-8 rad use the Taylor coefficients instead.
+    Interval i carries the midpoint curvature (k1, k2) of nodes i and i+1, K
+    its skew matrix [[0, 0, k2], [0, 0, -k1], [-k2, k1, 0]]; ``kappa`` is
+    (N, ..., 2). Returns (exp(ds*K) (N-1, ..., 3, 3), V e3 (N-1, ..., 3))
+    with V = integral_0^ds exp(sigma*K) dsigma, both in closed form
+    (Rodrigues), so constant-curvature segments are exact; intervals turning
+    less than 1e-8 rad use the Taylor coefficients instead. The entries of
+    I + c1 K + c2 K**2 and c2 K e3 + c3 K**2 e3 + ds e3 are written out, each
+    zero with the sign that the matrix sums give it.
     """
     mid = 0.5 * (kappa[:-1] + kappa[1:])
-    k = np.zeros(mid.shape[:-1] + (3, 3))
-    k[..., 0, 2], k[..., 2, 0] = mid[..., 1], -mid[..., 1]
-    k[..., 2, 1], k[..., 1, 2] = mid[..., 0], -mid[..., 0]
-    k2 = k @ k
-    theta = np.linalg.norm(mid, axis=-1)
+    k1, k2 = mid[..., 0], mid[..., 1]
+    q1, q2 = k1 * k1, k2 * k2
+    q = q1 + q2
+    theta = np.sqrt(q)
     ang = theta * ds
     small = ang < 1e-8
     theta = np.where(small, 1.0, theta)
@@ -368,9 +372,13 @@ def _interval_operators(kappa: np.ndarray, ds: float):
     c1 = np.where(small, ds, sin_t)
     c2 = np.where(small, 0.5 * ds**2, (1.0 - np.cos(ang)) / theta**2)
     c3 = np.where(small, ds**3 / 6.0, (ds - sin_t) / theta**2)
-    rot = np.eye(3) + c1[..., None, None] * k + c2[..., None, None] * k2
-    step = c2[..., None] * k[..., :, 2] + c3[..., None] * k2[..., :, 2]
-    step[..., 2] += ds
+    rot = np.empty(mid.shape[:-1] + (3, 3))
+    rot[..., 0, 0], rot[..., 1, 1], rot[..., 2, 2] = 1.0 - c2 * q2, 1.0 - c2 * q1, 1.0 - c2 * q
+    rot[..., 0, 1] = rot[..., 1, 0] = 0.0 + c2 * (k1 * k2)
+    rot[..., 0, 2], rot[..., 2, 0] = 0.0 + c1 * k2, 0.0 - c1 * k2
+    rot[..., 2, 1], rot[..., 1, 2] = 0.0 + c1 * k1, 0.0 - c1 * k1
+    zero = c3 * 0.0  # c3 times K**2 e3's zero entries
+    step = np.stack([c2 * k2 + zero, zero - c2 * k1, ds - c3 * q], axis=-1)
     return rot, step
 
 

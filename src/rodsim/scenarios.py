@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import sys
 import time as _time
 import typing
@@ -275,8 +276,9 @@ class Trajectory:
             # Keyed on the bits, not the value: -0.0 and 0.0 repr differently.
             bits, inverse = np.unique(frame.view(np.int64).ravel(), return_inverse=True)
             texts = [repr(v) for v in bits.view(float).tolist()]
+            # A frame has at least three values, so itemgetter gives a tuple.
             parts.append(template.replace("\n", f"\n{t!r},")
-                         % tuple(map(texts.__getitem__, inverse.tolist())))
+                         % operator.itemgetter(*inverse.tolist())(texts))
         return "".join(parts) + "\n"
 
     @classmethod
@@ -390,13 +392,15 @@ def simulate_rod(config: ScenarioConfig):
     its contact-force solves comes first and raises SingularSystemError. Then
     one check finds each rod's first failing step: one ``_energy`` call on all
     the steps against the bound, then their finite check. The frames before
-    the block's first failure are read from its rows and measured on the
-    packed array, a semi frame lifted once. The lost rods are dropped at the
-    block's end, and the others go on from its last state. A scale the run derives
-    from the config that overflows is an InputError naming its keys: the
-    energy bound before anything is allocated, then the rod bases and the
-    drive phase up to t_end, the contact-force coefficients at the first
-    block (``rod_model._contact_operator``).
+    the block's first failure are measured at once: their rows, stacked as
+    one state of frames times rods, are lifted once (semi) and take one
+    ``_drift_norms`` call, and their times, energies and curvatures are one
+    slice each. The lost rods are dropped at the block's end, and the others
+    go on from its last state. A scale the run derives from the config that
+    overflows is an InputError naming its keys: the energy bound before
+    anything is allocated, then the rod bases and the drive phase up to
+    t_end, the contact-force coefficients at the first block
+    (``rod_model._contact_operator``).
     """
     mat = config.material
     grid = mat.grid()
@@ -445,18 +449,7 @@ def simulate_rod(config: ScenarioConfig):
                          f"carpet.phase_increment={carpet.phase_increment!r} and "
                          f"carpet.rods={n_rods}")
     force = np.zeros((2, 1, grid.node_count))
-
-    def capture(state, energies, k):  # the frame of step k, from a packed state
-        raw = _lift(state) if semi else state
-        frame = -(-k // stride)  # the last frame may end a partial stride
-        traj.times[frame] = k * dt
-        traj.energies[frame] = energies
-        traj.drifts[frame] = _drift_norms(raw, ds, semi).T
-        curvatures[:, frame] = raw[0:2].T
-        return frame + 1
-
-    frames = capture(packed, np.zeros(n_rods), 0)  # a run starts from rest
-    failed, done, buffer = {}, 0, np.empty(0)
+    frames, failed, done, buffer = 0, {}, 0, np.empty(0)
     while done < n_steps and rods.size:
         size = max(1, BLOCK // (rods.size * grid.node_count))
         if buffer.shape[2:] != packed.shape[1:]:
@@ -471,22 +464,31 @@ def simulate_rod(config: ScenarioConfig):
         with np.errstate(all="ignore"):  # a failing rod steps on to the block's end
             couples = _drive(config, phases[rods], grid.nodes, times)
             steps(block, solves[:, :end - done], mat, bc, grid, force, couples, times, dt)
-            energies = _energy(block[1:], mat, ds)
+            energies = _energy(block, mat, ds)  # row 0 too: the first block's frame 0
         # A rod's first failing step: an energy above the bound, or a
         # non-finite row, which takes precedence at the same step.
         nonfinite = _nonfinite_rods(block[1:])  # (steps, rods)
-        bad = (energies > limit) | nonfinite
+        bad = (energies[1:] > limit) | nonfinite
         lost = bad.any(axis=0)
-        if not failed:  # the frames before the block's first failure
+        if not failed:  # the frames before the block's first failure, at once
             kept = bad.any(axis=1).argmax() if lost.any() else len(bad)
-            for k in range(done + 1, done + kept + 1):
-                if k % stride == 0 or k == n_steps:
-                    frames = capture(block[k - done], energies[k - done - 1], k)
+            k = np.arange(done + (done > 0), done + kept + 1)  # step 0 in the first block only
+            k = k[(k % stride == 0) | (k == n_steps)]
+            if k.size:
+                rows, captured = k - done, slice(frames, frames + k.size)
+                # The captured rows as one state of F * K rods, rods within frames.
+                stack = block[rows].swapaxes(0, 1).reshape(len(packed), -1, grid.node_count)
+                raw = _lift(stack) if semi else stack
+                traj.times[captured] = k * dt
+                traj.energies[captured] = energies[rows]
+                traj.drifts[captured] = _drift_norms(raw, ds, semi).T.reshape(k.size, n_rods, 3)
+                curvatures[:, captured] = raw[0:2].reshape(2, k.size, n_rods, -1).T.swapaxes(1, 2)
+                frames += k.size
         packed = block[-1]
         if lost.any():
             for j, s in zip(np.flatnonzero(lost), bad.argmax(axis=0)[lost]):
                 cause = ("non-finite" if nonfinite[s, j] else
-                         f"energy {energies[s, j]:.3g} above bound {limit:.3g}")
+                         f"energy {energies[s + 1, j]:.3g} above bound {limit:.3g}")
                 k = done + s + 1
                 failed[rods[j].item()] = f"step {k} (t={k * dt:.6g}, {cause})"
             rods, packed = rods[~lost], packed[:, ~lost]

@@ -13,9 +13,13 @@ from rodsim.integrators import (
     _projection,
     _steps_pure,
     _velocities,
+    lift,
+    project,
+    step_pure_numeric,
+    step_semi_analytic,
 )
-from rodsim.rod_model import BoundaryConditions
-from rodsim.solution_family import CauchyTrace
+from rodsim.rod_model import BoundaryConditions, Loads, MaterialParams
+from rodsim.solution_family import CauchyTrace, SolutionFamily, sample_state
 
 
 def sampled_fn(fn, lo: float, hi: float, n: int = 256) -> SampledFn:
@@ -135,3 +139,87 @@ def _semi_projected_angle(w, m, new, l, i, n, rhs):
 steps_reordered = block_core(_reordered, _linear_velocities)
 steps_semi_old_ang_mag = block_core(_semi_old_ang_mag)
 steps_semi_projected_angle = block_core(_semi_projected_angle)
+
+
+def skew_interval_operators(kappa: np.ndarray, ds: float):
+    """Reference for ``rod_model._interval_operators``: each interval's skew
+    matrix K of the midpoint curvature, the stacked K @ K, and
+    I + c1 K + c2 K**2 and c2 K e3 + c3 K**2 e3 + ds e3 as matrix sums;
+    returns (rotations, tangent steps, K).
+
+    K @ K runs through BLAS, whose kernel may fuse K**2[2, 2]'s two products
+    into one rounding (an FMA), so on some machines that entry, and with it
+    rot[2, 2] and step[2], can differ from the closed form's by an ulp at
+    interval angles of half a radian or more."""
+    mid = 0.5 * (kappa[:-1] + kappa[1:])
+    k = np.zeros(mid.shape[:-1] + (3, 3))
+    k[..., 0, 2], k[..., 2, 0] = mid[..., 1], -mid[..., 1]
+    k[..., 2, 1], k[..., 1, 2] = mid[..., 0], -mid[..., 0]
+    k2 = k @ k
+    theta = np.linalg.norm(mid, axis=-1)
+    ang = theta * ds
+    small = ang < 1e-8
+    theta = np.where(small, 1.0, theta)
+    sin_t = np.sin(ang) / theta
+    c1 = np.where(small, ds, sin_t)
+    c2 = np.where(small, 0.5 * ds**2, (1.0 - np.cos(ang)) / theta**2)
+    c3 = np.where(small, ds**3 / 6.0, (ds - sin_t) / theta**2)
+    rot = np.eye(3) + c1[..., None, None] * k + c2[..., None, None] * k2
+    step = c2[..., None] * k[..., :, 2] + c3[..., None] * k2[..., :, 2]
+    step[..., 2] += ds
+    return rot, step, k
+
+
+def exact_family(span=3.0):
+    """The unit-amplitude, linear-angle, identity-time-map family member,
+    an exact solution of the momentum balances with f = l = 0 when
+    EI = rho I - rho A."""
+    return SolutionFamily(
+        amp=sampled_fn(lambda u: 1.0, -span, span, 65),
+        angle=sampled_fn(lambda u: u, -span, span, 65),
+        time_map=sampled_fn(lambda w: w, -2 * span, 2 * span, 65),
+        u_range=(-span, span),
+    )
+
+
+def exact_bc():
+    """Both ends clamped to the exact solution's signals."""
+    e = lambda a: np.array([np.cos(a), np.sin(a)])
+    de = lambda a: np.array([-np.sin(a), np.cos(a)])
+    return BoundaryConditions(
+        base="clamped", tip="clamped",
+        base_lin_vel=lambda t: e(t), base_ang_vel=lambda t: e(t),
+        base_lin_acc=lambda t: de(t),
+        tip_lin_vel=lambda t: e(t - 1.0), tip_ang_vel=lambda t: e(t - 1.0),
+        tip_lin_acc=lambda t: de(t - 1.0),
+    )
+
+
+def cross_validation_error(scheme, nodes, dt, t_end=0.5):
+    """Criterion 7's run of ``scheme`` on the exact solution at (nodes, dt)
+    to t_end through the public steps: its max-norm error against the
+    exact state, and the final RodState."""
+    fam = exact_family()
+    params = MaterialParams(
+        rho=1.0, area=0.01, moment=0.02, EI=0.01, length=1.0, nodes=nodes
+    )
+    grid = params.grid()
+    bc = exact_bc()
+    state = sample_state(fam, grid, 0.0)
+    if scheme == "semi":
+        m = project(state, np.zeros(nodes), eps=1e-12)
+    n_steps = int(round(t_end / dt))
+    for k in range(n_steps):
+        if scheme == "semi":
+            m = step_semi_analytic(m, params, Loads(), bc, k * dt, dt)
+        else:
+            state = step_pure_numeric(state, params, Loads(), bc, k * dt, dt)
+    if scheme == "semi":
+        state = lift(m)
+    exact = sample_state(fam, grid, t_end)
+    err = max(
+        np.abs(state.curvature - exact.curvature).max(),
+        np.abs(state.ang_vel - exact.ang_vel).max(),
+        np.abs(state.lin_vel - exact.lin_vel).max(),
+    )
+    return err, state

@@ -23,8 +23,6 @@ from rodsim.integrators import (
     ManifoldState,
     drift_norms,
     lift,
-    project,
-    step_pure_numeric,
     step_semi_analytic,
 )
 from rodsim.rod_model import (
@@ -45,15 +43,13 @@ from rodsim.scenarios import (
 )
 from rodsim.solution_family import (
     CauchyTrace,
-    SolutionFamily,
     match_boundary_trace,
     random_family,
-    sample_state,
     verify_trace_match,
 )
 from rodsim.verify import family_residuals, reduction_chain_residuals
 
-from helpers import random_trace, sampled_fn
+from helpers import cross_validation_error, random_trace
 
 
 def _report(criterion, ok, detail):
@@ -203,63 +199,16 @@ def test_criterion_6_speedup(benchmark_report):
 # exact solution of the momentum balances with f = l = 0 when the material
 # satisfies EI = rho*I - rho*A (direct substitution of the closed form into
 # the two balances). Both ends are clamped to the known solution's signals,
-# so the run has exact boundary data and any error is the scheme's own.
-
-
-def _exact_family(span=3.0):
-    return SolutionFamily(
-        amp=sampled_fn(lambda u: 1.0, -span, span, 65),
-        angle=sampled_fn(lambda u: u, -span, span, 65),
-        time_map=sampled_fn(lambda w: w, -2 * span, 2 * span, 65),
-        u_range=(-span, span),
-    )
-
-
-def _exact_bc():
-    e = lambda a: np.array([np.cos(a), np.sin(a)])
-    de = lambda a: np.array([-np.sin(a), np.cos(a)])
-    return BoundaryConditions(
-        base="clamped", tip="clamped",
-        base_lin_vel=lambda t: e(t), base_ang_vel=lambda t: e(t),
-        base_lin_acc=lambda t: de(t),
-        tip_lin_vel=lambda t: e(t - 1.0), tip_ang_vel=lambda t: e(t - 1.0),
-        tip_lin_acc=lambda t: de(t - 1.0),
-    )
-
-
-def _cross_validation_error(scheme, nodes, dt, t_end=0.5):
-    fam = _exact_family()
-    params = MaterialParams(
-        rho=1.0, area=0.01, moment=0.02, EI=0.01, length=1.0, nodes=nodes
-    )
-    grid = params.grid()
-    bc = _exact_bc()
-    state = sample_state(fam, grid, 0.0)
-    if scheme == "semi":
-        m = project(state, np.zeros(nodes), eps=1e-12)
-    n_steps = int(round(t_end / dt))
-    for k in range(n_steps):
-        if scheme == "semi":
-            m = step_semi_analytic(m, params, Loads(), bc, k * dt, dt)
-        else:
-            state = step_pure_numeric(state, params, Loads(), bc, k * dt, dt)
-    if scheme == "semi":
-        state = lift(m)
-    exact = sample_state(fam, grid, t_end)
-    err = max(
-        np.abs(state.curvature - exact.curvature).max(),
-        np.abs(state.ang_vel - exact.ang_vel).max(),
-        np.abs(state.lin_vel - exact.lin_vel).max(),
-    )
-    return err, state
+# so the run has exact boundary data and any error is the scheme's own
+# (``helpers.cross_validation_error``).
 
 
 def test_criterion_7_scheme_cross_validation():
     # Pure-scheme self-convergence in dt: the curvature difference between
     # runs at dt and dt/2 halves again when both are halved.
-    _, p1 = _cross_validation_error("pure", 51, 2e-3)
-    _, p2 = _cross_validation_error("pure", 51, 1e-3)
-    _, p4 = _cross_validation_error("pure", 51, 5e-4)
+    _, p1 = cross_validation_error("pure", 51, 2e-3)
+    _, p2 = cross_validation_error("pure", 51, 1e-3)
+    _, p4 = cross_validation_error("pure", 51, 5e-4)
     d12 = np.abs(p1.curvature - p2.curvature).max()
     d24 = np.abs(p2.curvature - p4.curvature).max()
     self_ratio = d12 / d24
@@ -267,7 +216,7 @@ def test_criterion_7_scheme_cross_validation():
     errors = {}
     for scheme in ("pure", "semi"):
         errors[scheme] = [
-            _cross_validation_error(scheme, n, dt)[0]
+            cross_validation_error(scheme, n, dt)[0]
             for n, dt in ((51, 1e-3), (101, 5e-4), (201, 2.5e-4))
         ]
     converges = all(

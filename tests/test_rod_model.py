@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm  # test oracle only
 
 from rodsim import integrators, rod_model
 from rodsim.errors import ConfigurationError
@@ -17,6 +18,8 @@ from rodsim.rod_model import (
     reconstruct_centerline,
 )
 from rodsim.scenarios import default_config, simulate_rod
+
+from helpers import skew_interval_operators
 
 
 def make_params(**overrides):
@@ -397,6 +400,50 @@ class TestCenterline:
             for r in rot[:, k]:
                 ref.append(np.dot(ref[-1], r))
             assert np.array_equal(frames[:, k], np.array(ref))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 10.0])
+    def test_closed_form_intervals_have_the_skew_matrix_bytes(self, scale):
+        # Random (N, F, K, 2) curvatures with exact +0.0 and -0.0 components,
+        # nodes in the Taylor branch (below 1e-8 rad) and next to it. At
+        # these interval angles (below 0.2 rad) a product that BLAS fuses in
+        # the reference's K @ K changes no byte (helpers).
+        rng = np.random.default_rng(29)
+        kappa = scale * rng.standard_normal((41, 6, 5, 2))
+        component = rng.integers(0, 4, kappa.shape)
+        kappa[component == 0] = 0.0
+        kappa[component == 1] = -0.0
+        node = rng.integers(0, 3, kappa.shape[:-1])
+        kappa[node == 0] *= 1e-7 / scale  # Taylor-branch intervals
+        near = kappa[node == 1]  # largest component 1.02e-6: about 1e-8 rad
+        kappa[node == 1] = 1.02e-6 * near / np.abs(near).max(-1, keepdims=True).clip(1e-300)
+        rot, step = rod_model._interval_operators(kappa, 1e-2)
+        ref_rot, ref_step, _ = skew_interval_operators(kappa, 1e-2)
+        assert rot.shape == ref_rot.shape and step.shape == ref_step.shape
+        assert rot.tobytes() == ref_rot.tobytes()
+        assert step.tobytes() == ref_step.tobytes()
+
+    @pytest.mark.parametrize("ds", [1e-2, 5e-2])
+    def test_closed_form_intervals_just_above_the_taylor_branch(self, ds):
+        # Turning 1e-8 to 1e-6 rad, with a signed zero k2: c2 can round to
+        # zero and, at some spacings, ds - sin(theta ds) / theta below it,
+        # so the tangent step's zero entries take the sign of c3 * 0.0.
+        rng = np.random.default_rng(37)
+        kappa = np.zeros((200_001, 2))
+        kappa[:, 0] = rng.uniform(1e-8, 1e-6, len(kappa)) / ds
+        kappa[::3, 0] *= -1.0
+        kappa[::2, 1] = -0.0
+        rot, step = rod_model._interval_operators(kappa, ds)
+        ref_rot, ref_step, _ = skew_interval_operators(kappa, ds)
+        assert rot.tobytes() == ref_rot.tobytes()
+        assert step.tobytes() == ref_step.tobytes()
+
+    def test_closed_form_rotations_are_exponentials(self):
+        rng = np.random.default_rng(31)
+        kappa = 20.0 * rng.standard_normal((101, 3, 2))
+        kappa[rng.integers(0, 3, (101, 3)) == 0] *= 1e-9 / 20.0
+        rot, _ = rod_model._interval_operators(kappa, 1e-2)
+        *_, skew = skew_interval_operators(kappa, 1e-2)
+        np.testing.assert_allclose(rot, expm(1e-2 * skew), rtol=0, atol=1e-14)
 
     def test_rod_axis_shares_one_base(self):
         kappa = np.zeros((5, 3, 2))

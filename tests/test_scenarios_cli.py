@@ -459,18 +459,13 @@ class TestRunCarpet:
         reconstruct_centerline call of its own, and the rod-frame count of
         every call that simulate_rod made."""
         curvatures, calls = [], []
-        drift_norms = scenarios._drift_norms
         reconstruct = scenarios.reconstruct_centerline
-
-        def recording_drift_norms(raw, spacing, collinear):  # once per captured frame
-            curvatures.append(raw[0:2].T.copy())
-            return drift_norms(raw, spacing, collinear)
 
         def counting_reconstruct(curvature, *args):  # (N, frames, rods, 2)
             calls.append(math.prod(curvature.shape[1:-1]))
+            curvatures.extend(curvature.swapaxes(0, 1).copy())  # each frame's (N, rods, 2)
             return reconstruct(curvature, *args)
 
-        monkeypatch.setattr(scenarios, "_drift_norms", recording_drift_norms)
         monkeypatch.setattr(scenarios, "reconstruct_centerline", counting_reconstruct)
         result = simulate_rod(config)
         bases = np.zeros((config.carpet.rods, 3))
