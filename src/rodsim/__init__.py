@@ -20,15 +20,7 @@ from .grid_fields import (
     cumtrapz,
     integrate_ode_rk4,
 )
-from .integrators import (
-    ManifoldState,
-    drift_norms,
-    lift,
-    max_stable_dt,
-    project,
-    step_pure_numeric,
-    step_semi_analytic,
-)
+from .integrators import max_stable_dt
 from .reduction import (
     developable_residuals,
     extract_speed_profile,
@@ -37,10 +29,8 @@ from .reduction import (
 )
 from .rod_model import (
     BoundaryConditions,
-    Loads,
     MaterialParams,
     RodState,
-    energy,
     reconstruct_centerline,
 )
 from .scenarios import (

@@ -30,12 +30,7 @@ class SingularSystemError(NumericalError):
 
 
 class DivergenceError(NumericalError):
-    """An ODE march or time step produced non-finite values; ``rods`` lists
-    the rods of a time step that did (0 for a state without a rod axis)."""
-
-    def __init__(self, message, rods=None):
-        super().__init__(message)
-        self.rods = rods
+    """An ODE march or a boundary-trace fit produced non-finite values."""
 
 
 class DegeneracyError(NumericalError):

@@ -10,67 +10,41 @@ velocity compatibility relation is enforced by integrating the angle along
 the rod.
 
 Both schemes impose the moment-free condition m = 0 (zero curvature) at free
-ends in addition to the clamped-end velocity signals. A step returns only the
-next state; ``drift_norms`` and ``rod_model.energy`` measure a state of either
-kind when the caller asks. A state with a rod axis steps K rods at once; the
-projection threshold, the energy and the drift norms are then taken rod by
-rod, and a rod that blows up leaves the others' bits as they would be alone.
+ends in addition to the clamped-end velocity signals. A state is one packed
+array per rod batch, nodes last: (6, K, N) raw, the curvature, angular and
+linear velocity components in turn (``rod_model.RodState._packed``), or
+(4, K, N) on the manifold, the direction angle and the three signed
+magnitudes. ``_lift`` and ``_project`` map between the two.
 
-A step works on one packed array per state, (6, K, N) for a RodState and
-(4, K, N) for a ManifoldState (``rod_model._GridState._packed``). The cores
-``_steps_pure`` and ``_steps_semi`` fill a block of B steps, (B + 1, C, K, N),
-from its first state, on one ``_Workspace`` made per block, each a list of
-calls to one set of stages: ``_momentum`` (contact force and angular
-velocity), ``_curvature`` (zero at free ends) and ``_clamp``, and in the semi
-core ``_projection`` and ``_angle_integration``. A core ends with one
-residual check of its block's contact-force solves (``check_tridiag``),
-which raises SingularSystemError. The public functions run a core on a block
-of one step, with the same bits as ``scenarios.simulate_rod``. A rod that
-blows up gets non-finite rows, which the residual check leaves out and
-``_nonfinite_rods`` finds: the public steps raise DivergenceError naming them.
+The block cores ``_steps_pure`` and ``_steps_semi`` are the one way to step
+a rod; ``scenarios.simulate_rod`` runs them. Each fills a block of B steps,
+(B + 1, C, K, N), from its first state, on one ``_Workspace`` made per
+block, as a list of calls to one set of stages: ``_momentum`` (contact force
+and angular velocity), ``_curvature`` (zero at free ends) and ``_clamp``, and
+in the semi core ``_projection`` and ``_angle_integration``. A core ends with
+one residual check of its block's contact-force solves (``check_tridiag``),
+which raises SingularSystemError. Each rod of a block steps as it would
+alone: its projection threshold is its own, and a rod that blows up gets
+non-finite rows, which the residual check leaves out and ``_nonfinite_rods``
+finds, and leaves the other rods' bits as they would be.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, InputError, InstabilityError
+from .errors import InputError, InstabilityError
 from .grid_fields import _diff_last, central_diff, check_tridiag
 from .rod_model import (
     BoundaryConditions,
-    Loads,
-    MaterialParams,
-    RodState,
-    _GridState,
     _contact_force,
     _contact_operator,
-    _drift_norms,
-    _loads_at,
     _zero_signal,
 )
 
-__all__ = [
-    "ManifoldState",
-    "drift_norms",
-    "lift",
-    "project",
-    "step_pure_numeric",
-    "step_semi_analytic",
-    "max_stable_dt",
-]
-
-
-@dataclass
-class ManifoldState(_GridState):
-    """Collinear state: a direction angle plus signed magnitudes, (N,) or (N, K)."""
-
-    angle: np.ndarray
-    curv_mag: np.ndarray
-    ang_mag: np.ndarray
-    vel_mag: np.ndarray
+__all__ = ["max_stable_dt"]
 
 
 def _direction(angle: np.ndarray, out: np.ndarray = None) -> np.ndarray:
@@ -89,11 +63,6 @@ def _lift(m: np.ndarray, out: np.ndarray = None, direction: np.ndarray = None) -
     return out
 
 
-def lift(m: ManifoldState) -> RodState:
-    """Expand a collinear state into the raw vector representation."""
-    return RodState._from_packed(m.grid, _lift(m._packed()), m._batched)
-
-
 def _project(fields: np.ndarray, prev_angle: np.ndarray, eps, out: np.ndarray = None,
              direction: np.ndarray = None) -> np.ndarray:
     """The angle and one magnitude per field, (1 + F, K, N), into ``out``, of
@@ -106,36 +75,6 @@ def _project(fields: np.ndarray, prev_angle: np.ndarray, eps, out: np.ndarray = 
     np.einsum("fjkn,jkn->fkn", fields.reshape((-1, 2) + v0.shape),
               _direction(m[0], direction), out=m[1:])
     return m
-
-
-def project(r: RodState, prev_angle: np.ndarray, eps) -> ManifoldState:
-    """Project a raw state onto the collinear manifold.
-
-    The direction angle follows the linear velocity where its magnitude
-    exceeds ``eps`` (a float, or one per rod); below that the previous angle
-    is carried through. Normal components of all three fields are discarded.
-    """
-    eps = np.asarray(eps)
-    if not (eps > 0.0).all():
-        raise InputError("projection threshold must be positive")
-    if not np.isfinite(prev_angle).all():
-        raise InputError("previous angle contains non-finite entries")
-    m = _project(r._packed(), np.asarray(prev_angle, float).T, eps[..., None])
-    return ManifoldState._from_packed(r.grid, m, r._batched)
-
-
-def drift_norms(state):
-    """Max-norms (R4, R5, R6) of a RodState or ManifoldState
-    (``rod_model._drift_norms``).
-
-    On the manifold the three vectors share one direction, so R5 and R6 are
-    zero by representation; R4 is measured on the lifted vectors. Each norm
-    is a float for one rod and an array of K norms for K rods.
-    """
-    collinear = isinstance(state, ManifoldState)
-    raw = _lift(state._packed()) if collinear else state._packed()
-    norms = _drift_norms(raw, state.grid.spacing, collinear)
-    return tuple(norms if state._batched else norms[:, 0])
 
 
 def _nonfinite_rods(packed: np.ndarray) -> np.ndarray:
@@ -284,8 +223,9 @@ def _angle_integration(w, m, new):
 
 
 def _steps_pure(block, solves, params, bc, grid, f, couples, times, dt):
-    """``step_pure_numeric`` on a block of packed raw states: fill block[1:]
-    from block[0], step i at times[i] under the couple couples[i], into
+    """The pure scheme on a block of packed raw states: fill block[1:] from
+    block[0] by forward Euler, every right-hand side from the pre-step state,
+    step i at times[i] under the force ``f`` and the couple couples[i], into
     ``solves`` (2, B, 2, K, N) the steps' contact forces and right-hand sides."""
     w = _Workspace(params, bc, grid, f, times, dt, block.shape[2])
     forces, rhs = solves
@@ -304,8 +244,10 @@ def _steps_pure(block, solves, params, bc, grid, f, couples, times, dt):
 
 
 def _steps_semi(block, solves, params, bc, grid, f, couples, times, dt):
-    """``step_semi_analytic`` on a block of packed manifold states, as
-    ``_steps_pure`` does, the curvature advanced from the new ang_mag."""
+    """The semi scheme on a block of packed manifold states, as
+    ``_steps_pure`` does: lift, the momentum stage, projection back onto the
+    direction of the new linear velocity, the angle integrated from the base,
+    and the curvature magnitude advected with the new ang_mag."""
     w = _Workspace(params, bc, grid, f, times, dt, block.shape[2])
     forces, rhs = solves
     for i, l in enumerate(couples):
@@ -315,64 +257,6 @@ def _steps_semi(block, solves, params, bc, grid, f, couples, times, dt):
         _angle_integration(w, m, new)
         _curvature(w, m[1], _diff_last(new[2], w.ds, w.slope), new[1])
     check_tridiag(w.factors, forces, rhs)
-
-
-def _step(steps, state, params, loads, bc, t, dt):
-    """Run the block core ``steps`` on a public state on the material's grid,
-    as a block of one: pack, evaluate the loads, step, raise DivergenceError
-    naming the rods whose new rows are not all finite, unpack."""
-    if not dt > 0.0:
-        raise InputError("dt must be positive")
-    grid = state.grid
-    if grid != params.grid():  # the contact-force factors are on the material's grid
-        raise InputError(f"state grid {grid} differs from the material's {params.grid()}")
-    f, l = (v.T for v in _loads_at(loads, t, grid))
-    block = np.stack([state._packed()] * 2)  # the state, then the step's
-    solves = np.empty((2, 1, 2) + block.shape[2:])
-    steps(block, solves, params, bc, grid, f, l[None], np.array([t]), dt)
-    bad = _nonfinite_rods(block[1])
-    if bad.any():
-        raise DivergenceError("a time step produced non-finite values",
-                              rods=np.flatnonzero(bad))
-    return type(state)._from_packed(grid, block[1], state._batched)
-
-
-def step_pure_numeric(
-    state: RodState,
-    params: MaterialParams,
-    loads: Loads,
-    bc: BoundaryConditions,
-    t: float,
-    dt: float,
-) -> RodState:
-    """Forward-Euler step of the raw scheme; constraints drift freely.
-
-    All right-hand sides are evaluated at the pre-step state (simultaneous
-    update). Raises DivergenceError if the step produces non-finite values.
-    """
-    return _step(_steps_pure, state, params, loads, bc, t, dt)
-
-
-def step_semi_analytic(
-    m: ManifoldState,
-    params: MaterialParams,
-    loads: Loads,
-    bc: BoundaryConditions,
-    t: float,
-    dt: float,
-) -> ManifoldState:
-    """One step of the semi-analytic scheme on the collinear manifold.
-
-    Stages: lift to vectors; forward-Euler update of the momentum balances;
-    projection back to the manifold (direction from the updated velocity);
-    exact spatial reconstruction of the angle by integrating
-    d(angle)/ds = -ang_mag / vel_mag from the base; scalar advection of the
-    curvature magnitude. Collinearity holds exactly by representation.
-    Raises DivergenceError if the step produces non-finite values. The
-    projection threshold ``eps`` is 1e-8 of each rod's largest velocity
-    component.
-    """
-    return _step(_steps_semi, m, params, loads, bc, t, dt)
 
 
 def max_stable_dt(is_stable, dt_min: float, dt_max: float) -> float:

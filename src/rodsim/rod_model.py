@@ -7,8 +7,8 @@ law; the internal (contact) force is a constraint reaction recovered each step
 from a linear boundary-value problem. Rods of one material on one grid can
 share a state with a rod axis between the node and component axes.
 
-A step packs a state into one array, components and rods first and nodes
-last (``_GridState._packed``), which ``_contact_force``, ``_energy`` and
+The step cores work on packed arrays, components and rods first and nodes
+last (``RodState._packed``), which ``_contact_force``, ``_energy`` and
 ``_drift_norms`` take. The momentum stage of both step cores
 (``integrators._momentum``) solves for the contact force with the factors of
 ``_contact_operator``, which each block of steps looks up once.
@@ -17,7 +17,7 @@ last (``_GridState._packed``), which ``_contact_force``, ``_energy`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -35,29 +35,20 @@ from .grid_fields import (
 __all__ = [
     "MaterialParams",
     "RodState",
-    "Loads",
     "BoundaryConditions",
-    "adiag",
-    "energy",
     "reconstruct_centerline",
 ]
-
-_ADIAG_SIGNS = np.array([1.0, -1.0])
-
-
-def adiag(v: np.ndarray) -> np.ndarray:
-    """Apply the antidiagonal matrix [[0, 1], [-1, 0]] to 2-vectors (last axis)."""
-    return v[..., ::-1] * _ADIAG_SIGNS
 
 
 def _drift_norms(raw: np.ndarray, spacing: float, collinear: bool) -> np.ndarray:
     """Max-norms (3, K) over the nodes of a packed raw state's constraint
     residuals, R4, R5 and R6 per rod.
 
-    R4 is the velocity compatibility residual lin_vel' - adiag(ang_vel), R5
-    and R6 the collinearity of the angular and linear velocity with the
-    curvature. A ``collinear`` state (a lifted manifold state) has R5 = R6 = 0
-    by representation; they are set, not computed.
+    R4 is the velocity compatibility residual lin_vel' - adiag(ang_vel),
+    adiag(w) = (w1, -w0), R5 and R6 the collinearity of the angular and linear
+    velocity with the curvature. A ``collinear`` state (a lifted manifold
+    state) has R5 = R6 = 0 by representation; they are set to zero, not
+    computed.
     """
     norms = np.zeros((3,) + raw.shape[1:2])
     r4 = _diff_last(raw[4:6], spacing, np.empty((2,) + raw.shape[1:]))
@@ -101,23 +92,20 @@ class MaterialParams:
 
 
 @dataclass
-class _GridState:
-    """Fields on a rod's grid, each (N, *component) for one rod or
-    (N, K, *component) for K rods; the first field's shape decides which.
-
-    Subclasses are dataclasses whose fields after ``grid`` are the arrays,
-    and set ``_component``, the trailing shape of each field.
-    """
+class RodState:
+    """Curvature, angular and linear velocity 2-vector fields on a rod's
+    grid, each (N, 2) for one rod or (N, K, 2) for K rods; the curvature's
+    shape decides which. The constructor checks shapes and finiteness."""
 
     grid: Grid1D
-    _component = ()
+    curvature: np.ndarray
+    ang_vel: np.ndarray
+    lin_vel: np.ndarray
 
     def __post_init__(self):
-        names = [f.name for f in fields(self)][1:]
-        first = np.shape(getattr(self, names[0]))
-        rods = first[1:len(first) - len(self._component)][:1]  # () or (K,)
-        shape = (self.grid.node_count, *rods, *self._component)
-        for name in names:
+        rods = np.shape(self.curvature)[1:-1][:1]  # () or (K,)
+        shape = (self.grid.node_count, *rods, 2)
+        for name in ("curvature", "ang_vel", "lin_vel"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != shape:
                 raise InputError(f"{name} must have shape {shape}, got {arr.shape}")
@@ -125,63 +113,12 @@ class _GridState:
                 raise InputError(f"{name} contains non-finite entries")
             setattr(self, name, arr)
 
-    @classmethod
-    def zero(cls, grid: Grid1D, rods: int = None):
-        """The all-zero state, with a rod axis of ``rods`` rods when given."""
-        rod_axis = () if rods is None else (rods,)
-        shape = (grid.node_count, *rod_axis, *cls._component)
-        return cls(grid, *(np.zeros(shape) for _ in fields(cls)[1:]))
-
-    @property
-    def _batched(self) -> bool:
-        """Whether the fields carry a rod axis."""
-        _, first, *_ = vars(self).values()  # in field order, grid first
-        return first.ndim > 1 + len(self._component)
-
     def _packed(self) -> np.ndarray:
-        """The fields in the stepping layout, (C, K, N): each field's
+        """The fields in the stepping layout, (6, K, N): each field's two
         components in turn, then rods (K = 1 without a rod axis), nodes last."""
-        grid, *arrays = vars(self).values()
-        width = math.prod(self._component)
-        node_first = [a.reshape(grid.node_count, -1, width) for a in arrays]
+        fields = (self.curvature, self.ang_vel, self.lin_vel)
+        node_first = [a.reshape(self.grid.node_count, -1, 2) for a in fields]
         return np.concatenate(node_first, axis=-1).T.copy()
-
-    @classmethod
-    def _from_packed(cls, grid: Grid1D, packed: np.ndarray, batched: bool = True):
-        """The state of views into a ``_packed`` array, without its rod axis
-        unless ``batched``. Built without ``__post_init__``: states are checked
-        where they enter, and the steppers check what they compute."""
-        width = math.prod(cls._component)
-        shape = (grid.node_count, *packed.shape[1:2 if batched else 1], *cls._component)
-        state = object.__new__(cls)
-        views = (packed[i:i + width].T.reshape(shape) for i in range(0, len(packed), width))
-        vars(state).update(zip(cls.__dataclass_fields__, (grid, *views)))
-        return state
-
-
-@dataclass
-class RodState(_GridState):
-    """Curvature, angular and linear velocity 2-vector fields, (N, 2) or (N, K, 2)."""
-
-    curvature: np.ndarray
-    ang_vel: np.ndarray
-    lin_vel: np.ndarray
-    _component = (2,)
-
-
-def _zero_load(s, t):
-    return np.zeros((np.shape(s)[0], 2))
-
-
-@dataclass
-class Loads:
-    """Distributed force and couple per unit length, as callables (s_array, t).
-
-    An (N, K, 2) value loads K rods one by one; anything else acts on all alike.
-    """
-
-    force: Callable = _zero_load
-    couple: Callable = _zero_load
 
 
 def _zero_signal(t):
@@ -266,23 +203,6 @@ def _overflowing_material(params: MaterialParams) -> InputError:
         f"material.length={params.length!r} and material.nodes={params.nodes}")
 
 
-def _loads_at(loads: Loads, t: float, grid: Grid1D):
-    """The distributed force f and couple l at time t, each with a rod axis.
-
-    A load value of shape (N, K, 2) acts rod by rod; any other value is
-    broadcast to (N, 2) and acts on every rod alike, through a rod axis of
-    length 1.
-    """
-
-    def shaped(load):
-        value = np.asarray(load(grid.nodes, t), float)
-        if value.ndim == 3:
-            return value
-        return np.broadcast_to(value, (grid.node_count, 2))[:, None]
-
-    return shaped(loads.force), shaped(loads.couple)
-
-
 def _contact_force(dm, l, df, ends, params, factors, n, rhs):
     """Recover the internal contact force as a constraint reaction.
 
@@ -314,21 +234,10 @@ def _contact_force(dm, l, df, ends, params, factors, n, rhs):
     _gttrs(*factors.lu, n.reshape(-1, n.shape[-1]).T, overwrite_b=1)
 
 
-def energy(state: _GridState, params: MaterialParams):
-    """Kinetic plus bending energy of each rod, integrated with the trapezoid
-    rule: a float for one rod, an array of K energies for K rods.
-
-    A RodState or a ManifoldState: a collinear state's energy comes from its
-    magnitudes, as the unit direction drops out of every squared norm, and
-    agrees with the energy of its lifted vectors to rounding.
-    """
-    e = _energy(state._packed(), params, state.grid.spacing)
-    return e if state._batched else e[0]
-
-
 def _energy(packed: np.ndarray, params: MaterialParams, spacing: float) -> np.ndarray:
-    """Per-rod energy (K,) of a packed RodState, or of a packed ManifoldState
-    (angle and magnitudes: the unit direction drops out of every square).
+    """Per-rod kinetic plus bending energy (K,) of a packed raw state, or of
+    a packed manifold state (angle and magnitudes: the unit direction drops
+    out of every square, so it agrees with its lifted state's to rounding).
     A stack of B packed states, (B, C, K, N), gives (B, K).
 
     The trapezoid rule sums the increments node by node, as ``cumtrapz``

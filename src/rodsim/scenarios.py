@@ -35,7 +35,6 @@ from .integrators import (
 )
 from .rod_model import (
     BoundaryConditions,
-    Loads,
     MaterialParams,
     _drift_norms,
     _energy,
@@ -344,12 +343,6 @@ def _drive(config: ScenarioConfig, phase, nodes: np.ndarray, times: np.ndarray):
         drive.amplitude * np.sin(np.add.outer(2.0 * np.pi * drive.frequency * times, phase)),
         profile, out=couples[:, 0])
     return couples
-
-
-def _drive_loads(config: ScenarioConfig, phase) -> Loads:
-    """The drive couple as ``Loads``; a value is the transposed view of a
-    component-major buffer."""
-    return Loads(couple=lambda s, t: _drive(config, phase, s, np.array([t]))[0].T)
 
 
 def _boundary(config: ScenarioConfig) -> BoundaryConditions:

@@ -1,4 +1,5 @@
-"""Test-only constructors of sampled functions and boundary-trace data."""
+"""Test-only constructors of sampled functions and boundary-trace data, and
+the test entry into the block cores: ``step_block`` and ``step_once``."""
 
 import numpy as np
 
@@ -11,14 +12,12 @@ from rodsim.integrators import (
     _linear_velocities,
     _momentum,
     _projection,
+    _lift,
+    _project,
     _steps_pure,
     _velocities,
-    lift,
-    project,
-    step_pure_numeric,
-    step_semi_analytic,
 )
-from rodsim.rod_model import BoundaryConditions, Loads, MaterialParams
+from rodsim.rod_model import BoundaryConditions, MaterialParams
 from rodsim.solution_family import CauchyTrace, SolutionFamily, sample_state
 
 
@@ -62,6 +61,18 @@ def step_once(steps, packed, params, bc, grid, f, l, t, dt):
     """One step of the block core ``steps`` from a packed state, as a block of
     one, under the force ``f`` and the couple ``l``: the next packed state."""
     return step_block(steps, packed, params, bc, grid, f, l[None], np.array([t]), dt)[0][1]
+
+
+def step_unloaded(steps, packed, params, bc, t, dt):
+    """``step_once`` on the material's grid under zero force and couple."""
+    zero = np.zeros((2, 1, params.nodes))
+    return step_once(steps, packed, params, bc, params.grid(), zero, zero, t, dt)
+
+
+def adiag(v: np.ndarray) -> np.ndarray:
+    """The antidiagonal matrix [[0, 1], [-1, 0]] applied to 2-vectors (last
+    axis): (v1, -v0)."""
+    return np.stack([v[..., 1], -v[..., 0]], axis=-1)
 
 
 def step_matrix(steps, config, dt):
@@ -134,8 +145,9 @@ def _semi_projected_angle(w, m, new, l, i, n, rhs):
 
 
 # Scheme variants as block cores of the integrators' stages, which a test
-# runs through ``scenarios.simulate_rod`` by swapping ``scenarios._steps_pure``
-# or ``_steps_semi`` for one.
+# runs through ``step_block`` or ``cross_validation_error``, or through
+# ``scenarios.simulate_rod`` by swapping ``scenarios._steps_pure`` or
+# ``_steps_semi`` for one.
 steps_reordered = block_core(_reordered, _linear_velocities)
 steps_semi_old_ang_mag = block_core(_semi_old_ang_mag)
 steps_semi_projected_angle = block_core(_semi_projected_angle)
@@ -195,31 +207,23 @@ def exact_bc():
     )
 
 
-def cross_validation_error(scheme, nodes, dt, t_end=0.5):
-    """Criterion 7's run of ``scheme`` on the exact solution at (nodes, dt)
-    to t_end through the public steps: its max-norm error against the
-    exact state, and the final RodState."""
+def cross_validation_error(steps, semi, nodes, dt, t_end=0.5):
+    """Criterion 7's run of the block core ``steps`` on the exact solution
+    at (nodes, dt) to t_end, as one ``step_block`` from the sampled state
+    (projected for a ``semi`` core): its max-norm error against the exact
+    state, and the final packed raw state (6, 1, N)."""
     fam = exact_family()
     params = MaterialParams(
         rho=1.0, area=0.01, moment=0.02, EI=0.01, length=1.0, nodes=nodes
     )
     grid = params.grid()
-    bc = exact_bc()
-    state = sample_state(fam, grid, 0.0)
-    if scheme == "semi":
-        m = project(state, np.zeros(nodes), eps=1e-12)
+    state = sample_state(fam, grid, 0.0)._packed()
+    if semi:
+        state = _project(state, np.zeros(nodes), 1e-12)
     n_steps = int(round(t_end / dt))
-    for k in range(n_steps):
-        if scheme == "semi":
-            m = step_semi_analytic(m, params, Loads(), bc, k * dt, dt)
-        else:
-            state = step_pure_numeric(state, params, Loads(), bc, k * dt, dt)
-    if scheme == "semi":
-        state = lift(m)
-    exact = sample_state(fam, grid, t_end)
-    err = max(
-        np.abs(state.curvature - exact.curvature).max(),
-        np.abs(state.ang_vel - exact.ang_vel).max(),
-        np.abs(state.lin_vel - exact.lin_vel).max(),
-    )
-    return err, state
+    zero = np.zeros((2, 1, nodes))
+    block, _ = step_block(steps, state, params, exact_bc(), grid, zero,
+                          np.zeros((n_steps, 2, 1, nodes)), np.arange(n_steps) * dt, dt)
+    last = _lift(block[-1]) if semi else block[-1]
+    exact = sample_state(fam, grid, t_end)._packed()
+    return np.abs(last - exact).max(), last

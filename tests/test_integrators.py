@@ -1,43 +1,43 @@
-"""Tests for the pure-numeric and semi-analytic time steppers."""
+"""Tests for the pure-numeric and semi-analytic time steppers, through the
+block cores (``helpers.step_block`` and ``step_once``) on packed states:
+(6, K, N) raw, (4, K, N) on the manifold (angle, curv_mag, ang_mag,
+vel_mag)."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rodsim import integrators, scenarios
-from rodsim.errors import DivergenceError, InputError, InstabilityError, SingularSystemError
+import rodsim
+from rodsim import integrators, rod_model, scenarios
+from rodsim.errors import InputError, InstabilityError, SingularSystemError
 from rodsim.grid_fields import Grid1D, central_diff
-from rodsim.integrators import (
-    ManifoldState,
-    drift_norms,
-    lift,
-    max_stable_dt,
-    project,
-    step_pure_numeric,
-    step_semi_analytic,
-)
+from rodsim.integrators import _lift, _nonfinite_rods, _project, max_stable_dt
 from rodsim.rod_model import (
     BoundaryConditions,
-    Loads,
     MaterialParams,
     RodState,
-    adiag,
-    energy,
+    _drift_norms,
+    _energy,
 )
 from rodsim.scenarios import default_config, simulate_rod
 from rodsim.solution_family import random_family, sample_state
 
 from helpers import (
+    adiag,
     cross_validation_error,
     pure_step_matrices,
     step_block,
     step_matrix,
     step_once,
+    step_unloaded,
     steps_reordered,
     steps_semi_old_ang_mag,
     steps_semi_projected_angle,
 )
+
+PURE, SEMI = integrators._steps_pure, integrators._steps_semi
+FREE = BoundaryConditions(base="free", tip="free")
 
 
 def make_params(**overrides):
@@ -47,140 +47,111 @@ def make_params(**overrides):
 
 
 def random_manifold(grid, seed=0, vel_floor=0.3):
+    """A random packed manifold state of one rod, (4, 1, N)."""
     rng = np.random.default_rng(seed)
     n = grid.node_count
     vel = vel_floor + rng.uniform(0.0, 1.0, n)
-    return ManifoldState(
-        grid,
-        rng.uniform(-1.0, 1.0, n),
-        rng.uniform(-1.0, 1.0, n),
-        rng.uniform(-1.0, 1.0, n),
-        vel * rng.choice([-1.0, 1.0]),
-    )
+    angle, curv_mag, ang_mag = (rng.uniform(-1.0, 1.0, n) for _ in range(3))
+    vel_mag = vel * rng.choice([-1.0, 1.0])
+    return np.stack([angle, curv_mag, ang_mag, vel_mag])[:, None]
 
 
-class TestManifoldState:
-    def test_zero(self):
-        m = ManifoldState.zero(Grid1D(1.0, 5))
-        assert np.all(m.angle == 0.0)
+def manifold(*fields):
+    """The packed manifold state (4, K, N) of node-first (N,) or (N, K) fields."""
+    return np.stack(fields).reshape(4, len(fields[0]), -1).swapaxes(1, 2).copy()
 
-    def test_shape_mismatch(self):
-        g = Grid1D(1.0, 5)
-        with pytest.raises(InputError):
-            ManifoldState(g, np.zeros(4), np.zeros(5), np.zeros(5), np.zeros(5))
 
-    def test_non_finite(self):
-        g = Grid1D(1.0, 5)
-        bad = np.zeros(5)
-        bad[2] = np.inf
-        with pytest.raises(InputError):
-            ManifoldState(g, bad, np.zeros(5), np.zeros(5), np.zeros(5))
+def at_rest(scheme, nodes):
+    """The block core of ``scheme`` and its one-rod packed state at rest."""
+    semi = scheme == "semi"
+    return (SEMI if semi else PURE), np.zeros((4 if semi else 6, 1, nodes))
+
+
+def drifts(raw, grid, collinear=False):
+    """(R4, R5, R6) of a one-rod packed raw state, as floats."""
+    return tuple(_drift_norms(raw, grid.spacing, collinear)[:, 0])
+
+
+def energy(packed, params):
+    """The energy of a one-rod packed state."""
+    return _energy(packed, params, params.grid().spacing)[0]
 
 
 class TestLiftProject:
     def test_round_trip_through_vectors(self):
         g = Grid1D(1.0, 31)
         m = random_manifold(g, seed=1)
-        raw = lift(m)
-        back = lift(project(raw, m.angle, eps=1e-12))
-        np.testing.assert_allclose(back.curvature, raw.curvature, atol=1e-12)
-        np.testing.assert_allclose(back.ang_vel, raw.ang_vel, atol=1e-12)
-        np.testing.assert_allclose(back.lin_vel, raw.lin_vel, atol=1e-12)
+        raw = _lift(m)
+        back = _lift(_project(raw, m[0], 1e-12))
+        for rows in (slice(0, 2), slice(2, 4), slice(4, 6)):  # each field
+            np.testing.assert_allclose(back[rows], raw[rows], atol=1e-12)
 
     def test_angle_recovered_for_forward_velocity(self):
         g = Grid1D(1.0, 11)
         n = g.node_count
         angle = np.linspace(-1.0, 1.0, n)
-        m = ManifoldState(g, angle, np.zeros(n), np.zeros(n), np.ones(n))
-        proj = project(lift(m), np.zeros(n), eps=1e-12)
-        np.testing.assert_allclose(proj.angle, angle, atol=1e-12)
+        m = manifold(angle, np.zeros(n), np.zeros(n), np.ones(n))
+        proj = _project(_lift(m), np.zeros(n), 1e-12)
+        np.testing.assert_allclose(proj[0, 0], angle, atol=1e-12)
 
     def test_slow_nodes_keep_previous_angle(self):
         g = Grid1D(1.0, 11)
         n = g.node_count
         prev = np.full(n, 0.4)
-        raw = RodState.zero(g)
-        raw.lin_vel[:5, 0] = 1.0  # the rest sits below threshold
-        proj = project(raw, prev, eps=1e-6)
-        np.testing.assert_allclose(proj.angle[:5], 0.0, atol=1e-15)
-        np.testing.assert_allclose(proj.angle[5:], 0.4, atol=1e-15)
+        raw = np.zeros((6, 1, n))
+        raw[4, 0, :5] = 1.0  # lin_vel's first component; the rest sits below threshold
+        proj = _project(raw, prev, 1e-6)
+        np.testing.assert_allclose(proj[0, 0, :5], 0.0, atol=1e-15)
+        np.testing.assert_allclose(proj[0, 0, 5:], 0.4, atol=1e-15)
 
     def test_normal_components_discarded(self):
         g = Grid1D(1.0, 11)
-        raw = RodState.zero(g)
-        raw.lin_vel[:, 0] = 1.0
-        raw.curvature[:, 1] = 0.7  # purely normal to the direction
-        proj = project(raw, np.zeros(g.node_count), eps=1e-12)
-        np.testing.assert_allclose(proj.curv_mag, 0.0, atol=1e-15)
-
-    def test_rejects_nonpositive_eps(self):
-        g = Grid1D(1.0, 11)
-        with pytest.raises(InputError):
-            project(RodState.zero(g), np.zeros(g.node_count), eps=0.0)
-
-    def test_rejects_non_finite_previous_angle(self):
-        # At rest every node carries the previous angle through.
-        g = Grid1D(1.0, 11)
-        prev = np.zeros(g.node_count)
-        prev[4] = np.nan
-        with pytest.raises(InputError):
-            project(RodState.zero(g), prev, eps=1e-12)
+        raw = np.zeros((6, 1, g.node_count))
+        raw[4] = 1.0
+        raw[1] = 0.7  # the curvature purely normal to the direction
+        proj = _project(raw, np.zeros(g.node_count), 1e-12)
+        np.testing.assert_allclose(proj[1], 0.0, atol=1e-15)
 
 
 class TestPureStep:
     def test_zero_state_is_fixed_point(self):
         params = make_params()
-        state = RodState.zero(params.grid())
-        new = step_pure_numeric(
-            state, params, Loads(), BoundaryConditions(base="free", tip="free"),
-            0.0, 1e-3
-        )
-        np.testing.assert_array_equal(new.curvature, 0.0)
-        np.testing.assert_array_equal(new.lin_vel, 0.0)
+        new = step_unloaded(PURE, np.zeros((6, 1, params.nodes)), params, FREE, 0.0, 1e-3)
+        np.testing.assert_array_equal(new[0:2], 0.0)
+        np.testing.assert_array_equal(new[4:6], 0.0)
         assert energy(new, params) == 0.0
-        assert drift_norms(new)[0] == 0.0
+        assert drifts(new, params.grid())[0] == 0.0
 
     def test_uniform_translation_is_fixed_point(self):
         params = make_params()
-        state = RodState.zero(params.grid())
-        state.lin_vel[:, 1] = 2.5
-        new = step_pure_numeric(
-            state, params, Loads(), BoundaryConditions(base="free", tip="free"),
-            0.0, 1e-3
-        )
-        np.testing.assert_allclose(new.lin_vel, state.lin_vel, atol=1e-12)
-        np.testing.assert_allclose(new.ang_vel, 0.0, atol=1e-12)
-        assert drift_norms(new)[0] <= 1e-10
-
-    def test_rejects_nonpositive_dt(self):
-        params = make_params()
-        with pytest.raises(InputError):
-            step_pure_numeric(
-                RodState.zero(params.grid()),
-                params,
-                Loads(),
-                BoundaryConditions(base="free", tip="free"),
-                0.0,
-                0.0,
-            )
+        state = np.zeros((6, 1, params.nodes))
+        state[5] = 2.5
+        new = step_unloaded(PURE, state, params, FREE, 0.0, 1e-3)
+        np.testing.assert_allclose(new[4:6], state[4:6], atol=1e-12)
+        np.testing.assert_allclose(new[2:4], 0.0, atol=1e-12)
+        assert drifts(new, params.grid())[0] <= 1e-10
 
     def test_blowup_sets_finite_flag(self):
-        # A stiff rod stepped far beyond its stability limit must raise
-        # DivergenceError within a bounded number of steps, leaving the
+        # A stiff rod stepped far beyond its stability limit must produce a
+        # non-finite step within a bounded number of steps, leaving the
         # caller's last finite state untouched.
         params = make_params(EI=1e3, nodes=101)
-        state = RodState.zero(params.grid())
+        state = np.zeros((6, 1, params.nodes))
         rng = np.random.default_rng(2)
-        state.curvature[:] = 0.1 * rng.standard_normal((params.nodes, 2))
-        bc = BoundaryConditions(base="free", tip="free")
-        with np.errstate(all="ignore"), pytest.raises(DivergenceError):
+        state[0:2, 0] = 0.1 * rng.standard_normal((params.nodes, 2)).T
+        with np.errstate(all="ignore"):
             for k in range(1000):
-                state = step_pure_numeric(state, params, Loads(), bc, k * 1.0, 1.0)
-        assert np.all(np.isfinite(state.curvature))
+                new = step_unloaded(PURE, state, params, FREE, k * 1.0, 1.0)
+                if _nonfinite_rods(new).any():
+                    break
+                state = new
+            else:
+                pytest.fail("no step of 1000 was non-finite")
+        assert np.all(np.isfinite(state[0:2]))
 
     @pytest.mark.parametrize(
         "bc",
-        [BoundaryConditions(), BoundaryConditions(base="free", tip="free")],
+        [BoundaryConditions(), FREE],
         ids=["clamped_base", "free_free"],
     )
     def test_huge_finite_state_is_a_non_finite_step(self, bc):
@@ -189,12 +160,13 @@ class TestPureStep:
         # contact-force matrix.
         params = default_config().material
         grid = params.grid()
-        state = RodState.zero(grid)
-        state.curvature[:, 0] = 1e305 * np.sin(3.0 * grid.nodes)
-        before = state.curvature.copy()
-        with np.errstate(all="ignore"), pytest.raises(DivergenceError):
-            step_pure_numeric(state, params, Loads(), bc, 0.0, 1e-4)
-        np.testing.assert_array_equal(state.curvature, before)
+        state = np.zeros((6, 1, grid.node_count))
+        state[0] = 1e305 * np.sin(3.0 * grid.nodes)
+        before = state.copy()
+        with np.errstate(all="ignore"):
+            new = step_unloaded(PURE, state, params, bc, 0.0, 1e-4)
+        assert _nonfinite_rods(new).all()
+        np.testing.assert_array_equal(state, before)
 
     def test_free_ends_are_moment_free(self):
         # A free end carries no bending moment, so the curvature at free end
@@ -202,15 +174,14 @@ class TestPureStep:
         params = make_params(nodes=21)
         fam = random_family(np.random.default_rng(8))
         t0 = float(fam.time_map(0.5))
-        state = sample_state(fam, params.grid(), t0)
-        bc = BoundaryConditions(base="free", tip="free")
-        new = step_pure_numeric(state, params, Loads(), bc, t0, 1e-4)
-        np.testing.assert_array_equal(new.curvature[0], [0.0, 0.0])
-        np.testing.assert_array_equal(new.curvature[-1], [0.0, 0.0])
-        m = project(state, np.zeros(params.nodes), eps=1e-12)
-        mnew = step_semi_analytic(m, params, Loads(), bc, t0, 1e-4)
-        assert mnew.curv_mag[0] == 0.0
-        assert mnew.curv_mag[-1] == 0.0
+        state = sample_state(fam, params.grid(), t0)._packed()
+        new = step_unloaded(PURE, state, params, FREE, t0, 1e-4)
+        np.testing.assert_array_equal(new[0:2, 0, 0], [0.0, 0.0])
+        np.testing.assert_array_equal(new[0:2, 0, -1], [0.0, 0.0])
+        m = _project(state, np.zeros(params.nodes), 1e-12)
+        mnew = step_unloaded(SEMI, m, params, FREE, t0, 1e-4)
+        assert mnew[1, 0, 0] == 0.0
+        assert mnew[1, 0, -1] == 0.0
 
     def test_single_step_drift_linear_in_dt(self):
         # Starting exactly on the collinear manifold, one step leaves it by
@@ -218,12 +189,10 @@ class TestPureStep:
         params = make_params(nodes=41)
         fam = random_family(np.random.default_rng(3))
         t0 = float(fam.time_map(0.5))
-        init = sample_state(fam, params.grid(), t0)
-        bc = BoundaryConditions(base="free", tip="free")
+        init = sample_state(fam, params.grid(), t0)._packed()
 
         def single_step_r5(dt):
-            new = step_pure_numeric(init, params, Loads(), bc, t0, dt)
-            return drift_norms(new)[1]
+            return drifts(step_unloaded(PURE, init, params, FREE, t0, dt), params.grid())[1]
 
         ratio = single_step_r5(1e-6) / single_step_r5(5e-7)
         assert ratio == pytest.approx(2.0, rel=0.15)
@@ -232,21 +201,20 @@ class TestPureStep:
 class TestSemiStep:
     def test_zero_state_is_fixed_point(self):
         params = make_params()
-        m = ManifoldState.zero(params.grid())
-        new = step_semi_analytic(
-            m, params, Loads(), BoundaryConditions(base="free", tip="free"), 0.0, 1e-3
-        )
-        np.testing.assert_array_equal(new.curv_mag, 0.0)
-        np.testing.assert_array_equal(new.angle, 0.0)
+        new = step_unloaded(SEMI, np.zeros((4, 1, params.nodes)), params, FREE, 0.0, 1e-3)
+        np.testing.assert_array_equal(new[1], 0.0)
+        np.testing.assert_array_equal(new[0], 0.0)
 
     def test_collinearity_bitwise_zero(self):
+        # R5 and R6 of a manifold state are zero by representation
+        # (``_drift_norms`` with collinear=True sets them).
         params = make_params()
-        m = random_manifold(params.grid(), seed=4)
-        loads = Loads(couple=lambda s, t: np.outer(np.sin(3 * s), [0.5, 0.0]))
-        new = step_semi_analytic(
-            m, params, loads, BoundaryConditions(base="free", tip="free"), 0.0, 1e-3
-        )
-        _, r5, r6 = drift_norms(new)
+        grid = params.grid()
+        m = random_manifold(grid, seed=4)
+        couple = np.outer(np.sin(3 * grid.nodes), [0.5, 0.0]).T[:, None]
+        zero = np.zeros_like(couple)
+        new = step_once(SEMI, m, params, FREE, grid, zero, couple, 0.0, 1e-3)
+        _, r5, r6 = drifts(_lift(new), grid, collinear=True)
         assert r5 == 0.0
         assert r6 == 0.0
 
@@ -256,13 +224,11 @@ class TestSemiStep:
         params = make_params(nodes=201)
         fam = random_family(np.random.default_rng(5))
         t0 = float(fam.time_map(0.5))
-        raw = sample_state(fam, params.grid(), t0)
-        m = project(raw, np.zeros(params.nodes), eps=1e-12)
-        new = step_semi_analytic(
-            m, params, Loads(), BoundaryConditions(base="free", tip="free"), t0, 1e-5
-        )
-        slope = central_diff(new.angle, params.grid().spacing)
-        target = -new.ang_mag / new.vel_mag
+        raw = sample_state(fam, params.grid(), t0)._packed()
+        m = _project(raw, np.zeros(params.nodes), 1e-12)
+        new = step_unloaded(SEMI, m, params, FREE, t0, 1e-5)[:, 0]
+        slope = central_diff(new[0], params.grid().spacing)
+        target = -new[2] / new[3]
         np.testing.assert_allclose(slope[2:-2], target[2:-2], atol=5e-4)
 
     def test_dead_zone_carries_previous_increments(self):
@@ -270,51 +236,31 @@ class TestSemiStep:
         # angle increments from the previous step are reused verbatim. The
         # velocity is zero everywhere, so every node is below threshold.
         params = make_params(nodes=21)
-        g = params.grid()
-        n = g.node_count
+        n = params.nodes
         angle = np.linspace(0.0, 1.0, n)
-        m = ManifoldState(g, angle, np.zeros(n), np.zeros(n), np.zeros(n))
-        new = step_semi_analytic(
-            m, params, Loads(), BoundaryConditions(base="free", tip="free"), 0.0, 1e-3
-        )
-        np.testing.assert_allclose(np.diff(new.angle), np.diff(angle), atol=1e-15)
+        m = manifold(angle, np.zeros(n), np.zeros(n), np.zeros(n))
+        new = step_unloaded(SEMI, m, params, FREE, 0.0, 1e-3)
+        np.testing.assert_allclose(np.diff(new[0, 0]), np.diff(angle), atol=1e-15)
 
     def test_clamped_base_velocity_enforced(self):
         params = make_params()
         m = random_manifold(params.grid(), seed=6)
-        new = step_semi_analytic(
-            m, params, Loads(), BoundaryConditions(), 0.0, 1e-3
-        )
-        lifted = lift(new)
-        np.testing.assert_allclose(lifted.lin_vel[0], [0.0, 0.0], atol=1e-12)
-
-    def test_rejects_nonpositive_dt(self):
-        params = make_params()
-        with pytest.raises(InputError):
-            step_semi_analytic(
-                ManifoldState.zero(params.grid()),
-                params,
-                Loads(),
-                BoundaryConditions(base="free", tip="free"),
-                0.0,
-                -1e-3,
-            )
+        new = step_unloaded(SEMI, m, params, BoundaryConditions(), 0.0, 1e-3)
+        np.testing.assert_allclose(_lift(new)[4:6, 0, 0], [0.0, 0.0], atol=1e-12)
 
     def test_curvature_update_is_scalar_advection(self):
         params = make_params()
         m = random_manifold(params.grid(), seed=7)
         dt = 1e-6
-        new = step_semi_analytic(
-            m, params, Loads(), BoundaryConditions(base="free", tip="free"), 0.0, dt
-        )
+        new = step_unloaded(SEMI, m, params, FREE, 0.0, dt)
         # For a tiny step the angular magnitude barely changes, so the
         # curvature increment is dt * d(ang_mag)/ds of the old state.
         # The scheme advects with the post-update angular magnitude, which
         # differs from the pre-step one at O(dt), so the prediction against
         # the old state is accurate to O(dt^2) times the stiff rate.
-        predicted = m.curv_mag + dt * central_diff(m.ang_mag, m.grid.spacing)
+        predicted = m[1, 0] + dt * central_diff(m[2, 0], params.grid().spacing)
         predicted[[0, -1]] = 0.0  # free ends are moment-free
-        np.testing.assert_allclose(new.curv_mag, predicted, atol=1e-6)
+        np.testing.assert_allclose(new[1, 0], predicted, atol=1e-6)
 
     @staticmethod
     def dead_zone_step(scales, bc, base_speed=None):
@@ -347,17 +293,17 @@ class TestSemiStep:
         ang_after = ang.copy()
         if base_speed is not None:
             ang_after[0] = 0.0
-        m = ManifoldState(grid, angle, np.zeros_like(vel), ang, vel)
-        new = step_semi_analytic(m, params, Loads(), bc, 0.0, 1e-3)
+        m = manifold(angle, np.zeros_like(vel), ang, vel)
+        new = step_unloaded(SEMI, m, params, bc, 0.0, 1e-3)
         ok = after > eps
         assert (~ok).sum(axis=0).tolist() == [1] * len(scale)  # node 14 alone
         slope = -ang_after / after
         traced = 0.5 * grid.spacing * (slope[1:] + slope[:-1])
         expected = np.where(ok[1:] & ok[:-1], traced, np.diff(angle, axis=0))
-        return np.diff(new.angle, axis=0), expected
+        return np.diff(new[0].T, axis=0), expected
 
     def test_projection_threshold_is_set_by_the_linear_velocity(self):
-        got, expected = self.dead_zone_step([1.0], BoundaryConditions(base="free", tip="free"))
+        got, expected = self.dead_zone_step([1.0], FREE)
         np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-12)
 
     def test_projection_threshold_is_per_rod_after_the_clamps(self):
@@ -401,19 +347,19 @@ class TestDiagnostics:
         # On the manifold R5 and R6 are zero by representation, and R4 is the
         # compatibility residual of the lifted vectors, bit for bit.
         g = Grid1D(1.0, 31)
-        m = random_manifold(g, seed=9)
-        r4, r5, r6 = drift_norms(m)
-        lifted = lift(m)
-        expected = np.abs(central_diff(lifted.lin_vel, g.spacing) - adiag(lifted.ang_vel))
+        lifted = _lift(random_manifold(g, seed=9))
+        r4, r5, r6 = drifts(lifted, g, collinear=True)
+        lin_vel, ang_vel = lifted[4:6, 0].T, lifted[2:4, 0].T  # node-first (N, 2)
+        expected = np.abs(central_diff(lin_vel, g.spacing) - adiag(ang_vel))
         assert r4 == float(expected.max())
-        assert r4 == drift_norms(lifted)[0]
+        assert r4 == drifts(lifted, g)[0]
         assert (r5, r6) == (0.0, 0.0)
 
     def test_manifold_energy_matches_lifted(self):
         params = make_params(nodes=101)
         for seed in range(20):
             m = random_manifold(params.grid(), seed=seed)
-            lifted = energy(lift(m), params)
+            lifted = energy(_lift(m), params)
             assert abs(energy(m, params) - lifted) <= 1e-14 * lifted
 
 
@@ -427,22 +373,25 @@ class TestDefaultCiliumOffManifold:
 
     @staticmethod
     def pure_state(dt, t_end=0.5):
+        """The packed state at t_end of the default driven pure cilium, as
+        one block of steps."""
         config = default_config(scheme="pure", dt=dt, t_end=t_end)
         params = config.material
-        loads = scenarios._drive_loads(config, config.drive.phase)
-        bc = scenarios._boundary(config)
-        state = RodState.zero(params.grid())
-        for k in range(round(t_end / dt)):
-            state = step_pure_numeric(state, params, loads, bc, k * dt, dt)
-        return state
+        grid = params.grid()
+        times = np.arange(round(t_end / dt)) * dt
+        couples = scenarios._drive(config, [config.drive.phase], grid.nodes, times)
+        block, _ = step_block(PURE, np.zeros((6, 1, grid.node_count)), params,
+                              scenarios._boundary(config), grid,
+                              np.zeros((2, 1, grid.node_count)), couples, times, dt)
+        return block[-1]
 
     def test_r6_converges_away_from_zero(self):
         r6 = []
         for dt in (2e-4, 1e-4):
             state = self.pure_state(dt)
-            kappa, vel = state.curvature, state.lin_vel
-            assert np.all(kappa[..., 0] * vel[..., 0] + kappa[..., 1] * vel[..., 1] == 0.0)
-            r6.append(float(drift_norms(state)[2]))
+            kappa, vel = state[0:2], state[4:6]
+            assert np.all(kappa[0] * vel[0] + kappa[1] * vel[1] == 0.0)
+            r6.append(float(drifts(state, default_config().material.grid())[2]))
         coarse, fine = r6
         # Measured: 0.148 and 0.208. A first-order drift would halve instead.
         assert coarse > 0.1
@@ -452,7 +401,9 @@ class TestDefaultCiliumOffManifold:
 class TestPackedCores:
     """The packed block cores ``_steps_pure`` and ``_steps_semi`` that
     ``simulate_rod`` steps with, here through blocks of one step: pure
-    functions of the packed state that never raise for a blown-up rod."""
+    functions of the packed state that never raise for a blown-up rod. The
+    tests named after public steps run the cores one step at a time
+    (``helpers.step_once``)."""
 
     @staticmethod
     def setup(rods, semi, seed=0):
@@ -477,8 +428,7 @@ class TestPackedCores:
         x, y, c = packed[:, :4], packed[:, 4:], -2.7
 
         def step(batch, dt):
-            return step_once(integrators._steps_pure, batch, params, bc, grid, force, zero,
-                             0.3, dt)
+            return step_once(PURE, batch, params, bc, grid, force, zero, 0.3, dt)
 
         # x, y and x + c y as the rods of one batch.
         out = step(np.concatenate((x, y, x + c * y), axis=1), 1e-3)
@@ -495,7 +445,7 @@ class TestPackedCores:
     @pytest.mark.parametrize("scheme", ["pure", "semi"])
     def test_a_blown_up_rod_leaves_the_others_bits(self, scheme, bad):
         semi = scheme == "semi"
-        core = integrators._steps_semi if semi else integrators._steps_pure
+        core = SEMI if semi else PURE
         params, bc, grid, force, couple, packed = self.setup(3, semi)
         packed[:, 1, grid.node_count // 2] = bad
         with np.errstate(all="ignore"):
@@ -504,19 +454,6 @@ class TestPackedCores:
                           0.1, 1e-3)
         assert new[:, [0, 2]].tobytes() == alone.tobytes()
         assert not np.isfinite(new[:, 1]).all()
-
-    @pytest.mark.parametrize("scheme", ["pure", "semi"])
-    def test_public_steps_raise_naming_the_rods(self, scheme):
-        config = default_config()
-        params = config.material
-        state = (ManifoldState if scheme == "semi" else RodState).zero(params.grid(), 4)
-        field = state.curv_mag if scheme == "semi" else state.curvature
-        field[50, 1] = np.nan
-        field[50, 3] = np.inf
-        step = step_semi_analytic if scheme == "semi" else step_pure_numeric
-        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
-            step(state, params, Loads(), scenarios._boundary(config), 0.0, 1e-3)
-        assert list(err.value.rods) == [1, 3]
 
     def test_pure_spectrum_is_neutral_and_euler_grows_by_its_square(self):
         # A(dt) = P + dt M. M's eigenvalues lie on the imaginary axis, so
@@ -537,20 +474,9 @@ class TestPackedCores:
         # material keys, not a ZeroDivisionError.
         params = MaterialParams(rho=1e-320, area=2e-2, moment=1e-2, EI=0.1, length=1.0,
                                 nodes=101)
-        state = (ManifoldState if scheme == "semi" else RodState).zero(params.grid())
-        step = step_semi_analytic if scheme == "semi" else step_pure_numeric
+        core, state = at_rest(scheme, params.nodes)
         with pytest.raises(InputError, match=r"material\.rho=1e-320"):
-            step(state, params, Loads(), BoundaryConditions(), 0.0, 1e-3)
-
-    @pytest.mark.parametrize("length, nodes", [(1.0, 21), (2.0, 41)])
-    @pytest.mark.parametrize("scheme", ["pure", "semi"])
-    def test_public_steps_reject_a_state_off_the_material_grid(self, scheme, length, nodes):
-        # The contact-force factors are on the material's grid (41 nodes on
-        # length 1), so a state on another grid is bad input.
-        state = (ManifoldState if scheme == "semi" else RodState).zero(Grid1D(length, nodes))
-        step = step_semi_analytic if scheme == "semi" else step_pure_numeric
-        with pytest.raises(InputError, match="differs from the material's"):
-            step(state, make_params(), Loads(), BoundaryConditions(), 0.0, 1e-3)
+            step_unloaded(core, state, params, BoundaryConditions(), 0.0, 1e-3)
 
     @pytest.mark.parametrize("scheme", ["pure", "semi"])
     def test_public_steps_run_the_residual_check(self, monkeypatch, scheme):
@@ -563,32 +489,31 @@ class TestPackedCores:
         params = config.material
         grid = params.grid()
         if scheme == "semi":
-            state, step = random_manifold(grid), step_semi_analytic
+            state, core = random_manifold(grid), SEMI
         else:
             fields = np.random.default_rng(0).uniform(-1.0, 1.0, (3, grid.node_count, 2))
-            state, step = RodState(grid, *fields), step_pure_numeric
+            state, core = RodState(grid, *fields)._packed(), PURE
         with pytest.raises(SingularSystemError, match="^residual .* at row "):
-            step(state, params, Loads(), scenarios._boundary(config), 0.0, 1e-3)
+            step_unloaded(core, state, params, scenarios._boundary(config), 0.0, 1e-3)
 
     @pytest.mark.parametrize("scheme", ["pure", "semi"])
     def test_rod_by_rod_loads_step_each_rod_as_alone(self, scheme):
-        # (N, K, 2) loads, a force among them, act rod by rod.
+        # (2, K, N) loads, a force among them, act rod by rod.
         params = make_params()
         grid = params.grid()
-        force, couple = np.random.default_rng(5).standard_normal((2, grid.node_count, 3, 2))
-        step = step_semi_analytic if scheme == "semi" else step_pure_numeric
+        force, couple = (a.T for a in
+                         np.random.default_rng(5).standard_normal((2, grid.node_count, 3, 2)))
+        core = SEMI if scheme == "semi" else PURE
         rods = [random_manifold(grid, seed=k) for k in range(3)]
         if scheme == "pure":
-            rods = [lift(m) for m in rods]
-        fields = [np.stack(f, axis=1) for f in zip(*(list(vars(r).values())[1:] for r in rods))]
-        state = type(rods[0])(grid, *fields)
-        new = step(state, params, Loads(lambda s, t: force, lambda s, t: couple),
-                   BoundaryConditions(), 0.0, 1e-3)
+            rods = [_lift(m) for m in rods]
+        bc = BoundaryConditions()
+        new = step_once(core, np.concatenate(rods, axis=1), params, bc, grid, force, couple,
+                        0.0, 1e-3)
         for k, rod in enumerate(rods):
-            loads = Loads(lambda s, t: force[:, k:k + 1], lambda s, t: couple[:, k:k + 1])
-            alone = step(rod, params, loads, BoundaryConditions(), 0.0, 1e-3)
-            for a, b in zip(list(vars(alone).values())[1:], list(vars(new).values())[1:]):
-                assert a.tobytes() == b[:, k].tobytes()
+            alone = step_once(core, rod, params, bc, grid, force[:, k:k + 1],
+                              couple[:, k:k + 1], 0.0, 1e-3)
+            assert alone.tobytes() == new[:, k:k + 1].tobytes()
 
     @pytest.mark.parametrize("signal", ["base_ang_vel", "tip_lin_acc"])
     @pytest.mark.parametrize("scheme", ["pure", "semi"])
@@ -596,16 +521,15 @@ class TestPackedCores:
         # A 3-vector does not broadcast to the end's (rods, 2).
         params = make_params()
         bc = BoundaryConditions(tip="clamped", **{signal: lambda t: np.zeros(3)})
-        state = (ManifoldState if scheme == "semi" else RodState).zero(params.grid())
-        step = step_semi_analytic if scheme == "semi" else step_pure_numeric
+        core, state = at_rest(scheme, params.nodes)
         with pytest.raises(InputError, match=f"^boundary signal {signal} at t="):
-            step(state, params, Loads(), bc, 0.0, 1e-3)
+            step_unloaded(core, state, params, bc, 0.0, 1e-3)
 
     @pytest.mark.parametrize("size", [1, 3, 64])
     @pytest.mark.parametrize("scheme", ["pure", "semi"])
     def test_time_varying_clamps_in_a_block_match_public_steps(self, scheme, size):
         # Both ends clamped to signals that change every step. A block of
-        # steps gives the bytes of as many public steps; each end holds its
+        # steps gives the bytes of as many one-step blocks; each end holds its
         # signals at the step's end time, and each contact-force end row is
         # rho A times the acceleration at the step's time (no force acts).
         semi = scheme == "semi"
@@ -625,15 +549,14 @@ class TestPackedCores:
         dt = 1e-3 if semi else 1e-4
         times = np.arange(size) * dt
         state = random_manifold(grid, seed=size)
-        state = state if semi else lift(state)
+        state = state if semi else _lift(state)
         zero = np.zeros((2, 1, grid.node_count))
-        core = integrators._steps_semi if semi else integrators._steps_pure
-        block, (_, rhs) = step_block(core, state._packed(), params, bc, grid, zero,
+        core = SEMI if semi else PURE
+        block, (_, rhs) = step_block(core, state, params, bc, grid, zero,
                                      np.zeros((size, 2, 1, grid.node_count)), times, dt)
-        step = step_semi_analytic if semi else step_pure_numeric
         for k in range(size):
-            state = step(state, params, Loads(), bc, k * dt, dt)
-            assert state._packed().tobytes() == block[k + 1].tobytes(), k
+            state = step_unloaded(core, state, params, bc, k * dt, dt)
+            assert state.tobytes() == block[k + 1].tobytes(), k
         for k, t in enumerate(times):
             for node, end in ((0, "base"), (-1, "tip")):
                 v, w = lin_vel[end](t + dt), ang_vel[end](t + dt)
@@ -666,7 +589,7 @@ class TestSchemeVariants:
         force, couple = rng.standard_normal((2, 2, 1, grid.node_count))
         packed = rng.uniform(-1.0, 1.0, (6, 3, grid.node_count))
         pure, reordered = (step_once(core, packed, params, bc, grid, force, couple, 0.4, 1e-3)
-                           for core in (integrators._steps_pure, steps_reordered))
+                           for core in (PURE, steps_reordered))
         assert reordered[2:].tobytes() == pure[2:].tobytes()
         assert not np.array_equal(reordered[:2], pure[:2])
 
@@ -709,54 +632,70 @@ class TestSchemeVariants:
         assert np.abs(tip() - [0.0, 0.0, 1.0]).max() <= 1e-6
 
     @pytest.mark.parametrize("nodes", [51, 101])
-    def test_semi_without_iii_is_within_15_percent_on_the_exact_solution(
-            self, monkeypatch, nodes):
+    def test_semi_without_iii_is_within_15_percent_on_the_exact_solution(self, nodes):
         # On criterion 7's on-manifold exact solution at dt 1e-3, the angle
         # from the projection alone is nearly as accurate as the integrated
         # one: 4.577e-3 against 4.548e-3 at N=51, 2.560e-3 against 2.443e-3
         # at N=101. (ii), not (iii), carries the accuracy edge.
-        semi, _ = cross_validation_error("semi", nodes, 1e-3)
-        monkeypatch.setattr(integrators, "_steps_semi", steps_semi_projected_angle)
-        variant, _ = cross_validation_error("semi", nodes, 1e-3)
+        semi, _ = cross_validation_error(SEMI, True, nodes, 1e-3)
+        variant, _ = cross_validation_error(steps_semi_projected_angle, True, nodes, 1e-3)
         assert variant != semi
         assert abs(variant - semi) <= 0.15 * semi
 
 
-class TestPackedPathMatchesPublicPath:
-    """``simulate_rod`` steps the packed layout; the public functions pack,
-    step and unpack. Both must give the same bits."""
+class TestRunMatchesStepLoop:
+    """``simulate_rod`` steps in blocks and measures each block's frames at
+    once. A loop of ``step_once`` calls that measures each state on its own
+    must give the same bits: how a run groups its steps changes none."""
 
     @staticmethod
-    def public_run(config):
-        """Times, energies, drift norms and curvatures of the captured frames
-        of ``config``, from a loop of the public calls alone."""
+    def step_loop(config):
+        """The frames of ``config`` from a loop of one-step blocks: times,
+        energies (F, K), drift norms (F, K, 3) and curvatures (F, N, K, 2),
+        and ``failed`` as ``simulate_rod`` words it. The loop stops at the
+        first step that loses a rod."""
         mat, semi = config.material, config.scheme == "semi"
-        rods = config.carpet.rods
-        loads = scenarios._drive_loads(
-            config, config.drive.phase + np.arange(rods) * config.carpet.phase_increment)
-        bc = scenarios._boundary(config)
-        state = (ManifoldState if semi else RodState).zero(mat.grid(), rods)
-        step = step_semi_analytic if semi else step_pure_numeric
+        grid, rods = mat.grid(), config.carpet.rods
+        phases = config.drive.phase + np.arange(rods) * config.carpet.phase_increment
+        bc, core = scenarios._boundary(config), SEMI if semi else PURE
+        limit = 1e3 * max(config.drive.amplitude**2 * mat.length**3 / (2.0 * mat.EI), 1e-12)
         n_steps, stride = config.n_steps, config.output.stride
         dt = config.t_end / n_steps
-        frames = []
+        force = np.zeros((2, 1, grid.node_count))
+        state = np.zeros((4 if semi else 6, rods, grid.node_count))
+        frames, failed = [], {}
         for k in range(n_steps + 1):
+            energies = _energy(state, mat, grid.spacing)
+            nonfinite = _nonfinite_rods(state)
+            for j in np.flatnonzero(nonfinite | (energies > limit)):
+                cause = ("non-finite" if nonfinite[j] else
+                         f"energy {energies[j]:.3g} above bound {limit:.3g}")
+                failed[j.item()] = f"step {k} (t={k * dt:.6g}, {cause})"
+            if failed:
+                break
             if k % stride == 0 or k == n_steps:
-                frames.append((k * dt, energy(state, mat),
-                               np.stack(drift_norms(state), axis=-1),
-                               (lift(state) if semi else state).curvature.copy()))
+                raw = _lift(state) if semi else state
+                frames.append((k * dt, energies, _drift_norms(raw, grid.spacing, semi).T,
+                               raw[0:2].T.copy()))
             if k < n_steps:
-                state = step(state, mat, loads, bc, k * dt, dt)
-        return [np.array(column) for column in zip(*frames)]
+                couple = scenarios._drive(config, phases, grid.nodes, np.array([k * dt]))[0]
+                with np.errstate(all="ignore"):  # a rod that blows up is found above
+                    state = step_once(core, state, mat, bc, grid, force, couple, k * dt, dt)
+        return [np.array(column) for column in zip(*frames)], failed
 
-    @pytest.mark.parametrize("scheme, dt, t_end", [("pure", 1e-4, 0.02), ("semi", 1e-3, 0.2)])
-    def test_carpet_frames_are_bit_identical(self, monkeypatch, scheme, dt, t_end):
-        material = MaterialParams(rho=1.0, area=2e-2, moment=1e-2, EI=1e-1,
-                                  length=1.0, nodes=31)
-        config = default_config(
-            material=material, scheme=scheme, dt=dt, t_end=t_end,
-            carpet=scenarios.CarpetConfig(rods=3, spacing=0.5, phase_increment=2.1))
-        assert config.n_steps >= 200
+    PURE_31 = dict(scheme="pure", dt=1e-4, t_end=0.05)
+    SEMI_31 = dict(scheme="semi", dt=1e-3, t_end=0.5)
+    CASES = {
+        "pure-1-rod": (PURE_31, 1),
+        "pure-3-rods": (PURE_31, 3),
+        "semi-1-rod": (SEMI_31, 1),
+        "semi-3-rods": (SEMI_31, 3),
+    }
+
+    @staticmethod
+    def run(monkeypatch, config):
+        """``simulate_rod(config)`` and the curvatures (F, N, K, 2) of its
+        frames, as its centerline blocks receive them."""
         curvatures = []
         reconstruct = scenarios.reconstruct_centerline
 
@@ -765,55 +704,48 @@ class TestPackedPathMatchesPublicPath:
             return reconstruct(curvature, *args)
 
         monkeypatch.setattr(scenarios, "reconstruct_centerline", recording_reconstruct)
-        traj, stable, _ = scenarios.simulate_rod(config)
-        assert stable
-        times, energies, drifts, public_curvatures = self.public_run(config)
-        assert np.array_equal(traj.times, times)
-        assert np.array_equal(traj.energies, energies)
-        assert np.array_equal(traj.drifts, drifts)
-        assert np.array_equal(np.array(curvatures), public_curvatures)
-
-    @pytest.mark.parametrize("scheme", ["pure", "semi"])
-    def test_one_rod_step_equals_rod_axis_step(self, scheme):
-        config = default_config(scheme=scheme)
-        params = config.material
-        loads = scenarios._drive_loads(config, 0.4)
-        bc = scenarios._boundary(config)
-        m = random_manifold(params.grid(), seed=3)
-        single = m if scheme == "semi" else lift(m)
-        batched = type(single)(params.grid(), *(a[:, None] for a in list(vars(single).values())[1:]))
-        step = step_semi_analytic if scheme == "semi" else step_pure_numeric
-        one = step(single, params, loads, bc, 0.1, 1e-4)
-        axis = step(batched, params, loads, bc, 0.1, 1e-4)
-        for a, b in zip(list(vars(one).values())[1:], list(vars(axis).values())[1:]):
-            assert a.shape == b.shape[:1] + b.shape[2:]
-            assert np.array_equal(a, b[:, 0])
-
-    def test_unstable_semi_run_fails_at_the_same_step(self):
-        # Default cilium at dt=1e-4: the semi scheme blows up before t=0.3
-        # (ROADMAP item 3). simulate_rod captures every step up to the one
-        # that loses the rod; the public loop must lose it at that step too.
-        config = default_config(dt=1e-4, t_end=0.3,
-                                output=scenarios.OutputConfig(stride=1))
         with np.errstate(all="ignore"):
             traj, stable, failed = scenarios.simulate_rod(config)
-        assert not stable and list(failed) == [0]
-        mat, dt = config.material, config.t_end / config.n_steps
-        loads = scenarios._drive_loads(config, config.drive.phase)
-        bc = scenarios._boundary(config)
-        drive_scale = config.drive.amplitude**2 * mat.length**3 / (2.0 * mat.EI)
-        m = ManifoldState.zero(mat.grid())
-        lost_at = None
-        with np.errstate(all="ignore"):
-            for k in range(config.n_steps):
-                try:
-                    m = step_semi_analytic(m, mat, loads, bc, k * dt, dt)
-                except DivergenceError:
-                    lost_at = k
-                    break
-                if energy(m, mat) > 1e3 * drive_scale:
-                    lost_at = k
-                    break
-        assert lost_at is not None
-        assert traj.times.size == lost_at + 1
-        assert failed[0].startswith(f"step {lost_at + 1} (t={(lost_at + 1) * dt:.6g}, ")
+        return traj, stable, failed, np.array(curvatures)
+
+    def assert_same_frames(self, monkeypatch, config):
+        traj, stable, failed, curvatures = self.run(monkeypatch, config)
+        (times, energies, drifts, loop_curvatures), loop_failed = self.step_loop(config)
+        assert failed == loop_failed and stable == (not loop_failed)
+        for got, want in ((traj.times, times), (traj.energies, energies),
+                          (traj.drifts, drifts), (curvatures, loop_curvatures)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        return traj, failed
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_frames_are_those_of_a_step_loop(self, monkeypatch, case):
+        overrides, rods = self.CASES[case]
+        material = MaterialParams(rho=1.0, area=2e-2, moment=1e-2, EI=1e-1,
+                                  length=1.0, nodes=31)
+        config = default_config(
+            material=material, **overrides,
+            carpet=scenarios.CarpetConfig(rods=rods, spacing=0.5, phase_increment=2.1))
+        assert config.n_steps > 2 * (scenarios.BLOCK // (rods * material.nodes))  # 3+ blocks
+        _, failed = self.assert_same_frames(monkeypatch, config)
+        assert not failed
+
+    def test_a_failing_semi_run_keeps_its_failure_step_and_message(self, monkeypatch):
+        # Default cilium at dt=1e-4: the semi scheme blows up before t=0.3
+        # (ROADMAP item 3). The run keeps every step up to the one that loses
+        # the rod, and names that step as the loop does.
+        config = default_config(dt=1e-4, t_end=0.3, output=scenarios.OutputConfig(stride=1))
+        traj, failed = self.assert_same_frames(monkeypatch, config)
+        assert list(failed) == [0]
+        assert failed[0].startswith(f"step {traj.times.size} (t=")
+
+
+# Names of the per-step API that the block cores replaced.
+DELETED = ("ManifoldState", "lift", "project", "drift_norms", "step_pure_numeric",
+           "step_semi_analytic", "Loads", "energy", "adiag", "_GridState", "_step",
+           "_loads_at", "_zero_load", "_drive_loads")
+
+
+def test_rodsim_exports_none_of_the_per_step_api():
+    modules = (rodsim, integrators, rod_model, scenarios)
+    assert [(m.__name__, name) for m in modules for name in DELETED if hasattr(m, name)] == []
+    assert not set(DELETED) & {name for m in modules for name in getattr(m, "__all__", ())}

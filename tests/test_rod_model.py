@@ -7,19 +7,15 @@ from scipy.linalg import expm  # test oracle only
 from rodsim import integrators, rod_model
 from rodsim.errors import ConfigurationError
 from rodsim.grid_fields import Grid1D, central_diff, check_tridiag
-from rodsim.integrators import ManifoldState
 from rodsim.rod_model import (
     BoundaryConditions,
-    Loads,
     MaterialParams,
     RodState,
-    adiag,
-    energy,
     reconstruct_centerline,
 )
 from rodsim.scenarios import default_config, simulate_rod
 
-from helpers import skew_interval_operators
+from helpers import adiag, skew_interval_operators, step_unloaded
 
 
 def make_params(**overrides):
@@ -33,21 +29,19 @@ def params():
     return make_params()
 
 
+def zero(grid):
+    """The one-rod state at rest."""
+    return RodState(grid, *np.zeros((3, grid.node_count, 2)))
+
+
+def energy(state, params):
+    """``rod_model._energy`` of a one-rod RodState."""
+    return rod_model._energy(state._packed(), params, state.grid.spacing)[0]
+
+
 @pytest.fixture
 def zero_state(params):
-    return RodState.zero(params.grid())
-
-
-class TestAdiag:
-    @pytest.mark.parametrize("shape", [(2,), (7, 2), (7, 3, 2)])
-    def test_bits_match_stacked_components(self, shape):
-        rng = np.random.default_rng(len(shape))
-        v = rng.standard_normal(shape)
-        v[rng.random(shape) < 0.3] = 0.0
-        v[rng.random(shape) < 0.3] = -0.0
-        want = np.stack([v[..., 1], -v[..., 0]], axis=-1)
-        got = adiag(v)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    return zero(params.grid())
 
 
 def _node_first_drift_norms(state):
@@ -167,8 +161,6 @@ class TestContactForce:
         # Stepping with the solved force keeps the compatibility residual
         # near its discretization floor; with the force zeroed out the
         # residual drifts at first order in dt.
-        from rodsim.integrators import drift_norms, step_pure_numeric
-
         params = make_params(nodes=41)
         grid = params.grid()
         from rodsim.solution_family import random_family, sample_state
@@ -177,13 +169,12 @@ class TestContactForce:
         t0 = float(fam.time_map(0.5))
         state = sample_state(fam, grid, t0)
         bc = BoundaryConditions(base="free", tip="free")
-        loads = Loads()
         dt = 1e-5
 
         def drift(with_force):
             if with_force:
-                new = step_pure_numeric(state, params, loads, bc, t0, dt)
-                return drift_norms(new)[0]
+                new = step_unloaded(integrators._steps_pure, state._packed(), params, bc, t0, dt)
+                return rod_model._drift_norms(new, grid.spacing, False)[0, 0]
             ds = grid.spacing
             m = params.EI * state.curvature
             lin = state.lin_vel + dt * 0.0
@@ -200,28 +191,6 @@ class TestContactForce:
         with_force = drift(True)
         without = drift(False)
         assert abs(with_force - base) < abs(without - base)
-
-    @pytest.mark.parametrize("rods", [3, 41])
-    def test_shared_load_on_rod_axis_matches_single_rod(self, params, rods):
-        # An (N, 2) load acts on every rod alike, also when K equals N and
-        # the node axis could pass for the rod axis.
-        rng = np.random.default_rng(rods)
-        grid = params.grid()
-        fields = [rng.standard_normal((params.nodes, rods, 2)) for _ in range(3)]
-        loads = Loads(force=lambda s, t: np.outer(np.sin(s + 1.0), [0.3, -1.0]),
-                      couple=lambda s, t: np.outer(np.cos(s), [1.0, 0.5]))
-        bc = BoundaryConditions()
-
-        def force_of(state):
-            # The inputs a step evaluates: m' of the state and the shaped loads.
-            dm = central_diff(params.EI * state.curvature, grid.spacing)
-            f, l = rod_model._loads_at(loads, 0.0, grid)
-            return contact_force(dm, f, l, params, bc, 0.0, grid)
-
-        n = force_of(RodState(grid, *fields))
-        for k in range(rods):
-            alone = RodState(grid, *(f[:, k:k + 1] for f in fields))
-            assert np.array_equal(n[:, k:k + 1], force_of(alone))
 
     def test_free_free_resonance_raises_at_factor_time(self):
         # rho_I / rho_A = ds^2 / 2 makes the interior pivot exactly zero. The
@@ -267,14 +236,13 @@ class TestContactForce:
         # States are checked where they enter; the steps, projections and
         # frame captures build theirs without checking them again.
         checks = []
-        for cls in (RodState, ManifoldState):
-            check = cls.__post_init__
+        check = RodState.__post_init__
 
-            def counting_check(self, check=check):
-                checks.append(type(self).__name__)
-                check(self)
+        def counting_check(self):
+            checks.append(type(self).__name__)
+            check(self)
 
-            monkeypatch.setattr(cls, "__post_init__", counting_check)
+        monkeypatch.setattr(RodState, "__post_init__", counting_check)
         counts = []
         for steps in (10, 100):
             checks.clear()
@@ -292,13 +260,13 @@ class TestEnergy:
 
     def test_uniform_translation(self):
         params = make_params(rho=2.0, area=1.0)
-        state = RodState.zero(params.grid())
+        state = zero(params.grid())
         state.lin_vel[:, 0] = 1.0
         assert energy(state, params) == pytest.approx(1.0, abs=1e-12)
 
     def test_quadratic_scaling(self, params):
         rng = np.random.default_rng(5)
-        state = RodState.zero(params.grid())
+        state = zero(params.grid())
         state.curvature[:] = rng.standard_normal((params.nodes, 2))
         state.ang_vel[:] = rng.standard_normal((params.nodes, 2))
         state.lin_vel[:] = rng.standard_normal((params.nodes, 2))
@@ -311,7 +279,7 @@ class TestEnergy:
 
     def test_rotation_invariance(self, params):
         rng = np.random.default_rng(6)
-        state = RodState.zero(params.grid())
+        state = zero(params.grid())
         state.curvature[:] = rng.standard_normal((params.nodes, 2))
         state.ang_vel[:] = rng.standard_normal((params.nodes, 2))
         state.lin_vel[:] = rng.standard_normal((params.nodes, 2))

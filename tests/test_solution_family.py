@@ -272,7 +272,7 @@ class TestParameterFreeResiduals:
         from rodsim.rod_model import RodState
 
         def constant():
-            st = RodState.zero(grid)
+            st = RodState(grid, *np.zeros((3, grid.node_count, 2)))
             st.curvature[:, 0] = 1.0
             st.ang_vel[:, 0] = 1.0
             st.lin_vel[:, 0] = 1.0
