@@ -82,16 +82,21 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {err}") from err
 
 
-def _emit(text: str, out_path):
+def _emit(chunks, out_path):
+    """Write the text chunks, made as they are written, to out_path or to
+    stdout, ending stdout with a newline."""
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as err:
             raise InputError(f"cannot write {out_path}: {err}") from err
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
+        last = ""
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+            last = chunk
+        if not last.endswith("\n"):
             sys.stdout.write("\n")
 
 
@@ -123,19 +128,15 @@ def _cmd_simulate(args) -> int:
     if abs(n_steps * config.dt - config.t_end) > 1e-9 * config.t_end:
         print(f"warning: dt={config.dt} does not divide t_end={config.t_end}; "
               f"ran {n_steps} step(s) of {config.t_end / n_steps}", file=sys.stderr)
-    text = (
-        trajectory.to_csv()
-        if config.output.format == "csv"
-        else trajectory.to_json()
-    )
-    _emit(text, out_path or ("run.traj.csv" if config.output.format == "csv"
-                             else "run.traj.json"))
+    fmt = config.output.format
+    _emit(trajectory.csv_chunks() if fmt == "csv" else trajectory.json_chunks(),
+          out_path or f"run.traj.{fmt}")
     return 1 if failed else 0
 
 
 def _cmd_verify(args) -> int:
     report = build_report(seed=args.seed, n_nodes=args.grid, dt=args.dt)
-    _emit(json.dumps(report, indent=2), args.out)
+    _emit([json.dumps(report, indent=2)], args.out)
     return 0 if report["pass"] else 1
 
 
@@ -171,7 +172,7 @@ def _cmd_match_cauchy(args) -> int:
         "round_trip_residual": residual,
         "family": json.loads(family_to_json(fam)),
     }
-    _emit(json.dumps(report, indent=2), args.out)
+    _emit([json.dumps(report, indent=2)], args.out)
     return 0
 
 
@@ -180,7 +181,7 @@ def _cmd_benchmark(args) -> int:
     report = benchmark_stability(
         config, horizon=args.horizon, dt_bounds=(args.dt_min, args.dt_max)
     )
-    _emit(json.dumps(report, indent=2), args.out)
+    _emit([json.dumps(report, indent=2)], args.out)
     return 0
 
 
@@ -193,8 +194,8 @@ def _cmd_export(args) -> int:
         if args.format == "json":
             print("warning: CSV carries no energies or drift norms; "
                   "they are written as zeros", file=sys.stderr)
-    out = trajectory.to_csv() if args.format == "csv" else trajectory.to_json()
-    _emit(out, args.out)
+    _emit(trajectory.csv_chunks() if args.format == "csv" else trajectory.json_chunks(),
+          args.out)
     return 0
 
 

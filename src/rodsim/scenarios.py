@@ -229,14 +229,17 @@ class Trajectory:
         return self.positions[:, :, -1, :]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "times": self.times.tolist(),
-                "positions": self.positions.tolist(),
-                "energies": self.energies.tolist(),
-                "drifts": self.drifts.tolist(),
-            }
-        )
+        return "".join(self.json_chunks())
+
+    def json_chunks(self):
+        """The text of ``to_json`` in pieces: ``json.dumps`` of the four
+        arrays as one object, each array written one frame at a time."""
+        for i, key in enumerate(("times", "positions", "energies", "drifts")):
+            yield f'{", " if i else "{"}"{key}": ['
+            for f, frame in enumerate(getattr(self, key)):
+                yield (", " if f else "") + json.dumps(frame.tolist())
+            yield "]"
+        yield "}"
 
     @classmethod
     def from_json(cls, text: str) -> "Trajectory":
@@ -267,18 +270,23 @@ class Trajectory:
         """One ``t,rod,node,x,y,z`` row per frame, rod and node, every float
         written as its ``repr``. A frame's rows fill one template, and each
         distinct coordinate of the frame goes through ``repr`` once."""
+        return "".join(self.csv_chunks())
+
+    def csv_chunks(self):
+        """The text of ``to_csv`` in pieces: the header, each frame's rows
+        and the final newline."""
         positions = np.asarray(self.positions, dtype=float)
         rods, nodes = positions.shape[1:3]
         template = "".join(f"\n{k},{i},%s,%s,%s" for k in range(rods) for i in range(nodes))
-        parts = ["t,rod,node,x,y,z"]
+        yield "t,rod,node,x,y,z"
         for t, frame in zip(np.asarray(self.times, dtype=float).tolist(), positions):
             # Keyed on the bits, not the value: -0.0 and 0.0 repr differently.
             bits, inverse = np.unique(frame.view(np.int64).ravel(), return_inverse=True)
             texts = [repr(v) for v in bits.view(float).tolist()]
             # A frame has at least three values, so itemgetter gives a tuple.
-            parts.append(template.replace("\n", f"\n{t!r},")
-                         % operator.itemgetter(*inverse.tolist())(texts))
-        return "".join(parts) + "\n"
+            yield (template.replace("\n", f"\n{t!r},")
+                   % operator.itemgetter(*inverse.tolist())(texts))
+        yield "\n"
 
     @classmethod
     def from_csv(cls, text: str) -> "Trajectory":

@@ -402,8 +402,8 @@ class TestPackedCores:
     """The packed block cores ``_steps_pure`` and ``_steps_semi`` that
     ``simulate_rod`` steps with, here through blocks of one step: pure
     functions of the packed state that never raise for a blown-up rod. The
-    tests named after public steps run the cores one step at a time
-    (``helpers.step_once``)."""
+    tests named after ``step_once`` run the cores one step at a time
+    through ``helpers.step_once``."""
 
     @staticmethod
     def setup(rods, semi, seed=0):
@@ -469,7 +469,7 @@ class TestPackedCores:
             assert abs(growth - expected) <= 0.01 * expected, (dt, growth, expected)
 
     @pytest.mark.parametrize("scheme", ["pure", "semi"])
-    def test_public_steps_reject_overflowing_contact_scales(self, scheme):
+    def test_step_once_rejects_overflowing_contact_scales(self, scheme):
         # rho * area * ds**2 underflows to 0: an input error naming the
         # material keys, not a ZeroDivisionError.
         params = MaterialParams(rho=1e-320, area=2e-2, moment=1e-2, EI=0.1, length=1.0,
@@ -479,7 +479,7 @@ class TestPackedCores:
             step_unloaded(core, state, params, BoundaryConditions(), 0.0, 1e-3)
 
     @pytest.mark.parametrize("scheme", ["pure", "semi"])
-    def test_public_steps_run_the_residual_check(self, monkeypatch, scheme):
+    def test_step_once_runs_the_residual_check(self, monkeypatch, scheme):
         # Bands that do not match their LU factors fail the residual check of
         # the step's contact-force solve.
         operator = integrators._contact_operator
@@ -517,7 +517,7 @@ class TestPackedCores:
 
     @pytest.mark.parametrize("signal", ["base_ang_vel", "tip_lin_acc"])
     @pytest.mark.parametrize("scheme", ["pure", "semi"])
-    def test_public_steps_reject_a_misshapen_clamp_signal(self, scheme, signal):
+    def test_step_once_rejects_a_misshapen_signal(self, scheme, signal):
         # A 3-vector does not broadcast to the end's (rods, 2).
         params = make_params()
         bc = BoundaryConditions(tip="clamped", **{signal: lambda t: np.zeros(3)})
@@ -527,7 +527,7 @@ class TestPackedCores:
 
     @pytest.mark.parametrize("size", [1, 3, 64])
     @pytest.mark.parametrize("scheme", ["pure", "semi"])
-    def test_time_varying_clamps_in_a_block_match_public_steps(self, scheme, size):
+    def test_a_block_under_moving_clamps_matches_step_once(self, scheme, size):
         # Both ends clamped to signals that change every step. A block of
         # steps gives the bytes of as many one-step blocks; each end holds its
         # signals at the step's end time, and each contact-force end row is

@@ -8,6 +8,7 @@ import re
 import resource
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -1211,3 +1212,90 @@ class TestCli:
         monkeypatch.setattr(grid_fields, "find_spec", lambda name: None)
         with pytest.raises(ModuleNotFoundError, match="needs SciPy"):
             grid_fields._load_flapack()
+
+
+THREE_RODS = CarpetConfig(rods=3, spacing=0.5, phase_increment=2.0944)
+
+
+def written_case(case, monkeypatch):
+    """(config, trajectory) of one streamed-writing case; `simulate` on the
+    config writes that trajectory."""
+    if case == "negative-zero":
+        # A frame holding both zeros, whose repr differ, next to a plain one.
+        positions = np.zeros((2, 2, 3, 3))
+        positions[1, 0, :, 0] = -0.0
+        positions[1, 1, 2] = (0.5, -0.0, -1e-300)
+        traj = Trajectory(np.array([0.0, -0.0]), positions, np.full((2, 2), -0.0),
+                          np.zeros((2, 2, 3)))
+        monkeypatch.setattr(cli, "run_scenario", lambda config: traj)
+        return small_config(), traj
+    config = {
+        "one-rod": small_config(),
+        "three-rods": small_config(carpet=THREE_RODS),
+        "unstable-partial": small_config(scheme="pure", dt=5e-2, t_end=5.0,
+                                         drive=DriveConfig(amplitude=1.0)),
+    }[case]
+    try:
+        with np.errstate(all="ignore"):
+            return config, run_scenario(config)
+    except InstabilityError as err:
+        return config, err.partial
+
+
+def reference_json(traj):
+    """The JSON text of the whole trajectory, made in one piece."""
+    return json.dumps({"times": traj.times.tolist(), "positions": traj.positions.tolist(),
+                       "energies": traj.energies.tolist(), "drifts": traj.drifts.tolist()})
+
+
+class TestStreamedWriting:
+    """`simulate` and `export` write a trajectory one frame at a time, and
+    write the bytes of `to_json`/`to_csv`."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("case", ["one-rod", "three-rods", "unstable-partial",
+                                      "negative-zero"])
+    def test_written_bytes_are_the_writers(self, tmp_path, monkeypatch, capsys, case, fmt):
+        config, traj = written_case(case, monkeypatch)
+        expected = traj.to_csv() if fmt == "csv" else traj.to_json()
+        if fmt == "json":
+            assert expected == reference_json(traj)
+        config = replace(config, output=replace(config.output, format=fmt))
+        out = tmp_path / f"run.{fmt}"
+        with np.errstate(all="ignore"):
+            code = main(["simulate", str(write_config(tmp_path, config)), "--out", str(out)])
+        assert code == (1 if case == "unstable-partial" else 0)
+        assert out.read_bytes() == expected.encode()
+
+        source = tmp_path / "source.json"
+        source.write_text(traj.to_json())
+        exported = tmp_path / f"exported.{fmt}"
+        assert main(["export", str(source), "--format", fmt, "--out", str(exported)]) == 0
+        assert exported.read_bytes() == expected.encode()
+        capsys.readouterr()
+        assert main(["export", str(source), "--format", fmt]) == 0
+        # Exactly one newline ends standard output: the CSV's own, or one added.
+        assert capsys.readouterr().out == expected.rstrip("\n") + "\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_writing_holds_one_frame(self, tmp_path, monkeypatch, fmt):
+        # The whole text would be the file's size, and the lists of Python
+        # floats several times that; a frame of 301 is a third of a percent.
+        config = small_config(carpet=THREE_RODS, t_end=0.3,
+                              output=OutputConfig(stride=1, format=fmt))
+        config = replace(config, material=replace(config.material, nodes=51))
+        traj = run_scenario(config)
+        assert traj.positions.shape[:2] == (301, 3)
+        monkeypatch.setattr(cli, "run_scenario", lambda config: traj)
+        cfg, out = write_config(tmp_path, config), tmp_path / f"run.{fmt}"
+        # A first call makes what a process makes once: parsers, lazy imports.
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 0
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            assert main(["simulate", str(cfg), "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        size = out.stat().st_size
+        assert peak < 0.1 * size, (peak, size)
