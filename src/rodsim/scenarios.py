@@ -12,13 +12,13 @@ from __future__ import annotations
 import functools
 import json
 import math
-import operator
 import sys
 import time as _time
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
+import orjson
 
 from .errors import (
     ConfigurationError,
@@ -215,6 +215,38 @@ def default_config(**overrides) -> ScenarioConfig:
     return ScenarioConfig(**{"material": material, **overrides})
 
 
+def _float_texts(values, spell=repr) -> list:
+    """``[spell(v) for v in values.ravel().tolist()]``, for ``spell`` ``repr``
+    or ``_json_float``.
+
+    The digits come from orjson's shortest round-trip formatter (Ryū), which
+    writes the digits of ``repr``. It spells some values otherwise: non-finite
+    ones (``null``), nonzero magnitudes below 1e-4 (``0.00001`` for
+    ``1e-05``) and, with margin, magnitudes from 1e15 on (``1e16`` for
+    ``1e+16``). Only those go through ``spell``.
+    """
+    flat = np.ascontiguousarray(values, dtype=float).ravel()
+    if not flat.size:
+        return []
+    texts = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    magnitudes = np.abs(flat)
+    # NaN fails both comparisons, so it is spelled too.
+    other = np.flatnonzero(~((magnitudes >= 1e-4) & (magnitudes < 1e15)) & (flat != 0.0))
+    for i, value in zip(other.tolist(), flat[other].tolist()):
+        texts[i] = spell(value)
+    return texts
+
+
+# json.dumps's spellings of the floats whose repr is not JSON.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(value: float) -> str:
+    """``json.dumps(value)`` of a float: its ``repr``, or JSON's non-finite spelling."""
+    text = repr(value)
+    return _JSON_NONFINITE.get(text, text)
+
+
 @dataclass
 class Trajectory:
     """Recorded frames: times plus per-rod per-node positions and diagnostics."""
@@ -233,11 +265,17 @@ class Trajectory:
 
     def json_chunks(self):
         """The text of ``to_json`` in pieces: ``json.dumps`` of the four
-        arrays as one object, each array written one frame at a time."""
+        arrays as one object, each array written one frame at a time. A
+        positions frame fills one template with ``_float_texts``."""
+        rods, nodes = np.shape(self.positions)[1:3]
+        rod = "[" + ", ".join(["[%s, %s, %s]"] * nodes) + "]"
+        template = "[" + ", ".join([rod] * rods) + "]"
         for i, key in enumerate(("times", "positions", "energies", "drifts")):
             yield f'{", " if i else "{"}"{key}": ['
             for f, frame in enumerate(getattr(self, key)):
-                yield (", " if f else "") + json.dumps(frame.tolist())
+                text = (template % tuple(_float_texts(frame, _json_float)) if key == "positions"
+                        else json.dumps(frame.tolist()))
+                yield (", " if f else "") + text
             yield "]"
         yield "}"
 
@@ -268,8 +306,8 @@ class Trajectory:
 
     def to_csv(self) -> str:
         """One ``t,rod,node,x,y,z`` row per frame, rod and node, every float
-        written as its ``repr``. A frame's rows fill one template, and each
-        distinct coordinate of the frame goes through ``repr`` once."""
+        written as its ``repr``. A frame's rows fill one template with
+        ``_float_texts``."""
         return "".join(self.csv_chunks())
 
     def csv_chunks(self):
@@ -280,12 +318,7 @@ class Trajectory:
         template = "".join(f"\n{k},{i},%s,%s,%s" for k in range(rods) for i in range(nodes))
         yield "t,rod,node,x,y,z"
         for t, frame in zip(np.asarray(self.times, dtype=float).tolist(), positions):
-            # Keyed on the bits, not the value: -0.0 and 0.0 repr differently.
-            bits, inverse = np.unique(frame.view(np.int64).ravel(), return_inverse=True)
-            texts = [repr(v) for v in bits.view(float).tolist()]
-            # A frame has at least three values, so itemgetter gives a tuple.
-            yield (template.replace("\n", f"\n{t!r},")
-                   % operator.itemgetter(*inverse.tolist())(texts))
+            yield template.replace("\n", f"\n{t!r},") % tuple(_float_texts(frame))
         yield "\n"
 
     @classmethod

@@ -1,11 +1,13 @@
 """Tests for the rod model: closures, energy, centerline reconstruction."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import expm  # test oracle only
 
 from rodsim import integrators, rod_model
-from rodsim.errors import ConfigurationError
+from rodsim.errors import ConfigurationError, InputError
 from rodsim.grid_fields import Grid1D, central_diff, check_tridiag
 from rodsim.rod_model import (
     BoundaryConditions,
@@ -231,27 +233,29 @@ class TestContactForce:
             simulate_rod(default_config(scheme=scheme, dt=1e-3, t_end=0.15))
             assert len(calls) == 3, scheme
 
-    @pytest.mark.parametrize("scheme", ["pure", "semi"])
-    def test_stepping_validates_only_the_start_state(self, monkeypatch, scheme):
-        # States are checked where they enter; the steps, projections and
-        # frame captures build theirs without checking them again.
-        checks = []
-        check = RodState.__post_init__
 
-        def counting_check(self):
-            checks.append(type(self).__name__)
-            check(self)
+class TestRodState:
+    """The constructor checks each field's shape and entries, and names the field."""
 
-        monkeypatch.setattr(RodState, "__post_init__", counting_check)
-        counts = []
-        for steps in (10, 100):
-            checks.clear()
-            config = default_config(scheme=scheme, dt=1e-3, t_end=steps * 1e-3)
-            assert simulate_rod(config)[1]
-            counts.append(len(checks))
-        # Each run starts from a zero packed array, not a state object, so no
-        # check runs at all, however many steps.
-        assert counts == [0, 0]
+    @pytest.mark.parametrize("name", ["curvature", "ang_vel", "lin_vel"])
+    @pytest.mark.parametrize("rods", [(), (3,)])
+    def test_misshaped_field(self, params, name, rods):
+        grid = params.grid()
+        fields = dict(zip(("curvature", "ang_vel", "lin_vel"),
+                          np.zeros((3, grid.node_count, *rods, 2))))
+        fields[name] = np.zeros((grid.node_count + 1, *rods, 2))
+        shape = (grid.node_count, *rods, 2)
+        with pytest.raises(InputError, match=rf"^{name} must have shape {re.escape(str(shape))}"):
+            RodState(grid, **fields)
+
+    @pytest.mark.parametrize("name", ["curvature", "ang_vel", "lin_vel"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_entry(self, params, name, bad):
+        grid = params.grid()
+        fields = dict(zip(("curvature", "ang_vel", "lin_vel"), np.zeros((3, grid.node_count, 2))))
+        fields[name][grid.node_count // 2, 1] = bad
+        with pytest.raises(InputError, match=rf"^{name} contains non-finite entries"):
+            RodState(grid, **fields)
 
 
 class TestEnergy:

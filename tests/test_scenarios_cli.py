@@ -212,6 +212,59 @@ class TestDrive:
         assert not wrong
 
 
+def row_by_row_csv(traj):
+    """The CSV text of the trajectory, written one row at a time."""
+    rows = ["t,rod,node,x,y,z"] + [
+        f"{t!r},{k},{i},{x!r},{y!r},{z!r}"
+        for t, frame in zip(traj.times.tolist(), traj.positions.tolist())
+        for k, rod in enumerate(frame) for i, (x, y, z) in enumerate(rod)]
+    return "\n".join(rows) + "\n"
+
+
+class TestFloatTexts:
+    """`_float_texts` spells every float as `repr` does, and with
+    `_json_float` as `json.dumps` does, whatever orjson's version writes."""
+
+    @staticmethod
+    def check(values, json_count=None):
+        assert scenarios._float_texts(values) == list(map(repr, values.tolist()))
+        values = values[:json_count]
+        assert (", ".join(scenarios._float_texts(values, scenarios._json_float))
+                == json.dumps(values.tolist())[1:-1])
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(20181)
+        bits = rng.integers(0, 2**64, size=10**6, dtype=np.uint64)
+        # An eighth with any exponent, NaN payloads and subnormals among them;
+        # the rest with exponents from about 1e-6 to 1e17, where orjson's
+        # digits are used and where its spelling changes.
+        near = bits[bits.size // 8:]
+        exponents = rng.integers(1003, 1081, size=near.size, dtype=np.uint64)
+        near[:] = (near & ~np.uint64(0x7FF << 52)) | (exponents << np.uint64(52))
+        specials = np.array([0x7FF0000000000001, 0xFFF8000000000000, 0x7FF8DEADBEEF0001,
+                             0x7FF0000000000000, 0xFFF0000000000000, 1, 0x800FFFFFFFFFFFFF],
+                            dtype=np.uint64)
+        values = np.concatenate([specials, bits]).view(float)
+        assert np.isnan(values[:50000]).sum() > 10 and (np.abs(values) < 2.3e-308).sum() > 10
+        self.check(values, json_count=50000)
+
+    def test_neighbours_of_the_spelling_bounds(self):
+        values = []
+        for bound in (0.0, 5e-324, 1e-5, 1e-4, 1e15, 1e16, 1e17):
+            for start in (bound, -bound):
+                values.append(start)
+                for direction in (-np.inf, np.inf):
+                    value = start
+                    for _ in range(3):
+                        value = np.nextafter(value, direction)
+                        values.append(value)
+        self.check(np.array(values))
+
+    def test_shapes(self):
+        assert scenarios._float_texts(np.zeros((0, 3))) == []
+        assert scenarios._float_texts(np.eye(2)[:, ::-1]) == ["0.0", "1.0", "1.0", "0.0"]
+
+
 class TestTrajectory:
     def make(self, frames=3, rods=2, nodes=4):
         rng = np.random.default_rng(0)
@@ -242,9 +295,9 @@ class TestTrajectory:
         assert clone.to_csv() == text
 
     def test_csv_bytes_match_row_by_row_repr(self):
-        # to_csv formats each distinct coordinate of a frame once; its bytes
-        # must be those of writing every row on its own, for signed zeros,
-        # subnormals, huge values and values repeated within and across frames.
+        # to_csv takes its digits from orjson and repr; its bytes must be
+        # those of writing every row on its own, for signed zeros, subnormals,
+        # huge values and values repeated within and across frames.
         traj = self.make(frames=4, rods=3, nodes=5)
         positions = traj.positions
         positions[0] = 0.1  # a frame whose coordinates are all equal
@@ -255,15 +308,19 @@ class TestTrajectory:
         positions[3, :, :, 0] = -0.0
         positions[3, 1, 2] = (0.0, -5e-324, -0.0)
         traj.times = np.array([0.0, 0.1, 1.0 / 3.0, 1e300])
-        rows = ["t,rod,node,x,y,z"] + [
-            f"{t!r},{k},{i},{x!r},{y!r},{z!r}"
-            for t, frame in zip(traj.times.tolist(), positions.tolist())
-            for k, rod in enumerate(frame) for i, (x, y, z) in enumerate(rod)]
         text = traj.to_csv()
-        assert text == "\n".join(rows) + "\n"
+        assert text == row_by_row_csv(traj)
         clone = Trajectory.from_csv(text)
         assert clone.times.tobytes() == traj.times.tobytes()
         assert clone.positions.tobytes() == positions.tobytes()
+        # Values orjson spells otherwise than repr: tiny, huge and non-finite.
+        odd = self.make(frames=2, rods=2, nodes=4)
+        odd.positions[0, 0] = ((1e-5, -1.5e-7, 5e-324), (1e15, -1e16, 1.7976931348623157e308),
+                               (-0.0, 9.999999999999999e-05, 1e-4), (math.nan, math.inf, -math.inf))
+        odd.positions[1, 1, 1:3] = ((-2.5e-300, 1e22, -0.0), (math.nan, 1.5e-5, 1e16 + 2))
+        assert odd.to_csv() == row_by_row_csv(odd)
+        assert odd.to_json() == reference_json(odd)
+        assert "NaN, Infinity, -Infinity" in odd.to_json()
 
     def test_csv_header(self):
         assert self.make().to_csv().splitlines()[0] == "t,rod,node,x,y,z"
