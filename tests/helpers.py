@@ -1,8 +1,11 @@
-"""Test-only constructors of sampled functions and boundary-trace data, and
-the test entry into the block cores: ``step_block`` and ``step_once``."""
+"""Test-only constructors of sampled functions and boundary-trace data, the
+test entry into the block cores (``step_block`` and ``step_once``), and the
+tests' one reference run with its failures: ``step_loop``."""
 
 import numpy as np
+import pytest
 
+from rodsim import scenarios
 from rodsim.grid_fields import SampledFn, _diff_last, check_tridiag
 from rodsim.integrators import (
     _Workspace,
@@ -11,13 +14,14 @@ from rodsim.integrators import (
     _curvature,
     _linear_velocities,
     _momentum,
+    _nonfinite_rods,
     _projection,
     _lift,
     _project,
     _steps_pure,
     _velocities,
 )
-from rodsim.rod_model import BoundaryConditions, MaterialParams
+from rodsim.rod_model import BoundaryConditions, MaterialParams, _drift_norms
 from rodsim.solution_family import CauchyTrace, SolutionFamily, sample_state
 
 
@@ -67,6 +71,75 @@ def step_unloaded(steps, packed, params, bc, t, dt):
     """``step_once`` on the material's grid under zero force and couple."""
     zero = np.zeros((2, 1, params.nodes))
     return step_once(steps, packed, params, bc, params.grid(), zero, zero, t, dt)
+
+
+@np.errstate(all="ignore")  # a rod that blows up is found by the loop's checks
+def step_loop(config):
+    """The reference run of ``config``: a loop of one-step blocks that
+    measures each state on its own. Returns the frames' times, energies
+    (F, K), drift norms (F, K, 3) and curvatures (F, N, K, 2), and
+    ``failed`` as ``scenarios.simulate_rod`` words it. A rod is dropped at
+    its first failing step and the others step on to t_end; the frames stop
+    at the first step that loses a rod. The drive, the energy and the block
+    core are looked up in ``scenarios``, so a test that patches one there
+    patches both runs. An error of the core (a failed residual check)
+    propagates."""
+    mat, semi = config.material, config.scheme == "semi"
+    grid, rods = mat.grid(), np.arange(config.carpet.rods)
+    phases = config.drive.phase + rods * config.carpet.phase_increment
+    bc = scenarios._boundary(config)
+    core = scenarios._steps_semi if semi else scenarios._steps_pure
+    limit = 1e3 * max(config.drive.amplitude**2 * mat.length**3 / (2.0 * mat.EI), 1e-12)
+    n_steps, stride = config.n_steps, config.output.stride
+    dt = config.t_end / n_steps
+    force = np.zeros((2, 1, grid.node_count))
+    state = np.zeros((4 if semi else 6, rods.size, grid.node_count))
+    frames, failed = [], {}
+    for k in range(n_steps + 1):
+        energies = scenarios._energy(state, mat, grid.spacing)
+        nonfinite = _nonfinite_rods(state)
+        lost = nonfinite | (energies > limit)
+        for j in np.flatnonzero(lost):
+            cause = ("non-finite" if nonfinite[j] else
+                     f"energy {energies[j]:.3g} above bound {limit:.3g}")
+            failed[rods[j].item()] = f"step {k} (t={k * dt:.6g}, {cause})"
+        if not failed and (k % stride == 0 or k == n_steps):
+            raw = _lift(state) if semi else state
+            frames.append((k * dt, energies, _drift_norms(raw, grid.spacing, semi).T,
+                           raw[0:2].T.copy()))
+        rods, state = rods[~lost], state[:, ~lost]
+        if k == n_steps or not rods.size:
+            break
+        couple = scenarios._drive(config, phases[rods], grid.nodes, np.array([k * dt]))[0]
+        state = step_once(core, state, mat, bc, grid, force, couple, k * dt, dt)
+    return [np.array(column) for column in zip(*frames)], dict(sorted(failed.items()))
+
+
+def drive_half_cutoff(config, phase, nodes, times):
+    """The package's drive with half its couple at a node on the drive's
+    cutoff s = active_fraction * length: the trapezoid value of the
+    profile's jump, the drive of ROADMAP's "Second order in space" (b)."""
+    couples = DRIVES["node-value"](config, phase, nodes, times)
+    cutoff = config.drive.active_fraction * config.material.length
+    couples[..., np.abs(nodes - cutoff) <= 1e-12 * config.material.length] *= 0.5
+    return couples
+
+
+# The drives that a failure test runs under, patched over ``scenarios._drive``
+# (``simulate_rod`` and ``step_loop`` both look it up there): the package's,
+# whose cutoff node takes full weight, and the half-weight one. What such a
+# test asserts must not hang on the first-order cutoff node.
+DRIVES = {"node-value": scenarios._drive, "half-cutoff": drive_half_cutoff}
+
+
+def under_drives(cases):
+    """Parameters (case, drive) of each case under each of ``DRIVES``; under
+    the package's drive a case keeps its own id, so that its record reads
+    on from before the drives. A test without cases of its own has no id to
+    keep (any parameter adds one) and takes ``@pytest.mark.parametrize(
+    "drive", DRIVES)`` instead."""
+    return [pytest.param(case, drive, id=case if drive == "node-value" else f"{case}-{drive}")
+            for drive in DRIVES for case in cases]
 
 
 def adiag(v: np.ndarray) -> np.ndarray:

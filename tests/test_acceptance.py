@@ -76,8 +76,9 @@ def test_criterion_2_bitwise_collinearity():
     # Every frame of the driven semi run: simulate_rod measures a manifold
     # state's R5 and R6 with ``rod_model._drift_norms(collinear=True)``,
     # which sets them to zero rather than computing them. The criterion pins
-    # that representation; whether the model belongs on the manifold is
-    # ROADMAP item 4's question.
+    # that representation; whether the model belongs on the manifold is the
+    # question of ROADMAP's "The semi scheme does not converge on the default
+    # cilium" item.
     config = default_config(dt=1e-3, t_end=10.0, output=OutputConfig(stride=1))
     traj, stable, _ = simulate_rod(config)
     n_steps = config.n_steps

@@ -24,11 +24,13 @@ from rodsim.scenarios import default_config, simulate_rod
 from rodsim.solution_family import random_family, sample_state
 
 from helpers import (
+    DRIVES,
     adiag,
     cross_validation_error,
     pure_step_matrices,
     step_block,
     step_matrix,
+    step_loop,
     step_once,
     step_unloaded,
     steps_reordered,
@@ -648,41 +650,6 @@ class TestRunMatchesStepLoop:
     once. A loop of ``step_once`` calls that measures each state on its own
     must give the same bits: how a run groups its steps changes none."""
 
-    @staticmethod
-    def step_loop(config):
-        """The frames of ``config`` from a loop of one-step blocks: times,
-        energies (F, K), drift norms (F, K, 3) and curvatures (F, N, K, 2),
-        and ``failed`` as ``simulate_rod`` words it. The loop stops at the
-        first step that loses a rod."""
-        mat, semi = config.material, config.scheme == "semi"
-        grid, rods = mat.grid(), config.carpet.rods
-        phases = config.drive.phase + np.arange(rods) * config.carpet.phase_increment
-        bc, core = scenarios._boundary(config), SEMI if semi else PURE
-        limit = 1e3 * max(config.drive.amplitude**2 * mat.length**3 / (2.0 * mat.EI), 1e-12)
-        n_steps, stride = config.n_steps, config.output.stride
-        dt = config.t_end / n_steps
-        force = np.zeros((2, 1, grid.node_count))
-        state = np.zeros((4 if semi else 6, rods, grid.node_count))
-        frames, failed = [], {}
-        for k in range(n_steps + 1):
-            energies = _energy(state, mat, grid.spacing)
-            nonfinite = _nonfinite_rods(state)
-            for j in np.flatnonzero(nonfinite | (energies > limit)):
-                cause = ("non-finite" if nonfinite[j] else
-                         f"energy {energies[j]:.3g} above bound {limit:.3g}")
-                failed[j.item()] = f"step {k} (t={k * dt:.6g}, {cause})"
-            if failed:
-                break
-            if k % stride == 0 or k == n_steps:
-                raw = _lift(state) if semi else state
-                frames.append((k * dt, energies, _drift_norms(raw, grid.spacing, semi).T,
-                               raw[0:2].T.copy()))
-            if k < n_steps:
-                couple = scenarios._drive(config, phases, grid.nodes, np.array([k * dt]))[0]
-                with np.errstate(all="ignore"):  # a rod that blows up is found above
-                    state = step_once(core, state, mat, bc, grid, force, couple, k * dt, dt)
-        return [np.array(column) for column in zip(*frames)], failed
-
     PURE_31 = dict(scheme="pure", dt=1e-4, t_end=0.05)
     SEMI_31 = dict(scheme="semi", dt=1e-3, t_end=0.5)
     CASES = {
@@ -710,7 +677,7 @@ class TestRunMatchesStepLoop:
 
     def assert_same_frames(self, monkeypatch, config):
         traj, stable, failed, curvatures = self.run(monkeypatch, config)
-        (times, energies, drifts, loop_curvatures), loop_failed = self.step_loop(config)
+        (times, energies, drifts, loop_curvatures), loop_failed = step_loop(config)
         assert failed == loop_failed and stable == (not loop_failed)
         for got, want in ((traj.times, times), (traj.energies, energies),
                           (traj.drifts, drifts), (curvatures, loop_curvatures)):
@@ -729,11 +696,13 @@ class TestRunMatchesStepLoop:
         _, failed = self.assert_same_frames(monkeypatch, config)
         assert not failed
 
-    def test_a_failing_semi_run_keeps_its_failure_step_and_message(self, monkeypatch):
-        # Default cilium at dt=1e-4: the semi scheme blows up before t=0.3
-        # (ROADMAP item 3). The run keeps every step up to the one that loses
-        # the rod, and names that step as the loop does.
-        config = default_config(dt=1e-4, t_end=0.3, output=scenarios.OutputConfig(stride=1))
+    @pytest.mark.parametrize("drive", DRIVES)
+    def test_a_failing_semi_run_keeps_its_failure_step_and_message(self, monkeypatch, drive):
+        # Default cilium at dt=2e-2, about 3.7 times the semi scheme's dt*:
+        # the run blows up within a few steps. It keeps every step up to the
+        # one that loses the rod, and names that step as the loop does.
+        monkeypatch.setattr(scenarios, "_drive", DRIVES[drive])
+        config = default_config(dt=2e-2, t_end=1.0, output=scenarios.OutputConfig(stride=1))
         traj, failed = self.assert_same_frames(monkeypatch, config)
         assert list(failed) == [0]
         assert failed[0].startswith(f"step {traj.times.size} (t=")

@@ -33,6 +33,8 @@ from rodsim.scenarios import (
     simulate_rod,
 )
 
+from helpers import DRIVES, step_loop, under_drives
+
 
 def small_config(**overrides):
     material = MaterialParams(
@@ -432,18 +434,39 @@ class TestRunCilium:
         assert 1 < traj.times.size < 200
         assert traj.times[-1] < config.t_end
 
-    def test_unstable_run_raises_no_floating_point_warning(self):
-        # The lost rod overflows later in its block, which runs to its end;
-        # the run reports the loss and nothing else.
+    @pytest.mark.parametrize("drive", DRIVES)
+    def test_unstable_run_raises_no_floating_point_warning(self, monkeypatch, drive):
+        # Forward Euler far above its stability bound loses the rod within a
+        # few steps; the lost rod overflows later in its block, which runs to
+        # its end. The run reports the loss, as the step loop words it, and
+        # nothing else.
+        monkeypatch.setattr(scenarios, "_drive", DRIVES[drive])
         config = default_config(
             material=replace(default_config().material, nodes=21), scheme="pure",
             dt=0.5, t_end=1000.0, drive=DriveConfig(amplitude=1.0),
             output=OutputConfig(stride=10**9))
+        _, expected = step_loop(config)
         with warnings.catch_warnings(), np.errstate(all="warn"):
             warnings.simplefilter("error")
             _, stable, failed = simulate_rod(config)
-        assert not stable
-        assert failed == {0: "step 13 (t=6.5, energy 5.34e+03 above bound 5e+03)"}
+        assert not stable and failed == expected
+
+
+def drive_rods(monkeypatch, config, rods):
+    """Patch ``scenarios._drive`` so that of the rods of ``config`` only
+    ``rods`` are driven, 300 times over and from t = 0.35 on. Far above the
+    energy bound, each of them fails within a few dozen steps under any
+    consistent discretization; the others take no couple and stay exactly at
+    rest. A rod is known by its drive phase, which it keeps when run alone.
+    The patch wraps the drive that ``scenarios`` holds when it is made."""
+    phases = config.drive.phase + np.asarray(rods) * config.carpet.phase_increment
+    drive = scenarios._drive
+
+    def some_rods_driven(config, phase, nodes, times):
+        weight = np.where(np.isin(phase, phases), 300.0, 0.0) * (times >= 0.35)[:, None]
+        return drive(config, phase, nodes, times) * weight[:, None, :, None]
+
+    monkeypatch.setattr(scenarios, "_drive", some_rods_driven)
 
 
 class TestRunCarpet:
@@ -477,18 +500,24 @@ class TestRunCarpet:
         np.testing.assert_array_equal(carpet.energies[:, 1], single.energies[:, 0])
         np.testing.assert_array_equal(carpet.drifts[:, 1], single.drifts[:, 0])
 
-    def test_unstable_rods_are_those_unstable_alone(self):
+    @pytest.mark.parametrize("drive", DRIVES)
+    def test_unstable_rods_are_those_unstable_alone(self, monkeypatch, drive):
         # Each rod fails as it would alone: the carpet names exactly the rods
         # whose single runs fail, each at the step, time and cause of its
         # single run, and its partial trajectory stops where the earliest of
         # them stopped.
-        # The semi scheme at this step size goes unstable on some drive
-        # phases only (ROADMAP item 1), at different frames.
+        # Rods 1 and 3 are driven far above the energy bound and fail, at
+        # different frames; the others rest. Which rods the semi scheme loses
+        # at this step size under the plain drive hangs on the discretization
+        # (ROADMAP's "Stability as a measured map" item).
+        monkeypatch.setattr(scenarios, "_drive", DRIVES[drive])
         material = replace(default_config().material, nodes=21)
         config = default_config(
             material=material, dt=3e-3, t_end=1.0, output=OutputConfig(stride=5),
             carpet=CarpetConfig(rods=5, spacing=0.5, phase_increment=0.785),
         )
+        driven = [1, 3]
+        drive_rods(monkeypatch, config, driven)
         unstable, frames, where = [], [], []
         with np.errstate(all="ignore"):
             for k in range(5):
@@ -502,12 +531,11 @@ class TestRunCarpet:
                     where.append(str(err).removeprefix("simulation became unstable at "))
             with pytest.raises(InstabilityError) as err:
                 run_scenario(config)
-        assert unstable == [0, 4]
-        assert str(err.value) == (
-            "rod(s) [0, 4] became unstable: "
-            f"rod 0 at {where[0]}; rod 4 at {where[1]}")
+        assert unstable == driven
+        assert str(err.value) == f"rod(s) {unstable} became unstable: " + "; ".join(
+            f"rod {k} at {text}" for k, text in zip(unstable, where))
         for text in where:
-            assert re.fullmatch(r"step \d+ \(t=0\.\d+, energy 1\.\d\de\+03 above bound "
+            assert re.fullmatch(r"step \d+ \(t=0\.\d+, energy \d(\.\d+)?e\+\d\d above bound "
                                 r"1\.25e\+03\)", text), text
         assert err.value.partial.times.size == min(frames)
 
@@ -547,12 +575,16 @@ class TestRunCarpet:
         assert max(calls) * config.material.nodes <= scenarios.BLOCK
         assert np.array_equal(traj.positions, per_frame)
 
-    def test_failed_run_builds_its_last_block(self, monkeypatch):
-        # Rods 1 and 3 of this semi carpet go unstable; the frames captured
-        # before the first failure (37) fill blocks of 16 frames and part of
-        # one more, which stops at the last captured frame. The cap, which
-        # sizes the step blocks too, is set to 64 rod-frames of 21 nodes so
-        # that the run needs several blocks.
+    @pytest.mark.parametrize("drive", DRIVES)
+    def test_failed_run_builds_its_last_block(self, monkeypatch, drive):
+        # Rods 1 and 3 of this semi carpet are driven far above the energy
+        # bound and fail as the step loop says; the frames captured before
+        # the first failure fill blocks of 16 frames and part of one more,
+        # which stops at the last captured frame. The cap, which sizes the
+        # step blocks too, is set to 64 rod-frames of 21 nodes so that the
+        # run needs several blocks. The drive's onset at step 117 and a
+        # failure a few dozen steps later keep the frames between 16 and 32.
+        monkeypatch.setattr(scenarios, "_drive", DRIVES[drive])
         monkeypatch.setattr(scenarios, "BLOCK", 64 * 21)
         material = replace(default_config().material, nodes=21)
         config = default_config(
@@ -560,13 +592,18 @@ class TestRunCarpet:
             drive=DriveConfig(phase=-1.57),
             carpet=CarpetConfig(rods=4, spacing=0.5, phase_increment=1.57),
         )
+        driven = [1, 3]
+        drive_rods(monkeypatch, config, driven)
+        (times, *_), expected = step_loop(config)
         with np.errstate(all="ignore"):
             (traj, stable, failed), per_frame, calls = self.simulate_with_frame_centerlines(
                 config, monkeypatch)
-        assert not stable and list(failed) == [1, 3]
+        assert not stable and failed == expected and list(failed) == driven
+        assert traj.times.tobytes() == times.tobytes()
         rod_frames = traj.times.size * 4
-        assert rod_frames > 64 and rod_frames % 64  # the last block is partial
-        assert calls == [64] * (rod_frames // 64) + [rod_frames % 64]
+        full, last = divmod(rod_frames, 64)
+        assert rod_frames > 64 and last  # the last block is partial
+        assert calls == [64] * full + [last]
         assert np.array_equal(traj.positions, per_frame)
 
     def test_run_scenario_dispatch(self):
@@ -577,9 +614,10 @@ class TestRunCarpet:
 
 
 def carpet_losing_three():
-    """A semi carpet whose drive phases 0, 0.3 and 0.6 lose rods 0, 1 and 2 at
-    steps 185, 182 and 179: with the default cap, blocks of 102 steps that
-    run across its frames, the block of steps 103 to 204 holds all three."""
+    """A semi carpet of three 21-node rods, drive phases 0, 0.3 and 0.6, all
+    of them driven through ``drive_rods``: from the drive's onset at step 117
+    it loses the three, not all at one step, within one block of its default
+    cap, the block of steps 103 to 204, which runs across its frames."""
     material = replace(default_config().material, nodes=21)
     return default_config(
         material=material, dt=3e-3, t_end=1.0, output=OutputConfig(stride=25),
@@ -587,10 +625,10 @@ def carpet_losing_three():
 
 
 def pure_carpet_losing_four():
-    """A pure carpet of four 21-node rods, drive phases 0 to 3, that loses rods
-    0 to 3 at steps 803, 611, 595 and 749 and keeps the 85 frames before step
-    595: with the default cap its blocks hold 76 steps, and its frames come
-    every 7."""
+    """A pure carpet of four 21-node rods, drive phases 0 to 3: forward Euler
+    grows every mode, so it loses all four rods, in more than one block and
+    none in the first, and keeps the frames before the first loss. With the
+    default cap its blocks hold 76 steps, and its frames come every 7."""
     material = replace(default_config().material, nodes=21)
     return default_config(
         material=material, scheme="pure", dt=2e-3, t_end=40.0, output=OutputConfig(stride=7),
@@ -600,7 +638,7 @@ def pure_carpet_losing_four():
 class TestStepBlocks:
     """``simulate_rod`` steps in blocks of at most ``BLOCK`` rod-nodes;
     a cap of one state is the step-by-step loop. Every cap gives the same
-    bits."""
+    bits, and the failures of ``helpers.step_loop``."""
 
     DEFAULT = scenarios.BLOCK
 
@@ -619,25 +657,33 @@ class TestStepBlocks:
         "bound-before-divergence": diverging_pure,
         "stable-semi-probe": lambda: default_config(dt=1e-3, t_end=2.0,
                                                     output=OutputConfig(stride=10**9)),
-        "unstable-semi-probe": lambda: default_config(dt=1e-4, t_end=0.3,
+        "unstable-semi-probe": lambda: default_config(dt=2e-2, t_end=2.0,
                                                       output=OutputConfig(stride=10**9)),
     }
+    # The rods that ``drive_rods`` drives, by case.
+    DRIVEN = {"semi-carpet-losing-three": [0, 1, 2]}
     # Stand-ins for _energy, one energy per state and rod: none at all, so
-    # that a step overflows (step 195 of diverging_pure); or an infinite one
-    # once a value exceeds 1e303, at step 193 of the block that ends at 200.
+    # that the diverging run goes on until a step overflows; or an infinite
+    # one once a value exceeds 1e303, which the run reaches before it
+    # overflows.
     ENERGIES = {
         "diverging-pure": lambda packed: np.zeros(packed.shape[:-3] + packed.shape[-2:-1]),
         "bound-before-divergence": lambda packed: np.where(
             np.abs(packed).max(axis=(-3, -1)) > 1e303, np.inf, 0.0),
     }
 
-    @pytest.mark.parametrize("case", list(CASES))
-    def test_every_cap_gives_the_step_by_step_result(self, monkeypatch, case):
+    def patch_energy(self, monkeypatch, case):
+        energy = self.ENERGIES[case]
+        monkeypatch.setattr(scenarios, "_energy", lambda packed, params, spacing: energy(packed))
+
+    @pytest.mark.parametrize("case, drive", under_drives(CASES))
+    def test_every_cap_gives_the_step_by_step_result(self, monkeypatch, case, drive):
+        monkeypatch.setattr(scenarios, "_drive", DRIVES[drive])
         config = self.CASES[case]()
+        if case in self.DRIVEN:
+            drive_rods(monkeypatch, config, self.DRIVEN[case])
         if case in self.ENERGIES:
-            energy = self.ENERGIES[case]
-            monkeypatch.setattr(scenarios, "_energy",
-                                lambda packed, params, spacing: energy(packed))
+            self.patch_energy(monkeypatch, case)
         results = []
         state = config.carpet.rods * config.material.nodes  # rod-nodes
         for cap in (state, 3 * state, self.DEFAULT):
@@ -649,35 +695,50 @@ class TestStepBlocks:
             assert stable_other == stable and failed_other == failed
             for name, values in vars(traj).items():  # NaN too: a diverged centerline
                 assert getattr(other, name).tobytes() == values.tobytes(), name
+        assert failed == step_loop(config)[1]
         steps = [int(re.match(r"step (\d+) ", where)[1]) for where in failed.values()]
+        size = self.DEFAULT // state  # steps in a block of the default cap
+        blocks = {(k - 1) // size for k in steps}  # the default blocks that lose rods
         if case == "semi-carpet-losing-three":
-            assert list(failed) == [0, 1, 2] and steps == [185, 182, 179]
-            assert 102 < min(steps) and max(steps) <= 2 * (self.DEFAULT // (3 * 21))
+            assert list(failed) == [0, 1, 2] and len(set(steps)) > 1
+            assert len(blocks) == 1 and min(blocks) > 0
         elif case == "pure-carpet-losing-four":
-            assert list(failed) == [0, 1, 2, 3] and steps == [803, 611, 595, 749]
-            assert traj.times.size == 85 and traj.times[-1] == 588 * config.dt
+            assert list(failed) == [0, 1, 2, 3]
+            assert len(blocks) > 1 and min(blocks) > 0
+            last = (min(steps) - 1) // config.output.stride * config.output.stride
+            assert traj.times.size == last // config.output.stride + 1
+            assert traj.times[-1] == last * config.dt
         elif case == "diverging-pure":
-            assert steps == [195] and failed[0].endswith(", non-finite)")
+            # The run overflows in its one block, whose later steps run on.
+            assert list(failed) == [0] and failed[0].endswith(", non-finite)")
+            assert blocks == {0} and steps[0] < config.n_steps <= size
         elif case == "bound-before-divergence":
-            assert steps == [193] and failed[0].endswith("energy inf above bound 5e+03)")
+            # The stubbed bound trips before the divergence, in the same block.
+            assert list(failed) == [0] and failed[0].endswith("energy inf above bound 5e+03)")
+            self.patch_energy(monkeypatch, "diverging-pure")
+            diverging = int(re.match(r"step (\d+) ", step_loop(config)[1][0])[1])
+            assert steps[0] < diverging and blocks == {(diverging - 1) // size}
         elif case == "unstable-semi-probe":
             assert list(failed) == [0] and traj.times.size == 1
         else:
             assert stable
 
-    @pytest.mark.parametrize("scheme", ["pure", "semi"])
-    def test_a_wrong_factor_fails_the_residual_check(self, monkeypatch, scheme):
+    @pytest.mark.parametrize("scheme, drive", under_drives(["pure", "semi"]))
+    def test_a_wrong_factor_fails_the_residual_check(self, monkeypatch, scheme, drive):
         # Bands that do not match their LU factors fail the residual check at
-        # the first solve with a nonzero right-hand side, step 2 (the drive
-        # is zero at t = 0), as the check of each step on its own does.
+        # the first solve with a nonzero right-hand side (the drive is zero
+        # at t = 0), with the message and row of the check of each step on
+        # its own: a loop of step_once calls.
+        monkeypatch.setattr(scenarios, "_drive", DRIVES[drive])
         operator = integrators._contact_operator
         monkeypatch.setattr(integrators, "_contact_operator",
                             lambda *key: operator(*key)._replace(diag=1.5 * operator(*key).diag))
         config = small_config(scheme=scheme, carpet=CarpetConfig(rods=3, phase_increment=1.0))
+        with pytest.raises(SingularSystemError) as want:
+            step_loop(config)
         with pytest.raises(SingularSystemError) as err:
             simulate_rod(config)
-        assert str(err.value) == "residual 3.093e+02 above 1.901e-07 at row 1"
-        assert err.value.row == 1
+        assert str(err.value) == str(want.value) and err.value.row == want.value.row
 
 
 class TestBenchmark:
