@@ -30,7 +30,6 @@ from .reduction import (
 from .rod_model import (
     BoundaryConditions,
     MaterialParams,
-    RodState,
     reconstruct_centerline,
 )
 from .scenarios import (

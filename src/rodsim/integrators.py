@@ -12,21 +12,22 @@ the rod.
 Both schemes impose the moment-free condition m = 0 (zero curvature) at free
 ends in addition to the clamped-end velocity signals. A state is one packed
 array per rod batch, nodes last: (6, K, N) raw, the curvature, angular and
-linear velocity components in turn (``rod_model.RodState._packed``), or
-(4, K, N) on the manifold, the direction angle and the three signed
-magnitudes. ``_lift`` and ``_project`` map between the two.
+linear velocity components in turn (``solution_family.sample_state`` returns
+this layout), or (4, K, N) on the manifold, the direction angle and the three
+signed magnitudes. ``_lift`` and ``_project`` map between the two.
 
 The block cores ``_steps_pure`` and ``_steps_semi`` are the one way to step
 a rod; ``scenarios.simulate_rod`` runs them. Each fills a block of B steps,
 (B + 1, C, K, N), from its first state, on one ``_Workspace`` made per
-block, as a list of calls to one set of stages: ``_momentum`` (contact force
-and angular velocity), ``_curvature`` (zero at free ends) and ``_clamp``, and
-in the semi core ``_projection`` and ``_angle_integration``. A core ends with
-one residual check of its block's contact-force solves (``check_tridiag``),
-which raises SingularSystemError. Each rod of a block steps as it would
-alone: its projection threshold is its own, and a rod that blows up gets
-non-finite rows, which the residual check leaves out and ``_nonfinite_rods``
-finds, and leaves the other rods' bits as they would be.
+block on the material's grid, as a list of calls to one set of stages:
+``_momentum`` (contact force and angular velocity), ``_curvature`` (zero at
+free ends) and ``_clamp``, and in the semi core ``_projection`` and
+``_angle_integration``. A core ends with one residual check of its block's
+contact-force solves (``check_tridiag``), which raises SingularSystemError.
+Each rod of a block steps as it would alone: its projection threshold is
+its own, and a rod that blows up gets non-finite rows, which the residual
+check leaves out and ``_nonfinite_rods`` finds, and leaves the other rods'
+bits as they would be.
 """
 
 from __future__ import annotations
@@ -117,8 +118,8 @@ class _Workspace:
     the ``clamped`` ends at each step's end, ``ends`` (B, 2, K, 2) the
     contact-force end rows at each step's time, ``df`` f' / rho A or None."""
 
-    def __init__(self, params, bc, grid, f, times, dt, rods):
-        n, self.ds = grid.node_count, grid.spacing
+    def __init__(self, params, bc, f, times, dt, rods):
+        n, self.ds = params.nodes, params.grid().spacing
         self.params, self.f, self.dt = params, f, dt
         self.factors = _contact_operator(params, bc.base, bc.tip)
         self.clamped, self.free = _end_nodes(bc, "clamped", n), _end_nodes(bc, "free", n)
@@ -222,12 +223,12 @@ def _angle_integration(w, m, new):
     angle += m[0, :, :1] + w.dt * ang_mag[:, :1]
 
 
-def _steps_pure(block, solves, params, bc, grid, f, couples, times, dt):
+def _steps_pure(block, solves, params, bc, f, couples, times, dt):
     """The pure scheme on a block of packed raw states: fill block[1:] from
     block[0] by forward Euler, every right-hand side from the pre-step state,
     step i at times[i] under the force ``f`` and the couple couples[i], into
     ``solves`` (2, B, 2, K, N) the steps' contact forces and right-hand sides."""
-    w = _Workspace(params, bc, grid, f, times, dt, block.shape[2])
+    w = _Workspace(params, bc, f, times, dt, block.shape[2])
     forces, rhs = solves
     stack, derivatives = w.velocities, w.derivatives
     for i, l in enumerate(couples):
@@ -243,12 +244,12 @@ def _steps_pure(block, solves, params, bc, grid, f, couples, times, dt):
     check_tridiag(w.factors, forces, rhs)
 
 
-def _steps_semi(block, solves, params, bc, grid, f, couples, times, dt):
+def _steps_semi(block, solves, params, bc, f, couples, times, dt):
     """The semi scheme on a block of packed manifold states, as
     ``_steps_pure`` does: lift, the momentum stage, projection back onto the
     direction of the new linear velocity, the angle integrated from the base,
     and the curvature magnitude advected with the new ang_mag."""
-    w = _Workspace(params, bc, grid, f, times, dt, block.shape[2])
+    w = _Workspace(params, bc, f, times, dt, block.shape[2])
     forces, rhs = solves
     for i, l in enumerate(couples):
         m, new = block[i], block[i + 1]

@@ -1,17 +1,17 @@
-"""Physical rod description: parameters, state, internal-force closures, output.
+"""Physical rod description: parameters, internal-force closures, output.
 
 The planar Kirchhoff state consists of three 2-vector fields on a uniform
 arclength grid: curvature, angular velocity and linear velocity, all expressed
 in the director frame. The internal couple follows a linear isotropic bending
 law; the internal (contact) force is a constraint reaction recovered each step
-from a linear boundary-value problem. Rods of one material on one grid can
-share a state with a rod axis between the node and component axes.
+from a linear boundary-value problem.
 
-The step cores work on packed arrays, components and rods first and nodes
-last (``RodState._packed``), which ``_contact_force``, ``_energy`` and
-``_drift_norms`` take. The momentum stage of both step cores
-(``integrators._momentum``) solves for the contact force with the factors of
-``_contact_operator``, which each block of steps looks up once.
+A state of K rods of one material is one packed array (6, K, N): each
+field's two components in turn, then rods, nodes last. ``_contact_force``,
+``_energy``, ``_drift_norms`` and the step cores take it, and
+``solution_family.sample_state`` returns it. The momentum stage of both step
+cores (``integrators._momentum``) solves for the contact force with the
+factors of ``_contact_operator``, which each block of steps looks up once.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .grid_fields import (
 
 __all__ = [
     "MaterialParams",
-    "RodState",
     "BoundaryConditions",
     "reconstruct_centerline",
 ]
@@ -89,36 +88,6 @@ class MaterialParams:
 
     def grid(self) -> Grid1D:
         return Grid1D(self.length, self.nodes)
-
-
-@dataclass
-class RodState:
-    """Curvature, angular and linear velocity 2-vector fields on a rod's
-    grid, each (N, 2) for one rod or (N, K, 2) for K rods; the curvature's
-    shape decides which. The constructor checks shapes and finiteness."""
-
-    grid: Grid1D
-    curvature: np.ndarray
-    ang_vel: np.ndarray
-    lin_vel: np.ndarray
-
-    def __post_init__(self):
-        rods = np.shape(self.curvature)[1:-1][:1]  # () or (K,)
-        shape = (self.grid.node_count, *rods, 2)
-        for name in ("curvature", "ang_vel", "lin_vel"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != shape:
-                raise InputError(f"{name} must have shape {shape}, got {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise InputError(f"{name} contains non-finite entries")
-            setattr(self, name, arr)
-
-    def _packed(self) -> np.ndarray:
-        """The fields in the stepping layout, (6, K, N): each field's two
-        components in turn, then rods (K = 1 without a rod axis), nodes last."""
-        fields = (self.curvature, self.ang_vel, self.lin_vel)
-        node_first = [a.reshape(self.grid.node_count, -1, 2) for a in fields]
-        return np.concatenate(node_first, axis=-1).T.copy()
 
 
 def _zero_signal(t):

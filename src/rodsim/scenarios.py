@@ -497,7 +497,7 @@ def simulate_rod(config: ScenarioConfig):
         times = np.arange(done, end) * dt
         with np.errstate(all="ignore"):  # a failing rod steps on to the block's end
             couples = _drive(config, phases[rods], grid.nodes, times)
-            steps(block, solves[:, :end - done], mat, bc, grid, force, couples, times, dt)
+            steps(block, solves[:, :end - done], mat, bc, force, couples, times, dt)
             energies = _energy(block, mat, ds)  # row 0 too: the first block's frame 0
         # A rod's first failing step: an energy above the bound, or a
         # non-finite row, which takes precedence at the same step.

@@ -26,7 +26,7 @@ from .errors import (
     SizeError,
 )
 from .grid_fields import Grid1D, SampledFn, central_diff, integrate_ode_rk4
-from .rod_model import RodState, _drift_norms
+from .rod_model import _drift_norms
 
 __all__ = [
     "SolutionFamily",
@@ -160,15 +160,16 @@ def _invert_monotone(fn, lo, hi, target):
                          + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2), 0.5)
 
 
-def sample_state(fam: SolutionFamily, grid: Grid1D, t) -> RodState:
-    """Evaluate the family on a grid at one physical time or at T times.
+def sample_state(fam: SolutionFamily, grid: Grid1D, t) -> np.ndarray:
+    """Evaluate the family on a grid at one physical time or at T times, as
+    the step cores' packed state: C-contiguous (6, T, N) with the times on
+    the rod axis, column j at time t[j], or (6, 1, N) for a float ``t``.
 
-    A float ``t`` gives (N, 2) fields; an array of T times gives (N, T, 2)
-    fields, column j at time t[j]. At fixed t the time-map argument w is the
-    same at every node, so w is inverted once per time and u is then solved
-    for every node and time in one array solve. Both solves evaluate the
-    family's checked splines and stop each element at Brent's tolerance
-    1e-14 + 4 eps |u| (see ``_invert_monotone``).
+    At fixed t the time-map argument w is the same at every node, so w is
+    inverted once per time and u is then solved for every node and time in
+    one array solve. Both solves evaluate the family's checked splines and
+    stop each element at Brent's tolerance 1e-14 + 4 eps |u| (see
+    ``_invert_monotone``).
     """
     times = np.asarray(t, dtype=float)
     # At s = 0 the time-map argument equals u, so the reachable span of the
@@ -176,9 +177,8 @@ def sample_state(fam: SolutionFamily, grid: Grid1D, t) -> RodState:
     w_star = _invert_monotone(fam.time_map, *_w_span(fam, grid), times.reshape(1, -1))
     s = grid.nodes[:, None]
     us = _invert_monotone(lambda u: fam.amp(u) * s + u, *fam.u_range, w_star)
-    shape = (grid.node_count, *times.shape)
     kappa, omega, vel, _ = evaluate_family(fam, s, us)
-    return RodState(grid, *(v.reshape(*shape, 2) for v in (kappa, omega, vel)))
+    return np.concatenate((kappa, omega, vel), axis=-1).T.copy()
 
 
 def _w_span(fam: SolutionFamily, grid: Grid1D):
@@ -190,17 +190,17 @@ def _w_span(fam: SolutionFamily, grid: Grid1D):
     return max(w.min(), f_lo), min(w.max(), f_hi)
 
 
-def parameter_free_residuals(prev: RodState, mid: RodState, nxt: RodState, dt: float):
-    """Max-norm residuals of the four parameter-free relations.
+def parameter_free_residuals(states: np.ndarray, ds: float, dt: float):
+    """Max-norm residuals of the four parameter-free relations on a packed
+    block (6, 3, N) sampled at times t - dt, t and t + dt.
 
-    Time derivatives are central across the three states; spatial derivatives
-    are central on the shared grid. Returns {"R3", "R4", "R5", "R6"}.
+    The time derivative is central across the three columns; spatial
+    derivatives are central on the grid of spacing ``ds``, at the middle
+    column. Returns {"R3", "R4", "R5", "R6"}.
     """
-    if prev.grid != mid.grid or nxt.grid != mid.grid:
-        raise InputError("states must share one grid")
-    ds = mid.grid.spacing
-    r3 = (nxt.curvature - prev.curvature) / (2.0 * dt) - central_diff(mid.ang_vel, ds)
-    r4, r5, r6 = _drift_norms(mid._packed(), ds, False).max(axis=1).tolist()
+    d_ang_vel = central_diff(states[2:4, 1].T, ds).T
+    r3 = (states[0:2, 2] - states[0:2, 0]) / (2.0 * dt) - d_ang_vel
+    r4, r5, r6 = _drift_norms(states, ds, False)[:, 1].tolist()
     return {"R3": float(np.abs(r3).max()), "R4": r4, "R5": r5, "R6": r6}
 
 

@@ -17,7 +17,6 @@ from .reduction import (
     potential_system_residuals,
     reconstruct_potentials,
 )
-from .rod_model import RodState
 from .solution_family import (
     SolutionFamily,
     parameter_free_residuals,
@@ -59,21 +58,13 @@ def _chain_times(fam: SolutionFamily, n_nodes: int, dt: float):
     return t_lo + np.arange(n_nodes) * dt
 
 
-def _columns(block: RodState, cols) -> RodState:
-    """The state made of the columns ``cols`` of an (N, T, 2) block."""
-    return RodState(block.grid, *(f[:, cols] for f in
-                                  (block.curvature, block.ang_vel, block.lin_vel)))
-
-
-def _family_from(block: RodState, dt: float):
-    """Compatibility residuals of a block sampled at the three family times."""
-    return parameter_free_residuals(*(_columns(block, j) for j in range(3)), dt)
-
-
-def _chain_from(rect: RodState, dt: float):
-    """The whole reduction chain on a block sampled at the chain times."""
-    ds = rect.grid.spacing
-    _, _, f, g = reconstruct_potentials(rect.curvature, rect.ang_vel, rect.lin_vel, ds, dt)
+def _chain_from(rect: np.ndarray, ds: float, dt: float):
+    """The whole reduction chain on a packed block sampled at the chain times."""
+    # The chain's (Ns, Nt) fields, from a C-ordered (N, T, 6) copy: its sums
+    # round by memory layout, and a bare transposed view changes the report.
+    node_first = np.ascontiguousarray(rect.T)
+    fields = (node_first[..., k:k + 2] for k in (0, 2, 4))
+    _, _, f, g = reconstruct_potentials(*fields, ds, dt)
     out = potential_system_residuals(f, g, ds, dt)
     profile, uniformity = extract_speed_profile(f, g, dt)
     out["h_uniformity"] = uniformity
@@ -84,15 +75,17 @@ def _chain_from(rect: RodState, dt: float):
 def family_residuals(fam: SolutionFamily, n_nodes: int, dt: float):
     """Compatibility residuals on three family-sampled states around the
     family's center time."""
-    block = sample_state(fam, Grid1D(1.0, n_nodes), _family_times(fam, dt))
-    return _family_from(block, dt)
+    grid = Grid1D(1.0, n_nodes)
+    return parameter_free_residuals(sample_state(fam, grid, _family_times(fam, dt)),
+                                    grid.spacing, dt)
 
 
 def reduction_chain_residuals(fam: SolutionFamily, n_nodes: int, dt: float):
     """Run the whole reduction chain on a family-sampled rectangle centered
     on the family's center time."""
-    rect = sample_state(fam, Grid1D(1.0, n_nodes), _chain_times(fam, n_nodes, dt))
-    return _chain_from(rect, dt)
+    grid = Grid1D(1.0, n_nodes)
+    return _chain_from(sample_state(fam, grid, _chain_times(fam, n_nodes, dt)),
+                       grid.spacing, dt)
 
 
 def _grid_residuals(fam: SolutionFamily, n_nodes: int, dt: float, flags: str):
@@ -112,8 +105,8 @@ def _grid_residuals(fam: SolutionFamily, n_nodes: int, dt: float, flags: str):
             f"family's time range: {err}") from err
     except (ValueError, OverflowError, MemoryError) as err:
         raise SizeError(f"verification grid too large to sample ({flags}): {err}") from err
-    return {**_family_from(_columns(block, slice(n_nodes, None)), dt),
-            **_chain_from(_columns(block, slice(None, n_nodes)), dt)}
+    return {**parameter_free_residuals(block[:, n_nodes:], grid.spacing, dt),
+            **_chain_from(block[:, :n_nodes], grid.spacing, dt)}
 
 
 def build_report(seed: int = 0, n_nodes: int = 101, dt: float = 1e-2) -> dict:

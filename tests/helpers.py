@@ -49,7 +49,7 @@ def random_trace(rng: np.random.Generator) -> CauchyTrace:
     )
 
 
-def step_block(steps, packed, params, bc, grid, f, couples, times, dt):
+def step_block(steps, packed, params, bc, f, couples, times, dt):
     """A block of steps of the block core ``steps`` (``integrators._steps_pure``
     or ``_steps_semi``) from a packed state, under the force ``f`` and step
     i's couple couples[i] at times[i]: the block of states (B + 1, C, K, N)
@@ -57,20 +57,20 @@ def step_block(steps, packed, params, bc, grid, f, couples, times, dt):
     block = np.empty((len(times) + 1,) + packed.shape)
     block[0] = packed
     solves = np.empty((2, len(times), 2) + packed.shape[1:])
-    steps(block, solves, params, bc, grid, f, couples, times, dt)
+    steps(block, solves, params, bc, f, couples, times, dt)
     return block, solves
 
 
-def step_once(steps, packed, params, bc, grid, f, l, t, dt):
+def step_once(steps, packed, params, bc, f, l, t, dt):
     """One step of the block core ``steps`` from a packed state, as a block of
     one, under the force ``f`` and the couple ``l``: the next packed state."""
-    return step_block(steps, packed, params, bc, grid, f, l[None], np.array([t]), dt)[0][1]
+    return step_block(steps, packed, params, bc, f, l[None], np.array([t]), dt)[0][1]
 
 
 def step_unloaded(steps, packed, params, bc, t, dt):
-    """``step_once`` on the material's grid under zero force and couple."""
+    """``step_once`` under zero force and couple."""
     zero = np.zeros((2, 1, params.nodes))
-    return step_once(steps, packed, params, bc, params.grid(), zero, zero, t, dt)
+    return step_once(steps, packed, params, bc, zero, zero, t, dt)
 
 
 @np.errstate(all="ignore")  # a rod that blows up is found by the loop's checks
@@ -111,7 +111,7 @@ def step_loop(config):
         if k == n_steps or not rods.size:
             break
         couple = scenarios._drive(config, phases[rods], grid.nodes, np.array([k * dt]))[0]
-        state = step_once(core, state, mat, bc, grid, force, couple, k * dt, dt)
+        state = step_once(core, state, mat, bc, force, couple, k * dt, dt)
     return [np.array(column) for column in zip(*frames)], dict(sorted(failed.items()))
 
 
@@ -158,7 +158,7 @@ def step_matrix(steps, config, dt):
     identity = np.eye(6 * n).reshape(6 * n, 6, n).transpose(1, 0, 2).copy()
     zero = np.zeros((2, 1, n))
     bc = BoundaryConditions(base=config.boundary.base, tip=config.boundary.tip)
-    new = step_once(steps, identity, params, bc, grid, zero, zero, 0.0, dt)
+    new = step_once(steps, identity, params, bc, zero, zero, 0.0, dt)
     return new.transpose(1, 0, 2).reshape(6 * n, 6 * n).T  # column j: rod j
 
 
@@ -177,8 +177,8 @@ def block_core(step, finish=None):
     with its contact force and right-hand side into n and rhs; then
     finish(w, block, forces) runs, and the block's solves are checked."""
 
-    def steps(block, solves, params, bc, grid, f, couples, times, dt):
-        w = _Workspace(params, bc, grid, f, times, dt, block.shape[2])
+    def steps(block, solves, params, bc, f, couples, times, dt):
+        w = _Workspace(params, bc, f, times, dt, block.shape[2])
         forces, rhs = solves
         for i, l in enumerate(couples):
             step(w, block[i], block[i + 1], l, i, forces[i], rhs[i])
@@ -290,13 +290,13 @@ def cross_validation_error(steps, semi, nodes, dt, t_end=0.5):
         rho=1.0, area=0.01, moment=0.02, EI=0.01, length=1.0, nodes=nodes
     )
     grid = params.grid()
-    state = sample_state(fam, grid, 0.0)._packed()
+    state = sample_state(fam, grid, 0.0)
     if semi:
         state = _project(state, np.zeros(nodes), 1e-12)
     n_steps = int(round(t_end / dt))
     zero = np.zeros((2, 1, nodes))
-    block, _ = step_block(steps, state, params, exact_bc(), grid, zero,
+    block, _ = step_block(steps, state, params, exact_bc(), zero,
                           np.zeros((n_steps, 2, 1, nodes)), np.arange(n_steps) * dt, dt)
     last = _lift(block[-1]) if semi else block[-1]
-    exact = sample_state(fam, grid, t_end)._packed()
+    exact = sample_state(fam, grid, t_end)
     return np.abs(last - exact).max(), last

@@ -294,7 +294,7 @@ def test_criterion_9_energy_drift_order():
         ])[:, None]
         n_steps = int(round(t_end / dt))
         zero = np.zeros((2, 1, params.nodes))
-        block, _ = step_block(_steps_semi, m, params, bc, grid, zero,
+        block, _ = step_block(_steps_semi, m, params, bc, zero,
                               np.zeros((n_steps, 2, 1, params.nodes)),
                               np.arange(n_steps) * dt, dt)
         return _energy(_lift(block[-1]), params, grid.spacing)[0]

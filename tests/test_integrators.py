@@ -16,7 +16,6 @@ from rodsim.integrators import _lift, _nonfinite_rods, _project, max_stable_dt
 from rodsim.rod_model import (
     BoundaryConditions,
     MaterialParams,
-    RodState,
     _drift_norms,
     _energy,
 )
@@ -176,7 +175,7 @@ class TestPureStep:
         params = make_params(nodes=21)
         fam = random_family(np.random.default_rng(8))
         t0 = float(fam.time_map(0.5))
-        state = sample_state(fam, params.grid(), t0)._packed()
+        state = sample_state(fam, params.grid(), t0)
         new = step_unloaded(PURE, state, params, FREE, t0, 1e-4)
         np.testing.assert_array_equal(new[0:2, 0, 0], [0.0, 0.0])
         np.testing.assert_array_equal(new[0:2, 0, -1], [0.0, 0.0])
@@ -191,7 +190,7 @@ class TestPureStep:
         params = make_params(nodes=41)
         fam = random_family(np.random.default_rng(3))
         t0 = float(fam.time_map(0.5))
-        init = sample_state(fam, params.grid(), t0)._packed()
+        init = sample_state(fam, params.grid(), t0)
 
         def single_step_r5(dt):
             return drifts(step_unloaded(PURE, init, params, FREE, t0, dt), params.grid())[1]
@@ -215,7 +214,7 @@ class TestSemiStep:
         m = random_manifold(grid, seed=4)
         couple = np.outer(np.sin(3 * grid.nodes), [0.5, 0.0]).T[:, None]
         zero = np.zeros_like(couple)
-        new = step_once(SEMI, m, params, FREE, grid, zero, couple, 0.0, 1e-3)
+        new = step_once(SEMI, m, params, FREE, zero, couple, 0.0, 1e-3)
         _, r5, r6 = drifts(_lift(new), grid, collinear=True)
         assert r5 == 0.0
         assert r6 == 0.0
@@ -226,7 +225,7 @@ class TestSemiStep:
         params = make_params(nodes=201)
         fam = random_family(np.random.default_rng(5))
         t0 = float(fam.time_map(0.5))
-        raw = sample_state(fam, params.grid(), t0)._packed()
+        raw = sample_state(fam, params.grid(), t0)
         m = _project(raw, np.zeros(params.nodes), 1e-12)
         new = step_unloaded(SEMI, m, params, FREE, t0, 1e-5)[:, 0]
         slope = central_diff(new[0], params.grid().spacing)
@@ -383,7 +382,7 @@ class TestDefaultCiliumOffManifold:
         times = np.arange(round(t_end / dt)) * dt
         couples = scenarios._drive(config, [config.drive.phase], grid.nodes, times)
         block, _ = step_block(PURE, np.zeros((6, 1, grid.node_count)), params,
-                              scenarios._boundary(config), grid,
+                              scenarios._boundary(config),
                               np.zeros((2, 1, grid.node_count)), couples, times, dt)
         return block[-1]
 
@@ -430,7 +429,7 @@ class TestPackedCores:
         x, y, c = packed[:, :4], packed[:, 4:], -2.7
 
         def step(batch, dt):
-            return step_once(PURE, batch, params, bc, grid, force, zero, 0.3, dt)
+            return step_once(PURE, batch, params, bc, force, zero, 0.3, dt)
 
         # x, y and x + c y as the rods of one batch.
         out = step(np.concatenate((x, y, x + c * y), axis=1), 1e-3)
@@ -451,9 +450,8 @@ class TestPackedCores:
         params, bc, grid, force, couple, packed = self.setup(3, semi)
         packed[:, 1, grid.node_count // 2] = bad
         with np.errstate(all="ignore"):
-            new = step_once(core, packed, params, bc, grid, force, couple, 0.1, 1e-3)
-        alone = step_once(core, packed[:, [0, 2]].copy(), params, bc, grid, force, couple,
-                          0.1, 1e-3)
+            new = step_once(core, packed, params, bc, force, couple, 0.1, 1e-3)
+        alone = step_once(core, packed[:, [0, 2]].copy(), params, bc, force, couple, 0.1, 1e-3)
         assert new[:, [0, 2]].tobytes() == alone.tobytes()
         assert not np.isfinite(new[:, 1]).all()
 
@@ -493,8 +491,8 @@ class TestPackedCores:
         if scheme == "semi":
             state, core = random_manifold(grid), SEMI
         else:
-            fields = np.random.default_rng(0).uniform(-1.0, 1.0, (3, grid.node_count, 2))
-            state, core = RodState(grid, *fields)._packed(), PURE
+            state = np.random.default_rng(0).uniform(-1.0, 1.0, (6, 1, grid.node_count))
+            core = PURE
         with pytest.raises(SingularSystemError, match="^residual .* at row "):
             step_unloaded(core, state, params, scenarios._boundary(config), 0.0, 1e-3)
 
@@ -510,10 +508,10 @@ class TestPackedCores:
         if scheme == "pure":
             rods = [_lift(m) for m in rods]
         bc = BoundaryConditions()
-        new = step_once(core, np.concatenate(rods, axis=1), params, bc, grid, force, couple,
+        new = step_once(core, np.concatenate(rods, axis=1), params, bc, force, couple,
                         0.0, 1e-3)
         for k, rod in enumerate(rods):
-            alone = step_once(core, rod, params, bc, grid, force[:, k:k + 1],
+            alone = step_once(core, rod, params, bc, force[:, k:k + 1],
                               couple[:, k:k + 1], 0.0, 1e-3)
             assert alone.tobytes() == new[:, k:k + 1].tobytes()
 
@@ -554,7 +552,7 @@ class TestPackedCores:
         state = state if semi else _lift(state)
         zero = np.zeros((2, 1, grid.node_count))
         core = SEMI if semi else PURE
-        block, (_, rhs) = step_block(core, state, params, bc, grid, zero,
+        block, (_, rhs) = step_block(core, state, params, bc, zero,
                                      np.zeros((size, 2, 1, grid.node_count)), times, dt)
         for k in range(size):
             state = step_unloaded(core, state, params, bc, k * dt, dt)
@@ -590,7 +588,7 @@ class TestSchemeVariants:
                                 spin(0.05, 1.0))
         force, couple = rng.standard_normal((2, 2, 1, grid.node_count))
         packed = rng.uniform(-1.0, 1.0, (6, 3, grid.node_count))
-        pure, reordered = (step_once(core, packed, params, bc, grid, force, couple, 0.4, 1e-3)
+        pure, reordered = (step_once(core, packed, params, bc, force, couple, 0.4, 1e-3)
                            for core in (PURE, steps_reordered))
         assert reordered[2:].tobytes() == pure[2:].tobytes()
         assert not np.array_equal(reordered[:2], pure[:2])
@@ -708,10 +706,11 @@ class TestRunMatchesStepLoop:
         assert failed[0].startswith(f"step {traj.times.size} (t=")
 
 
-# Names of the per-step API that the block cores replaced.
+# Names of the per-step API that the block cores replaced, and of the
+# node-first state class that the packed layout replaced.
 DELETED = ("ManifoldState", "lift", "project", "drift_norms", "step_pure_numeric",
            "step_semi_analytic", "Loads", "energy", "adiag", "_GridState", "_step",
-           "_loads_at", "_zero_load", "_drive_loads")
+           "_loads_at", "_zero_load", "_drive_loads", "RodState")
 
 
 def test_rodsim_exports_none_of_the_per_step_api():

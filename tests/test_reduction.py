@@ -27,7 +27,7 @@ def sample_rectangle(fam, n_nodes, n_times, dt, t0):
     grid = Grid1D(1.0, n_nodes)
     t_lo = t0 - 0.5 * (n_times - 1) * dt
     rect = sample_state(fam, grid, t_lo + np.arange(n_times) * dt)
-    return rect.curvature, rect.ang_vel, rect.lin_vel, grid.spacing
+    return rect[0:2].T, rect[2:4].T, rect[4:6].T, grid.spacing
 
 
 class TestReconstructPotentials:

@@ -1,21 +1,19 @@
 """Tests for the rod model: closures, energy, centerline reconstruction."""
 
-import re
-
 import numpy as np
 import pytest
 from scipy.linalg import expm  # test oracle only
 
 from rodsim import integrators, rod_model
-from rodsim.errors import ConfigurationError, InputError
+from rodsim.errors import ConfigurationError
 from rodsim.grid_fields import Grid1D, central_diff, check_tridiag
 from rodsim.rod_model import (
     BoundaryConditions,
     MaterialParams,
-    RodState,
     reconstruct_centerline,
 )
 from rodsim.scenarios import default_config, simulate_rod
+from rodsim.solution_family import random_family, sample_state
 
 from helpers import adiag, skew_interval_operators, step_unloaded
 
@@ -32,13 +30,13 @@ def params():
 
 
 def zero(grid):
-    """The one-rod state at rest."""
-    return RodState(grid, *np.zeros((3, grid.node_count, 2)))
+    """The one-rod packed state at rest, (6, 1, N)."""
+    return np.zeros((6, 1, grid.node_count))
 
 
 def energy(state, params):
-    """``rod_model._energy`` of a one-rod RodState."""
-    return rod_model._energy(state._packed(), params, state.grid.spacing)[0]
+    """``rod_model._energy`` of a one-rod packed state."""
+    return rod_model._energy(state, params, params.grid().spacing)[0]
 
 
 @pytest.fixture
@@ -46,33 +44,33 @@ def zero_state(params):
     return zero(params.grid())
 
 
-def _node_first_drift_norms(state):
+def _node_first_drift_norms(kappa, omega, vel, spacing):
     """R4, R5 and R6 max-norms from the node-first fields: the compatibility
     residual lin_vel' - adiag(ang_vel) and the planar cross products."""
-    kappa, omega, vel = state.curvature, state.ang_vel, state.lin_vel
 
     def cross(a, b):
         return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
-    r4 = central_diff(vel, state.grid.spacing) - adiag(omega)
+    r4 = central_diff(vel, spacing) - adiag(omega)
     return (np.abs(r4).max(axis=(0, -1)), np.abs(cross(omega, kappa)).max(axis=0),
             np.abs(cross(vel, kappa)).max(axis=0))
 
 
 class TestDriftNorms:
-    # One rod without a rod axis, and K rods; K == N makes the node and rod
-    # axes the same size.
+    # One rod with node-first (N, 2) fields, and K rods with (N, K, 2)
+    # fields; K == N makes the node and rod axes the same size.
     @pytest.mark.parametrize("rods", [None, 1, 3, 41])
     def test_bits_match_node_first_formulas(self, params, rods):
         rng = np.random.default_rng(0 if rods is None else rods)
         grid = params.grid()
-        shape = (params.nodes, 2) if rods is None else (params.nodes, rods, 2)
-        state = RodState(grid, *(rng.standard_normal(shape) for _ in range(3)))
-        want = np.stack(_node_first_drift_norms(state)).reshape(3, -1)
-        got = rod_model._drift_norms(state._packed(), grid.spacing, False)
+        state = rng.standard_normal((6, rods or 1, params.nodes))
+        rod = slice(None) if rods else 0
+        fields = (state[k:k + 2, rod].T for k in (0, 2, 4))
+        want = np.stack(_node_first_drift_norms(*fields, grid.spacing)).reshape(3, -1)
+        got = rod_model._drift_norms(state, grid.spacing, False)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         # A collinear state keeps R4 and has R5 = R6 = +0.0 exactly.
-        collinear = rod_model._drift_norms(state._packed(), grid.spacing, True)
+        collinear = rod_model._drift_norms(state, grid.spacing, True)
         assert collinear[0].tobytes() == want[0].tobytes()
         assert collinear[1:].tobytes() == np.zeros_like(want[1:]).tobytes()
 
@@ -108,14 +106,14 @@ def _dense_contact_oracle(dm, f, l, params, bc, t, grid):
     return np.linalg.solve(dense, b).reshape(n, 2)
 
 
-def contact_force(dm, f, l, params, bc, t, grid):
+def contact_force(dm, f, l, params, bc, t):
     """``rod_model._contact_force`` of node-first m', f and l, (N, ..., 2),
     with its end rows and f' from a step core's workspace and its solve
     residual-checked as the cores check it: the node-first force."""
     factors = rod_model._contact_operator(params, bc.base, bc.tip)
     shape = np.shape(dm)
     dm, f, l = (np.reshape(a, (params.nodes, -1, 2)).T for a in (dm, f, l))
-    w = integrators._Workspace(params, bc, grid, f, np.array([t]), 1.0, dm.shape[1])
+    w = integrators._Workspace(params, bc, f, np.array([t]), 1.0, dm.shape[1])
     n, rhs = np.empty((2,) + dm.shape)
     rod_model._contact_force(dm, l, w.df, w.ends[0], params, factors, n, rhs)
     check_tridiag(factors, n[None], rhs[None])
@@ -124,10 +122,9 @@ def contact_force(dm, f, l, params, bc, t, grid):
 
 class TestContactForce:
     def test_resting_rod_free_ends(self, params):
-        grid = params.grid()
         zero = np.zeros((params.nodes, 2))
         bc = BoundaryConditions(base="free", tip="free")
-        n = contact_force(zero, zero, zero, params, bc, 0.0, grid)
+        n = contact_force(zero, zero, zero, params, bc, 0.0)
         np.testing.assert_allclose(n, 0.0, atol=1e-12)
 
     def test_constant_gravity_matches_dense_oracle(self, params):
@@ -135,7 +132,7 @@ class TestContactForce:
         zero = np.zeros((params.nodes, 2))
         gravity = np.tile([0.0, -1.0], (params.nodes, 1))
         bc = BoundaryConditions()
-        n = contact_force(zero, gravity, zero, params, bc, 0.0, grid)
+        n = contact_force(zero, gravity, zero, params, bc, 0.0)
         oracle = _dense_contact_oracle(zero, gravity, zero, params, bc, 0.0, grid)
         np.testing.assert_allclose(n, oracle, rtol=1e-10, atol=1e-12)
 
@@ -150,7 +147,7 @@ class TestContactForce:
 
         def force_for(fv, lv):
             f, l = np.outer(np.sin(s + 1.0), fv), np.outer(np.cos(s), lv)
-            return contact_force(zero, f, l, params, bc, 0.0, grid)
+            return contact_force(zero, f, l, params, bc, 0.0)
 
         cases = [(rng.standard_normal(2), rng.standard_normal(2)) for _ in range(2)]
         n1 = force_for(*cases[0])
@@ -173,23 +170,20 @@ class TestContactForce:
         bc = BoundaryConditions(base="free", tip="free")
         dt = 1e-5
 
+        kappa, omega, vel = (state[k:k + 2, 0].T for k in (0, 2, 4))
+
         def drift(with_force):
             if with_force:
-                new = step_unloaded(integrators._steps_pure, state._packed(), params, bc, t0, dt)
+                new = step_unloaded(integrators._steps_pure, state, params, bc, t0, dt)
                 return rod_model._drift_norms(new, grid.spacing, False)[0, 0]
             ds = grid.spacing
-            m = params.EI * state.curvature
-            lin = state.lin_vel + dt * 0.0
-            ang = state.ang_vel + dt * central_diff(m, ds) / params.rho_I
-            new = RodState(grid, state.curvature.copy(), ang, lin)
-            r4 = central_diff(new.lin_vel, ds) - adiag(new.ang_vel)
+            m = params.EI * kappa
+            lin = vel + dt * 0.0
+            ang = omega + dt * central_diff(m, ds) / params.rho_I
+            r4 = central_diff(lin, ds) - adiag(ang)
             return float(np.abs(r4).max())
 
-        base = float(
-            np.abs(
-                central_diff(state.lin_vel, grid.spacing) - adiag(state.ang_vel)
-            ).max()
-        )
+        base = float(np.abs(central_diff(vel, grid.spacing) - adiag(omega)).max())
         with_force = drift(True)
         without = drift(False)
         assert abs(with_force - base) < abs(without - base)
@@ -205,7 +199,7 @@ class TestContactForce:
         bc = BoundaryConditions(base="free", tip="free")
         for _ in range(2):
             with pytest.raises(ConfigurationError, match="pivot row 1"):
-                contact_force(zero, zero, zero, params, bc, 0.0, params.grid())
+                contact_force(zero, zero, zero, params, bc, 0.0)
 
     def test_simulate_rod_factors_once(self, monkeypatch):
         calls = []
@@ -235,27 +229,41 @@ class TestContactForce:
 
 
 class TestRodState:
-    """The constructor checks each field's shape and entries, and names the field."""
+    """The packed rod state (6, K, N) that ``sample_state`` returns and the
+    step cores step: each field is a pair of rows, seen node-first as
+    ``state[k:k + 2, rods].T``."""
 
+    ROWS = {"curvature": 0, "ang_vel": 2, "lin_vel": 4}
+
+    # One time samples one rod column, three times three: each field's
+    # node-first view has the node-first shape (N, *rods, 2), writes through
+    # to the packed state, and a field with one node more does not fit it.
     @pytest.mark.parametrize("name", ["curvature", "ang_vel", "lin_vel"])
     @pytest.mark.parametrize("rods", [(), (3,)])
     def test_misshaped_field(self, params, name, rods):
         grid = params.grid()
-        fields = dict(zip(("curvature", "ang_vel", "lin_vel"),
-                          np.zeros((3, grid.node_count, *rods, 2))))
-        fields[name] = np.zeros((grid.node_count + 1, *rods, 2))
-        shape = (grid.node_count, *rods, 2)
-        with pytest.raises(InputError, match=rf"^{name} must have shape {re.escape(str(shape))}"):
-            RodState(grid, **fields)
+        fam = random_family(np.random.default_rng(len(rods)))
+        t = float(fam.time_map(0.5)) + (np.linspace(-0.1, 0.1, 3) if rods else 0.0)
+        state = sample_state(fam, grid, t)
+        k = self.ROWS[name]
+        field = state[k:k + 2, slice(None) if rods else 0].T
+        assert field.shape == (grid.node_count, *rods, 2)
+        assert np.shares_memory(field, state)
+        with pytest.raises(ValueError):
+            field[...] = np.zeros((grid.node_count + 1, *rods, 2))
 
+    # A non-finite entry in any field marks its rod, and only its rod, in a
+    # state and in a block of states.
     @pytest.mark.parametrize("name", ["curvature", "ang_vel", "lin_vel"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_entry(self, params, name, bad):
-        grid = params.grid()
-        fields = dict(zip(("curvature", "ang_vel", "lin_vel"), np.zeros((3, grid.node_count, 2))))
-        fields[name][grid.node_count // 2, 1] = bad
-        with pytest.raises(InputError, match=rf"^{name} contains non-finite entries"):
-            RodState(grid, **fields)
+        n = params.grid().node_count
+        state = np.zeros((6, 3, n))
+        k = self.ROWS[name]
+        state[k:k + 2, 1].T[n // 2, 1] = bad
+        assert integrators._nonfinite_rods(state).tolist() == [False, True, False]
+        block = np.stack([np.zeros_like(state), state])
+        assert integrators._nonfinite_rods(block).tolist() == [[False] * 3, [False, True, False]]
 
 
 class TestEnergy:
@@ -265,38 +273,25 @@ class TestEnergy:
     def test_uniform_translation(self):
         params = make_params(rho=2.0, area=1.0)
         state = zero(params.grid())
-        state.lin_vel[:, 0] = 1.0
+        state[4] = 1.0  # lin_vel's first component
         assert energy(state, params) == pytest.approx(1.0, abs=1e-12)
 
     def test_quadratic_scaling(self, params):
         rng = np.random.default_rng(5)
-        state = zero(params.grid())
-        state.curvature[:] = rng.standard_normal((params.nodes, 2))
-        state.ang_vel[:] = rng.standard_normal((params.nodes, 2))
-        state.lin_vel[:] = rng.standard_normal((params.nodes, 2))
-        doubled = RodState(
-            state.grid, 2 * state.curvature, 2 * state.ang_vel, 2 * state.lin_vel
-        )
+        state = rng.standard_normal((6, 1, params.nodes))
+        doubled = 2 * state
         assert energy(doubled, params) == pytest.approx(
             4.0 * energy(state, params), rel=1e-12
         )
 
     def test_rotation_invariance(self, params):
         rng = np.random.default_rng(6)
-        state = zero(params.grid())
-        state.curvature[:] = rng.standard_normal((params.nodes, 2))
-        state.ang_vel[:] = rng.standard_normal((params.nodes, 2))
-        state.lin_vel[:] = rng.standard_normal((params.nodes, 2))
+        state = rng.standard_normal((6, 1, params.nodes))
         theta = 1.234
         rot = np.array(
             [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
         )
-        rotated = RodState(
-            state.grid,
-            state.curvature @ rot.T,
-            state.ang_vel @ rot.T,
-            state.lin_vel @ rot.T,
-        )
+        rotated = np.concatenate([rot @ state[k:k + 2, 0] for k in (0, 2, 4)])[:, None]
         assert energy(rotated, params) == pytest.approx(
             energy(state, params), rel=1e-12
         )

@@ -6,7 +6,7 @@ from scipy.optimize import brentq
 
 from rodsim import solution_family
 from rodsim.errors import DegeneracyError, InputError, OutOfRangeError
-from rodsim.grid_fields import Grid1D, SampledFn
+from rodsim.grid_fields import Grid1D, SampledFn, central_diff
 from rodsim.solution_family import (
     CauchyTrace,
     SolutionFamily,
@@ -18,7 +18,7 @@ from rodsim.solution_family import (
     verify_trace_match,
 )
 
-from helpers import random_trace, sampled_fn
+from helpers import adiag, random_trace, sampled_fn
 
 
 def identity_family(span=3.0, time_sign=1.0):
@@ -198,7 +198,7 @@ class TestSampleState:
         grid = Grid1D(1.0, 21)
         state = sample_state(fam, grid, 0.0)
         expected = np.stack([np.cos(-grid.nodes), np.sin(-grid.nodes)], axis=1)
-        np.testing.assert_allclose(state.lin_vel, expected, atol=1e-10)
+        np.testing.assert_allclose(state[4:6, 0].T, expected, atol=1e-10)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_speed_nodewise_constant(self, seed):
@@ -206,7 +206,7 @@ class TestSampleState:
         grid = Grid1D(1.0, 31)
         t = float(fam.time_map(0.5))
         state = sample_state(fam, grid, t)
-        speed = np.hypot(state.lin_vel[:, 0], state.lin_vel[:, 1])
+        speed = np.hypot(state[4, 0], state[5, 0])
         assert np.ptp(speed) < 1e-10 * speed.max()
 
     @pytest.mark.parametrize("seed", range(3))
@@ -214,8 +214,9 @@ class TestSampleState:
         fam = random_family(np.random.default_rng(seed))
         grid = Grid1D(1.0, 31)
         state = sample_state(fam, grid, float(fam.time_map(0.5)))
-        r5 = state.ang_vel[:, 0] * state.curvature[:, 1] - state.ang_vel[:, 1] * state.curvature[:, 0]
-        r6 = state.lin_vel[:, 0] * state.curvature[:, 1] - state.lin_vel[:, 1] * state.curvature[:, 0]
+        kappa, omega, vel = (state[k:k + 2, 0].T for k in (0, 2, 4))
+        r5 = omega[:, 0] * kappa[:, 1] - omega[:, 1] * kappa[:, 0]
+        r6 = vel[:, 0] * kappa[:, 1] - vel[:, 1] * kappa[:, 0]
         assert np.abs(r5).max() < 1e-12
         assert np.abs(r6).max() < 1e-12
 
@@ -228,18 +229,20 @@ class TestSampleState:
         grid = Grid1D(1.0, 21)
         times = float(fam.time_map(0.5)) + np.linspace(-0.3, 0.3, 7)
         block = sample_state(fam, grid, times)
-        assert block.curvature.shape == (21, 7, 2)
+        assert block.shape == (6, 7, 21) and block.flags.c_contiguous
+        assert block.dtype == np.float64
         for j, t in enumerate(times):
             single = sample_state(fam, grid, t)
+            assert single.shape == (6, 1, 21) and single.flags.c_contiguous
             # Reference: Brent's method on each node's scalar equation.
             us = [brentq(lambda u: fam.time_map(fam.amp(u) * s + u) - t, *fam.u_range,
                          xtol=1e-14, rtol=4.0 * np.finfo(float).eps) for s in grid.nodes]
             oracle = evaluate_family(fam, grid.nodes, np.array(us))
-            for k, name in enumerate(("curvature", "ang_vel", "lin_vel")):
-                column = getattr(block, name)[:, j]
+            for k in range(3):
+                column = block[2 * k:2 * k + 2, j].T
                 # A converged element is not updated again, so solving it in a
                 # block gives the bits of solving it alone.
-                np.testing.assert_array_equal(column, getattr(single, name))
+                np.testing.assert_array_equal(column, single[2 * k:2 * k + 2, 0].T)
                 np.testing.assert_allclose(column, oracle[k], rtol=0, atol=1e-12)
 
     def test_scalar_unreachable_time_raises(self):
@@ -262,27 +265,42 @@ class TestParameterFreeResiduals:
         fam = identity_family()
         h = 1e-3
         grid = Grid1D(1.0, int(round(1.0 / h)) + 1)
-        states = [sample_state(fam, grid, t) for t in (-h, 0.0, h)]
-        res = parameter_free_residuals(states[0], states[1], states[2], h)
+        states = sample_state(fam, grid, np.array([-h, 0.0, h]))
+        res = parameter_free_residuals(states, grid.spacing, h)
         for key in ("R3", "R4", "R5", "R6"):
             assert res[key] <= 1e-5, (key, res[key])
 
     def test_constant_state_violates_compatibility(self):
         grid = Grid1D(1.0, 11)
-        from rodsim.rod_model import RodState
-
-        def constant():
-            st = RodState(grid, *np.zeros((3, grid.node_count, 2)))
-            st.curvature[:, 0] = 1.0
-            st.ang_vel[:, 0] = 1.0
-            st.lin_vel[:, 0] = 1.0
-            return st
-
-        res = parameter_free_residuals(constant(), constant(), constant(), 0.1)
+        states = np.zeros((6, 3, grid.node_count))
+        states[[0, 2, 4]] = 1.0  # each field's first component
+        res = parameter_free_residuals(states, grid.spacing, 0.1)
         assert res["R3"] == 0.0
         assert res["R5"] == 0.0
         assert res["R6"] == 0.0
         assert res["R4"] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("nodes, dt", [(3, 6e-2), (31, 6e-2), (51, 2e-2)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bits_match_node_first_formulas_at_the_middle_time(self, seed, nodes, dt):
+        # R3 differences the curvature across the first and last columns;
+        # R4, R5 and R6 are the middle column's.
+        fam = random_family(np.random.default_rng(seed))
+        grid = Grid1D(1.0, nodes)
+        states = sample_state(fam, grid, float(fam.time_map(0.5)) + np.array([-dt, 0.0, dt]))
+        prev, mid, nxt = (states[:, j] for j in range(3))
+        kappa, omega, vel = (mid[k:k + 2].T for k in (0, 2, 4))
+
+        def cross(a, b):
+            return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+
+        ds = grid.spacing
+        r3 = (nxt[0:2].T - prev[0:2].T) / (2.0 * dt) - central_diff(omega, ds)
+        r4 = np.abs(central_diff(vel, ds) - adiag(omega))
+        expected = {"R3": float(np.abs(r3).max()), "R4": float(r4.max()),
+                    "R5": float(np.abs(cross(omega, kappa)).max()),
+                    "R6": float(np.abs(cross(vel, kappa)).max())}
+        assert parameter_free_residuals(states, ds, dt) == expected
 
     @pytest.mark.parametrize("seed", range(3))
     def test_order_two_convergence(self, seed):
@@ -291,8 +309,8 @@ class TestParameterFreeResiduals:
 
         def residuals(h):
             grid = Grid1D(1.0, int(round(1.0 / h)) + 1)
-            states = [sample_state(fam, grid, t0 + k * h) for k in (-1, 0, 1)]
-            return parameter_free_residuals(states[0], states[1], states[2], h)
+            states = sample_state(fam, grid, t0 + np.array([-1, 0, 1]) * h)
+            return parameter_free_residuals(states, grid.spacing, h)
 
         coarse = residuals(1e-2)
         fine = residuals(5e-3)
@@ -378,8 +396,8 @@ class TestMatchBoundaryTrace:
         times = np.linspace(float(fam.time_map(0.05)), float(fam.time_map(0.25)), 7)
         # A short grid keeps every node's time-map argument inside the fit.
         base = sample_state(fam, Grid1D(1e-3, 3), times)
-        np.testing.assert_allclose(base.lin_vel[0, :, 0], trace.v1_trace(times),
+        np.testing.assert_allclose(base[4, :, 0], trace.v1_trace(times),
                                    rtol=0, atol=1e-5)
-        np.testing.assert_allclose(base.ang_vel[0, :, 0], trace.w1_trace(times),
+        np.testing.assert_allclose(base[2, :, 0], trace.w1_trace(times),
                                    rtol=0, atol=1e-5)
 
