@@ -118,13 +118,17 @@ def _end_pairs(shape: tuple, strides: tuple):
 
 def _diff_last(x: np.ndarray, spacing: float, out: np.ndarray) -> np.ndarray:
     """``central_diff`` of float ``x`` (..., N) along its last axis into
-    ``out``, both C-contiguous or both 2-D transposes of C-contiguous arrays.
-    One slice of the flat buffers holds every interior difference (entries
-    straddling two lines are end nodes, set after it); the end rows
-    -3 f0 + 4 f1 - f2 and 3 f[-1] - 4 f[-2] + f[-3] (x - y is x + (-y) to
-    the bit) take one pass over all end-node pairs; one division scales all."""
+    ``out``, both C-contiguous or both 2-D transposes of C-contiguous arrays;
+    an ``x`` whose lines (M, N) are not one flat buffer (a strided slice) is
+    first copied C-contiguous. One slice of the flat buffers holds every
+    interior difference (entries straddling two lines are end nodes, set
+    after it); the end rows -3 f0 + 4 f1 - f2 and 3 f[-1] - 4 f[-2] + f[-3]
+    (x - y is x + (-y) to the bit) take one pass over all end-node pairs;
+    one division scales all."""
     n = x.shape[-1]
     lines = x.reshape(-1, n)
+    if not lines.flags.forc:
+        lines = np.ascontiguousarray(lines)
     step, index, weights = _end_pairs(lines.shape, lines.strides)
     flat, out_flat = lines.ravel("K"), out.reshape(-1, n).ravel("K")
     np.subtract(flat[2 * step:], flat[:-2 * step], out=out_flat[step:-step])

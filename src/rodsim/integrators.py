@@ -20,10 +20,14 @@ The block cores ``_steps_pure`` and ``_steps_semi`` are the one way to step
 a rod; ``scenarios.simulate_rod`` runs them. Each fills a block of B steps,
 (B + 1, C, K, N), from its first state, on one ``_Workspace`` made per
 block on the material's grid, as a list of calls to one set of stages:
-``_momentum`` (contact force and angular velocity), ``_curvature`` (zero at
-free ends) and ``_clamp``, and in the semi core ``_projection`` and
-``_angle_integration``. A core ends with one residual check of its block's
-contact-force solves (``check_tridiag``), which raises SingularSystemError.
+``_momentum`` (contact force and torque), ``_euler`` (the forward-Euler
+update of rows whose last two are a torque), ``_curvature`` and
+``_free_ends`` (zero curvature at free ends) and ``_clamp``, and in the
+semi core ``_projection`` and ``_angle_integration``. The pure core keeps
+its curvature and angular-velocity increments in one buffer, so one
+``_euler`` call advances both. A core ends with one residual check of its
+block's contact-force solves (``check_tridiag``), which raises
+SingularSystemError.
 Each rod of a block steps as it would alone: its projection threshold is
 its own, and a rod that blows up gets non-finite rows, which the residual
 check leaves out and ``_nonfinite_rods`` finds, and leaves the other rods'
@@ -133,34 +137,51 @@ class _Workspace:
                 self.ends[..., e] = -f[..., -e] + params.rho_A * acc
         # A zero force's derivative is +0.0, and x - 0.0 is x: none is subtracted.
         self.df = central_diff(f.T, self.ds).T / params.rho_A if f.any() else None
-        # The pure core stacks its stencil input in ``velocities``.
-        self.lifted, self.derivatives, self.velocities, self.direction, self.torque = (
-            np.empty((c, rods, n)) for c in (6, 4, 4, 2, 2))
+        # The contact force's divisors, the sign of adiag(v) = (v1, -v0) moved
+        # into the second, and the pure core's stencil weights (EI, EI, 1, 1).
+        self.inertia = np.array([params.rho_I, -params.rho_I])[:, None, None]
+        self.stencil = np.array([params.EI, params.EI, 1.0, 1.0])[:, None, None]
+        # ``derivatives`` holds m', then the curvature's or the linear
+        # velocity's derivative, then the torque; the pure core stacks its
+        # stencil input in ``velocities``.
+        self.lifted, self.derivatives, self.velocities, self.direction = (
+            np.empty((c, rods, n)) for c in (6, 6, 4, 2))
+        self.torque = self.derivatives[4:6]
         self.slope, self.increments = np.empty((rods, n)), np.empty((rods, n - 1))
 
 
-def _momentum(w, dm, ang_vel, l, i, n, rhs, out):
+def _momentum(w, dm, l, i, n, rhs, torque):
     """The momentum stage of step i: from m' (``dm``) and the couple ``l``,
     the contact force into ``n`` (right-hand side into ``rhs``) and the
-    forward-Euler angular velocity ang_vel + dt (m' + adiag(n) + l) / rho I
-    into ``out``, with adiag(n) = (n1, -n0) (x + (-y) is x - y to the bit)."""
-    _contact_force(dm, l, w.df, w.ends[i], w.params, w.factors, n, rhs)
-    torque = w.torque
+    torque m' + adiag(n) + l into ``torque``, with adiag(n) = (n1, -n0)
+    (x + (-y) is x - y to the bit)."""
+    _contact_force(dm, l, w.df, w.ends[i], w.inertia, w.factors, n, rhs)
     np.add(dm[0], n[1], out=torque[0])
     np.subtract(dm[1], n[0], out=torque[1])
     torque += l
-    torque *= w.dt
-    torque /= w.params.rho_I
-    np.add(ang_vel, torque, out=out)
+
+
+def _euler(w, old, increments, out):
+    """Forward Euler, old + dt increments into ``out``, scaling ``increments``
+    in place: their last two rows are a torque, and so also divided by rho I
+    (the angular velocity's increment dt (m' + adiag(n) + l) / rho I)."""
+    increments *= w.dt
+    increments[-2:] /= w.params.rho_I
+    np.add(old, increments, out=out)
+
+
+def _free_ends(w, curvature):
+    """Zero curvature at free ends, which carry no bending moment: else the
+    energy flux m·ω through one feeds a spurious instability."""
+    curvature[..., w.free] = 0.0
 
 
 def _curvature(w, old, derivative, out):
     """The curvature stage: old + dt derivative into ``out``, scaling
-    ``derivative`` in place, and zero at free ends, which carry no bending
-    moment: else the energy flux m·ω through one feeds a spurious instability."""
+    ``derivative`` in place, and zero at free ends."""
     derivative *= w.dt
     np.add(old, derivative, out=out)
-    out[..., w.free] = 0.0
+    _free_ends(w, out)
 
 
 def _clamp(w, velocities, values):
@@ -189,9 +210,10 @@ def _velocities(w, m, l, i, n, rhs):
     """The semi step's velocities into w.velocities: the momentum stage on the
     lifted m, then the linear velocity, then one clamp of all four rows."""
     raw = _lift(m, w.lifted, w.direction)
-    dm, dn = w.derivatives[:2], w.derivatives[2:]
+    dm, dn = w.derivatives[0:2], w.derivatives[2:4]
     _diff_last(np.multiply(w.params.EI, raw[0:2], out=w.torque), w.ds, dm)
-    _momentum(w, dm, raw[2:4], l, i, n, rhs, w.velocities[:2])
+    _momentum(w, dm, l, i, n, rhs, w.torque)
+    _euler(w, raw[2:4], w.torque, w.velocities[:2])
     np.add(raw[4:6], _velocity_increment(w, _diff_last(n, w.ds, dn)), out=w.velocities[2:])
     _clamp(w, w.velocities, w.clamps[i])
 
@@ -230,15 +252,16 @@ def _steps_pure(block, solves, params, bc, f, couples, times, dt):
     ``solves`` (2, B, 2, K, N) the steps' contact forces and right-hand sides."""
     w = _Workspace(params, bc, f, times, dt, block.shape[2])
     forces, rhs = solves
-    stack, derivatives = w.velocities, w.derivatives
+    derivatives = w.derivatives
     for i, l in enumerate(couples):
         raw, new = block[i], block[i + 1]
-        # One stencil pass over the bending couple and the angular velocity.
-        np.multiply(params.EI, raw[0:2], out=stack[:2])
-        stack[2:] = raw[2:4]
-        _diff_last(stack, w.ds, derivatives)
-        _curvature(w, raw[0:2], derivatives[2:], new[0:2])
-        _momentum(w, derivatives[:2], raw[2:4], l, i, forces[i], rhs[i], new[2:4])
+        # One stencil pass over the bending couple and the angular velocity,
+        # m' and ω' into derivatives[0:4]; the torque goes beside ω', so one
+        # Euler update advances the curvature and the angular velocity.
+        _diff_last(np.multiply(raw[0:4], w.stencil, out=w.velocities), w.ds, derivatives[0:4])
+        _momentum(w, derivatives[0:2], l, i, forces[i], rhs[i], w.torque)
+        _euler(w, raw[0:4], derivatives[2:6], new[0:4])
+        _free_ends(w, new[0:2])
         _clamp(w, new[2:4], w.clamps[i, :2])
     _linear_velocities(w, block, forces)
     check_tridiag(w.factors, forces, rhs)

@@ -172,7 +172,7 @@ def _overflowing_material(params: MaterialParams) -> InputError:
         f"material.length={params.length!r} and material.nodes={params.nodes}")
 
 
-def _contact_force(dm, l, df, ends, params, factors, n, rhs):
+def _contact_force(dm, l, df, ends, inertia, factors, n, rhs):
     """Recover the internal contact force as a constraint reaction.
 
     Time-differentiating the velocity compatibility relation and substituting
@@ -183,7 +183,8 @@ def _contact_force(dm, l, df, ends, params, factors, n, rhs):
 
     discretized with central differences. ``dm`` is m', the arclength
     derivative of the bending couple, and ``l`` the distributed couple, both
-    packed, (2, ..., N); ``df`` is f' / rho A, or None for a zero force.
+    packed, (2, ..., N); ``df`` is f' / rho A, or None for a zero force;
+    ``inertia`` is (rho I, -rho I), shaped to broadcast against (2, ..., N).
     Both components share one scalar tridiagonal matrix, whose ``factors``
     (``_contact_operator``) the caller looks up. Free ends impose n = 0;
     clamped ends impose n' = -f + rho A * (d/dt prescribed linear velocity):
@@ -194,8 +195,7 @@ def _contact_force(dm, l, df, ends, params, factors, n, rhs):
     """
     # adiag(v) = (v1, -v0), the sign moved to the divisor: (-v0) / c is v0 / (-c).
     np.add(dm[::-1], l[::-1], out=rhs)
-    np.divide(rhs[0], params.rho_I, out=rhs[0])
-    np.divide(rhs[1], -params.rho_I, out=rhs[1])
+    rhs /= inertia
     if df is not None:
         rhs -= df
     rhs[..., ::rhs.shape[-1] - 1] = ends

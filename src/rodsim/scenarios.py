@@ -265,17 +265,22 @@ class Trajectory:
 
     def json_chunks(self):
         """The text of ``to_json`` in pieces: ``json.dumps`` of the four
-        arrays as one object, each array written one frame at a time. A
-        positions frame fills one template with ``_float_texts``."""
-        rods, nodes = np.shape(self.positions)[1:3]
-        rod = "[" + ", ".join(["[%s, %s, %s]"] * nodes) + "]"
-        template = "[" + ", ".join([rod] * rods) + "]"
+        arrays as one object, each array written a block of frames at a time.
+        A block holds at most the floats of one positions frame (one frame of
+        positions, many of times, energies and drifts), so writing holds one
+        frame's text, and it fills one template with ``_float_texts``."""
+        floats = math.prod(np.shape(self.positions)[1:])
         for i, key in enumerate(("times", "positions", "energies", "drifts")):
+            values = getattr(self, key)
+            frame = "%s"
+            for size in reversed(np.shape(values)[1:]):
+                frame = "[" + ", ".join([frame] * size) + "]"
+            per_block = max(1, floats // math.prod(np.shape(values)[1:]))
             yield f'{", " if i else "{"}"{key}": ['
-            for f, frame in enumerate(getattr(self, key)):
-                text = (template % tuple(_float_texts(frame, _json_float)) if key == "positions"
-                        else json.dumps(frame.tolist()))
-                yield (", " if f else "") + text
+            for lo in range(0, len(values), per_block):
+                block = values[lo:lo + per_block]
+                template = ", ".join([frame] * len(block))
+                yield (", " if lo else "") + template % tuple(_float_texts(block, _json_float))
             yield "]"
         yield "}"
 

@@ -12,6 +12,7 @@ from rodsim.integrators import (
     _angle_integration,
     _clamp,
     _curvature,
+    _euler,
     _linear_velocities,
     _momentum,
     _nonfinite_rods,
@@ -192,11 +193,12 @@ def block_core(step, finish=None):
 def _reordered(w, raw, new, l, i, n, rhs):
     """The pure step with the curvature advanced from the updated, clamped
     angular velocity: symplectic Euler on curvature and angular velocity."""
-    dm = w.derivatives[:2]
+    dm = w.derivatives[0:2]
     _diff_last(np.multiply(w.params.EI, raw[0:2], out=w.torque), w.ds, dm)
-    _momentum(w, dm, raw[2:4], l, i, n, rhs, new[2:4])
+    _momentum(w, dm, l, i, n, rhs, w.torque)
+    _euler(w, raw[2:4], w.torque, new[2:4])
     _clamp(w, new[2:4], w.clamps[i, :2])
-    _curvature(w, raw[0:2], _diff_last(new[2:4], w.ds, w.derivatives[2:]), new[0:2])
+    _curvature(w, raw[0:2], _diff_last(new[2:4], w.ds, w.derivatives[2:4]), new[0:2])
 
 
 def _semi_old_ang_mag(w, m, new, l, i, n, rhs):

@@ -1,5 +1,6 @@
 """Tests for the uniform-grid numeric substrate."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ from rodsim.errors import (
 from rodsim.grid_fields import (
     Grid1D,
     SampledFn,
+    _diff_last,
     central_diff,
     check_tridiag,
     cubic_spline,
@@ -132,6 +134,27 @@ class TestCentralDiff:
         got = central_diff(f, 0.1, order)
         want = plain_central_diff(f, 0.1, order)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_strided_lines_give_the_bits_of_their_copy(self):
+        f = self.signed_zeros((6, 5, 11), 3)
+        for lines in (f[:, 1:2], f[:, ::2], f[::-1], f.transpose(1, 0, 2)):
+            got, want = np.empty(lines.shape), np.empty(lines.shape)
+            _diff_last(lines, 0.1, got)
+            _diff_last(lines.copy(), 0.1, want)
+            assert got.tobytes() == want.tobytes()
+
+    def test_node_last_transpose_is_not_copied(self):
+        # central_diff(a.T, h) on a node-last (M, N) array allocates its
+        # output and the end rows' few entries, not a copy of ``a``.
+        a = np.random.default_rng(7).standard_normal((1000, 101))
+        central_diff(a.T, 0.1)  # caches the end-pair positions of this layout
+        tracemalloc.start()
+        try:
+            central_diff(a.T, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert a.nbytes <= peak < 1.25 * a.nbytes, (peak, a.nbytes)
 
 
 class TestCumtrapz:

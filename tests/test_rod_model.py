@@ -74,6 +74,14 @@ class TestDriftNorms:
         assert collinear[0].tobytes() == want[0].tobytes()
         assert collinear[1:].tobytes() == np.zeros_like(want[1:]).tobytes()
 
+    def test_one_rod_sliced_from_a_stack(self):
+        # A one-column slice of a packed (6, T, N) stack: its lines are not one
+        # flat buffer, and it gives the bits of its copy.
+        stack = np.random.default_rng(5).standard_normal((6, 5, 11))
+        got = rod_model._drift_norms(stack[:, 1:2], 0.1, False)
+        want = rod_model._drift_norms(stack[:, 1:2].copy(), 0.1, False)
+        assert got.tobytes() == want.tobytes()
+
 
 def _dense_contact_oracle(dm, f, l, params, bc, t, grid):
     """Assemble the same discrete BVP densely and solve with numpy."""
@@ -115,7 +123,7 @@ def contact_force(dm, f, l, params, bc, t):
     dm, f, l = (np.reshape(a, (params.nodes, -1, 2)).T for a in (dm, f, l))
     w = integrators._Workspace(params, bc, f, np.array([t]), 1.0, dm.shape[1])
     n, rhs = np.empty((2,) + dm.shape)
-    rod_model._contact_force(dm, l, w.df, w.ends[0], params, factors, n, rhs)
+    rod_model._contact_force(dm, l, w.df, w.ends[0], w.inertia, factors, n, rhs)
     check_tridiag(factors, n[None], rhs[None])
     return n.T.reshape(shape)
 

@@ -287,6 +287,17 @@ class TestTrajectory:
         np.testing.assert_array_equal(clone.positions, traj.positions)
         np.testing.assert_array_equal(clone.energies, traj.energies)
 
+    def test_json_chunks_do_not_grow_with_frames(self):
+        # A piece holds at most the 300 floats of one positions frame of 2 rods
+        # of 50 nodes, so four times the frames leave the largest piece as it was.
+        largest = []
+        for frames in (200, 800):
+            traj = self.make(frames=frames, nodes=50)
+            chunks = list(traj.json_chunks())
+            assert "".join(chunks) == reference_json(traj)
+            largest.append(max(map(len, chunks)))
+        assert largest[1] <= 1.01 * largest[0], largest
+
     def test_csv_round_trip_byte_identical(self):
         # repr() floats survive the round trip exactly, so re-serializing
         # reproduces the file byte for byte.
@@ -1350,6 +1361,10 @@ def written_case(case, monkeypatch):
     config = {
         "one-rod": small_config(),
         "three-rods": small_config(carpet=THREE_RODS),
+        # 351 frames of 3 rods of 21 nodes: JSON blocks of one positions frame's
+        # 189 floats (189 times, 63 energy frames, 21 drift frames) all split.
+        "many-blocks": small_config(carpet=THREE_RODS, t_end=0.35,
+                                    output=OutputConfig(stride=1)),
         "unstable-partial": small_config(scheme="pure", dt=5e-2, t_end=5.0,
                                          drive=DriveConfig(amplitude=1.0)),
     }[case]
@@ -1367,11 +1382,12 @@ def reference_json(traj):
 
 
 class TestStreamedWriting:
-    """`simulate` and `export` write a trajectory one frame at a time, and
+    """`simulate` and `export` write a trajectory a piece at a time, CSV one
+    frame and JSON a block of at most one positions frame's floats, and
     write the bytes of `to_json`/`to_csv`."""
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    @pytest.mark.parametrize("case", ["one-rod", "three-rods", "unstable-partial",
+    @pytest.mark.parametrize("case", ["one-rod", "three-rods", "many-blocks", "unstable-partial",
                                       "negative-zero"])
     def test_written_bytes_are_the_writers(self, tmp_path, monkeypatch, capsys, case, fmt):
         config, traj = written_case(case, monkeypatch)
